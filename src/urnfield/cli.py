@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -231,8 +230,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_mc(args) -> int:
     config = ensembles.EnsembleConfig.from_json(_load_json(args.config))
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
     report = ensembles.run_ensemble(config)
     payloads = {"": _json_bytes(report.to_json())}
     if args.runs_csv:
@@ -253,8 +250,6 @@ def cmd_scan(args) -> int:
     if unknown:
         raise ValueError(f"unknown scan config fields: {sorted(unknown)}")
     per_point = ensembles.EnsembleConfig.from_json(obj["per_point"])
-    if args.threads is not None:
-        per_point = replace(per_point, threads=args.threads)
     curve = ensembles.scan_p(
         int(obj["m"]), obj["p_grid"], per_point, float(obj.get("threshold", 0.99))
     )
@@ -343,13 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seed:
             p.add_argument("--seed", type=int, required=True, help="master 64-bit seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None if os.environ.get("URNFIELD_THREADS") is None
-            else int(os.environ["URNFIELD_THREADS"]),
-            help="worker threads for ensembles (env URNFIELD_THREADS)",
-        )
 
     p = sub.add_parser("field", help="sample the mean-field drift on a grid")
     p.add_argument("--m", type=_degree, required=True)

@@ -17,19 +17,25 @@ tests empirically.
 The jump-count budget is the simulation horizon; for strongly reinforcing
 weights the total elapsed time stays finite, so a time budget would be
 ill-conditioned.
+
+:func:`advance_to_next_jump` is the per-jump reference, which also keeps
+the jump log and the holding-time decompositions.  The lockstep paths, the
+shared-stream sampler and the per-run-stream embedding ensemble, drive one
+array step, ``_jump``.  Every rate comes from ``_rate_table``: the timers
+hold linear-scale rates, so a weight beyond float range at a reachable
+count is a ConditionViolation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import stats
 
 from .errors import ConditionViolation, InternalConsistencyError
-from .reinforcement import ReinforcementSeq, weight_table
-from .urns import _LogW
+from .reinforcement import ReinforcementSeq, log_weight_table, weight_table
+from .urns import EnsembleRaw, _drive, _multicolor_step, _streams
 
 _MASS_TOL = 1e-12
 
@@ -58,9 +64,25 @@ class EmbeddingState:
     rate: np.ndarray  # current rate per edge
     xi: np.ndarray  # total mass drawn for the live timer per edge
     segments: list  # per edge: [[rate, consumed], ...] for the live timer
+    rates: np.ndarray  # W(n) lookup, grown on demand by _rate_of
     jump_log: list = dc_field(default_factory=list)
     visit_decomp: dict = dc_field(default_factory=dict)
     refresh_log: list = dc_field(default_factory=list)
+
+
+def _rate_table(seq: ReinforcementSeq, nmax: int, need: int) -> np.ndarray:
+    """Timer rates W(n) for n = 0..nmax, cut before the first rate that is
+    not finite.  The timers hold linear-scale rates, so a rate beyond float
+    range at or below the count ``need`` is a ConditionViolation."""
+    with np.errstate(over="ignore"):
+        table = weight_table(seq, nmax)
+    bad = np.flatnonzero(~np.isfinite(table))
+    if bad.size and bad[0] <= need:
+        raise ConditionViolation(
+            f"W({bad[0]}) exceeds float range; the embedding's timers need finite "
+            f"rates up to n = {need}"
+        )
+    return table[: bad[0]] if bad.size else table
 
 
 def init_embedding(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> EmbeddingState:
@@ -72,26 +94,30 @@ def init_embedding(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Embe
     a = tuple(int(v) for v in a)
     if len(a) != nc:
         raise ValueError(f"initial counts must have length nc={nc}")
-    logw = _LogW(seq)
+    if min(a) < 0:
+        raise ValueError("initial counts must be nonnegative")
+    rates = _rate_table(seq, max(256, max(a)), max(a))
     for i, ai in enumerate(a):
-        if ai < 0 or logw(ai) == -math.inf:
+        if rates[ai] <= 0.0:
             raise ValueError(f"edge {i + 1}: W({ai}) must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     xi = rng.exponential(size=nc)
-    rate = np.array([math.exp(logw(ai)) for ai in a])
+    rate = rates[list(a)]
     z = np.array(a, dtype=np.int64)
     return EmbeddingState(
         nc=nc, d=d, seq=seq, rng=rng, seed=seed, a=a,
         z=z, z_ref=z.copy(), n=0, time=0.0,
         mass=xi.copy(), rate=rate, xi=xi.copy(),
         segments=[[[float(r), 0.0]] for r in rate],
+        rates=rates,
         refresh_log=[tuple(a)],
     )
 
 
 def _rate_of(state: EmbeddingState, count: int) -> float:
-    with np.errstate(over="ignore"):
-        return float(state.seq.value(count))
+    if count >= state.rates.size:
+        state.rates = _rate_table(state.seq, max(count, 2 * state.rates.size), count)
+    return float(state.rates[count])
 
 
 def refresh_rates(state: EmbeddingState) -> EmbeddingState:
@@ -212,6 +238,29 @@ def save_jump_log(state: EmbeddingState, path) -> None:
 # vectorized sampling of the embedded counts
 
 
+def _jump(z, z_ref, mass, rate, rates, fresh, rows, refresh: bool) -> np.ndarray:
+    """One jump of every copy (rows of the (n, nc) arrays) in lockstep, as
+    :func:`advance_to_next_jump` makes it: the timer with the least
+    remaining time rings, every timer spends ``rate * dt`` of its mass, and
+    the winner re-arms with its ``fresh`` Exp(1) mass at the rate of the
+    last refresh snapshot.  ``refresh`` then re-rates every timer from the
+    new counts.  Returns the winning edge per copy."""
+    with np.errstate(divide="ignore"):
+        remaining = mass / rate
+    win = np.argmin(remaining, axis=1)
+    dt = remaining[rows, win]
+    mass -= rate * dt[:, None]
+    np.maximum(mass, 0.0, out=mass)
+    z[rows, win] += 1
+    mass[rows, win] = fresh
+    if refresh:
+        z_ref[:] = z
+        rate[:] = rates[z]
+    else:
+        rate[rows, win] = rates[z_ref[rows, win]]
+    return win
+
+
 def sample_embedding_counts(
     seq: ReinforcementSeq,
     nc: int,
@@ -223,55 +272,70 @@ def sample_embedding_counts(
     refresh_every_jump: bool = False,
 ) -> np.ndarray:
     """Counts at the k-th refresh for ``n_samples`` independent copies of
-    the jump process, advanced in lockstep.
+    the jump process, advanced in lockstep on one shared stream.
 
     ``refresh_every_jump=True`` deliberately breaks the construction by
     re-rating all timers after every jump (negative control for the law
     tests; with d = 1 it coincides with the correct dynamics).
     """
     a = tuple(int(v) for v in a)
-    probe = init_embedding(nc, a, d, seq, seed=0)
-    del probe
+    init_embedding(nc, a, d, seq, seed=0)  # validates arguments
     rng = np.random.Generator(np.random.PCG64(seed))
-    wt = weight_table(seq, max(a) + k * d + 1)
+    rates = _rate_table(seq, max(a) + k * d, max(a) + k * d)
     z = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
     z_ref = z.copy()
     mass = rng.exponential(size=(n_samples, nc))
-    rate = wt[z]
+    rate = rates[z]
     rows = np.arange(n_samples)
     for j in range(1, k * d + 1):
-        remaining = mass / rate
-        win = np.argmin(remaining, axis=1)
-        dt = remaining[rows, win]
-        mass -= rate * dt[:, None]
-        np.maximum(mass, 0.0, out=mass)
-        z[rows, win] += 1
-        mass[rows, win] = rng.exponential(size=n_samples)
-        if refresh_every_jump or j % d == 0:
-            z_ref = z.copy()
-            rate = wt[z_ref]
-        else:
-            rate[rows, win] = wt[z_ref[rows, win]]
+        fresh = rng.exponential(size=n_samples)
+        _jump(z, z_ref, mass, rate, rates, fresh, rows, refresh_every_jump or j % d == 0)
     return z
+
+
+def run_embedding_ensemble(
+    seq: ReinforcementSeq, nc: int, a, d: int, n_steps: int, n_runs: int,
+    master_seed: int, run_offset: int = 0, record_every: int = 100,
+) -> EnsembleRaw:
+    """Embedding runs in lockstep, one step being one refresh block of d
+    jumps.  Run ``i`` consumes the stream a standalone
+    ``init_embedding(..., seed=derive_seed(master, offset+i))`` would: nc
+    initial masses, then one per jump."""
+    a = tuple(int(v) for v in a)
+    init_embedding(nc, a, d, seq, seed=0)  # validates arguments
+    rates = _rate_table(seq, max(a) + d * n_steps, max(a) + d * n_steps)
+    seeds, gens = _streams(master_seed, run_offset, n_runs)
+    z = np.tile(np.array(a, dtype=np.int64), (n_runs, 1))
+    z_ref = z.copy()
+    mass = np.stack([g.exponential(size=nc) for g in gens])
+    rate = rates[z]
+    rows = np.arange(n_runs)
+    last_add = np.zeros((n_runs, nc), dtype=np.int64)
+
+    def advance(step, fresh):
+        for j in range(d):
+            win = _jump(z, z_ref, mass, rate, rates, fresh[:, j], rows, j == d - 1)
+            last_add[rows, win] = step
+
+    steps, props = _drive(
+        gens, d, n_steps, record_every, advance, lambda step: z / z.sum(axis=1, keepdims=True), "exponential"
+    )
+    return EnsembleRaw(steps, props, last_add, z, seeds)
 
 
 def sample_multicolor_counts(
     seq: ReinforcementSeq, nc: int, a, d: int, k: int, n_samples: int, seed: int
 ) -> np.ndarray:
     """Counts after k steps of the discrete multi-color urn (d balls per
-    step), for ``n_samples`` independent copies in lockstep."""
+    step), for ``n_samples`` independent copies in lockstep on one shared
+    stream."""
     a = tuple(int(v) for v in a)
     rng = np.random.Generator(np.random.PCG64(seed))
-    wt = weight_table(seq, max(a) + k * d + 1)
+    logw = log_weight_table(seq, max(a) + k * d + 1)
     counts = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
     rows = np.arange(n_samples)
     for _ in range(k):
-        w = wt[counts]
-        cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
-        us = rng.random(size=(n_samples, d))
-        for j in range(d):
-            idx = np.minimum((us[:, j, None] > cum).sum(axis=1), nc - 1)
-            counts[rows, idx] += 1
+        _multicolor_step(counts, logw, rng.random(size=(n_samples, d)), rows)
     return counts
 
 

@@ -2,8 +2,9 @@
 
 An ensemble is fully identified by its configuration plus a master seed;
 run ``i`` uses the stream ``derive_seed(seed, run_offset + i)``, so reports
-are bit-identical across re-runs (and across thread counts: threading only
-partitions the run-index range).
+are bit-identical across re-runs, and a run-index range reproduces the same
+runs of a larger ensemble.  The ium, multicolor and embedding models run in
+lockstep across runs; the sequential model runs one run at a time.
 
 Almost-sure statements about the models are reported here only as finite
 sample frequencies with Wilson confidence intervals.  Limit classification
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from scipy import stats
 
-from . import meanfield, urns
+from . import embedding, meanfield, urns
 from .reinforcement import ReinforcementSeq
 from .seeds import derive_seed
 
@@ -66,7 +66,6 @@ class EnsembleConfig:
     radius: float = 0.05
     window: int | None = None  # default: final 20% of steps
     run_offset: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.model not in ("ium", "multicolor", "sequential", "embedding"):
@@ -81,8 +80,6 @@ class EnsembleConfig:
             raise ValueError("window must lie in (0, n_steps]")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def effective_window(self) -> int:
@@ -108,7 +105,6 @@ class EnsembleConfig:
             "radius": self.radius,
             "window": self.window,
             "run_offset": self.run_offset,
-            "threads": self.threads,
         }
 
     @staticmethod
@@ -120,7 +116,7 @@ class EnsembleConfig:
         known = {
             "schema", "model", "seq", "n_steps", "n_runs", "seed", "p", "d",
             "black0", "red0", "nc", "a", "record_every", "radius", "window",
-            "run_offset", "threads",
+            "run_offset",
         }
         unknown = set(obj) - known
         if unknown:
@@ -234,81 +230,35 @@ def _validate_equilibria(config: EnsembleConfig, equilibria) -> None:
 
 def _run_raw(config: EnsembleConfig) -> urns.EnsembleRaw:
     if config.model == "ium":
-        runner = lambda off, n: urns.run_ium_ensemble(  # noqa: E731
+        return urns.run_ium_ensemble(
             config.seq, config.p, config.d, config.black0, config.red0,
-            config.n_steps, n, config.seed, off, config.record_every,
+            config.n_steps, config.n_runs, config.seed, config.run_offset, config.record_every,
         )
-    elif config.model == "multicolor":
-        runner = lambda off, n: urns.run_multicolor_ensemble(  # noqa: E731
-            config.seq, config.nc, config.a, config.d,
-            config.n_steps, n, config.seed, off, config.record_every,
-        )
-    else:
-        runner = lambda off, n: _run_scalar_models(config, off, n)  # noqa: E731
-
-    if config.threads == 1 or config.n_runs < 2 * config.threads:
-        return runner(config.run_offset, config.n_runs)
-    chunk = -(-config.n_runs // config.threads)
-    offsets = [
-        (config.run_offset + s, min(chunk, config.n_runs - s))
-        for s in range(0, config.n_runs, chunk)
-    ]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        parts = list(pool.map(lambda on: runner(*on), offsets))
-    return urns.EnsembleRaw(
-        steps=parts[0].steps,
-        proportions=np.concatenate([p.proportions for p in parts]),
-        last_add=np.concatenate([p.last_add for p in parts]),
-        final_counts=np.concatenate([p.final_counts for p in parts]),
-        seeds=np.concatenate([p.seeds for p in parts]),
+    if config.model == "sequential":
+        return _run_sequential(config)
+    engine = urns.run_multicolor_ensemble if config.model == "multicolor" else embedding.run_embedding_ensemble
+    return engine(
+        config.seq, config.nc, config.a, config.d,
+        config.n_steps, config.n_runs, config.seed, config.run_offset, config.record_every,
     )
 
 
-def _run_scalar_models(config: EnsembleConfig, run_offset: int, n_runs: int) -> urns.EnsembleRaw:
-    """Per-run scalar loop for the sequential and embedding models."""
-    from . import embedding as emb
-
+def _run_sequential(config: EnsembleConfig) -> urns.EnsembleRaw:
+    """Per-run scalar loop for the sequential model."""
     all_props, last_adds, finals, seeds = [], [], [], []
-    steps = None
-    for i in range(n_runs):
-        seed = derive_seed(config.seed, run_offset + i)
+    for i in range(config.n_runs):
+        seed = derive_seed(config.seed, config.run_offset + i)
         seeds.append(seed)
-        if config.model == "sequential":
-            st = urns.init_sequential(config.black0, config.red0, config.seq, seed)
-            traj = urns.run(st, config.n_steps, config.record_every)
-            totals = traj.color_totals
-            last = np.zeros(2, dtype=np.int64)
-            for c in range(2):
-                moved = np.nonzero(np.diff(totals[:, c]) > 0)[0]
-                last[c] = traj.steps[moved[-1] + 1] if moved.size else 0
-            finals.append(np.concatenate([st.black, st.red]))
-        else:  # embedding: one "step" is one refresh block of d jumps
-            st = emb.init_embedding(config.nc, config.a, config.d, config.seq, seed)
-            recs, stps = [], []
-            for k in range(1, config.n_steps + 1):
-                for _ in range(config.d):
-                    emb.advance_to_next_jump(st)
-                if k % config.record_every == 0 or k == config.n_steps:
-                    recs.append(st.z / st.z.sum())
-                    stps.append(k)
-            recs.insert(0, np.array(config.a) / np.sum(config.a))
-            stps.insert(0, 0)
-            traj = None
-            last = np.zeros(config.nc, dtype=np.int64)
-            for ev_k, ev in enumerate(st.jump_log):
-                last[ev.edge] = ev_k // config.d + 1
-            all_props.append(np.array(recs))
-            last_adds.append(last)
-            finals.append(st.z.copy())
-            steps = np.array(stps, dtype=np.int64)
-            continue
+        st = urns.init_sequential(config.black0, config.red0, config.seq, seed)
+        traj = urns.run(st, config.n_steps, config.record_every)
+        moved = np.diff(traj.color_totals, axis=0) > 0
+        last_adds.append([traj.steps[np.flatnonzero(m)[-1] + 1] if m.any() else 0 for m in moved.T])
         all_props.append(traj.proportions)
-        last_adds.append(last)
-        steps = traj.steps
+        finals.append(np.concatenate([st.black, st.red]))
     return urns.EnsembleRaw(
-        steps=steps,
+        steps=traj.steps,
         proportions=np.stack(all_props),
-        last_add=np.stack(last_adds),
+        last_add=np.array(last_adds, dtype=np.int64),
         final_counts=np.stack(finals),
         seeds=np.array(seeds, dtype=np.uint64),
     )
@@ -325,19 +275,8 @@ def run_ensemble(config: EnsembleConfig, equilibria=None) -> McReport:
     t0 = time.perf_counter()
     pts, corner_idx, stab = _classification_targets(config, equilibria)
     raw = _run_raw(config)
-
-    targets = np.array(pts, dtype=float)
-    props = raw.proportions
-    n_samples = props.shape[1]
-    tail_len = max(1, -(-n_samples // 4))
-    tail = props[:, -tail_len:, :]
-    end = props[:, -1, :]
-
-    dists_end = np.linalg.norm(end[:, None, :] - targets[None, :, :], axis=2)
-    nearest = np.argmin(dists_end, axis=1)
-    tail_dist = np.linalg.norm(tail - targets[nearest][:, None, :], axis=2)
-    confined = tail_dist.max(axis=1) <= config.radius
-    labels = np.where(confined, nearest, -1)
+    end = raw.proportions[:, -1, :]
+    labels = urns.classify_limits(raw.proportions, pts, config.radius)
     if config.n_steps == 0:
         labels[:] = -1  # a zero-step run carries no limit information
 
@@ -464,14 +403,10 @@ def scan_p(m: int, p_grid, per_point: EnsembleConfig, threshold: float = 0.99) -
         raise ValueError("empty p grid")
     seq = per_point.seq
     if seq.kind != "polynomial" or len(seq.coeffs) - 1 != m:
-        from .reinforcement import make_polynomial
-
-        seq = make_polynomial([0.0] * m + [1.0])
+        raise ValueError(f"scan_p needs degree-{m} polynomial weights, got {seq.to_json()}")
     freqs, cis = [], []
     for i, p in enumerate(p_grid):
-        config = replace(
-            per_point, model="ium", p=p, seq=seq, seed=derive_seed(per_point.seed, i)
-        )
+        config = replace(per_point, model="ium", p=p, seed=derive_seed(per_point.seed, i))
         report = run_ensemble(config)
         freqs.append(report.domination_frequency)
         cis.append(report.domination_ci)

@@ -20,12 +20,17 @@ sequential sub-step consumes one.  The vectorized ensemble runners consume
 per-run streams in the identical order, so run ``i`` of an ensemble
 reproduces a standalone simulation seeded with ``derive_seed(master, i)``.
 
+Each mechanism has one lockstep kernel, ``_ium_step`` and
+``_multicolor_step``, which every array path drives; the scalar steppers
+are the per-step references the kernels are tested against.
+
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -50,11 +55,6 @@ class _LogW:
         if n >= self.table.size:
             self.table = log_weight_table(self.seq, max(n, 2 * self.table.size))
         return float(self.table[n])
-
-    def ensure(self, nmax: int) -> np.ndarray:
-        if nmax >= self.table.size:
-            self.table = log_weight_table(self.seq, nmax)
-        return self.table
 
 
 def _prob_first(log_a: float, log_b: float) -> float:
@@ -145,18 +145,26 @@ def detect_monopoly(traj: Trajectory, window: int) -> str:
     return MONOPOLY_LABELS_2[c] if n_colors == 2 else f"color{c}"
 
 
+def classify_limits(props: np.ndarray, targets, radius: float) -> np.ndarray:
+    """Per run of ``props`` (n_runs, k, dim): the index of the target nearest
+    the endpoint, provided the final quarter of samples stays within
+    ``radius`` of it; -1 otherwise."""
+    targets = np.asarray(targets, dtype=float)
+    tail = props[:, -max(1, -(-props.shape[1] // 4)):, :]
+    end = props[:, -1, :]
+    nearest = np.argmin(np.linalg.norm(end[:, None, :] - targets[None, :, :], axis=2), axis=1)
+    confined = np.linalg.norm(tail - targets[nearest][:, None, :], axis=2).max(axis=1) <= radius
+    return np.where(confined, nearest, -1)
+
+
 def classify_limit(traj: Trajectory, equilibria, radius: float):
     """Index of the equilibrium nearest the endpoint, provided the final
     quarter of samples stays within ``radius`` of it; ``None`` otherwise."""
     if not equilibria:
         raise ValueError("empty equilibria list")
-    pts = np.array([getattr(e, "location", e) for e in equilibria], dtype=float)
-    props = traj.proportions
-    tail = props[-max(1, -(-props.shape[0] // 4)):]
-    j = int(np.argmin(np.linalg.norm(pts - props[-1], axis=1)))
-    if np.max(np.linalg.norm(tail - pts[j], axis=1)) <= radius:
-        return j
-    return None
+    pts = [getattr(e, "location", e) for e in equilibria]
+    j = int(classify_limits(traj.proportions[None], pts, radius)[0])
+    return None if j < 0 else j
 
 
 # ---------------------------------------------------------------------------
@@ -518,20 +526,64 @@ class EnsembleRaw:
     seeds: np.ndarray  # (n_runs,)
 
 
-def _run_blocks(master_seed: int, run_offset: int, n_runs: int, per_step: int, n_steps: int):
-    """Yield (start_step, uniforms) blocks of shape (n_runs, L, per_step),
-    drawn from per-run streams in step order."""
-    gens = [
-        np.random.Generator(np.random.PCG64(derive_seed(master_seed, run_offset + i)))
-        for i in range(n_runs)
-    ]
-    chunk = max(1, min(4096, (1 << 23) // max(1, n_runs * per_step)))
-    start = 0
-    while start < n_steps:
+def _streams(master_seed: int, run_offset: int, n_runs: int):
+    """Per-run seeds ``derive_seed(master, offset + i)`` and their streams."""
+    seeds = np.array([derive_seed(master_seed, run_offset + i) for i in range(n_runs)], dtype=np.uint64)
+    return seeds, [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+
+
+def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample, draw: str = "random"):
+    """Advance all runs in lockstep: each step's ``per_step`` draws from
+    every run's stream, taken in bounded blocks in step order, go to
+    ``advance(step, draws)``.  Returns the recorded steps and the
+    ``sample(step)`` arrays stacked on axis 1, taken at step 0, every
+    ``record_every`` steps and at ``n_steps``."""
+    steps, samples = [0], [sample(0)]
+    chunk = max(1, min(4096, (1 << 23) // max(1, len(gens) * per_step)))
+    for start in range(0, n_steps, chunk):
         length = min(chunk, n_steps - start)
-        block = np.stack([g.random(length * per_step) for g in gens])
-        yield start, block.reshape(n_runs, length, per_step)
-        start += length
+        block = np.stack([getattr(g, draw)(size=length * per_step) for g in gens])
+        block = block.reshape(len(gens), length, per_step)
+        for t in range(length):
+            step = start + t + 1
+            advance(step, block[:, t, :])
+            if step % record_every == 0 or step == n_steps:
+                steps.append(step)
+                samples.append(sample(step))
+    return np.array(steps, dtype=np.int64), np.stack(samples, axis=1)
+
+
+def _ium_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
+    """One synchronous interacting-urn step of every run: ``black`` and
+    ``red`` are (n_runs, d), ``u`` holds each run's 2d uniforms in urn order
+    (interaction draw, then color).  Returns the black increments."""
+    q_global = _vec_prob(logw[black.sum(axis=1)], logw[red.sum(axis=1)])
+    q_local = _vec_prob(logw[black], logw[red])
+    q = np.where(u[:, 0::2] < p, q_global[:, None], q_local)
+    add = (u[:, 1::2] < q).astype(np.int64)
+    black += add
+    red += 1 - add
+    return add
+
+
+def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Add one ball per column of ``u`` to every row of ``counts``, colors
+    drawn from the log weights frozen at the step's start.  Returns the
+    drawn colors, one column per ball."""
+    lw = logw[counts]
+    hi = functools.reduce(np.maximum, lw.T)  # faster than max(axis=1) over a few columns
+    if np.isneginf(hi).any():
+        raise ConditionViolation("every color has zero weight")
+    w = np.exp(lw - hi[:, None])
+    cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+    # a color is the number of cut points below u; cum never decreases, so
+    # skipping the last cut point is the scalar stepper's clip to nc - 1
+    idx = np.zeros(u.shape, dtype=np.int64)
+    for c in range(counts.shape[1] - 1):
+        idx += u > cum[:, c, None]
+    for j in range(u.shape[1]):
+        counts[rows, idx[:, j]] += 1
+    return idx
 
 
 def run_ium_ensemble(
@@ -548,48 +600,23 @@ def run_ium_ensemble(
 ) -> EnsembleRaw:
     """All runs advanced in lockstep; run ``i`` consumes the same stream a
     standalone ``init_ium(..., seed=derive_seed(master, offset+i))`` would."""
-    probe = init_ium(d, black0, red0, p, seq, seed=0)  # validates arguments
-    del probe
+    init_ium(d, black0, red0, p, seq, seed=0)  # validates arguments
     black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
     red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
     init_totals = black[0] + red[0]
     logw = log_weight_table(seq, d * n_steps + int(init_totals.sum()) + 1)
-
-    steps, samples = [], []
+    seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, 2), dtype=np.int64)
 
-    def record(k):
-        steps.append(k)
-        samples.append(black / (k + init_totals))
+    def advance(step, u):
+        add = _ium_step(black, red, logw, p, u)
+        last_add[add.any(axis=1), 0] = step
+        last_add[(add == 0).any(axis=1), 1] = step
 
-    record(0)
-    for start, block in _run_blocks(master_seed, run_offset, n_runs, 2 * d, n_steps):
-        for t in range(block.shape[1]):
-            u = block[:, t, :]
-            step = start + t + 1
-            log_gb = logw[black.sum(axis=1)]
-            log_gr = logw[red.sum(axis=1)]
-            q_global = _vec_prob(log_gb, log_gr)
-            add = np.empty((n_runs, d), dtype=np.int64)
-            for i in range(d):
-                eta = u[:, 2 * i] < p
-                q_local = _vec_prob(logw[black[:, i]], logw[red[:, i]])
-                q = np.where(eta, q_global, q_local)
-                add[:, i] = u[:, 2 * i + 1] < q
-            black += add
-            red += 1 - add
-            last_add[add.any(axis=1), 0] = step
-            last_add[(add == 0).any(axis=1), 1] = step
-            if step % record_every == 0 or step == n_steps:
-                record(step)
-
-    return EnsembleRaw(
-        steps=np.array(steps, dtype=np.int64),
-        proportions=np.stack(samples, axis=1),
-        last_add=last_add,
-        final_counts=np.concatenate([black, red], axis=1),
-        seeds=np.array([derive_seed(master_seed, run_offset + i) for i in range(n_runs)], dtype=np.uint64),
+    steps, props = _drive(
+        gens, 2 * d, n_steps, record_every, advance, lambda step: black / (step + init_totals)
     )
+    return EnsembleRaw(steps, props, last_add, np.concatenate([black, red], axis=1), seeds)
 
 
 def run_multicolor_ensemble(
@@ -603,41 +630,17 @@ def run_multicolor_ensemble(
     run_offset: int = 0,
     record_every: int = 100,
 ) -> EnsembleRaw:
-    probe = init_multicolor(nc, a, d, seq, seed=0)
-    del probe
+    init_multicolor(nc, a, d, seq, seed=0)  # validates arguments
     counts = np.tile(np.asarray(a, dtype=np.int64), (n_runs, 1))
     logw = log_weight_table(seq, int(np.sum(a)) + d * n_steps + 1)
     rows = np.arange(n_runs)
-
-    steps, samples = [], []
+    seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, nc), dtype=np.int64)
 
-    def record(k):
-        steps.append(k)
-        samples.append(counts / counts.sum(axis=1, keepdims=True))
+    def advance(step, u):
+        last_add[rows[:, None], _multicolor_step(counts, logw, u, rows)] = step
 
-    record(0)
-    for start, block in _run_blocks(master_seed, run_offset, n_runs, d, n_steps):
-        for t in range(block.shape[1]):
-            step = start + t + 1
-            lw = logw[counts]
-            hi = lw.max(axis=1, keepdims=True)
-            if np.isneginf(hi).any():
-                raise ConditionViolation("every color has zero weight")
-            w = np.exp(lw - hi)
-            cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
-            for j in range(d):
-                u = block[:, t, j]
-                idx = np.minimum((u[:, None] > cum).sum(axis=1), nc - 1)
-                counts[rows, idx] += 1
-                last_add[rows, idx] = step
-            if step % record_every == 0 or step == n_steps:
-                record(step)
-
-    return EnsembleRaw(
-        steps=np.array(steps, dtype=np.int64),
-        proportions=np.stack(samples, axis=1),
-        last_add=last_add,
-        final_counts=counts,
-        seeds=np.array([derive_seed(master_seed, run_offset + i) for i in range(n_runs)], dtype=np.uint64),
+    steps, props = _drive(
+        gens, d, n_steps, record_every, advance, lambda step: counts / counts.sum(axis=1, keepdims=True)
     )
+    return EnsembleRaw(steps, props, last_add, counts, seeds)

@@ -63,6 +63,11 @@ class TestExitCodes:
         path.write_text(json.dumps(blob))
         assert main(["mc", "--config", str(path)]) == 2
 
+    def test_threads_rejected(self, tmp_path):
+        path = mc_config(tmp_path, threads=2)
+        assert main(["mc", "--config", str(path)]) == 2
+        assert main(["mc", "--config", str(mc_config(tmp_path)), "--threads", "2"]) == 2
+
 
 class TestField:
     def test_row_count(self, tmp_path):
@@ -189,6 +194,16 @@ class TestMcAndScan:
         assert lines[0] == "p,domination_frequency,ci_lo,ci_hi"
         assert len(lines) == 3
 
+    def test_scan_rejects_weights_not_of_degree_m(self, tmp_path, capsys):
+        scan = {
+            "schema": 1, "m": 3, "p_grid": [0.2],
+            "per_point": {"schema": 1, "model": "ium", "seq": N2_JSON, "n_steps": 50, "n_runs": 2, "seed": 3},
+        }
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(scan))
+        assert main(["scan", "--config", str(path)]) == 2
+        assert "degree-3" in capsys.readouterr().err
+
 
 class TestCheckW:
     def test_verdicts(self, tmp_path, capsys):
@@ -210,26 +225,6 @@ class TestCheckW:
         assert "rem_ratio" not in blob["checks"]
 
 
-class TestThreadsEnv:
-    def test_env_fallback(self, monkeypatch):
-        from urnfield.cli import build_parser
-
-        monkeypatch.setenv("URNFIELD_THREADS", "4")
-        args = build_parser().parse_args(
-            ["field", "--m", "2", "--p", "0.1", "--resolution", "3"]
-        )
-        assert args.threads == 4
-
-    def test_flag_overrides_env(self, monkeypatch):
-        from urnfield.cli import build_parser
-
-        monkeypatch.setenv("URNFIELD_THREADS", "4")
-        args = build_parser().parse_args(
-            ["field", "--m", "2", "--p", "0.1", "--resolution", "3", "--threads", "2"]
-        )
-        assert args.threads == 2
-
-
 class TestSimulateEvents:
     def test_monopoly_annotation_in_manifest(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -249,6 +244,14 @@ class TestEmbedTest:
         blob = json.loads(capsys.readouterr().out)
         assert blob["method"] == "chi_square"
         assert blob["p_value"] > 1e-3
+
+    def test_weights_beyond_float_range(self, tmp_path, capsys):
+        seq = tmp_path / "e2.json"
+        seq.write_text(json.dumps({"kind": "exponential", "rho": 2}))
+        rc = main(["embed-test", "--nc", "2", "--a", "1030,1", "--d", "1", "--k", "3",
+                   "--samples", "200", "--seed", "1", "--seq", str(seq)])
+        assert rc == 3
+        assert "exceeds float range" in capsys.readouterr().err
 
     def test_too_few_samples(self):
         rc = main(["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--m", "2",

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from urnfield import embedding as emb, reinforcement as rf
-from urnfield.errors import InternalConsistencyError
+from urnfield.errors import ConditionViolation, InternalConsistencyError
+from urnfield.seeds import derive_seed
 
 N2 = rf.make_polynomial([0, 0, 1])
 N3 = rf.make_polynomial([0, 0, 0, 1])
@@ -22,6 +24,22 @@ class TestInit:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
             emb.init_embedding(2, (0, 1), 1, N2, seed=1)
+
+    def test_rate_beyond_float_range_is_a_condition_violation(self):
+        # W(1030) = 2^1030 does not fit a float
+        with pytest.raises(ConditionViolation):
+            emb.init_embedding(2, (1030, 1), 1, rf.make_exponential(2.0), seed=1)
+
+    def test_rates_hold_up_to_float_range(self):
+        # W(n) = 2^(n-1) is finite up to n = 1024: the rate table grows past
+        # its initial size to get there and stops at the first overflow
+        rho = rf.make_exponential(2.0)
+        st = emb.init_embedding(2, (1000, 1000), 1, rho, seed=1)
+        assert st.rate.tolist() == [rho.value(1000)] * 2
+        with pytest.raises(ConditionViolation):
+            for _ in range(60):
+                emb.advance_to_next_jump(st)
+        assert st.z.max() == 1025
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +172,44 @@ class TestRaceDistribution:
     def test_totals_exact(self):
         counts = emb.sample_embedding_counts(N3, 3, (1, 2, 1), 2, 4, 5_000, seed=31)
         assert np.all(counts.sum(axis=1) == 4 + 8)
+
+
+class TestEnsembleEngine:
+    @pytest.mark.parametrize(
+        "seq, nc, a, d, offset",
+        [(N2, 2, (1, 1), 2, 0), (N3, 3, (1, 2, 1), 3, 4), (rf.make_exponential(1.5), 2, (1, 1), 1, 2)],
+        ids=["n^2", "n^3-nc3-d3", "exp1.5-d1"],
+    )
+    def test_matches_scalar_runs(self, seq, nc, a, d, offset):
+        raw = emb.run_embedding_ensemble(seq, nc, a, d, 60, 5, master_seed=77, run_offset=offset, record_every=7)
+        for i in range(5):
+            st = emb.init_embedding(nc, a, d, seq, seed=derive_seed(77, offset + i))
+            props, last = [st.z / st.z.sum()], np.zeros(nc, dtype=np.int64)
+            for step in range(1, 61):
+                for _ in range(d):
+                    _, ev = emb.advance_to_next_jump(st)
+                    last[ev.edge] = step
+                props.append(st.z / st.z.sum())
+            assert np.array_equal(raw.proportions[i], np.array(props)[raw.steps])
+            assert np.array_equal(raw.final_counts[i], st.z)
+            assert np.array_equal(raw.last_add[i], last)
+
+    def test_horizon_beyond_float_range(self):
+        # some color could reach 1 + 2 * 600 balls, and W(1201) = 2^1201
+        with pytest.raises(ConditionViolation):
+            emb.run_embedding_ensemble(rf.make_exponential(2.0), 2, (1, 1), 2, 600, 3, master_seed=1)
+
+
+class TestMulticolorReference:
+    def test_color_swap_symmetry_under_fast_weights(self):
+        # from a symmetric start each color leads with probability 1/2; the
+        # weights 2^1015 are far beyond the range of a linear-scale draw
+        n = 20_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = emb.sample_multicolor_counts(rf.make_exponential(2.0), 2, (1015, 1015), 1, 40, n, seed=3)
+        ahead = float(np.mean(counts[:, 0] > counts[:, 1]))
+        assert abs(ahead - 0.5) <= 4 * math.sqrt(0.25 / n)
 
 
 class TestCompareLaws:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from urnfield import ensembles as ens, meanfield as mf, reinforcement as rf
+from urnfield import embedding as emb, ensembles as ens, meanfield as mf, reinforcement as rf
+from urnfield.seeds import derive_seed
 
 N2 = rf.make_polynomial([0, 0, 1])
 N3 = rf.make_polynomial([0, 0, 0, 1])
@@ -56,6 +57,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ens.EnsembleConfig.from_json(blob)
 
+    def test_threads_field_rejected(self):
+        blob = small_config().to_json()
+        assert "threads" not in blob
+        blob["threads"] = 1
+        with pytest.raises(ValueError, match="threads"):
+            ens.EnsembleConfig.from_json(blob)
+
     def test_missing_field_rejected(self):
         blob = small_config().to_json()
         del blob["seed"]
@@ -99,11 +107,11 @@ class TestRunEnsemble:
         assert r1.to_json() == r2.to_json()
         assert r1.run_rows == r2.run_rows
 
-    def test_threads_do_not_change_results(self):
-        r1 = ens.run_ensemble(small_config(n_runs=30))
-        r3 = ens.run_ensemble(small_config(n_runs=30, threads=3))
-        assert r1.to_json() == {**r3.to_json(), "config": r1.to_json()["config"]}
-        assert [row[1:] for row in r1.run_rows] == [row[1:] for row in r3.run_rows]
+    def test_run_ranges_reproduce_the_ensemble(self):
+        whole = ens.run_ensemble(small_config(n_runs=30))
+        head = ens.run_ensemble(small_config(n_runs=15))
+        tail = ens.run_ensemble(small_config(n_runs=15, run_offset=15))
+        assert head.run_rows + tail.run_rows == whole.run_rows
 
     def test_disjoint_ranges_are_independent(self):
         r1 = ens.run_ensemble(small_config(n_runs=120, n_steps=500))
@@ -153,6 +161,19 @@ class TestRunEnsemble:
         rep = ens.run_ensemble(cfg)
         assert sum(c.count for c in rep.cells) + rep.unresolved == 6
 
+    def test_embedding_runs_are_standalone_runs(self):
+        cfg = ens.EnsembleConfig(
+            model="embedding", seq=N2, nc=2, a=(1, 1), d=2,
+            n_steps=150, n_runs=4, record_every=15, seed=17, run_offset=3,
+        )
+        rep = ens.run_ensemble(cfg)
+        for i, row in enumerate(rep.run_rows):
+            st = emb.init_embedding(2, (1, 1), 2, N2, seed=derive_seed(17, 3 + i))
+            for _ in range(150 * 2):
+                emb.advance_to_next_jump(st)
+            assert row[:2] == (3 + i, derive_seed(17, 3 + i))
+            assert list(row[3:]) == (st.z / st.z.sum()).tolist()
+
 
 class TestMonopolyEstimate:
     def test_strong_weights_monopolize(self):
@@ -188,7 +209,8 @@ class TestScan:
         with pytest.raises(ValueError):
             ens.scan_p(2, [], small_config())
 
-    def test_forces_degree_m_weights(self):
-        per_point = small_config(seq=rf.make_exponential(2.0), n_runs=5, n_steps=200)
-        curve = ens.scan_p(3, [0.2], per_point)
-        assert curve.m == 3
+    def test_rejects_weights_not_of_degree_m(self):
+        for seq in (rf.make_exponential(2.0), N2):
+            per_point = small_config(seq=seq, n_runs=5, n_steps=200)
+            with pytest.raises(ValueError, match="degree-3"):
+                ens.scan_p(3, [0.2], per_point)

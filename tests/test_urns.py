@@ -314,15 +314,22 @@ class TestCoupled:
 
 
 class TestEnsembleEngines:
-    def test_ium_matches_scalar_runs(self):
+    @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ium_matches_scalar_runs(self, d, p):
+        black0, red0 = (1, 2, 1)[:d], (2, 1, 1)[:d]
         raw = urns.run_ium_ensemble(
-            N2, 0.4, 2, (1, 1), (1, 1), 400, 6, master_seed=123, run_offset=2, record_every=40
+            N2, p, d, black0, red0, 400, 6, master_seed=123, run_offset=2, record_every=40
         )
         for i in range(6):
-            st = urns.init_ium(2, (1, 1), (1, 1), 0.4, N2, seed=derive_seed(123, 2 + i))
-            tr = urns.run(st, 400, 40)
-            assert np.array_equal(raw.proportions[i], tr.proportions)
+            st = urns.init_ium(d, black0, red0, p, N2, seed=derive_seed(123, 2 + i))
+            tr = urns.run(st, 400, 1)
+            assert np.array_equal(raw.proportions[i], tr.proportions[raw.steps])
             assert np.array_equal(raw.final_counts[i], np.concatenate([st.black, st.red]))
+            # last step at which some urn drew black (column 0) and red (column 1)
+            grew = np.diff(tr.color_totals, axis=0) > 0
+            last = [int(np.flatnonzero(grew[:, c])[-1]) + 1 if grew[:, c].any() else 0 for c in range(2)]
+            assert raw.last_add[i].tolist() == last
 
     def test_multicolor_matches_scalar_runs(self):
         raw = urns.run_multicolor_ensemble(
