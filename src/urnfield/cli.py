@@ -213,18 +213,7 @@ def cmd_simulate(args) -> int:
     traj = urns.run(state, args.steps, args.record_every, record_counts=args.counts)
     if args.steps > 0:
         traj.events["monopoly"] = urns.detect_monopoly(traj, max(1, args.steps // 5))
-    if args.counts:
-        width = traj.counts.shape[1]
-        blob = _csv_bytes(
-            ["step"] + [f"c_{i + 1}" for i in range(width)],
-            [(int(s), *(int(v) for v in row)) for s, row in zip(traj.steps, traj.counts)],
-        )
-    else:
-        width = traj.proportions.shape[1]
-        blob = _csv_bytes(
-            ["step"] + [f"x_{i + 1}" for i in range(width)],
-            [(int(s), *(float(v) for v in row)) for s, row in zip(traj.steps, traj.proportions)],
-        )
+    blob = traj.csv_bytes("counts" if args.counts else "proportions")
     return _emit(args, {"": blob}, {**_echo(args), "events": traj.events})
 
 

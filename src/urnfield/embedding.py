@@ -35,7 +35,7 @@ from scipy import stats
 
 from .errors import ConditionViolation, InternalConsistencyError
 from .reinforcement import ReinforcementSeq, log_weight_table, weight_table
-from .urns import EnsembleRaw, _drive, _multicolor_step, _streams
+from .urns import EnsembleRaw, _drive, _multicolor_step, _streams, init_multicolor
 
 _MASS_TOL = 1e-12
 
@@ -320,7 +320,7 @@ def run_embedding_ensemble(
     steps, props = _drive(
         gens, d, n_steps, record_every, advance, lambda step: z / z.sum(axis=1, keepdims=True), "exponential"
     )
-    return EnsembleRaw(steps, props, last_add, z, seeds)
+    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, z, seeds)
 
 
 def sample_multicolor_counts(
@@ -330,6 +330,7 @@ def sample_multicolor_counts(
     step), for ``n_samples`` independent copies in lockstep on one shared
     stream."""
     a = tuple(int(v) for v in a)
+    init_multicolor(nc, a, d, seq, seed=0)  # validates arguments
     rng = np.random.Generator(np.random.PCG64(seed))
     logw = log_weight_table(seq, max(a) + k * d + 1)
     counts = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))

@@ -3,8 +3,11 @@
 An ensemble is fully identified by its configuration plus a master seed;
 run ``i`` uses the stream ``derive_seed(seed, run_offset + i)``, so reports
 are bit-identical across re-runs, and a run-index range reproduces the same
-runs of a larger ensemble.  The ium, multicolor and embedding models run in
-lockstep across runs; the sequential model runs one run at a time.
+runs of a larger ensemble.  Every model runs in lockstep across runs on
+its mechanism's one kernel.  The sequential driver gives each run two
+uniforms per macro step from its own stream, urn 0's sub-step first, as a
+standalone ``urns.run`` at that run's seed does.  Monopoly verdicts use
+each color's exact last-change step, whatever ``record_every`` is.
 
 Almost-sure statements about the models are reported here only as finite
 sample frequencies with Wilson confidence intervals.  Limit classification
@@ -228,40 +231,14 @@ def _validate_equilibria(config: EnsembleConfig, equilibria) -> None:
             )
 
 
-def _run_raw(config: EnsembleConfig) -> urns.EnsembleRaw:
-    if config.model == "ium":
-        return urns.run_ium_ensemble(
-            config.seq, config.p, config.d, config.black0, config.red0,
-            config.n_steps, config.n_runs, config.seed, config.run_offset, config.record_every,
-        )
-    if config.model == "sequential":
-        return _run_sequential(config)
-    engine = urns.run_multicolor_ensemble if config.model == "multicolor" else embedding.run_embedding_ensemble
-    return engine(
-        config.seq, config.nc, config.a, config.d,
-        config.n_steps, config.n_runs, config.seed, config.run_offset, config.record_every,
-    )
-
-
-def _run_sequential(config: EnsembleConfig) -> urns.EnsembleRaw:
-    """Per-run scalar loop for the sequential model."""
-    all_props, last_adds, finals, seeds = [], [], [], []
-    for i in range(config.n_runs):
-        seed = derive_seed(config.seed, config.run_offset + i)
-        seeds.append(seed)
-        st = urns.init_sequential(config.black0, config.red0, config.seq, seed)
-        traj = urns.run(st, config.n_steps, config.record_every)
-        moved = np.diff(traj.color_totals, axis=0) > 0
-        last_adds.append([traj.steps[np.flatnonzero(m)[-1] + 1] if m.any() else 0 for m in moved.T])
-        all_props.append(traj.proportions)
-        finals.append(np.concatenate([st.black, st.red]))
-    return urns.EnsembleRaw(
-        steps=traj.steps,
-        proportions=np.stack(all_props),
-        last_add=np.array(last_adds, dtype=np.int64),
-        final_counts=np.stack(finals),
-        seeds=np.array(seeds, dtype=np.uint64),
-    )
+def _run_raw(c: EnsembleConfig) -> urns.EnsembleRaw:
+    tail = (c.n_steps, c.n_runs, c.seed, c.run_offset, c.record_every)
+    if c.model == "ium":
+        return urns.run_ium_ensemble(c.seq, c.p, c.d, c.black0, c.red0, *tail)
+    if c.model == "sequential":
+        return urns.run_sequential_ensemble(c.seq, c.black0, c.red0, *tail)
+    engine = urns.run_multicolor_ensemble if c.model == "multicolor" else embedding.run_embedding_ensemble
+    return engine(c.seq, c.nc, c.a, c.d, *tail)
 
 
 def run_ensemble(config: EnsembleConfig, equilibria=None) -> McReport:
@@ -401,12 +378,14 @@ def scan_p(m: int, p_grid, per_point: EnsembleConfig, threshold: float = 0.99) -
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("empty p grid")
+    if per_point.model != "ium":
+        raise ValueError(f"scan_p scans the two-urn ium model, got model {per_point.model!r}")
     seq = per_point.seq
     if seq.kind != "polynomial" or len(seq.coeffs) - 1 != m:
         raise ValueError(f"scan_p needs degree-{m} polynomial weights, got {seq.to_json()}")
     freqs, cis = [], []
     for i, p in enumerate(p_grid):
-        config = replace(per_point, model="ium", p=p, seed=derive_seed(per_point.seed, i))
+        config = replace(per_point, p=p, seed=derive_seed(per_point.seed, i))
         report = run_ensemble(config)
         freqs.append(report.domination_frequency)
         cis.append(report.domination_ci)

@@ -30,7 +30,7 @@ from .quadrature import adaptive_simpson, adaptive_simpson_scalar
 
 _DEADBAND = 1e-9  # |lambda_+| below this is reported as (nonstrictly) stable
 _QUAD_TOL = 1e-10
-_EXP_CLIP = 745.0  # exp overflow guard
+_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above this
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,7 @@ def power_ratio(m: int, t: float) -> float:
         return 1.0
     d = m * (math.log1p(-t) - math.log(t))
     if d > _EXP_CLIP:
-        return 0.0
-    if d < -_EXP_CLIP:
-        return 1.0
+        return 0.0  # what 1 / (1 + inf) gives in _power_ratio_arr
     return 1.0 / (1.0 + math.exp(d))
 
 

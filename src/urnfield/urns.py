@@ -16,13 +16,16 @@ Three mechanisms share the same reinforcement machinery:
 RNG contract: a state owns one PCG64 stream.  An interacting-urn step
 consumes exactly ``2 d`` uniforms in urn order (interaction draw first,
 then the color uniform); a multi-color step consumes ``d`` uniforms; a
-sequential sub-step consumes one.  The vectorized ensemble runners consume
-per-run streams in the identical order, so run ``i`` of an ensemble
-reproduces a standalone simulation seeded with ``derive_seed(master, i)``.
+sequential (macro) step consumes two, one per sub-step, urn 0 first.  The
+lockstep ensemble runners consume per-run streams in the identical order,
+so run ``i`` of an ensemble reproduces a standalone simulation seeded with
+``derive_seed(master, i)``.
 
-Each mechanism has one lockstep kernel, ``_ium_step`` and
-``_multicolor_step``, which every array path drives; the scalar steppers
-are the per-step references the kernels are tested against.
+Each mechanism has one lockstep kernel (``_ium_step``, ``_multicolor_step``,
+``_sequential_step``) that ensembles drive; single runs keep the scalar
+steppers, the per-step references the kernels are tested against.  One
+loop, ``_drive``, draws and records for ensembles, ``run`` and
+``run_coupled`` alike.
 
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.
@@ -30,7 +33,9 @@ reinforcement never overflows.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -40,7 +45,7 @@ from .errors import ConditionViolation
 from .reinforcement import ReinforcementSeq, log_weight_table
 from .seeds import derive_seed
 
-_LOG_EXP_CLIP = 745.0
+_LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above this
 MONOPOLY_LABELS_2 = ("black", "red")
 
 
@@ -67,9 +72,7 @@ def _prob_first(log_a: float, log_b: float) -> float:
         return 1.0
     d = log_b - log_a
     if d > _LOG_EXP_CLIP:
-        return 0.0
-    if d < -_LOG_EXP_CLIP:
-        return 1.0
+        return 0.0  # what 1 / (1 + inf) gives in _vec_prob
     return 1.0 / (1.0 + math.exp(d))
 
 
@@ -102,25 +105,26 @@ class Trajectory:
     seed: int | None = None
     meta: dict = dc_field(default_factory=dict)
 
-    def to_csv(self, path, what: str = "proportions") -> None:
-        import csv
+    def csv_bytes(self, what: str = "proportions") -> bytes:
+        """CSV of the samples: ``step``, then ``x_i`` per urn or color (17
+        significant digits) or, with ``what="counts"``, ``c_i`` per count."""
+        if what == "proportions":
+            prefix, data, cell = "x", self.proportions, lambda v: format(v, ".17g")
+        elif what == "counts":
+            if self.counts is None:
+                raise ValueError("trajectory was recorded without counts")
+            prefix, data, cell = "c", self.counts, int
+        else:
+            raise ValueError(f"unknown export: {what}")
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["step"] + [f"{prefix}_{i + 1}" for i in range(data.shape[1])])
+        w.writerows([int(s)] + [cell(v) for v in row] for s, row in zip(self.steps, data))
+        return buf.getvalue().encode()
 
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            if what == "proportions":
-                d = self.proportions.shape[1]
-                w.writerow(["step"] + [f"x_{i + 1}" for i in range(d)])
-                for s, row in zip(self.steps, self.proportions):
-                    w.writerow([int(s)] + [format(v, ".17g") for v in row])
-            elif what == "counts":
-                if self.counts is None:
-                    raise ValueError("trajectory was recorded without counts")
-                c = self.counts.shape[1]
-                w.writerow(["step"] + [f"c_{i + 1}" for i in range(c)])
-                for s, row in zip(self.steps, self.counts):
-                    w.writerow([int(s)] + [int(v) for v in row])
-            else:
-                raise ValueError(f"unknown export: {what}")
+    def to_csv(self, path, what: str = "proportions") -> None:
+        with open(path, "wb") as fh:
+            fh.write(self.csv_bytes(what))
 
 
 def detect_monopoly(traj: Trajectory, window: int) -> str:
@@ -266,26 +270,22 @@ def proportions(state: UrnState) -> np.ndarray:
 
 def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False) -> Trajectory:
     """Advance any simulator state ``n_steps`` steps, recording proportions
-    at the given cadence (step 0 and the final step are always recorded)."""
+    at the given cadence (step 0 and the final step are always recorded).
+    Consecutive runs of a state continue its one stream."""
     if n_steps < 0 or record_every < 1:
         raise ValueError("n_steps must be >= 0 and record_every >= 1")
-    stepper, props_of, totals_of, counts_of, meta = _dispatch(state)
-    steps, props, totals, counts = [], [], [], []
+    per_step, step_core, props_of, totals_of, counts_of, meta = _dispatch(state)
 
-    def record(k):
-        steps.append(k)
-        props.append(props_of(state))
-        totals.append(totals_of(state))
-        if record_counts:
-            counts.append(counts_of(state))
+    def sample(step):
+        return props_of(state), totals_of(state), counts_of(state) if record_counts else None
 
-    record(0)
-    for k in range(1, n_steps + 1):
-        stepper(state)
-        if k % record_every == 0 or k == n_steps:
-            record(k)
+    def advance(step, u):
+        step_core(state, u[0].tolist())  # Python floats compare faster than numpy scalars
+
+    steps, samples = _drive([state.rng], per_step, n_steps, record_every, advance, sample)
+    props, totals, counts = zip(*samples)
     return Trajectory(
-        steps=np.array(steps, dtype=np.int64),
+        steps=steps,
         proportions=np.array(props, dtype=float),
         color_totals=np.array(totals, dtype=np.int64),
         counts=np.array(counts, dtype=np.int64) if record_counts else None,
@@ -295,9 +295,11 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
 
 
 def _dispatch(state):
+    """Uniforms per step, the scalar stepper fed them, and what a trajectory records."""
     if isinstance(state, UrnState):
         return (
-            step_ium,
+            2 * state.d,
+            _step_ium_core,
             proportions,
             lambda s: (s.total_black, s.total_red),
             lambda s: np.concatenate([s.black, s.red]),
@@ -305,7 +307,8 @@ def _dispatch(state):
         )
     if isinstance(state, MultiColorState):
         return (
-            step_multicolor,
+            state.d,
+            _step_multicolor_core,
             lambda s: s.counts / s.counts.sum(),
             lambda s: tuple(s.counts),
             lambda s: s.counts.copy(),
@@ -313,7 +316,8 @@ def _dispatch(state):
         )
     if isinstance(state, SequentialState):
         return (
-            _step_sequential_macro,
+            2,
+            _step_sequential_pair,
             sequential_proportions,
             lambda s: (int(s.black.sum()), int(s.red.sum())),
             lambda s: np.concatenate([s.black, s.red]),
@@ -434,10 +438,10 @@ def step_sequential(state: SequentialState) -> SequentialState:
     return state
 
 
-def _step_sequential_macro(state: SequentialState) -> SequentialState:
-    step_sequential(state)
-    step_sequential(state)
-    return state
+def _step_sequential_pair(state: SequentialState, uniforms) -> None:
+    """One macro step from its two uniforms: urn 0's sub-step, then urn 1's."""
+    for u in uniforms:
+        _step_sequential_core(state, u)
 
 
 def sequential_proportions(state: SequentialState) -> np.ndarray:
@@ -472,35 +476,27 @@ def run_coupled(
         raise ValueError("the coupling requires a non-decreasing weight sequence")
     ium = init_ium(2, black0, red0, p, seq, seed)
     seqp = init_sequential(black0, red0, seq, seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    steps, props_i, props_s, totals_i, totals_s = [], [], [], [], []
-
-    def record(k):
-        steps.append(k)
-        props_i.append(proportions(ium))
-        props_s.append(sequential_proportions(seqp))
-        totals_i.append((ium.total_black, ium.total_red))
-        totals_s.append((int(seqp.black.sum()), int(seqp.red.sum())))
-
     violations = 0
-    record(0)
-    k = 0
-    while k < n_steps:
-        block = rng.random((min(4096, n_steps - k), 4))
-        for us in block:
-            k += 1
-            _step_ium_core(ium, us)
-            _step_sequential_core(seqp, float(us[1]))
-            _step_sequential_core(seqp, float(us[3]))
-            violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
-            violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
-            if k % record_every == 0 or k == n_steps:
-                record(k)
+
+    def advance(step, u):
+        nonlocal violations
+        us = u[0].tolist()
+        _step_ium_core(ium, us)
+        _step_sequential_pair(seqp, us[1::2])
+        violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
+        violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
+
+    def sample(step):
+        seq_totals = (int(seqp.black.sum()), int(seqp.red.sum()))
+        return proportions(ium), sequential_proportions(seqp), (ium.total_black, ium.total_red), seq_totals
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    steps, samples = _drive([rng], 4, n_steps, record_every, advance, sample)
+    props_i, props_s, totals_i, totals_s = zip(*samples)
 
     def mk(props, totals, model):
         return Trajectory(
-            steps=np.array(steps, dtype=np.int64),
+            steps=steps.copy(),
             proportions=np.array(props, dtype=float),
             color_totals=np.array(totals, dtype=np.int64),
             seed=seed,
@@ -535,22 +531,20 @@ def _streams(master_seed: int, run_offset: int, n_runs: int):
 def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample, draw: str = "random"):
     """Advance all runs in lockstep: each step's ``per_step`` draws from
     every run's stream, taken in bounded blocks in step order, go to
-    ``advance(step, draws)``.  Returns the recorded steps and the
-    ``sample(step)`` arrays stacked on axis 1, taken at step 0, every
-    ``record_every`` steps and at ``n_steps``."""
+    ``advance(step, draws)`` as an (n_runs, per_step) array.  Returns the
+    recorded steps and the list of ``sample(step)`` values, taken at step
+    0, every ``record_every`` steps and at ``n_steps``."""
     steps, samples = [0], [sample(0)]
     chunk = max(1, min(4096, (1 << 23) // max(1, len(gens) * per_step)))
     for start in range(0, n_steps, chunk):
         length = min(chunk, n_steps - start)
         block = np.stack([getattr(g, draw)(size=length * per_step) for g in gens])
-        block = block.reshape(len(gens), length, per_step)
-        for t in range(length):
-            step = start + t + 1
-            advance(step, block[:, t, :])
+        for step, draws in enumerate(block.reshape(len(gens), length, per_step).swapaxes(0, 1), start + 1):
+            advance(step, draws)
             if step % record_every == 0 or step == n_steps:
                 steps.append(step)
                 samples.append(sample(step))
-    return np.array(steps, dtype=np.int64), np.stack(samples, axis=1)
+    return np.array(steps, dtype=np.int64), samples
 
 
 def _ium_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
@@ -586,6 +580,40 @@ def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray, rows: 
     return idx
 
 
+def _sequential_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One macro step of every run of the sequential process: ``black`` and
+    ``red`` are (n_runs, 2), ``u`` holds each run's two uniforms.  Urn 0's
+    sub-step comes first, and urn 1's sees its pooled red count.  Returns
+    the black increments, one column per urn."""
+    add = np.empty_like(black)
+    for urn in (0, 1):
+        q = _vec_prob(logw[black[:, urn]], logw[red[:, 0] + red[:, 1]])
+        add[:, urn] = u[:, urn] < q
+        black[:, urn] += add[:, urn]
+        red[:, urn] += 1 - add[:, urn]
+    return add
+
+
+def _black_red_ensemble(kernel, per_step, seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every):
+    """Lockstep driver of a black/red mechanism whose ``kernel(black, red,
+    logw, u)`` advances every run one step, each urn gaining one ball, and
+    returns the black increments."""
+    black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
+    red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
+    init_totals = black[0] + red[0]
+    logw = log_weight_table(seq, black.shape[1] * n_steps + int(init_totals.sum()) + 1)
+    seeds, gens = _streams(master_seed, run_offset, n_runs)
+    last_add = np.zeros((n_runs, 2), dtype=np.int64)
+
+    def advance(step, u):
+        add = kernel(black, red, logw, u)
+        last_add[add.any(axis=1), 0] = step
+        last_add[(add == 0).any(axis=1), 1] = step
+
+    steps, props = _drive(gens, per_step, n_steps, record_every, advance, lambda step: black / (step + init_totals))
+    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, np.concatenate([black, red], axis=1), seeds)
+
+
 def run_ium_ensemble(
     seq: ReinforcementSeq,
     p: float,
@@ -601,22 +629,10 @@ def run_ium_ensemble(
     """All runs advanced in lockstep; run ``i`` consumes the same stream a
     standalone ``init_ium(..., seed=derive_seed(master, offset+i))`` would."""
     init_ium(d, black0, red0, p, seq, seed=0)  # validates arguments
-    black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
-    red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
-    init_totals = black[0] + red[0]
-    logw = log_weight_table(seq, d * n_steps + int(init_totals.sum()) + 1)
-    seeds, gens = _streams(master_seed, run_offset, n_runs)
-    last_add = np.zeros((n_runs, 2), dtype=np.int64)
-
-    def advance(step, u):
-        add = _ium_step(black, red, logw, p, u)
-        last_add[add.any(axis=1), 0] = step
-        last_add[(add == 0).any(axis=1), 1] = step
-
-    steps, props = _drive(
-        gens, 2 * d, n_steps, record_every, advance, lambda step: black / (step + init_totals)
+    return _black_red_ensemble(
+        lambda black, red, logw, u: _ium_step(black, red, logw, p, u), 2 * d,
+        seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every,
     )
-    return EnsembleRaw(steps, props, last_add, np.concatenate([black, red], axis=1), seeds)
 
 
 def run_multicolor_ensemble(
@@ -643,4 +659,17 @@ def run_multicolor_ensemble(
     steps, props = _drive(
         gens, d, n_steps, record_every, advance, lambda step: counts / counts.sum(axis=1, keepdims=True)
     )
-    return EnsembleRaw(steps, props, last_add, counts, seeds)
+    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, counts, seeds)
+
+
+def run_sequential_ensemble(
+    seq: ReinforcementSeq, black0, red0, n_steps: int, n_runs: int,
+    master_seed: int, run_offset: int = 0, record_every: int = 100,
+) -> EnsembleRaw:
+    """All runs of the sequential process advanced in lockstep; run ``i``
+    consumes the same two uniforms per macro step a standalone
+    ``init_sequential(..., seed=derive_seed(master, offset+i))`` would."""
+    init_sequential(black0, red0, seq, seed=0)  # validates arguments
+    return _black_red_ensemble(
+        _sequential_step, 2, seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every
+    )

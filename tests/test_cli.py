@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from urnfield import urns
 from urnfield.cli import main
+from urnfield.reinforcement import make_polynomial
 
 N2_JSON = {"kind": "polynomial", "coeffs": [0, 0, 1]}
 
@@ -151,6 +153,25 @@ class TestSimulate:
         assert lines[0] == "step,x_1,x_2,seq_x_1,seq_x_2,violations"
         assert lines[-1].endswith(",0")
 
+    @pytest.mark.parametrize("counts", [False, True])
+    @pytest.mark.parametrize(
+        "model, init",
+        [
+            ("ium", lambda seq: urns.init_ium(2, (1, 1), (1, 1), 0.2, seq, 7)),
+            ("multicolor", lambda seq: urns.init_multicolor(2, (1, 1), 2, seq, 7)),
+            ("sequential", lambda seq: urns.init_sequential((1, 1), (1, 1), seq, 7)),
+        ],
+    )
+    def test_out_is_the_trajectory_csv(self, tmp_path, model, init, counts):
+        out = tmp_path / "t.csv"
+        argv = ["simulate", "--model", model, "--m", "3", "--p", "0.2", "--steps", "300",
+                "--record-every", "25", "--seed", "7", "--out", str(out)]
+        assert main(argv + (["--counts"] if counts else [])) == 0
+        traj = urns.run(init(make_polynomial([0, 0, 0, 1])), 300, 25, record_counts=counts)
+        ref = tmp_path / "ref.csv"
+        traj.to_csv(ref, "counts" if counts else "proportions")
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_missing_weights(self):
         assert main(["simulate", "--model", "ium", "--steps", "10", "--seed", "1"]) == 2
 
@@ -194,6 +215,16 @@ class TestMcAndScan:
         assert lines[0] == "p,domination_frequency,ci_lo,ci_hi"
         assert len(lines) == 3
 
+    def test_scan_rejects_models_other_than_ium(self, tmp_path, capsys):
+        scan = {
+            "schema": 1, "m": 2, "p_grid": [0.2],
+            "per_point": {"schema": 1, "model": "sequential", "seq": N2_JSON, "n_steps": 50, "n_runs": 2, "seed": 3},
+        }
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(scan))
+        assert main(["scan", "--config", str(path)]) == 2
+        assert "ium" in capsys.readouterr().err
+
     def test_scan_rejects_weights_not_of_degree_m(self, tmp_path, capsys):
         scan = {
             "schema": 1, "m": 3, "p_grid": [0.2],
@@ -234,6 +265,24 @@ class TestSimulateEvents:
         assert rc == 0
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert "monopoly" in manifest["arguments"]["events"]
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("red", [1, 1040, 1100])
+    @pytest.mark.parametrize("model", ["ium", "multicolor", "sequential", "coupled"])
+    def test_simulate_under_exponential_weights(self, tmp_path, model, red):
+        # log W gaps of 1040 log 2 ~ 721 lie beyond math.exp's range, 1100 log 2 ~ 762 beyond
+        # the old clip at 745
+        seq = tmp_path / "e2.json"
+        seq.write_text(json.dumps({"kind": "exponential", "rho": 2}))
+        init = {
+            "ium": ["--d", "1", "--black0", "1", "--red0", str(red)],
+            "multicolor": ["--nc", "2", "--a", f"1,{red}", "--d", "1"],
+        }.get(model, ["--black0", "1,1", "--red0", f"{red},1"])
+        for steps in ("3", "200"):
+            rc = main(["simulate", "--model", model, "--seq", str(seq), *init, "--steps", steps,
+                       "--seed", "1", "--out", str(tmp_path / "t.csv")])
+            assert rc in (0, 2, 3)
 
 
 class TestEmbedTest:

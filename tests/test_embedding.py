@@ -201,6 +201,10 @@ class TestEnsembleEngine:
 
 
 class TestMulticolorReference:
+    def test_validates_arguments(self):
+        with pytest.raises(ValueError):
+            emb.sample_multicolor_counts(N2, 3, (1, 1), 1, 2, 100, seed=1)
+
     def test_color_swap_symmetry_under_fast_weights(self):
         # from a symmetric start each color leads with probability 1/2; the
         # weights 2^1015 are far beyond the range of a linear-scale draw

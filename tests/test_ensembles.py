@@ -153,6 +153,19 @@ class TestRunEnsemble:
         rep = ens.run_ensemble(cfg)
         assert sum(c.count for c in rep.cells) + rep.unresolved == 8
 
+    def test_sequential_monopolies_do_not_depend_on_record_every(self):
+        # verdicts come from each run's exact last-change step, not from
+        # the recorded samples
+        counts = [
+            ens.run_ensemble(ens.EnsembleConfig(
+                model="sequential", seq=rf.make_polynomial([0, 1]), n_steps=1_000, n_runs=200,
+                window=150, record_every=every, seed=3,
+            )).monopoly_counts
+            for every in (1, 100)
+        ]
+        assert counts[0] == counts[1]
+        assert counts[0]["red"] > 0
+
     def test_embedding_model(self):
         cfg = ens.EnsembleConfig(
             model="embedding", seq=N2, nc=2, a=(1, 1), d=2,
@@ -214,3 +227,9 @@ class TestScan:
             per_point = small_config(seq=seq, n_runs=5, n_steps=200)
             with pytest.raises(ValueError, match="degree-3"):
                 ens.scan_p(3, [0.2], per_point)
+
+    def test_rejects_models_other_than_ium(self):
+        for model in ("multicolor", "sequential", "embedding"):
+            per_point = small_config(model=model, nc=3, a=(1, 1, 1), n_runs=5, n_steps=100)
+            with pytest.raises(ValueError, match="ium"):
+                ens.scan_p(2, [0.3], per_point)

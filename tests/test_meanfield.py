@@ -62,6 +62,18 @@ class TestField:
             assert f2[i] == pytest.approx(s2, abs=1e-15)
 
 
+class TestPowerRatioClip:
+    @pytest.mark.parametrize("gap", [709.0, 709.8, 720.0, 745.0, 746.0])
+    def test_scalar_matches_array_beyond_exp_range(self, gap):
+        # t = exp(-gap / 2) puts the log ratio m log((1-t)/t) at about gap
+        t = math.exp(-gap / 2)
+        assert mf.power_ratio(2, t) == mf._power_ratio_arr(2, np.array([t]))[0]
+
+    def test_field_near_the_edge(self):
+        f1, f2 = mf.field(P(2, 0.3), 1e-155, 0.5)
+        assert math.isfinite(f1) and math.isfinite(f2)
+
+
 class TestWeightKernel:
     def test_half_is_one(self):
         for m in (2, 3, 5, 12, 64):

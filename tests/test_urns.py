@@ -105,6 +105,18 @@ class TestStepProbabilities:
         assert abs(c) < 3.0 / math.sqrt(draws.shape[0])
 
 
+class TestLogSpaceClip:
+    GAPS = (709.0, 709.8, 720.0, 745.0, 746.0)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_scalar_matches_lockstep_beyond_exp_range(self, gap):
+        # math.exp overflows above log(max float) ~ 709.78, np.exp gives inf
+        for log_a, log_b in ((0.0, gap), (gap, 0.0), (3.5, 3.5 + gap), (3.5 + gap, 3.5)):
+            q = urns._prob_first(log_a, log_b)
+            assert q == float(urns._vec_prob(np.array([log_a]), np.array([log_b]))[0])
+        assert urns._prob_first(0.0, gap) < 1e-300
+
+
 class TestConservation:
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     def test_counts_conserved(self, p):
@@ -138,6 +150,25 @@ class TestRun:
         st = urns.init_ium(2, (1, 1), (1, 1), 0.7, N3, seed=3)
         tr = urns.run(st, 3000, 50)
         assert tr.proportions.min() >= 0.0 and tr.proportions.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: urns.init_ium(3, (1, 2, 1), (2, 1, 1), 0.4, N2, seed),
+            lambda seed: urns.init_multicolor(3, (1, 1, 2), 2, N2, seed),
+            lambda seed: urns.init_sequential((1, 2), (2, 1), N2, seed),
+        ],
+        ids=["ium", "multicolor", "sequential"],
+    )
+    def test_consecutive_runs_continue_one_stream(self, make):
+        split, whole = make(8), make(8)
+        urns.run(split, 150, 7)
+        urns.run(split, 250, 7)
+        urns.run(whole, 400, 7)
+        for name in ("black", "red", "counts", "n", "substep"):
+            if hasattr(whole, name):
+                assert np.array_equal(getattr(split, name), getattr(whole, name))
+        assert split.rng.bit_generator.state == whole.rng.bit_generator.state
 
     def test_csv_roundtrip(self, tmp_path):
         st = urns.init_ium(2, (1, 1), (1, 1), 0.3, N2, seed=2)
@@ -347,6 +378,23 @@ class TestEnsembleEngines:
         # strong reinforcement at p=1: most runs freeze one color early
         frozen = (raw.last_add <= 3000 - 600).any(axis=1)
         assert frozen.mean() > 0.8
+
+    @pytest.mark.parametrize("offset", [0, 15])
+    @pytest.mark.parametrize("seq", [N2, rf.make_exponential(2.0)], ids=["n^2", "2^n"])
+    def test_sequential_matches_scalar_runs(self, seq, offset):
+        # under 2^n the pooled red count drifts through log-weight gaps
+        # beyond math.exp's range (1024-1075 balls ahead of a black count)
+        raw = urns.run_sequential_ensemble(
+            seq, (1, 2), (2, 1), 1200, 5, master_seed=77, run_offset=offset, record_every=60
+        )
+        for i in range(5):
+            st = urns.init_sequential((1, 2), (2, 1), seq, seed=derive_seed(77, offset + i))
+            tr = urns.run(st, 1200, 1)
+            assert np.array_equal(raw.proportions[i], tr.proportions[raw.steps])
+            assert np.array_equal(raw.final_counts[i], np.concatenate([st.black, st.red]))
+            grew = np.diff(tr.color_totals, axis=0) > 0
+            last = [int(np.flatnonzero(grew[:, c])[-1]) + 1 if grew[:, c].any() else 0 for c in range(2)]
+            assert raw.last_add[i].tolist() == last
 
     def test_exponential_weights_no_overflow(self):
         seq = rf.make_exponential(2.0)
