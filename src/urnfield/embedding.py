@@ -370,17 +370,32 @@ class LawTestReport:
         }
 
 
+def _row_categories(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in lexicographic order, and each
+    row's index among them.  Each column's 1-D codes are folded into one
+    integer key, first column most significant; the key is re-compressed to
+    dense codes after every fold, so it stays below ``len(rows)**2``."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        values, codes = np.unique(col, return_inverse=True)
+        _, key = np.unique(key * len(values) + codes, return_inverse=True)
+    first = np.empty(int(key.max()) + 1, dtype=np.intp)
+    first[key] = np.arange(len(key))  # any occurrence: equal keys are equal rows
+    return rows[first], key
+
+
 def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     """Two-sample test that both count samples follow one law: chi-square
     over the observed outcome categories (rare bins pooled), falling back to
-    Kolmogorov-Smirnov on the first coordinate for large outcome spaces."""
+    Kolmogorov-Smirnov on the first coordinate for large outcome spaces.
+    Categories come back in lexicographic row order."""
     samples_a = np.asarray(samples_a)
     samples_b = np.asarray(samples_b)
     n_a, n_b = len(samples_a), len(samples_b)
     if n_a < 100 or n_b < 100:
         raise ValueError("need at least 100 samples on each side")
     pooled = np.concatenate([samples_a, samples_b])
-    cats, inverse = np.unique(pooled, axis=0, return_inverse=True)
+    cats, inverse = _row_categories(pooled)
     if len(cats) > 64:
         stat, p = stats.ks_2samp(samples_a[:, 0], samples_b[:, 0])
         return LawTestReport(

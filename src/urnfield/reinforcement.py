@@ -311,8 +311,13 @@ class ReinforcementSeq:
 
     def _values_dispatch(self, ns, log: bool) -> np.ndarray:
         ns = np.asarray(ns)
-        out = np.empty(ns.shape, dtype=float)
         explicit_len = len(self._explicit)
+        branches = self._branches
+        if branches is not None and len(branches) == 1 and ns.min(initial=explicit_len) >= explicit_len:
+            # every index is in a one-branch tail, which is evaluated at n itself
+            vals = branches[0].log_values(ns) if log else branches[0].values(ns)
+            return np.asarray(vals, dtype=float)
+        out = np.empty(ns.shape, dtype=float)
         exp_mask = ns < explicit_len
         if exp_mask.any():
             vals = np.asarray(self._explicit, dtype=float)[ns[exp_mask]]
@@ -660,17 +665,17 @@ def check_mdrem_conditions(
     if horizon < 4 * need:
         horizon = 4 * need
     start = max(1, seq.domain_start)
+    summable = seq.reciprocal_summable()
+    if summable is False:
+        raise ConditionViolation("remainder conditions are undefined for a divergent tail")
     ns = np.arange(start, horizon + 1)
     logw = seq.log_values(ns)
     log_rem = np.logaddexp.accumulate(-logw[::-1])[::-1]
     log_rem2 = np.logaddexp.accumulate(-2.0 * logw[::-1])[::-1]
-    summable = seq.reciprocal_summable()
     tail_known = summable is True
     if tail_known:
         log_rem = np.logaddexp(log_rem, seq.log_recip_tail(horizon + 1, 1))
         log_rem2 = np.logaddexp(log_rem2, seq.log_recip_tail(horizon + 1, 2))
-    elif summable is False:
-        raise ConditionViolation("remainder conditions are undefined for a divergent tail")
 
     def lrem(n, arr):
         idx = max(n, start) - start

@@ -94,7 +94,9 @@ class Trajectory:
 
     ``proportions`` holds one column per urn (or per color for the
     multi-color model); ``color_totals`` the per-color system totals at the
-    same sample steps.  Sample steps are strictly increasing.
+    same sample steps.  Sample steps are strictly increasing.  ``last_change``
+    holds, per color, the last step at which its total grew (0 if it never
+    did); ``run`` records it exactly, whatever the cadence.
     """
 
     steps: np.ndarray
@@ -104,6 +106,7 @@ class Trajectory:
     events: dict = dc_field(default_factory=dict)
     seed: int | None = None
     meta: dict = dc_field(default_factory=dict)
+    last_change: np.ndarray | None = None
 
     def csv_bytes(self, what: str = "proportions") -> bytes:
         """CSV of the samples: ``step``, then ``x_i`` per urn or color (17
@@ -131,8 +134,9 @@ def detect_monopoly(traj: Trajectory, window: int) -> str:
     """Finite-horizon monopoly proxy: the label of the single color whose
     total changed over the final ``window`` steps, or ``"none"``.
 
-    Totals are nondecreasing, so a color is unchanged over the window iff it
-    is equal at the window's first recorded sample and at the end."""
+    With ``last_change`` the window is exact.  Without it, totals being
+    nondecreasing, a color counts as unchanged iff it is equal at the last
+    recorded sample at or before the window's start and at the end."""
     if window <= 0:
         raise ValueError("window must be positive")
     steps = traj.steps
@@ -140,8 +144,11 @@ def detect_monopoly(traj: Trajectory, window: int) -> str:
     base_candidates = np.nonzero(steps <= final - window)[0]
     if base_candidates.size == 0:
         raise ValueError(f"window {window} exceeds the recorded span")
-    base = base_candidates[-1]
-    changed = np.nonzero(traj.color_totals[-1] != traj.color_totals[base])[0]
+    if traj.last_change is not None:
+        changed = np.nonzero(traj.last_change > final - window)[0]
+    else:
+        base = base_candidates[-1]
+        changed = np.nonzero(traj.color_totals[-1] != traj.color_totals[base])[0]
     if changed.size != 1:
         return "none"
     c = int(changed[0])
@@ -263,6 +270,12 @@ def step_ium(state: UrnState) -> UrnState:
     return state
 
 
+def _step_ium_colors(state: UrnState, uniforms) -> tuple:
+    """One ium step; returns the colors (0 black, 1 red) whose total grew."""
+    n_black = sum(_step_ium_core(state, uniforms).tolist())
+    return (0,) if n_black == state.d else (1,) if n_black == 0 else (0, 1)
+
+
 def proportions(state: UrnState) -> np.ndarray:
     """Black-ball proportion per urn: B_n(i) / (n + B_0(i) + R_0(i))."""
     return state.black / (state.n + state.initial_totals)
@@ -275,12 +288,14 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     if n_steps < 0 or record_every < 1:
         raise ValueError("n_steps must be >= 0 and record_every >= 1")
     per_step, step_core, props_of, totals_of, counts_of, meta = _dispatch(state)
+    last_change = [0] * len(totals_of(state))
 
     def sample(step):
         return props_of(state), totals_of(state), counts_of(state) if record_counts else None
 
     def advance(step, u):
-        step_core(state, u[0].tolist())  # Python floats compare faster than numpy scalars
+        for c in step_core(state, u[0].tolist()):  # Python floats compare faster than numpy scalars
+            last_change[c] = step
 
     steps, samples = _drive([state.rng], per_step, n_steps, record_every, advance, sample)
     props, totals, counts = zip(*samples)
@@ -291,15 +306,17 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
         counts=np.array(counts, dtype=np.int64) if record_counts else None,
         seed=state.seed,
         meta=meta(state),
+        last_change=np.array(last_change, dtype=np.int64),
     )
 
 
 def _dispatch(state):
-    """Uniforms per step, the scalar stepper fed them, and what a trajectory records."""
+    """Uniforms per step, the scalar stepper fed them (it returns the colors
+    whose total grew), and what a trajectory records."""
     if isinstance(state, UrnState):
         return (
             2 * state.d,
-            _step_ium_core,
+            _step_ium_colors,
             proportions,
             lambda s: (s.total_black, s.total_red),
             lambda s: np.concatenate([s.black, s.red]),
@@ -373,13 +390,17 @@ def _color_probs(logw_vals: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _step_multicolor_core(state: MultiColorState, uniforms: np.ndarray) -> None:
+def _step_multicolor_core(state: MultiColorState, uniforms: np.ndarray) -> list:
+    """One step from its d uniforms; returns the color of each added ball."""
     lw = np.array([state.logw(int(c)) for c in state.counts])
     cum = np.cumsum(_color_probs(lw))
+    added = []
     for u in uniforms:
         idx = min(int((u > cum).sum()), state.nc - 1)
         state.counts[idx] += 1
+        added.append(idx)
     state.n += 1
+    return added
 
 
 def step_multicolor(state: MultiColorState) -> MultiColorState:
@@ -419,16 +440,18 @@ def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> Sequentia
     )
 
 
-def _step_sequential_core(state: SequentialState, u: float) -> None:
+def _step_sequential_core(state: SequentialState, u: float) -> int:
+    """One sub-step from its uniform; returns the color added (0 black, 1 red)."""
     urn = state.substep % 2
     q = _prob_first(
         state.logw(int(state.black[urn])), state.logw(int(state.red.sum()))
     )
+    state.substep += 1
     if u < q:
         state.black[urn] += 1
-    else:
-        state.red[urn] += 1
-    state.substep += 1
+        return 0
+    state.red[urn] += 1
+    return 1
 
 
 def step_sequential(state: SequentialState) -> SequentialState:
@@ -438,10 +461,10 @@ def step_sequential(state: SequentialState) -> SequentialState:
     return state
 
 
-def _step_sequential_pair(state: SequentialState, uniforms) -> None:
-    """One macro step from its two uniforms: urn 0's sub-step, then urn 1's."""
-    for u in uniforms:
-        _step_sequential_core(state, u)
+def _step_sequential_pair(state: SequentialState, uniforms) -> list:
+    """One macro step from its two uniforms: urn 0's sub-step, then urn 1's.
+    Returns the two colors added."""
+    return [_step_sequential_core(state, u) for u in uniforms]
 
 
 def sequential_proportions(state: SequentialState) -> np.ndarray:

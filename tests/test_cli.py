@@ -266,6 +266,18 @@ class TestSimulateEvents:
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert "monopoly" in manifest["arguments"]["events"]
 
+    @pytest.mark.parametrize("seed", [5, 23, 27, 37])
+    def test_monopoly_event_independent_of_record_every(self, tmp_path, seed):
+        # the last red draw of these runs falls within 300 steps before the window's start
+        events = []
+        for every in (1, 300):
+            out = tmp_path / f"t{every}.csv"
+            assert main(["simulate", "--model", "ium", "--m", "2", "--p", "0.5", "--steps", "1000",
+                         "--seed", str(seed), "--record-every", str(every), "--out", str(out)]) == 0
+            manifest = json.loads((tmp_path / f"t{every}.csv.manifest.json").read_text())
+            events.append(manifest["arguments"]["events"]["monopoly"])
+        assert events == ["black", "black"]
+
 
 class TestNoTraceback:
     @pytest.mark.parametrize("red", [1, 1040, 1100])

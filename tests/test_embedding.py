@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from urnfield import embedding as emb, reinforcement as rf
 from urnfield.errors import ConditionViolation, InternalConsistencyError
@@ -256,6 +257,58 @@ class TestCompareLaws:
         za = np.ones((200, 2), dtype=np.int64)
         rep = emb.compare_laws(za, za)
         assert rep.p_value == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("ncol", [1, 2, 3, 4, 5])
+    def test_categories_match_row_unique(self, ncol, dtype):
+        # at most 12 distinct rows, each column spread over more than 2^21
+        # and negative too, every category frequent enough that none is pooled
+        rng = np.random.default_rng(100 * ncol + np.dtype(dtype).itemsize)
+        span = 1 << 22
+        rows = rng.integers(-span, span, size=(12, ncol)).astype(dtype)
+        rows[1::3, 0] = rows[0, 0]  # shared leading entries exercise later columns
+        za = rows[rng.integers(0, 12, size=2400)]
+        zb = rows[rng.integers(0, 12, size=1800)]
+        rep = emb.compare_laws(za, zb)
+        cats, inverse = np.unique(np.concatenate([za, zb]), axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        ca = np.bincount(inverse[:len(za)], minlength=len(cats)).astype(float)
+        cb = np.bincount(inverse[len(za):], minlength=len(cats)).astype(float)
+        assert rep.categories == tuple(tuple(int(v) for v in c) for c in cats)
+        assert rep.counts_a == tuple(int(v) for v in ca)
+        assert rep.counts_b == tuple(int(v) for v in cb)
+        ea = (ca + cb) * (len(za) / (len(za) + len(zb)))
+        eb = (ca + cb) * (len(zb) / (len(za) + len(zb)))
+        assert rep.statistic == pytest.approx(np.sum((ca - ea) ** 2 / ea) + np.sum((cb - eb) ** 2 / eb), rel=1e-12)
+        assert rep.dof == len(cats) - 1
+
+    def test_ks_beyond_64_categories(self):
+        rng = np.random.default_rng(7)
+        za = rng.integers(-50, 50, size=(500, 2))
+        zb = rng.integers(-50, 50, size=(400, 2))
+        rep = emb.compare_laws(za, zb)
+        ks = stats.ks_2samp(za[:, 0], zb[:, 0])
+        assert (rep.method, rep.categories, rep.dof) == ("ks", (), 0)
+        assert (rep.statistic, rep.p_value) == (float(ks.statistic), float(ks.pvalue))
+
+    def test_single_outcome_with_negative_entries(self):
+        za = np.tile([-3, 7], (150, 1))
+        rep = emb.compare_laws(za, np.tile([-3, 7], (250, 1)))
+        assert rep.categories == ((-3, 7),)
+        assert (rep.counts_a, rep.counts_b) == ((150,), (250,))
+        assert (rep.method, rep.statistic, rep.dof, rep.p_value) == ("chi_square", 0.0, 0, 1.0)
+
+    def test_statistic_matches_contingency_table(self):
+        rng = np.random.default_rng(11)
+        outcomes = np.array([[0, 3], [1, 2], [2, 1], [3, 0], [1, 1]])
+        za = outcomes[rng.choice(5, size=3000, p=[0.1, 0.2, 0.3, 0.25, 0.15])]
+        zb = outcomes[rng.choice(5, size=2000, p=[0.15, 0.2, 0.25, 0.25, 0.15])]
+        rep = emb.compare_laws(za, zb)
+        table = np.array([rep.counts_a, rep.counts_b])
+        assert table.shape == (2, 5)
+        ref = stats.chi2_contingency(table, correction=False)
+        assert rep.statistic == pytest.approx(ref.statistic, abs=1e-9)
+        assert rep.dof == ref.dof
 
 
 class TestJumpLogExport:

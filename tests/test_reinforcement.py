@@ -255,6 +255,20 @@ class TestMdremConditions:
         assert r1.verdict == "fails"
 
 
+@pytest.mark.parametrize("seq", [
+    rf.make_table([3, 1, 4, 1, 5], example_i().tail),
+    rf.make_table([2, 7, 1], rf.TailRule((rf.PolyBranch((1, 0, 2)),))),
+    rf.make_polynomial([1, 3, 3, 1]),
+], ids=["table+example-I", "table+poly", "poly"])
+def test_vector_evaluation_matches_per_index(seq):
+    ns = np.array([9, 0, 4, 2, 1000, 3, 17, 5, 1, 6, 250, 4])
+    assert np.array_equal(seq.values(ns), [seq.value(int(n)) for n in ns])
+    assert np.array_equal(seq.log_values(ns), [seq.log_value(int(n)) for n in ns])
+    tail = ns[ns >= 5]
+    assert np.array_equal(seq.values(tail), [seq.value(int(n)) for n in tail])
+    assert np.array_equal(seq.log_values(tail), [seq.log_value(int(n)) for n in tail])
+
+
 def test_log_weight_table_marks_zeros():
     tbl = rf.log_weight_table(rf.make_polynomial([0, 0, 1]), 5)
     assert tbl[0] == -math.inf

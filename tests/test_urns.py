@@ -221,6 +221,28 @@ class TestDetectMonopoly:
         )
         assert urns.detect_monopoly(tr, window=1) == "color0"
 
+    def test_exact_window_at_a_coarse_cadence(self):
+        coarse = urns.run(urns.init_ium(2, (1, 1), (1, 1), 0.5, N2, seed=5), 1000, 300)
+        fine = urns.run(urns.init_ium(2, (1, 1), (1, 1), 0.5, N2, seed=5), 1000, 1)
+        assert coarse.last_change.tolist() == fine.last_change.tolist()
+        assert urns.detect_monopoly(coarse, 200) == urns.detect_monopoly(fine, 200) == "black"
+        # without last_change the recorded samples bound the window: 300..1000 here
+        coarse.last_change = None
+        assert urns.detect_monopoly(coarse, 200) == "none"
+
+    @pytest.mark.parametrize("model", ["ium", "multicolor", "sequential"])
+    def test_last_change_equals_ensemble_last_add(self, model):
+        if model == "ium":
+            raw = urns.run_ium_ensemble(N2, 0.3, 3, (1, 2, 1), (2, 1, 1), 500, 1, 31, 4, 70)
+            st = urns.init_ium(3, (1, 2, 1), (2, 1, 1), 0.3, N2, seed=derive_seed(31, 4))
+        elif model == "multicolor":
+            raw = urns.run_multicolor_ensemble(N2, 3, (1, 1, 1), 2, 500, 1, 31, 4, 70)
+            st = urns.init_multicolor(3, (1, 1, 1), 2, N2, seed=derive_seed(31, 4))
+        else:
+            raw = urns.run_sequential_ensemble(N2, (1, 2), (2, 1), 500, 1, 31, 4, 70)
+            st = urns.init_sequential((1, 2), (2, 1), N2, seed=derive_seed(31, 4))
+        assert urns.run(st, 500, 70).last_change.tolist() == raw.last_add[0].tolist()
+
 
 class TestClassifyLimit:
     def _traj(self, props):
