@@ -238,6 +238,16 @@ def cmd_scan(args) -> int:
     unknown = set(obj) - {"schema", "m", "p_grid", "threshold", "per_point"}
     if unknown:
         raise ValueError(f"unknown scan config fields: {sorted(unknown)}")
+    missing = {"m", "p_grid", "per_point"} - set(obj)
+    if missing:
+        raise ValueError(f"missing scan config fields: {sorted(missing)}")
+    for key, ok in (
+        ("m", isinstance(obj["m"], int)),
+        ("p_grid", isinstance(obj["p_grid"], list) and all(isinstance(p, (int, float)) for p in obj["p_grid"])),
+        ("threshold", isinstance(obj.get("threshold", 0.99), (int, float))),
+    ):
+        if not ok:
+            raise ValueError(f"scan config field {key!r} has the wrong type: {obj[key]!r}")
     per_point = ensembles.EnsembleConfig.from_json(obj["per_point"])
     curve = ensembles.scan_p(
         int(obj["m"]), obj["p_grid"], per_point, float(obj.get("threshold", 0.99))
@@ -259,24 +269,15 @@ def cmd_scan(args) -> int:
 
 def cmd_check_w(args) -> int:
     seq = ReinforcementSeq.from_json(_load_json(args.seq))
-    results = {}
-    checks = [
-        ("strong", lambda: check_strong(seq, args.horizon)),
-        ("variation_bound", lambda: check_variation_bound(seq, args.horizon)),
-        ("remainder_bound", lambda: check_remainder_bound(seq, args.horizon)),
-    ]
-    for name, fn in checks:
-        try:
-            results[name] = fn().to_json()
-        except ConditionViolation as exc:
-            results[name] = {"error": str(exc)}
-    if results["strong"].get("verdict") == "holds":
-        try:
-            rem_ratio, sq_ratio = check_mdrem_conditions(seq)
-            results["rem_ratio"] = rem_ratio.to_json()
-            results["squared_rem_ratio"] = sq_ratio.to_json()
-        except (ConditionViolation, ValueError) as exc:
-            results["rem_ratio"] = results["squared_rem_ratio"] = {"error": str(exc)}
+    results = {
+        "strong": check_strong(seq, args.horizon).to_json(),
+        "variation_bound": check_variation_bound(seq, args.horizon).to_json(),
+        "remainder_bound": check_remainder_bound(seq, args.horizon).to_json(),
+    }
+    if results["strong"]["verdict"] == "holds":
+        rem_ratio, sq_ratio = check_mdrem_conditions(seq)
+        results["rem_ratio"] = rem_ratio.to_json()
+        results["squared_rem_ratio"] = sq_ratio.to_json()
     blob = _json_bytes({"seq": seq.to_json(), "horizon": args.horizon, "checks": results})
     return _emit(args, {"": blob}, _echo(args))
 

@@ -405,20 +405,17 @@ def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     cb = np.bincount(inverse[n_a:], minlength=len(cats)).astype(float)
     cats_list = [tuple(int(v) for v in c) for c in cats]
     ca, cb, cats_list = _pool_rare(ca, cb, cats_list, n_a, n_b)
+    counts = tuple(cats_list), tuple(int(v) for v in ca), tuple(int(v) for v in cb)
     if len(ca) < 2:
         # a single outcome on both sides is a perfect match
-        return LawTestReport("chi_square", 0.0, 0, 1.0, n_a, n_b,
-                             tuple(cats_list), tuple(ca), tuple(cb))
+        return LawTestReport("chi_square", 0.0, 0, 1.0, n_a, n_b, *counts)
     tot = ca + cb
     ea = tot * (n_a / (n_a + n_b))
     eb = tot * (n_b / (n_a + n_b))
     stat = float(np.sum((ca - ea) ** 2 / ea) + np.sum((cb - eb) ** 2 / eb))
     dof = len(ca) - 1
     p = float(stats.chi2.sf(stat, dof))
-    return LawTestReport(
-        "chi_square", stat, dof, p, n_a, n_b,
-        tuple(cats_list), tuple(int(v) for v in ca), tuple(int(v) for v in cb),
-    )
+    return LawTestReport("chi_square", stat, dof, p, n_a, n_b, *counts)
 
 
 def _pool_rare(ca, cb, cats, n_a, n_b, min_expected: float = 5.0):

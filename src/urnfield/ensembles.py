@@ -129,8 +129,17 @@ class EnsembleConfig:
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         kwargs = {k: obj[k] for k in known - {"schema", "seq"} if k in obj}
+        for key, value in kwargs.items():
+            if key in ("black0", "red0", "a"):
+                ok = isinstance(value, list) and all(isinstance(v, int) for v in value)
+            elif key in ("p", "radius"):
+                ok = isinstance(value, (int, float))
+            else:
+                ok = key == "model" or isinstance(value, int) or (key == "window" and value is None)
+            if not ok:
+                raise ValueError(f"config field {key!r} has the wrong type: {value!r}")
         for key in ("black0", "red0", "a"):
-            if key in kwargs and kwargs[key] is not None:
+            if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return EnsembleConfig(seq=ReinforcementSeq.from_json(obj["seq"]), **kwargs)
 

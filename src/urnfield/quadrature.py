@@ -9,9 +9,11 @@ recursion per panel.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
+
+from .errors import ConditionViolation
 
 _MAX_LEVELS = 60
 
@@ -21,29 +23,27 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-10,
-    knots: Sequence[float] | None = None,
 ) -> float:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
-
-    ``knots`` optionally seeds the initial partition (interior break points,
-    e.g. at known sharp features); they are clipped to the interval.
-    """
+    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.  A
+    non-finite value of ``f`` raises :class:`ConditionViolation`: refining
+    its panel could never settle."""
     if b == a:
         return 0.0
     if b < a:
-        return -adaptive_simpson(f, b, a, tol, knots)
+        return -adaptive_simpson(f, b, a, tol)
 
-    pts = [a, b]
-    if knots is not None:
-        pts.extend(x for x in knots if a < x < b)
-    pts = np.unique(np.asarray(pts, dtype=float))
+    def finite_f(x):
+        y = f(x)
+        if not np.isfinite(y).all():
+            raise ConditionViolation(f"integrand is not finite on a panel of [{a}, {b}]")
+        return y
 
-    lo = pts[:-1]
-    hi = pts[1:]
-    flo = f(lo)
-    fhi = f(hi)
+    lo = np.array([float(a)])
+    hi = np.array([float(b)])
+    flo = finite_f(lo)
+    fhi = finite_f(hi)
     mid = 0.5 * (lo + hi)
-    fmid = f(mid)
+    fmid = finite_f(mid)
     coarse = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
     total = 0.0
@@ -51,8 +51,8 @@ def adaptive_simpson(
     for _ in range(_MAX_LEVELS):
         lmid = 0.5 * (lo + mid)
         rmid = 0.5 * (mid + hi)
-        flmid = f(lmid)
-        frmid = f(rmid)
+        flmid = finite_f(lmid)
+        frmid = finite_f(rmid)
         left = (mid - lo) / 6.0 * (flo + 4.0 * flmid + fmid)
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frmid + fhi)
         fine = left + right

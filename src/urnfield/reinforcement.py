@@ -25,6 +25,7 @@ Sequences are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,9 +90,11 @@ class PolyBranch:
         if not self.summable(power):
             return math.inf
         k0 = max(k0, self._positive_from)
-        ks = np.arange(k0, k0 + _EM_EXPLICIT_TERMS)
-        log_explicit = _logsumexp(-power * self.log_values(ks))
         big_k = k0 + _EM_EXPLICIT_TERMS
+        if big_k ** self.degree > sys.float_info.max:
+            raise ConditionViolation(f"polynomial tail {self.coeffs}: k^{self.degree} leaves float range")
+        ks = np.arange(k0, big_k)
+        log_explicit = _logsumexp(-power * self.log_values(ks))
         log_tail = self._log_em_tail(big_k, power)
         return np.logaddexp(log_explicit, log_tail)
 
@@ -105,9 +108,13 @@ class PolyBranch:
         rev = tuple(c / big_k ** i for i, c in enumerate(reversed(coeffs)))
 
         def reduced(t):
-            return t ** (mp - 2) / _horner(rev, t) ** power
+            # 0/0 or x/0 where r^power underflows: adaptive_simpson rejects it
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return t ** (mp - 2) / _horner(rev, t) ** power
 
         j_val = adaptive_simpson(reduced, 0.0, 1.0, tol=1e-14)
+        if j_val <= 0.0:  # r^power overflowed on the whole range
+            raise ConditionViolation(f"polynomial tail {self.coeffs}: W^-{power} underflows")
         log_integral = (1 - mp) * math.log(big_k) + math.log(j_val)
         log_qk = float(self.log_values(np.array([big_k]))[0])
         log_half = math.log(0.5) - power * log_qk
@@ -210,17 +217,49 @@ class TailRule:
 
     @staticmethod
     def from_json(obj) -> "TailRule":
-        return TailRule(tuple(_branch_from_json(b) for b in obj["branches"]))
+        branches = _json_field(obj, "branches", "tail rule")
+        if not isinstance(branches, list):
+            raise ValueError(f"tail field 'branches' must be a list, got {branches!r}")
+        return TailRule(tuple(_branch_from_json(b) for b in branches))
 
 
 def _branch_from_json(obj) -> Branch:
-    if "poly" in obj:
-        return PolyBranch(tuple(float(c) for c in obj["poly"]))
-    if "exp" in obj:
-        return ExpBranch(float(obj["exp"]["rho"]), float(obj["exp"].get("scale", 1.0)))
-    if "const" in obj:
-        return ConstBranch(float(obj["const"]))
+    if isinstance(obj, dict):
+        if "poly" in obj:
+            return PolyBranch(tuple(_json_numbers(obj["poly"], "poly")))
+        if "exp" in obj:
+            rho = _json_number(_json_field(obj["exp"], "rho", "exp branch"), "rho")
+            return ExpBranch(rho, _json_number(obj["exp"].get("scale", 1.0), "scale"))
+        if "const" in obj:
+            return ConstBranch(_json_number(obj["const"], "const"))
     raise ValueError(f"unknown tail branch: {obj!r}")
+
+
+# parsed-JSON readers: a malformed field is a ValueError that names it
+
+
+def _json_field(obj, key: str, what: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{what} needs the field {key!r}")
+    return obj[key]
+
+
+def _json_number(value, key: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"field {key!r} must be a finite number, got {value!r}")
+    return number
+
+
+def _json_numbers(value, key: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"field {key!r} must be a list of numbers, got {value!r}")
+    return [_json_number(v, key) for v in value]
 
 
 def _poly_derivative(coeffs):
@@ -394,15 +433,15 @@ class ReinforcementSeq:
 
     @staticmethod
     def from_json(obj: dict) -> "ReinforcementSeq":
-        kind = obj.get("kind")
+        kind = _json_field(obj, "kind", "sequence")
         if kind == "polynomial":
-            return make_polynomial(obj["coeffs"])
+            return make_polynomial(_json_numbers(_json_field(obj, "coeffs", "polynomial"), "coeffs"))
         if kind == "exponential":
-            return make_exponential(obj["rho"])
+            return make_exponential(_json_number(_json_field(obj, "rho", "exponential"), "rho"))
         if kind == "table":
             tail = obj.get("tail")
             return make_table(
-                obj.get("table", []),
+                _json_numbers(obj.get("table", []), "table"),
                 TailRule.from_json(tail) if tail else None,
             )
         raise ValueError(f"unknown sequence kind: {kind!r}")
@@ -504,12 +543,66 @@ def remainder_detail(seq: ReinforcementSeq, n: int, horizon: int = DEFAULT_HORIZ
     summable = seq.reciprocal_summable()
     if summable is False:
         raise ConditionViolation("reciprocal sum diverges for this sequence")
-    ns = np.arange(n, horizon + 1)
-    partial = float(np.sum(np.exp(-seq.log_values(ns))))
-    if summable is None:
-        return partial, False
-    tail = seq.log_recip_tail(horizon + 1)
-    return partial + math.exp(tail), True
+    _, logw = _log_w_scan(seq, horizon, first=n)
+    return _linear_rem(seq, logw, horizon, summable is True), summable is True
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, or ``inf`` where that leaves float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_w_scan(seq: ReinforcementSeq, stop: int, first: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``[max(first, domain_start), stop]`` and ``log W`` on them."""
+    ns = np.arange(max(first, seq.domain_start), stop + 1)
+    return ns, seq.log_values(ns)
+
+
+def _log_rem_scan(seq: ReinforcementSeq, logw: np.ndarray, stop: int, power: int = 1) -> tuple[np.ndarray, bool]:
+    """``log sum_{k >= n} W(k)^-power`` at each ``n`` of a scan ending at ``stop``,
+    and whether the analytic tail beyond ``stop`` (known convergent) is in it."""
+    log_rem = np.logaddexp.accumulate(-power * logw[::-1])[::-1]
+    tail_known = seq.reciprocal_summable(power) is True
+    if tail_known:
+        log_rem = np.logaddexp(log_rem, seq.log_recip_tail(stop + 1, power))
+    return log_rem, tail_known
+
+
+def _linear_rem(seq: ReinforcementSeq, logw: np.ndarray, stop: int, tail_known: bool) -> float:
+    """``sum 1/W`` over a scan that ends at ``stop``, plus the analytic tail
+    beyond it when that is known; ``inf`` beyond float range."""
+    with np.errstate(over="ignore"):
+        partial = float(np.sum(np.exp(-logw)))
+    return (partial + _exp(seq.log_recip_tail(stop + 1))) if tail_known else partial
+
+
+def _sup_growth(log_values: np.ndarray) -> tuple[float, float]:
+    """The sup of ``log_values`` and the relative growth of the running sup of
+    ``exp(log_values)`` after the first tenth (``nan`` for an infinite sup)."""
+    sup_all = float(np.max(log_values))
+    sup_early = float(np.max(log_values[: max(1, log_values.size // 10)]))
+    if not (math.isfinite(sup_all) and math.isfinite(sup_early)):
+        return sup_all, math.nan
+    return sup_all, _exp(sup_all - sup_early) - 1.0
+
+
+def _verdict(holds: bool, fails: bool) -> str:
+    return "holds" if holds else "fails" if fails else "inconclusive"
+
+
+def _sup_verdict(condition: str, horizon: int, log_estimates: np.ndarray, tail_known: bool) -> ConditionVerdict:
+    """Sup-type verdict: the estimate is the sup of ``exp(log_estimates)``;
+    holds when the running sup stopped moving over the final decade of the
+    scan, fails when it is still clearly growing."""
+    sup, growth = _sup_growth(log_estimates)
+    with np.errstate(over="ignore"):  # numpy's exp, not math's: they can differ in the last bit
+        estimate = float(np.exp(sup))
+    long_enough = log_estimates.size >= 10
+    verdict = _verdict(long_enough and growth < _PLATEAU_RTOL and tail_known, long_enough and growth > 0.5)
+    return ConditionVerdict(condition, horizon, estimate, verdict)
 
 
 def check_strong(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON, tol: float = 1e-9) -> ConditionVerdict:
@@ -523,42 +616,11 @@ def check_strong(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON, tol: flo
     """
     if horizon < 10:
         raise ValueError("horizon must be at least 10")
-    start = max(1, seq.domain_start)
-    ns = np.arange(start, horizon + 1)
-    logw = seq.log_values(ns)
-    partial = float(np.sum(np.exp(-logw)))
+    ns, logw = _log_w_scan(seq, horizon)
     summable = seq.reciprocal_summable()
-    if summable is True:
-        estimate = partial + math.exp(seq.log_recip_tail(horizon + 1))
-        verdict = "holds"
-    elif summable is False:
-        estimate, verdict = partial, "fails"
-    else:
-        estimate, verdict = partial, "inconclusive"
-        growth = logw - np.log(ns)  # log of W(n)/n
-        sup_all = float(np.max(growth))
-        sup_early = float(np.max(growth[: max(1, growth.size // 10)]))
-        if math.exp(sup_all - sup_early) - 1.0 < max(tol, 1e-12):
-            verdict = "fails"
-    return ConditionVerdict("summable", horizon, estimate, verdict)
-
-
-def _plateau_verdict(log_estimates: np.ndarray, tail_known: bool) -> str:
-    """Sup-type verdict: holds when the running sup stopped moving over the
-    final decade of the scan, fails when it is still clearly growing."""
-    n = log_estimates.size
-    if n < 10:
-        return "inconclusive"
-    sup_all = float(np.max(log_estimates))
-    sup_early = float(np.max(log_estimates[: max(1, n // 10)]))
-    if not np.isfinite(sup_all) or not np.isfinite(sup_early):
-        return "inconclusive"
-    growth = math.exp(sup_all - sup_early) - 1.0
-    if growth < _PLATEAU_RTOL:
-        return "holds" if tail_known else "inconclusive"
-    if growth > 0.5:
-        return "fails"
-    return "inconclusive"
+    certified = summable is None and _sup_growth(logw - np.log(ns))[1] < max(tol, 1e-12)
+    verdict = _verdict(summable is True, summable is False or certified)
+    return ConditionVerdict("summable", horizon, _linear_rem(seq, logw, horizon, summable is True), verdict)
 
 
 def _log_sub(hi: float, lo: float) -> float:
@@ -605,9 +667,7 @@ def _log_variation_tail(seq: ReinforcementSeq, from_n: int, sign_steps: np.ndarr
 
 def check_variation_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
     """sup_n W(n) * sum_{k>=n} |1/W(k) - 1/W(k+1)| over the scanned range."""
-    start = max(1, seq.domain_start)
-    ns = np.arange(start, horizon + 2)
-    logw = seq.log_values(ns)
+    _, logw = _log_w_scan(seq, horizon + 1)
     logr = -logw
     hi = np.maximum(logr[:-1], logr[1:])
     lo = np.minimum(logr[:-1], logr[1:])
@@ -623,30 +683,14 @@ def check_variation_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON)
         if log_tail is not None:
             logv = np.logaddexp(logv, log_tail)
             tail_known = True
-    log_estimates = logw[:-1] + logv
-    with np.errstate(over="ignore"):
-        estimate = float(np.exp(np.max(log_estimates)))
-    return ConditionVerdict(
-        "variation_bound", horizon, estimate, _plateau_verdict(log_estimates, tail_known)
-    )
+    return _sup_verdict("variation_bound", horizon, logw[:-1] + logv, tail_known)
 
 
 def check_remainder_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
     """sup_n W(n) * Rem(n) over the scanned range."""
-    start = max(1, seq.domain_start)
-    ns = np.arange(start, horizon + 1)
-    logw = seq.log_values(ns)
-    log_rem = np.logaddexp.accumulate(-logw[::-1])[::-1]
-    summable = seq.reciprocal_summable()
-    tail_known = summable is True
-    if tail_known:
-        log_rem = np.logaddexp(log_rem, seq.log_recip_tail(horizon + 1))
-    log_estimates = logw + log_rem
-    with np.errstate(over="ignore"):
-        estimate = float(np.exp(np.max(log_estimates)))
-    return ConditionVerdict(
-        "remainder_bound", horizon, estimate, _plateau_verdict(log_estimates, tail_known)
-    )
+    _, logw = _log_w_scan(seq, horizon)
+    log_rem, tail_known = _log_rem_scan(seq, logw, horizon)
+    return _sup_verdict("remainder_bound", horizon, logw + log_rem, tail_known)
 
 
 def check_mdrem_conditions(
@@ -664,47 +708,29 @@ def check_mdrem_conditions(
     need = K_list[-1] * horizons[-1]
     if horizon < 4 * need:
         horizon = 4 * need
-    start = max(1, seq.domain_start)
-    summable = seq.reciprocal_summable()
-    if summable is False:
+    if seq.reciprocal_summable() is False:
         raise ConditionViolation("remainder conditions are undefined for a divergent tail")
-    ns = np.arange(start, horizon + 1)
-    logw = seq.log_values(ns)
-    log_rem = np.logaddexp.accumulate(-logw[::-1])[::-1]
-    log_rem2 = np.logaddexp.accumulate(-2.0 * logw[::-1])[::-1]
-    tail_known = summable is True
-    if tail_known:
-        log_rem = np.logaddexp(log_rem, seq.log_recip_tail(horizon + 1, 1))
-        log_rem2 = np.logaddexp(log_rem2, seq.log_recip_tail(horizon + 1, 2))
+    ns, logw = _log_w_scan(seq, horizon)
+    log_rem, tail_known = _log_rem_scan(seq, logw, horizon)
+    log_rem2, _ = _log_rem_scan(seq, logw, horizon, power=2)
 
     def lrem(n, arr):
-        idx = max(n, start) - start
-        return float(arr[idx])
+        return float(arr[max(n - ns[0], 0)])
 
     # condition (i): worst Rem(Kn)/Rem(n) over the n grid, per K
     ratios_by_k = [
-        max(math.exp(lrem(k * n, log_rem) - lrem(n, log_rem)) for n in horizons)
+        max(_exp(lrem(k * n, log_rem) - lrem(n, log_rem)) for n in horizons)
         for k in K_list
     ]
     last = ratios_by_k[-1]
     decreasing = all(b <= a * (1 + 1e-9) for a, b in zip(ratios_by_k, ratios_by_k[1:]))
-    if last < 0.05 and decreasing and tail_known:
-        verdict1 = "holds"
-    elif last >= 0.2:
-        verdict1 = "fails"
-    else:
-        verdict1 = "inconclusive"
+    verdict1 = _verdict(last < 0.05 and decreasing and tail_known, last >= 0.2)
     rem_ratio = ConditionVerdict("rem_ratio", horizons[-1], last, verdict1)
 
     # condition (ii): squared-reciprocal tail over Rem^2 along the n grid
-    r2 = [math.exp(lrem(n, log_rem2) - 2.0 * lrem(n, log_rem)) for n in horizons]
+    r2 = [_exp(lrem(n, log_rem2) - 2.0 * lrem(n, log_rem)) for n in horizons]
     decr2 = all(b < a for a, b in zip(r2, r2[1:]))
-    if decr2 and r2[-1] <= 0.25 * r2[0] and tail_known:
-        verdict2 = "holds"
-    elif r2[-1] >= 0.8 * r2[0]:
-        verdict2 = "fails"
-    else:
-        verdict2 = "inconclusive"
+    verdict2 = _verdict(decr2 and r2[-1] <= 0.25 * r2[0] and tail_known, r2[-1] >= 0.8 * r2[0])
     sq_ratio = ConditionVerdict("squared_rem_ratio", horizons[-1], r2[-1], verdict2)
     return rem_ratio, sq_ratio
 

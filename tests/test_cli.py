@@ -318,3 +318,84 @@ class TestEmbedTest:
         rc = main(["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--m", "2",
                    "--k", "2", "--samples", "10", "--seed", "5"])
         assert rc == 2
+
+
+DROP = object()
+
+
+class TestMalformedInput:
+    SEQS = [
+        {"kind": "polynomial"},
+        {"kind": "polynomial", "coeffs": 5},
+        {"kind": "table", "table": [1, 2], "tail": {"branches": [{"exp": {}}]}},
+        [1, 2],
+        {"kind": "exponential", "rho": None},
+    ]
+
+    @pytest.mark.parametrize("seq", SEQS, ids=["no-coeffs", "scalar-coeffs", "exp-without-rho",
+                                               "list", "null-rho"])
+    @pytest.mark.parametrize("command", [
+        ["check-w"],
+        ["simulate", "--model", "ium", "--steps", "10", "--seed", "1"],
+        ["embed-test", "--nc", "2", "--a", "1,1", "--d", "1", "--k", "2", "--samples", "200",
+         "--seed", "1"],
+        ["mc"],
+    ], ids=["check-w", "simulate", "embed-test", "mc"])
+    def test_malformed_sequence_exits_2(self, tmp_path, capsys, command, seq):
+        if command == ["mc"]:
+            argv = ["mc", "--config", str(mc_config(tmp_path, seq=seq))]
+        else:
+            path = tmp_path / "seq.json"
+            path.write_text(json.dumps(seq))
+            argv = [*command, "--seq", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("field, value", [
+        ("black0", 5), ("a", [1, "x"]), ("n_runs", "12"), ("p", None),
+    ])
+    def test_mistyped_mc_field_exits_2(self, tmp_path, capsys, field, value):
+        assert main(["mc", "--config", str(mc_config(tmp_path, **{field: value}))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+
+    @pytest.mark.parametrize("key, value", [
+        ("per_point", DROP), ("p_grid", DROP), ("m", DROP),
+        ("m", "2"), ("p_grid", 0.1), ("p_grid", [0.1, None]), ("threshold", None),
+    ])
+    def test_malformed_scan_config_exits_2(self, tmp_path, capsys, key, value):
+        cfg = {"schema": 1, "m": 2, "p_grid": [0.1], "per_point": json.loads(mc_config(tmp_path).read_text())}
+        if value is DROP:
+            del cfg[key]
+        else:
+            cfg[key] = value
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["scan", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestCheckWFloatRange:
+    def run(self, tmp_path, capsys, seq, horizon):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(seq))
+        rc = main(["check-w", "--seq", str(path), "--horizon", str(horizon)])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    def test_sup_beyond_float_range_is_reported_as_infinity(self, tmp_path, capsys):
+        seq = {"kind": "table", "table": [0, 2, 2],
+               "tail": {"branches": [{"exp": {"rho": 2.0}}, {"poly": [1, 1, 1]}]}}
+        rc, out, _ = self.run(tmp_path, capsys, seq, 10_000)
+        assert rc == 0
+        checks = json.loads(out)["checks"]
+        for name in ("variation_bound", "remainder_bound"):
+            assert checks[name]["verdict"] == "fails"
+            assert checks[name]["estimate"] == float("inf")
+        assert '"estimate": Infinity' in out
+
+    @pytest.mark.parametrize("coeffs", [[1e-300, 0, 1e-300], [1e300, 0, 1], [0, 0, 1e200]])
+    def test_polynomial_tail_beyond_float_range_exits_3(self, tmp_path, capsys, coeffs):
+        rc, out, err = self.run(tmp_path, capsys, {"kind": "polynomial", "coeffs": coeffs}, 10_000)
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("condition violation:")

@@ -296,6 +296,8 @@ class TestCompareLaws:
         rep = emb.compare_laws(za, np.tile([-3, 7], (250, 1)))
         assert rep.categories == ((-3, 7),)
         assert (rep.counts_a, rep.counts_b) == ((150,), (250,))
+        blob = rep.to_json()
+        assert [type(v) for v in blob["counts_a"] + blob["counts_b"]] == [int, int]
         assert (rep.method, rep.statistic, rep.dof, rep.p_value) == ("chi_square", 0.0, 0, 1.0)
 
     def test_statistic_matches_contingency_table(self):

@@ -5,6 +5,7 @@ import pytest
 
 from urnfield import meanfield as mf
 from urnfield.errors import ConditionViolation
+from urnfield.quadrature import adaptive_simpson
 
 P = mf.ModelParams
 
@@ -405,3 +406,18 @@ class TestInequalityMargins:
         direct = 0.5 * ((1 + h) ** 2 - (1 - h) ** 2) / ((1 + h) ** 2 + (1 - h) ** 2)
         direct += 0.5 * h**2 / (h**2 + (1 - h) ** 2) - h
         assert mf.beta_margin(m, h) == pytest.approx(direct, rel=1e-12)
+
+
+class TestQuadrature:
+    def test_polynomial_exact(self):
+        assert adaptive_simpson(lambda t: t**3, 0.0, 2.0) == pytest.approx(4.0, abs=1e-12)
+        assert adaptive_simpson(lambda t: t**3, 2.0, 0.0) == pytest.approx(-4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_panel_raises_instead_of_refining(self, bad):
+        # refining such a panel never settles: it doubled the panel count on every level
+        def f(t):
+            return np.where(t < 0.25, bad, t)
+
+        with pytest.raises(ConditionViolation, match="not finite"):
+            adaptive_simpson(f, 0.0, 1.0)

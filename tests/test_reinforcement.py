@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from urnfield import reinforcement as rf
 from urnfield.errors import ConditionViolation
@@ -275,3 +276,101 @@ def test_log_weight_table_marks_zeros():
     assert tbl[2] == pytest.approx(math.log(4.0))
     lin = rf.weight_table(rf.make_polynomial([0, 0, 1]), 5)
     assert lin[0] == 0.0 and lin[3] == 9.0
+
+
+class TestFloatRangeEdges:
+    def test_alternating_exponential_tail_fails_instead_of_overflowing(self):
+        # branch 0 is 2^k, branch 1 a quadratic: the sup of W(n) Rem(n) leaves float range
+        seq = rf.make_table([0, 2, 2], rf.TailRule((rf.ExpBranch(2.0), rf.PolyBranch((1, 1, 1)))))
+        for check in (rf.check_variation_bound, rf.check_remainder_bound):
+            v = check(seq, horizon=10_000)
+            assert (v.verdict, v.estimate) == ("fails", math.inf)
+
+    def test_table_spanning_float_range_is_inconclusive(self):
+        seq = rf.make_table([0] + [1e-300] * 9 + [1e300] * 3)
+        assert rf.check_strong(seq, horizon=10).verdict == "inconclusive"
+
+    def test_reciprocal_sum_beyond_float_range_is_inf(self):
+        seq = rf.make_table([], rf.TailRule((rf.ExpBranch(1.00001, 1e-308),)))
+        v = rf.check_strong(seq, horizon=1_000_000)
+        assert (v.verdict, v.estimate) == ("holds", math.inf)
+        value, guaranteed = rf.remainder_detail(seq, 0, horizon=1_000)
+        assert (value, guaranteed) == (math.inf, True)
+
+    def test_squared_tail_beyond_float_range_is_a_condition_violation(self):
+        # W(n)^-2 ~ 1e600 n^-4: the Euler-Maclaurin integrand is 0/0 and x/0
+        seq = rf.make_polynomial([1e-300, 0, 1e-300])
+        with pytest.raises(ConditionViolation, match="not finite"):
+            rf.check_mdrem_conditions(seq, horizon=10_000)
+
+    def test_squared_tail_underflow_is_a_condition_violation(self):
+        # a_m^2 overflows, so the Euler-Maclaurin integral of W^-2 underflows to 0
+        seq = rf.make_polynomial([0, 0, 1e200])
+        assert rf.check_strong(seq, horizon=10_000).verdict == "holds"
+        with pytest.raises(ConditionViolation, match="underflows"):
+            rf.check_mdrem_conditions(seq, horizon=10_000)
+
+    def test_tail_start_beyond_float_range_is_a_condition_violation(self):
+        # the Cauchy bound puts the tail's first index near 1e300
+        seq = rf.make_polynomial([1e300, 0, 1])
+        with pytest.raises(ConditionViolation, match="float range"):
+            rf.check_strong(seq, horizon=10_000)
+
+
+class TestFromJsonErrors:
+    @pytest.mark.parametrize("obj, field", [
+        ({"kind": "polynomial"}, "coeffs"),
+        ({"kind": "polynomial", "coeffs": 5}, "coeffs"),
+        ({"kind": "polynomial", "coeffs": [0, "x", 1]}, "coeffs"),
+        ({"kind": "exponential", "rho": None}, "rho"),
+        ({"kind": "table", "table": [1, 2], "tail": {"branches": [{"exp": {}}]}}, "rho"),
+        ({"kind": "table", "table": [1, 2], "tail": {"branches": 3}}, "branches"),
+        ({"kind": "table", "table": 7}, "table"),
+        ({"kind": "table", "table": [1, float("nan"), 2]}, "table"),
+        ({"kind": "exponential", "rho": float("inf")}, "rho"),
+        ([1, 2], "sequence"),
+    ])
+    def test_malformed_field_is_named(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            rf.ReinforcementSeq.from_json(obj)
+
+
+_CHECKS = (
+    lambda seq, h: [rf.check_strong(seq, h)],
+    lambda seq, h: [rf.check_variation_bound(seq, h)],
+    lambda seq, h: [rf.check_remainder_bound(seq, h)],
+    lambda seq, h: list(rf.check_mdrem_conditions(seq, horizons=(2, 5), K_list=(2, 4), horizon=h)),
+)
+
+_exp_branches = st.builds(rf.ExpBranch, st.floats(1.0, 10.0, exclude_min=True), st.floats(1e-308, 1e308))
+# a positive constant term keeps W(0) of the branch positive
+_poly_branches = st.builds(
+    lambda const, mid, lead: rf.PolyBranch((const, *mid, lead)),
+    st.floats(1e-3, 1e3), st.lists(st.floats(0.0, 1e3), max_size=3), st.floats(1e-3, 1e3),
+)
+_FLOAT_EDGE_SEQS = {
+    "exp-tail": st.builds(lambda b: rf.make_table([], rf.TailRule((b,))), _exp_branches),
+    "exp-poly-tail": st.builds(
+        lambda e, p, swap: rf.make_table([], rf.TailRule((p, e) if swap else (e, p))),
+        _exp_branches, _poly_branches, st.booleans(),
+    ),
+    "table": st.builds(
+        lambda head, body: rf.make_table(head + body),
+        st.sampled_from([[], [0.0]]),
+        st.lists(st.floats(1e-300, 1e300), min_size=12, max_size=120),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", _FLOAT_EDGE_SEQS)
+@given(data=st.data(), horizon=st.integers(10, 10_000), check=st.sampled_from(_CHECKS))
+def test_checks_near_float_range_give_a_verdict_or_a_documented_error(family, data, horizon, check):
+    seq = data.draw(_FLOAT_EDGE_SEQS[family])
+    if seq.tail is None:
+        horizon = min(horizon, len(seq.table) - 2)
+    # any other exception fails the test, a RuntimeWarning too under the suite's filter
+    try:
+        verdicts = check(seq, horizon)
+    except (ConditionViolation, ValueError):
+        return
+    assert all(v.verdict in ("holds", "fails", "inconclusive") for v in verdicts)
