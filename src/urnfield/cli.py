@@ -228,6 +228,8 @@ def cmd_mc(args) -> int:
     echo = _echo(args)
     echo["seed"] = config.seed
     echo["runtime_s"] = report.runtime_s
+    echo["run_steps_screened"] = report.run_steps_screened
+    echo["run_steps_exact"] = report.run_steps_exact
     return _emit(args, payloads, echo)
 
 

@@ -312,15 +312,16 @@ def run_embedding_ensemble(
     rows = np.arange(n_runs)
     last_add = np.zeros((n_runs, nc), dtype=np.int64)
 
-    def advance(step, fresh):
-        for j in range(d):
-            win = _jump(z, z_ref, mass, rate, rates, fresh[:, j], rows, j == d - 1)
-            last_add[rows, win] = step
+    def advance(start, fresh):
+        for step, draws in enumerate(fresh.swapaxes(0, 1), start + 1):
+            for j in range(d):
+                win = _jump(z, z_ref, mass, rate, rates, draws[:, j], rows, j == d - 1)
+                last_add[rows, win] = step
 
     steps, props = _drive(
-        gens, d, n_steps, record_every, advance, lambda step: z / z.sum(axis=1, keepdims=True), "exponential"
+        gens, d, n_steps, record_every, advance, lambda step: z / z.sum(axis=1, keepdims=True), "standard_exponential"
     )
-    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, z, seeds)
+    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, z, seeds, 0, n_runs * n_steps)
 
 
 def sample_multicolor_counts(
@@ -334,9 +335,8 @@ def sample_multicolor_counts(
     rng = np.random.Generator(np.random.PCG64(seed))
     logw = log_weight_table(seq, max(a) + k * d + 1)
     counts = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
-    rows = np.arange(n_samples)
     for _ in range(k):
-        _multicolor_step(counts, logw, rng.random(size=(n_samples, d)), rows)
+        _multicolor_step(counts, logw, rng.random(size=(n_samples, d)))
     return counts
 
 

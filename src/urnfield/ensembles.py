@@ -176,10 +176,13 @@ class McReport:
     window: int
     run_rows: list = dc_field(default_factory=list)  # (run_index, seed, label, final...)
     runtime_s: float = 0.0
+    run_steps_screened: int = 0  # advanced in bulk along a leader path
+    run_steps_exact: int = 0  # stepped through the kernel
 
     def to_json(self) -> dict:
-        """Deterministic report body; runtime is deliberately excluded so
-        identical configurations produce byte-identical files."""
+        """Deterministic report body; runtime and the run-step counters are
+        deliberately excluded so identical configurations produce
+        byte-identical files."""
         return {
             "config": self.config.to_json(),
             "n_runs": self.config.n_runs,
@@ -325,6 +328,8 @@ def run_ensemble(config: EnsembleConfig, equilibria=None) -> McReport:
         window=window,
         run_rows=rows,
         runtime_s=time.perf_counter() - t0,
+        run_steps_screened=raw.run_steps_screened,
+        run_steps_exact=raw.run_steps_exact,
     )
 
 

@@ -47,6 +47,15 @@ def _horner(coeffs, x):
     return result
 
 
+def _finite(values, what: str) -> tuple[float, ...]:
+    """``values`` as floats; a ValueError names the first that is not finite."""
+    values = tuple(float(v) for v in values)
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # tail-rule branches
 
@@ -58,6 +67,7 @@ class PolyBranch:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
+        _finite(self.coeffs, "tail branch coefficients")
         if not self.coeffs or self.coeffs[-1] <= 0:
             raise ValueError("polynomial tail branch needs a positive leading coefficient")
 
@@ -119,12 +129,12 @@ class PolyBranch:
         log_qk = float(self.log_values(np.array([big_k]))[0])
         log_half = math.log(0.5) - power * log_qk
         base = np.logaddexp(log_integral, log_half)
-        # subtract f'(K)/12 with f = q^{-power}; q'(K) > 0 this far out
+        # add -f'(K)/12 with f = q^{-power}: f' < 0, as q'(K) > 0 this far out
         dq = _poly_derivative(coeffs)
         qprime = float(_horner(dq, float(big_k))) if dq else 0.0
         if qprime > 0:
             log_corr = math.log(power * qprime / 12.0) - (power + 1) * log_qk
-            base += math.log1p(-math.exp(log_corr - base))
+            base += math.log1p(math.exp(log_corr - base))
         return float(base)
 
     @cached_property
@@ -144,6 +154,7 @@ class ExpBranch:
     scale: float = 1.0
 
     def __post_init__(self):
+        _finite((self.rho, self.scale), "exponential tail branch parameters")
         if self.rho <= 0 or self.scale <= 0:
             raise ValueError("exponential tail branch needs rho > 0 and scale > 0")
 
@@ -175,6 +186,7 @@ class ConstBranch:
     value: float
 
     def __post_init__(self):
+        _finite((self.value,), "constant tail branch value")
         if self.value <= 0:
             raise ValueError("constant tail branch needs a positive value")
 
@@ -453,7 +465,7 @@ class ReinforcementSeq:
 
 def make_polynomial(coeffs) -> ReinforcementSeq:
     """Sequence ``W(n) = a_0 + a_1 n + ... + a_m n^m`` from ``[a_0..a_m]``."""
-    coeffs = tuple(float(c) for c in coeffs)
+    coeffs = _finite(coeffs, "polynomial coefficients")
     if len(coeffs) < 1:
         raise ValueError("at least one coefficient required")
     if coeffs[-1] <= 0:
@@ -467,7 +479,7 @@ def make_polynomial(coeffs) -> ReinforcementSeq:
 
 def make_exponential(rho: float) -> ReinforcementSeq:
     """Sequence ``W(n) = rho^n`` with ``rho > 1``."""
-    rho = float(rho)
+    (rho,) = _finite([rho], "rho")
     if rho <= 1.0:
         raise ValueError(f"rho must exceed 1, got {rho}")
     return ReinforcementSeq(kind="exponential", rho=rho)
@@ -480,7 +492,7 @@ def make_table(values, tail: TailRule | None = None) -> ReinforcementSeq:
     it must be positive.  With an empty ``values`` list the tail rule covers
     the whole index range.
     """
-    values = tuple(float(v) for v in values)
+    values = _finite(values, "table values")
     if not values and tail is None:
         raise ValueError("table sequence needs values or a tail rule")
     if any(v < 0 for v in values):

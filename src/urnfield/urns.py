@@ -25,7 +25,19 @@ Each mechanism has one lockstep kernel (``_ium_step``, ``_multicolor_step``,
 ``_sequential_step``) that ensembles drive; single runs keep the scalar
 steppers, the per-step references the kernels are tested against.  One
 loop, ``_drive``, draws and records for ensembles, ``run`` and
-``run_coupled`` alike.
+``run_coupled`` alike; it walks each block of draws in sub-blocks that end
+at every record step.
+
+Ensembles screen each sub-block against the leader path.  Under strong
+reinforcement almost every step adds the leader's balls, so each kernel has
+a screen beside it that bounds the leader's probability over the whole
+sub-block from a windowed minimum of the log-weight table and tests every
+uniform of the sub-block against that bound, shrunk by a relative margin.
+Runs that pass advance along the leader path in bulk; the others step
+through the kernel.  Screening changes neither the RNG contract nor any
+output: every uniform is still drawn in the same order, and counts,
+last-change steps and recorded proportions are bit for bit those of
+stepping every run.
 
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.
@@ -40,6 +52,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConditionViolation
 from .reinforcement import ReinforcementSeq, log_weight_table
@@ -76,9 +89,14 @@ def _prob_first(log_a: float, log_b: float) -> float:
     return 1.0 / (1.0 + math.exp(d))
 
 
-def _vec_prob(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+def _share(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """weight_a / (weight_a + weight_b) elementwise; NaN where both are zero."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = 1.0 / (1.0 + np.exp(log_b - log_a))
+        return 1.0 / (1.0 + np.exp(log_b - log_a))
+
+
+def _vec_prob(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    q = _share(log_a, log_b)
     if np.isnan(q).any():
         raise ConditionViolation("both pool weights are zero")
     return q
@@ -293,9 +311,10 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     def sample(step):
         return props_of(state), totals_of(state), counts_of(state) if record_counts else None
 
-    def advance(step, u):
-        for c in step_core(state, u[0].tolist()):  # Python floats compare faster than numpy scalars
-            last_change[c] = step
+    def advance(start, u):
+        for step, us in enumerate(u[0].tolist(), start + 1):  # Python floats compare faster than numpy scalars
+            for c in step_core(state, us):
+                last_change[c] = step
 
     steps, samples = _drive([state.rng], per_step, n_steps, record_every, advance, sample)
     props, totals, counts = zip(*samples)
@@ -501,13 +520,13 @@ def run_coupled(
     seqp = init_sequential(black0, red0, seq, seed)
     violations = 0
 
-    def advance(step, u):
+    def advance(start, u):
         nonlocal violations
-        us = u[0].tolist()
-        _step_ium_core(ium, us)
-        _step_sequential_pair(seqp, us[1::2])
-        violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
-        violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
+        for us in u[0].tolist():
+            _step_ium_core(ium, us)
+            _step_sequential_pair(seqp, us[1::2])
+            violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
+            violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
 
     def sample(step):
         seq_totals = (int(seqp.black.sum()), int(seqp.red.sum()))
@@ -532,17 +551,24 @@ def run_coupled(
 # ---------------------------------------------------------------------------
 # vectorized ensemble engines (lockstep across runs, per-run streams)
 
+_SUB_BLOCK = 64  # most steps an ensemble screens at once; measured faster than 32 or 48
+_MARGIN = 1e-12  # relative shrink of a screened interval; the kernels round far finer
+
 
 @dataclass
 class EnsembleRaw:
     """Raw per-run output of a vectorized ensemble: recorded proportion
-    samples, per-color last-change steps, and final counts."""
+    samples, per-color last-change steps, and final counts.  The run-steps
+    split into those advanced in bulk along a leader path and those stepped
+    through the kernel."""
 
     steps: np.ndarray  # (k,)
     proportions: np.ndarray  # (n_runs, k, d_or_nc)
     last_add: np.ndarray  # (n_runs, n_colors) step of last count change
     final_counts: np.ndarray  # (n_runs, ...) model specific
     seeds: np.ndarray  # (n_runs,)
+    run_steps_screened: int = 0
+    run_steps_exact: int = 0
 
 
 def _streams(master_seed: int, run_offset: int, n_runs: int):
@@ -552,21 +578,30 @@ def _streams(master_seed: int, run_offset: int, n_runs: int):
 
 
 def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample, draw: str = "random"):
-    """Advance all runs in lockstep: each step's ``per_step`` draws from
-    every run's stream, taken in bounded blocks in step order, go to
-    ``advance(step, draws)`` as an (n_runs, per_step) array.  Returns the
-    recorded steps and the list of ``sample(step)`` values, taken at step
-    0, every ``record_every`` steps and at ``n_steps``."""
+    """Advance all runs in lockstep.  Each step's ``per_step`` draws from
+    every run's stream are taken in bounded blocks in step order; each block
+    is walked in sub-blocks that end at every record step and hold at most
+    ``_SUB_BLOCK`` steps.  ``advance(start, draws)`` gets a sub-block as an
+    (n_runs, length, per_step) array for steps ``start + 1 .. start +
+    length``.  Returns the recorded steps and the list of ``sample(step)``
+    values, taken at step 0, every ``record_every`` steps and at
+    ``n_steps``."""
     steps, samples = [0], [sample(0)]
     chunk = max(1, min(4096, (1 << 23) // max(1, len(gens) * per_step)))
     for start in range(0, n_steps, chunk):
         length = min(chunk, n_steps - start)
-        block = np.stack([getattr(g, draw)(size=length * per_step) for g in gens])
-        for step, draws in enumerate(block.reshape(len(gens), length, per_step).swapaxes(0, 1), start + 1):
-            advance(step, draws)
-            if step % record_every == 0 or step == n_steps:
-                steps.append(step)
-                samples.append(sample(step))
+        block = np.empty((len(gens), length * per_step))
+        for g, row in zip(gens, block):
+            getattr(g, draw)(out=row)
+        block = block.reshape(len(gens), length, per_step)
+        at = start
+        while at < start + length:
+            end = min(start + length, at + _SUB_BLOCK, at - at % record_every + record_every)
+            advance(at, block[:, at - start:end - start])
+            at = end
+            if end % record_every == 0 or end == n_steps:
+                steps.append(end)
+                samples.append(sample(end))
     return np.array(steps, dtype=np.int64), samples
 
 
@@ -583,24 +618,31 @@ def _ium_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, p: float, u:
     return add
 
 
-def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Add one ball per column of ``u`` to every row of ``counts``, colors
     drawn from the log weights frozen at the step's start.  Returns the
-    drawn colors, one column per ball."""
+    balls each color got, shaped like ``counts``."""
     lw = logw[counts]
-    hi = functools.reduce(np.maximum, lw.T)  # faster than max(axis=1) over a few columns
-    if np.isneginf(hi).any():
+    hi = functools.reduce(np.maximum, lw.T)  # column-wise: faster than max(axis=1) over a few columns
+    if hi.min() == -np.inf:
         raise ConditionViolation("every color has zero weight")
     w = np.exp(lw - hi[:, None])
-    cum = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
-    # a color is the number of cut points below u; cum never decreases, so
-    # skipping the last cut point is the scalar stepper's clip to nc - 1
-    idx = np.zeros(u.shape, dtype=np.int64)
+    probs = w / w.sum(axis=1, keepdims=True)
+    # a ball's color is the number of cut points (cumulative probabilities,
+    # summed left to right) below its uniform; cut points never decrease, so
+    # skipping the last one is the scalar stepper's clip to nc - 1
+    added = np.empty_like(counts)
+    at_least = u.shape[1]  # balls of color >= c
+    cut = probs[:, 0]
     for c in range(counts.shape[1] - 1):
-        idx += u > cum[:, c, None]
-    for j in range(u.shape[1]):
-        counts[rows, idx[:, j]] += 1
-    return idx
+        above = sum(u[:, j] > cut for j in range(u.shape[1]))
+        added[:, c] = at_least - above
+        at_least = above
+        if c + 1 < counts.shape[1] - 1:
+            cut = cut + probs[:, c + 1]
+    added[:, -1] = at_least
+    counts += added
+    return added
 
 
 def _sequential_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -617,24 +659,154 @@ def _sequential_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, u: np
     return add
 
 
-def _black_red_ensemble(kernel, per_step, seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every):
-    """Lockstep driver of a black/red mechanism whose ``kernel(black, red,
-    logw, u)`` advances every run one step, each urn gaining one ball, and
-    returns the black increments."""
+# Leader-path screening (see the module docstring).  A uniform that passes
+# lies inside the leader's interval at every step of the sub-block by the
+# relative margin _MARGIN, so the kernel would give the leader's color
+# whatever its rounding.
+
+
+def _window_min(logw: np.ndarray, stride: int) -> np.ndarray:
+    """``out[n]``: the least of ``logw[n + stride * t]`` over ``t <
+    _SUB_BLOCK``, a lower bound on log W along a path that gains ``stride``
+    balls per step, over any sub-block starting at count ``n``.  For
+    non-decreasing W it is ``logw[n]``.  Counts past the table count as
+    ``+inf``: no path reaches them within the horizon."""
+    padded = np.concatenate([logw, np.full(stride * (_SUB_BLOCK - 1), np.inf)])
+    return sliding_window_view(padded, stride * (_SUB_BLOCK - 1) + 1)[:, ::stride].min(axis=1)
+
+
+def _extreme(reduce, u: np.ndarray, wanted: np.ndarray, neutral: float) -> np.ndarray:
+    """Per run, ``reduce`` (``np.min`` or ``np.max``) of its draws in the
+    sub-block ``u``, on the ``wanted`` runs only; ``neutral`` elsewhere.
+    Reducing a row subset costs less than reducing every row."""
+    out = np.full(len(u), neutral)
+    rows = np.flatnonzero(wanted)
+    if rows.size:
+        out[rows] = reduce(u if rows.size == len(u) else u[rows], axis=(1, 2))
+    return out
+
+
+def _black_red_screen(qb: np.ndarray, qr: np.ndarray, uc: np.ndarray):
+    """Screen of a black/red mechanism from per-urn bounds on the black
+    share: ``qb`` from below along the all-black path, ``qr`` from above
+    along the all-red path, both (n_runs, urns).  ``uc`` holds the color
+    uniforms, (n_runs, length, urns); a ball is black iff its uniform is
+    below the share.  Each run takes the path with the larger bound on the
+    leader's share.  Returns the passing runs and which of them go red."""
+    qb = qb.min(axis=1) * (1.0 - _MARGIN)
+    qr = qr.max(axis=1) * (1.0 + _MARGIN)
+    to_red = 1.0 - qr > qb  # false where a bound is NaN
+    ok = np.where(
+        to_red, _extreme(np.min, uc, to_red, np.inf) >= qr, _extreme(np.max, uc, ~to_red, -np.inf) < qb
+    )
+    return ok, to_red
+
+
+def _ium_screen(black, red, logw, win, u):
+    """Screen of ``_ium_step``.  On the black path each urn's black count
+    grows by one per step and the pooled black total by d, so the windowed
+    minima bound both black shares from below, and a color uniform under
+    both is black whatever the interaction draw.  The red path mirrors it."""
+    d = black.shape[1]
+    total_b, total_r = black.sum(axis=1), red.sum(axis=1)
+    qb = np.minimum(_share(win[d][total_b], logw[total_r])[:, None], _share(win[1][black], logw[red]))
+    qr = np.maximum(_share(logw[total_b], win[d][total_r])[:, None], _share(logw[black], win[1][red]))
+    return _black_red_screen(qb, qr, u[:, :, 1::2])
+
+
+def _sequential_screen(black, red, logw, win, u):
+    """Screen of ``_sequential_step``.  On the black path each urn's own
+    black count grows by one per step against the fixed pooled red count.
+    On the red path the pooled red count grows by one per sub-step, so urn
+    k sees it at offset k with stride 2."""
+    total_r = red.sum(axis=1)[:, None]
+    qb = _share(win[1][black], logw[total_r])
+    qr = _share(logw[black], win[2][total_r + np.arange(2)])
+    return _black_red_screen(qb, qr, u)
+
+
+def _multicolor_screen(counts, logw, win, u):
+    """Screen of ``_multicolor_step``.  The leader, the color of largest
+    weight, takes all d balls of every step, so the windowed minimum of its
+    log weight bounds its cut-point interval from within: along the path
+    the cut point below it only falls and the one above it only rises.  The
+    first color has no lower cut point and the last no upper one.  Returns
+    the passing runs and their leaders."""
+    nc = counts.shape[1]
+    rows = np.arange(len(counts))
+    lw = logw[counts]
+    leader = lw.argmax(axis=1)
+    lw[rows, leader] = win[counts[rows, leader]]
+    with np.errstate(invalid="ignore"):  # NaN where every weight is zero: the run fails
+        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+    cw = np.cumsum(w, axis=1)
+    lo = np.where(leader > 0, cw[rows, leader - 1] / cw[:, -1] * (1.0 + _MARGIN), -np.inf)
+    hi = np.where(leader < nc - 1, cw[rows, leader] / cw[:, -1] * (1.0 - _MARGIN), np.inf)
+    ok = (_extreme(np.min, u, leader > 0, np.inf) > lo) & (_extreme(np.max, u, leader < nc - 1, -np.inf) < hi)
+    return ok, leader
+
+
+def _screened(arrays, screen, leap, step):
+    """``_drive``'s ``advance`` for a screened ensemble whose per-run state
+    is ``arrays`` (rows are runs).  Per sub-block, ``screen(u)`` gives the
+    passing runs and their leaders, ``leap(ok, leader, end, length)``
+    advances those along their leader paths and ``step(*rows, start, u)``
+    steps the others exactly on their row subset; when fewer than half
+    pass, every row steps in place instead.  Returns the advance and its
+    [screened, exact] run-step counters."""
+    counters = [0, 0]
+
+    def advance(start, u):
+        ok, leader = screen(u)
+        n_runs, length = u.shape[:2]
+        n_ok = int(np.count_nonzero(ok))
+        if 2 * n_ok < n_runs:
+            step(*arrays, start, u)
+            counters[1] += n_runs * length
+            return
+        leap(ok, leader, start + length, length)
+        flagged = np.flatnonzero(~ok)
+        if flagged.size:
+            part = [a[flagged] for a in arrays]
+            step(*part, start, u[flagged])
+            for a, rows in zip(arrays, part):
+                a[flagged] = rows
+        counters[0] += n_ok * length
+        counters[1] += flagged.size * length
+
+    return advance, counters
+
+
+def _black_red_ensemble(kernel, screen, strides, per_step, seq, black0, red0, n_steps, n_runs, master_seed,
+                        run_offset, record_every):
+    """Screened lockstep driver of a black/red mechanism whose ``kernel(black,
+    red, logw, u)`` advances every run one step, each urn gaining one ball,
+    and returns the black increments.  ``screen(black, red, logw, win, u)``
+    reads the window minima ``win`` of the given strides."""
     black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
     red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
     init_totals = black[0] + red[0]
     logw = log_weight_table(seq, black.shape[1] * n_steps + int(init_totals.sum()) + 1)
+    win = {s: _window_min(logw, s) for s in strides}
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, 2), dtype=np.int64)
 
-    def advance(step, u):
-        add = kernel(black, red, logw, u)
-        last_add[add.any(axis=1), 0] = step
-        last_add[(add == 0).any(axis=1), 1] = step
+    def step(black, red, last_add, start, u):
+        for t, us in enumerate(u.swapaxes(0, 1), start + 1):
+            add = kernel(black, red, logw, us)
+            last_add[add.any(axis=1), 0] = t
+            last_add[(add == 0).any(axis=1), 1] = t
 
+    def leap(ok, to_red, end, length):
+        for grows, color, path in ((black, 0, ok & ~to_red), (red, 1, ok & to_red)):
+            grows[path] += length
+            last_add[path, color] = end
+
+    advance, counters = _screened((black, red, last_add), lambda u: screen(black, red, logw, win, u), leap, step)
     steps, props = _drive(gens, per_step, n_steps, record_every, advance, lambda step: black / (step + init_totals))
-    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, np.concatenate([black, red], axis=1), seeds)
+    return EnsembleRaw(
+        steps, np.stack(props, axis=1), last_add, np.concatenate([black, red], axis=1), seeds, *counters
+    )
 
 
 def run_ium_ensemble(
@@ -653,7 +825,7 @@ def run_ium_ensemble(
     standalone ``init_ium(..., seed=derive_seed(master, offset+i))`` would."""
     init_ium(d, black0, red0, p, seq, seed=0)  # validates arguments
     return _black_red_ensemble(
-        lambda black, red, logw, u: _ium_step(black, red, logw, p, u), 2 * d,
+        lambda black, red, logw, u: _ium_step(black, red, logw, p, u), _ium_screen, {1, d}, 2 * d,
         seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every,
     )
 
@@ -672,17 +844,24 @@ def run_multicolor_ensemble(
     init_multicolor(nc, a, d, seq, seed=0)  # validates arguments
     counts = np.tile(np.asarray(a, dtype=np.int64), (n_runs, 1))
     logw = log_weight_table(seq, int(np.sum(a)) + d * n_steps + 1)
-    rows = np.arange(n_runs)
+    win = _window_min(logw, d)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, nc), dtype=np.int64)
 
-    def advance(step, u):
-        last_add[rows[:, None], _multicolor_step(counts, logw, u, rows)] = step
+    def step(counts, last_add, start, u):
+        for t, us in enumerate(u.swapaxes(0, 1), start + 1):
+            last_add[_multicolor_step(counts, logw, us) > 0] = t
 
+    def leap(ok, leader, end, length):
+        rows = np.flatnonzero(ok)
+        counts[rows, leader[rows]] += d * length
+        last_add[rows, leader[rows]] = end
+
+    advance, counters = _screened((counts, last_add), lambda u: _multicolor_screen(counts, logw, win, u), leap, step)
     steps, props = _drive(
         gens, d, n_steps, record_every, advance, lambda step: counts / counts.sum(axis=1, keepdims=True)
     )
-    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, counts, seeds)
+    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, counts, seeds, *counters)
 
 
 def run_sequential_ensemble(
@@ -694,5 +873,6 @@ def run_sequential_ensemble(
     ``init_sequential(..., seed=derive_seed(master, offset+i))`` would."""
     init_sequential(black0, red0, seq, seed=0)  # validates arguments
     return _black_red_ensemble(
-        _sequential_step, 2, seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every
+        _sequential_step, _sequential_screen, {1, 2}, 2,
+        seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every,
     )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import zeta
 
 from urnfield import reinforcement as rf
 from urnfield.errors import ConditionViolation
@@ -77,6 +78,21 @@ class TestConstructors:
         with pytest.raises(ValueError):
             rf.make_table([1, -2])
 
+    @pytest.mark.parametrize("make, arg", [
+        (rf.make_table, [1, math.nan, 2]),
+        (rf.make_table, [1, math.inf]),
+        (rf.make_exponential, math.inf),
+        (rf.make_exponential, math.nan),
+        (rf.make_polynomial, [0, math.inf]),
+        (rf.make_polynomial, [math.nan, 1]),
+        (rf.make_polynomial, [-math.inf, 1]),
+    ], ids=["table-nan", "table-inf", "exp-inf", "exp-nan", "poly-inf", "poly-nan", "poly-neg-inf"])
+    def test_non_finite_values_rejected(self, make, arg):
+        values = arg if isinstance(arg, list) else [arg]
+        bad = next(v for v in values if not math.isfinite(v))
+        with pytest.raises(ValueError, match=str(bad)):
+            make(arg)
+
     def test_eval_below_domain_start(self):
         seq = example_i()
         with pytest.raises(ValueError):
@@ -129,6 +145,17 @@ class TestRemainder:
     def test_inverse_squares(self):
         seq = rf.make_polynomial([0, 0, 1])
         assert rf.remainder(seq, 1) == pytest.approx(math.pi**2 / 6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [21, 100, 1000])
+    def test_polynomial_tail_is_the_hurwitz_zeta(self, k):
+        # the Euler-Maclaurin tail adds -f'(K)/12; subtracting it left the sum
+        # low by ~2e-9 relative
+        seq = rf.make_polynomial([0, 0, 1])
+        assert math.exp(seq.log_recip_tail(k, 1)) == pytest.approx(float(zeta(2, k)), rel=1e-13)
+
+    def test_strong_estimate_for_squares_at_a_short_horizon(self):
+        v = rf.check_strong(rf.make_polynomial([0, 0, 1]), horizon=20)
+        assert v.estimate == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
 
     def test_geometric_closed_form(self):
         seq = rf.make_exponential(2.0)

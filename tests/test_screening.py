@@ -1,0 +1,203 @@
+"""Leader-path screening: a screened lockstep ensemble equals the same
+ensemble stepped exactly through its kernel, bit for bit."""
+
+import contextlib
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from urnfield import ensembles as ens, reinforcement as rf, urns
+from urnfield.cli import main
+from urnfield.seeds import derive_seed
+
+
+def example_i():
+    # W(2k) = k^4, W(2k+1) = k^4 - k^3 + 1: not monotone
+    return rf.make_table(
+        [], rf.TailRule((rf.PolyBranch((0, 0, 0, 0, 1)), rf.PolyBranch((1, 0, 0, -1, 1))))
+    )
+
+
+WEIGHTS = {
+    "n^2": rf.make_polynomial([0, 0, 1]),
+    "(n+1)^3": rf.make_polynomial([1, 3, 3, 1]),
+    "example I": example_i(),
+    "2^n": rf.make_exponential(2.0),
+    # W(0) = 0, then a dip before the tail (n+1)^2
+    "table W(0)=0": rf.make_table([0, 2, 1, 6], rf.TailRule((rf.PolyBranch((1, 2, 1)),))),
+}
+N2 = WEIGHTS["n^2"]
+
+
+@contextlib.contextmanager
+def exact_stepping():
+    """Every run fails the screen, so every sub-block steps every row
+    through the kernel in place: the reference the screen must match."""
+    screened = urns._screened
+
+    def none_pass(arrays, screen, leap, step):
+        def fail_all(u):
+            ok, leader = screen(u)
+            return np.zeros_like(ok), leader
+
+        return screened(arrays, fail_all, leap, step)
+
+    with mock.patch.object(urns, "_screened", none_pass):
+        yield
+
+
+def assert_same_raw(a, b):
+    assert np.array_equal(a.steps, b.steps)
+    assert np.array_equal(a.proportions, b.proportions)
+    assert np.array_equal(a.last_add, b.last_add)
+    assert np.array_equal(a.final_counts, b.final_counts)
+    assert np.array_equal(a.seeds, b.seeds)
+
+
+# counts a few balls apart, and counts ~1024 balls apart: under 2^n that is
+# the 709.78 log-gap where exp leaves float range
+COUNT = st.integers(0, 12) | st.integers(1015, 1035)
+
+
+@st.composite
+def ensemble_calls(draw):
+    """A random ensemble: model, weights, initial state, horizon and record
+    cadence (sub-blocks end at every record step)."""
+    seq = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+    model = draw(st.sampled_from(["ium", "multicolor", "sequential"]))
+    tail = dict(
+        n_steps=draw(st.integers(1, 200)),
+        n_runs=draw(st.integers(1, 12)),
+        master_seed=draw(st.integers(0, 2**32)),
+        record_every=draw(st.integers(1, 150)),
+    )
+    if model == "multicolor":
+        nc = draw(st.integers(2, 4))
+        a = draw(st.lists(COUNT, min_size=nc, max_size=nc))
+        args = (seq, nc, a, draw(st.integers(1, 3)))
+        return urns.init_multicolor, (nc, a, args[3], seq), urns.run_multicolor_ensemble, args, tail
+    d = draw(st.integers(1, 3)) if model == "ium" else 2
+    black0 = draw(st.lists(COUNT, min_size=d, max_size=d))
+    red0 = draw(st.lists(COUNT, min_size=d, max_size=d))
+    if model == "ium":
+        p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        return urns.init_ium, (d, black0, red0, p, seq), urns.run_ium_ensemble, (seq, p, d, black0, red0), tail
+    return urns.init_sequential, (black0, red0, seq), urns.run_sequential_ensemble, (seq, black0, red0), tail
+
+
+@given(call=ensemble_calls())
+def test_screened_ensemble_equals_exact_stepping(call):
+    init, init_args, engine, args, tail = call
+    try:
+        state = init(*init_args, seed=0)
+    except ValueError:
+        assume(False)  # an initial state the model rejects
+    # an urn without balls has no proportion at step 0
+    assume(state.counts.sum() > 0 if init is urns.init_multicolor else state.initial_totals.all())
+    screened = engine(*args, **tail)
+    with exact_stepping():
+        exact = engine(*args, **tail)
+    assert_same_raw(screened, exact)
+    assert exact.run_steps_screened == 0
+    for raw in (screened, exact):
+        assert raw.run_steps_screened + raw.run_steps_exact == tail["n_runs"] * tail["n_steps"]
+
+
+class TestMargin:
+    """A uniform inside the leader's interval, but within the relative margin
+    of its edge, is stepped exactly: the kernel's rounding decides it.  A
+    uniform just beyond the margin passes."""
+
+    INSIDE, BEYOND = 1e-13, 1e-11
+
+    def test_ium(self):
+        logw = rf.log_weight_table(N2, 200)
+        win = {s: urns._window_min(logw, s) for s in (1, 2)}
+        black, red = np.array([[6, 4]]), np.array([[1, 2]])
+        # W is non-decreasing: the window minimum is the sub-block start
+        q = min(urns._share(logw[10], logw[3]), urns._share(logw[6], logw[1]), urns._share(logw[4], logw[2]))
+        for rel, passes in ((self.INSIDE, False), (self.BEYOND, True)):
+            u = np.zeros((1, 3, 4))
+            u[0, 1, 3] = q * (1 - rel)  # urn 2's color uniform at the second step
+            ok, to_red = urns._ium_screen(black, red, logw, win, u)
+            assert ok.tolist() == [passes] and to_red.tolist() == [False]
+
+    def test_sequential(self):
+        logw = rf.log_weight_table(N2, 200)
+        win = {s: urns._window_min(logw, s) for s in (1, 2)}
+        black, red = np.array([[2, 3]]), np.array([[6, 5]])
+        # red path: urn 1 first sees the pooled red count 12, which only grows
+        q = max(urns._share(logw[2], logw[11]), urns._share(logw[3], logw[12]))
+        for rel, passes in ((self.INSIDE, False), (self.BEYOND, True)):
+            u = np.full((1, 2, 2), 0.9)
+            u[0, 0, 1] = q * (1 + rel)
+            ok, to_red = urns._sequential_screen(black, red, logw, win, u)
+            assert ok.tolist() == [passes] and to_red.tolist() == [True]
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_multicolor_middle_color(self, edge):
+        logw = rf.log_weight_table(N2, 200)
+        win = urns._window_min(logw, 2)
+        counts = np.array([[2, 9, 3]])
+        cut = np.cumsum(urns._color_probs(logw[counts[0]]))
+        for rel, passes in ((self.INSIDE, False), (self.BEYOND, True)):
+            u = np.full((1, 2, 2), (cut[0] + cut[1]) / 2)
+            u[0, 1, 0] = cut[0] * (1 + rel) if edge == "lower" else cut[1] * (1 - rel)
+            ok, leader = urns._multicolor_screen(counts, logw, win, u)
+            assert ok.tolist() == [passes] and leader.tolist() == [1]
+
+
+def test_window_min_of_a_non_monotone_table():
+    logw = rf.log_weight_table(example_i(), 300)
+    for stride in (1, 2, 3):
+        win = urns._window_min(logw, stride)
+        for n in (1, 2, 7, 100, 299):
+            path = logw[n: n + stride * urns._SUB_BLOCK: stride]
+            assert win[n] == path.min()
+
+
+class TestCounters:
+    @pytest.mark.parametrize("model", ["ium", "multicolor", "sequential", "embedding"])
+    def test_run_steps_add_up(self, model):
+        cfg = ens.EnsembleConfig(model=model, seq=N2, n_steps=300, n_runs=20, seed=4, p=0.6, record_every=70)
+        rep = ens.run_ensemble(cfg)
+        assert rep.run_steps_screened + rep.run_steps_exact == 20 * 300
+        assert (rep.run_steps_screened > 0) == (model != "embedding")
+
+    def test_strong_multicolor_is_mostly_screened(self):
+        raw = urns.run_multicolor_ensemble(WEIGHTS["(n+1)^3"], 3, (1, 1, 1), 2, 4000, 200, 4040, record_every=1000)
+        assert raw.run_steps_screened > 0.9 * 200 * 4000
+
+    def test_report_and_runs_csv_bytes_unchanged(self, tmp_path):
+        cfg = {
+            "schema": 1, "model": "multicolor", "seq": {"kind": "polynomial", "coeffs": [1, 3, 3, 1]},
+            "nc": 3, "a": [1, 1, 1], "d": 2, "n_steps": 1500, "n_runs": 60, "seed": 73, "record_every": 100,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outs = {}
+        for name, ctx in (("screened", contextlib.nullcontext()), ("exact", exact_stepping())):
+            out = tmp_path / f"{name}.json"
+            with ctx:
+                assert main(["mc", "--config", str(path), "--out", str(out), "--runs-csv"]) == 0
+            manifest = json.loads((tmp_path / f"{name}.json.manifest.json").read_text())["arguments"]
+            outs[name] = out.read_bytes(), (tmp_path / f"{name}.runs.csv").read_bytes(), manifest
+        (rep, runs, manifest), (rep_exact, runs_exact, manifest_exact) = outs["screened"], outs["exact"]
+        assert rep == rep_exact and runs == runs_exact
+        assert b"run_steps" not in rep
+        assert manifest["run_steps_screened"] + manifest["run_steps_exact"] == 60 * 1500
+        assert manifest["run_steps_screened"] > 0 and manifest_exact["run_steps_screened"] == 0
+
+
+def test_screened_runs_reproduce_standalone_runs():
+    # run i of a screened ensemble is still the scalar run at its derived seed
+    raw = urns.run_ium_ensemble(WEIGHTS["(n+1)^3"], 0.5, 2, (1, 1), (1, 1), 600, 8, 31, record_every=200)
+    assert raw.run_steps_screened > 0
+    for i in range(8):
+        state = urns.init_ium(2, (1, 1), (1, 1), 0.5, WEIGHTS["(n+1)^3"], seed=derive_seed(31, i))
+        tr = urns.run(state, 600, 200)
+        assert np.array_equal(raw.proportions[i], tr.proportions)
+        assert raw.last_add[i].tolist() == tr.last_change.tolist()
