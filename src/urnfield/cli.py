@@ -214,7 +214,8 @@ def cmd_simulate(args) -> int:
     if args.steps > 0:
         traj.events["monopoly"] = urns.detect_monopoly(traj, max(1, args.steps // 5))
     blob = traj.csv_bytes("counts" if args.counts else "proportions")
-    return _emit(args, {"": blob}, {**_echo(args), "events": traj.events})
+    counters = {"run_steps_screened": traj.run_steps_screened, "run_steps_exact": traj.run_steps_exact}
+    return _emit(args, {"": blob}, {**_echo(args), "events": traj.events, **counters})
 
 
 def cmd_mc(args) -> int:

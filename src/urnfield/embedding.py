@@ -35,7 +35,7 @@ from scipy import stats
 
 from .errors import ConditionViolation, InternalConsistencyError
 from .reinforcement import ReinforcementSeq, log_weight_table, weight_table
-from .urns import EnsembleRaw, _drive, _multicolor_step, _streams, init_multicolor
+from .urns import EnsembleRaw, _color_shares, _drive, _multicolor_step, _streams, init_multicolor
 
 _MASS_TOL = 1e-12
 
@@ -319,7 +319,7 @@ def run_embedding_ensemble(
                 last_add[rows, win] = step
 
     steps, props = _drive(
-        gens, d, n_steps, record_every, advance, lambda step: z / z.sum(axis=1, keepdims=True), "standard_exponential"
+        gens, d, n_steps, record_every, advance, lambda step: _color_shares(z, step), "standard_exponential"
     )
     return EnsembleRaw(steps, np.stack(props, axis=1), last_add, z, seeds, 0, n_runs * n_steps)
 

@@ -81,16 +81,20 @@ class PolyBranch:
 
     def log_values(self, k):
         k = np.asarray(k, dtype=float)
-        out = np.empty(k.shape, dtype=float)
         at0 = k == 0
+        if not at0.any():
+            return self._log_values_positive(k)
+        out = np.empty(k.shape, dtype=float)
         with np.errstate(divide="ignore"):
             out[at0] = np.log(self.coeffs[0]) if len(self.coeffs) else -np.inf
-        kk = k[~at0]
+        out[~at0] = self._log_values_positive(k[~at0])
+        return out
+
+    def _log_values_positive(self, k: np.ndarray) -> np.ndarray:
         # W(k) = k^m * (a_m + a_{m-1}/k + ... + a_0/k^m); the inner sum is
         # positive wherever W is, so the log never sees an overflowed value.
-        inner = _horner(tuple(reversed(self.coeffs)), 1.0 / kk)
-        out[~at0] = self.degree * np.log(kk) + np.log(inner)
-        return out
+        inner = _horner(tuple(reversed(self.coeffs)), 1.0 / k)
+        return self.degree * np.log(k) + np.log(inner)
 
     def summable(self, power: int) -> bool:
         return self.degree * power >= 2
@@ -381,12 +385,19 @@ class ReinforcementSeq:
             if self._branches is None:
                 raise ValueError("evaluation beyond the table requires a tail rule")
             period = len(self._branches)
-            ks, rs = np.divmod(rest, period)
             sub = np.empty(rest.shape, dtype=float)
-            for r, branch in enumerate(self._branches):
-                sel = rs == r
-                if sel.any():
-                    sub[sel] = branch.log_values(ks[sel]) if log else branch.values(ks[sel])
+            if rest.ndim == 1 and rest[-1] - rest[0] == rest.size - 1 and (np.diff(rest) == 1).all():
+                # a contiguous ascending scan: branch r holds every period-th index
+                for r, branch in enumerate(self._branches):
+                    first = (r - rest[0]) % period
+                    ks = rest[first::period] // period
+                    sub[first::period] = branch.log_values(ks) if log else branch.values(ks)
+            else:
+                ks, rs = np.divmod(rest, period)
+                for r, branch in enumerate(self._branches):
+                    sel = rs == r
+                    if sel.any():
+                        sub[sel] = branch.log_values(ks[sel]) if log else branch.values(ks[sel])
             out[~exp_mask] = sub
         return out
 

@@ -22,22 +22,23 @@ so run ``i`` of an ensemble reproduces a standalone simulation seeded with
 ``derive_seed(master, i)``.
 
 Each mechanism has one lockstep kernel (``_ium_step``, ``_multicolor_step``,
-``_sequential_step``) that ensembles drive; single runs keep the scalar
-steppers, the per-step references the kernels are tested against.  One
-loop, ``_drive``, draws and records for ensembles, ``run`` and
+``_sequential_step``) that ensembles drive, and a scalar stepper that single
+runs step through, the per-step reference the kernels are tested against.
+One loop, ``_drive``, draws and records for ensembles, ``run`` and
 ``run_coupled`` alike; it walks each block of draws in sub-blocks that end
 at every record step.
 
-Ensembles screen each sub-block against the leader path.  Under strong
-reinforcement almost every step adds the leader's balls, so each kernel has
-a screen beside it that bounds the leader's probability over the whole
-sub-block from a windowed minimum of the log-weight table and tests every
-uniform of the sub-block against that bound, shrunk by a relative margin.
-Runs that pass advance along the leader path in bulk; the others step
-through the kernel.  Screening changes neither the RNG contract nor any
-output: every uniform is still drawn in the same order, and counts,
-last-change steps and recorded proportions are bit for bit those of
-stepping every run.
+Ensembles and ``run`` screen each sub-block against the leader path.  Under
+strong reinforcement almost every step adds the leader's balls, so each
+kernel has a screen beside it that bounds the leader's probability over the
+whole sub-block from a windowed minimum of the log-weight table and tests
+every uniform of the sub-block against that bound, shrunk by a relative
+margin.  Runs that pass advance along the leader path in bulk; the others
+step through the kernel, or, in ``run``, which screens its state as an
+ensemble of one, through the scalar stepper.  Screening changes neither the
+RNG contract nor any output: every uniform is still drawn in the same
+order, and counts, last-change steps and recorded proportions are bit for
+bit those of stepping every run.
 
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.
@@ -63,16 +64,28 @@ MONOPOLY_LABELS_2 = ("black", "red")
 
 
 class _LogW:
-    """Growable lookup of log W(n); ``-inf`` marks zero weight."""
+    """Growable lookup of log W(n) for one state; ``-inf`` marks zero
+    weight.  It also holds what ``run`` screens that state with: ``wins``,
+    the window minima of the table, and ``wait``, the steps left to step
+    unscreened and the wait after the next failed screen, which carry over
+    from one call of ``run`` to the next."""
 
     def __init__(self, seq: ReinforcementSeq, initial: int = 256):
         self.seq = seq
         self.table = log_weight_table(seq, initial)
+        self.wins = _Windows(self.table, _WindowMinAt)
+        self.wait = [0, _SUB_BLOCK]
 
     def __call__(self, n: int) -> float:
         if n >= self.table.size:
-            self.table = log_weight_table(self.seq, max(n, 2 * self.table.size))
+            self.cover(n)
         return float(self.table[n])
+
+    def cover(self, n: int) -> None:
+        """Grow the table, at least doubling it, until it holds log W(n)."""
+        if n >= self.table.size:
+            self.table = log_weight_table(self.seq, max(n, 2 * self.table.size))
+            self.wins = _Windows(self.table, _WindowMinAt)
 
 
 def _prob_first(log_a: float, log_b: float) -> float:
@@ -102,6 +115,26 @@ def _vec_prob(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     return q
 
 
+def _black_shares(black: np.ndarray, step: int, initial_totals: np.ndarray) -> np.ndarray:
+    """Black-ball proportion per urn at ``step``: ``B(i) / (step + B_0(i) +
+    R_0(i))``.  Only an urn that starts empty has a zero total, and only at
+    step 0; its proportion is undefined there and recorded as NaN, without
+    a warning."""
+    if step:
+        return black / (step + initial_totals)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return black / initial_totals
+
+
+def _color_shares(counts: np.ndarray, step: int) -> np.ndarray:
+    """Proportion of each color at ``step`` (along the last axis); NaN,
+    without a warning, for an urn that starts empty, at step 0."""
+    if step:
+        return counts / counts.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        return counts / counts.sum(axis=-1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -114,7 +147,9 @@ class Trajectory:
     multi-color model); ``color_totals`` the per-color system totals at the
     same sample steps.  Sample steps are strictly increasing.  ``last_change``
     holds, per color, the last step at which its total grew (0 if it never
-    did); ``run`` records it exactly, whatever the cadence.
+    did); ``run`` records it exactly, whatever the cadence.  The steps split
+    into those advanced in bulk along a leader path and those stepped one
+    by one.
     """
 
     steps: np.ndarray
@@ -125,6 +160,8 @@ class Trajectory:
     seed: int | None = None
     meta: dict = dc_field(default_factory=dict)
     last_change: np.ndarray | None = None
+    run_steps_screened: int = 0
+    run_steps_exact: int = 0
 
     def csv_bytes(self, what: str = "proportions") -> bytes:
         """CSV of the samples: ``step``, then ``x_i`` per urn or color (17
@@ -296,27 +333,66 @@ def _step_ium_colors(state: UrnState, uniforms) -> tuple:
 
 def proportions(state: UrnState) -> np.ndarray:
     """Black-ball proportion per urn: B_n(i) / (n + B_0(i) + R_0(i))."""
-    return state.black / (state.n + state.initial_totals)
+    return _black_shares(state.black, state.n, state.initial_totals)
+
+
+def _leap_ium(state: UrnState, to_red: bool, length: int) -> int:
+    """Advance ``length`` steps along the all-black or all-red path; returns
+    the color that grew."""
+    (state.red if to_red else state.black)[:] += length
+    state.n += length
+    return int(to_red)
 
 
 def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False) -> Trajectory:
     """Advance any simulator state ``n_steps`` steps, recording proportions
     at the given cadence (step 0 and the final step are always recorded).
-    Consecutive runs of a state continue its one stream."""
+    Consecutive runs of a state continue its one stream.
+
+    Each sub-block of at least ``_MIN_SCREEN`` steps is screened against the
+    leader path, as in the ensembles, and a state that passes advances in
+    bulk; other sub-blocks go through the scalar stepper.  A failed screen
+    costs about as much as five to ten steps, so after one the next
+    ``_SUB_BLOCK`` steps go unscreened, twice as many after each further
+    failure, at most ``_MAX_WAIT``: a state that does not settle pays for
+    few screens."""
     if n_steps < 0 or record_every < 1:
         raise ValueError("n_steps must be >= 0 and record_every >= 1")
-    per_step, step_core, props_of, totals_of, counts_of, meta = _dispatch(state)
+    per_step, step_core, screen, leap, props_of, totals_of, counts_of, meta = _dispatch(state)
     last_change = [0] * len(totals_of(state))
+    wait = state.logw.wait
 
     def sample(step):
         return props_of(state), totals_of(state), counts_of(state) if record_counts else None
 
-    def advance(start, u):
+    def exact(start, u):
         for step, us in enumerate(u[0].tolist(), start + 1):  # Python floats compare faster than numpy scalars
             for c in step_core(state, us):
                 last_change[c] = step
 
-    steps, samples = _drive([state.rng], per_step, n_steps, record_every, advance, sample)
+    def screen_state(u):
+        state.logw.cover(max(totals_of(state)) + per_step * u.shape[1])  # every count the sub-block can reach
+        ok, leader = screen(state, u)
+        wait[:] = [0, _SUB_BLOCK] if ok[0] else [wait[1], min(2 * wait[1], _MAX_WAIT)]
+        return ok, leader
+
+    def leap_state(ok, leader, end, length):
+        last_change[leap(state, leader[0], length)] = end
+
+    screened, counters = _screened((), screen_state, leap_state, exact)
+
+    def advance(start, u):
+        if u.shape[1] < _MIN_SCREEN:
+            exact(start, u)
+        elif wait[0] > 0:
+            wait[0] -= u.shape[1]
+            exact(start, u)
+        else:
+            screened(start, u)
+
+    # below _MIN_SCREEN steps a record cadence leaves no sub-block to screen
+    stepper = exact if record_every < _MIN_SCREEN else advance
+    steps, samples = _drive([state.rng], per_step, n_steps, record_every, stepper, sample)
     props, totals, counts = zip(*samples)
     return Trajectory(
         steps=steps,
@@ -326,16 +402,22 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
         seed=state.seed,
         meta=meta(state),
         last_change=np.array(last_change, dtype=np.int64),
+        run_steps_screened=counters[0],
+        run_steps_exact=n_steps - counters[0],
     )
 
 
 def _dispatch(state):
     """Uniforms per step, the scalar stepper fed them (it returns the colors
-    whose total grew), and what a trajectory records."""
+    whose total grew), the leader-path screen of a sub-block on the state as
+    one run, the bulk advance of a state that passes it (it returns the
+    color that grew), and what a trajectory records."""
     if isinstance(state, UrnState):
         return (
             2 * state.d,
             _step_ium_colors,
+            lambda s, u: _ium_screen(s.black[None], s.red[None], s.logw.table, s.logw.wins, u),
+            _leap_ium,
             proportions,
             lambda s: (s.total_black, s.total_red),
             lambda s: np.concatenate([s.black, s.red]),
@@ -345,7 +427,9 @@ def _dispatch(state):
         return (
             state.d,
             _step_multicolor_core,
-            lambda s: s.counts / s.counts.sum(),
+            lambda s, u: _multicolor_screen(s.counts[None], s.logw.table, s.logw.wins[s.d], u),
+            _leap_multicolor,
+            lambda s: _color_shares(s.counts, s.n),
             lambda s: tuple(s.counts),
             lambda s: s.counts.copy(),
             lambda s: {"model": "multicolor", "nc": s.nc, "d": s.d, "seq": s.seq.to_json()},
@@ -354,6 +438,8 @@ def _dispatch(state):
         return (
             2,
             _step_sequential_pair,
+            lambda s, u: _sequential_screen(s.black[None], s.red[None], s.logw.table, s.logw.wins, u, s.substep % 2),
+            _leap_sequential,
             sequential_proportions,
             lambda s: (int(s.black.sum()), int(s.red.sum())),
             lambda s: np.concatenate([s.black, s.red]),
@@ -422,6 +508,13 @@ def _step_multicolor_core(state: MultiColorState, uniforms: np.ndarray) -> list:
     return added
 
 
+def _leap_multicolor(state: MultiColorState, leader: int, length: int) -> int:
+    """Advance ``length`` steps giving every ball to ``leader``; returns it."""
+    state.counts[leader] += state.d * length
+    state.n += length
+    return int(leader)
+
+
 def step_multicolor(state: MultiColorState) -> MultiColorState:
     """Add d balls, colors drawn from the weight distribution frozen at the
     step's start (a multinomial increment)."""
@@ -486,9 +579,16 @@ def _step_sequential_pair(state: SequentialState, uniforms) -> list:
     return [_step_sequential_core(state, u) for u in uniforms]
 
 
+def _leap_sequential(state: SequentialState, to_red: bool, length: int) -> int:
+    """Advance ``length`` macro steps along the all-black or all-red path;
+    returns the color that grew."""
+    (state.red if to_red else state.black)[:] += length
+    state.substep += 2 * length
+    return int(to_red)
+
+
 def sequential_proportions(state: SequentialState) -> np.ndarray:
-    n = state.substep // 2
-    return state.black / (n + state.initial_totals)
+    return _black_shares(state.black, state.substep // 2, state.initial_totals)
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +653,8 @@ def run_coupled(
 
 _SUB_BLOCK = 64  # most steps an ensemble screens at once; measured faster than 32 or 48
 _MARGIN = 1e-12  # relative shrink of a screened interval; the kernels round far finer
+_MIN_SCREEN = 16  # fewest steps a single run screens at once; shorter sub-blocks step
+_MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screens
 
 
 @dataclass
@@ -675,6 +777,34 @@ def _window_min(logw: np.ndarray, stride: int) -> np.ndarray:
     return sliding_window_view(padded, stride * (_SUB_BLOCK - 1) + 1)[:, ::stride].min(axis=1)
 
 
+class _WindowMinAt:
+    """``_window_min(logw, stride)`` evaluated only at the counts indexed,
+    for a single run, which reads a few counts per screen of a table that
+    grows with it.  A window that passes the table's end reads its last
+    entry there instead of ``+inf``, which can only lower the bound."""
+
+    def __init__(self, logw: np.ndarray, stride: int):
+        self.logw = logw
+        self.offsets = stride * np.arange(_SUB_BLOCK)
+
+    def __getitem__(self, n) -> np.ndarray:
+        return self.logw.take(np.asarray(n)[..., None] + self.offsets, mode="clip").min(axis=-1)
+
+
+class _Windows(dict):
+    """The window minima of one log-weight table by stride, each made on
+    first use by ``make(logw, stride)``: built in full for an ensemble, or
+    evaluated where read for a single run."""
+
+    def __init__(self, logw: np.ndarray, make=_window_min):
+        super().__init__()
+        self.logw, self.make = logw, make
+
+    def __missing__(self, stride: int):
+        self[stride] = win = self.make(self.logw, stride)
+        return win
+
+
 def _extreme(reduce, u: np.ndarray, wanted: np.ndarray, neutral: float) -> np.ndarray:
     """Per run, ``reduce`` (``np.min`` or ``np.max``) of its draws in the
     sub-block ``u``, on the ``wanted`` runs only; ``neutral`` elsewhere.
@@ -714,14 +844,16 @@ def _ium_screen(black, red, logw, win, u):
     return _black_red_screen(qb, qr, u[:, :, 1::2])
 
 
-def _sequential_screen(black, red, logw, win, u):
+def _sequential_screen(black, red, logw, win, u, first: int = 0):
     """Screen of ``_sequential_step``.  On the black path each urn's own
     black count grows by one per step against the fixed pooled red count.
     On the red path the pooled red count grows by one per sub-step, so urn
-    k sees it at offset k with stride 2."""
+    k sees it at offset k with stride 2, or at offset 1 - k when urn
+    ``first`` = 1 draws first (a state left mid-step by
+    ``step_sequential``)."""
     total_r = red.sum(axis=1)[:, None]
     qb = _share(win[1][black], logw[total_r])
-    qr = _share(logw[black], win[2][total_r + np.arange(2)])
+    qr = _share(logw[black], win[2][total_r + [first, 1 - first]])
     return _black_red_screen(qb, qr, u)
 
 
@@ -777,17 +909,17 @@ def _screened(arrays, screen, leap, step):
     return advance, counters
 
 
-def _black_red_ensemble(kernel, screen, strides, per_step, seq, black0, red0, n_steps, n_runs, master_seed,
-                        run_offset, record_every):
+def _black_red_ensemble(kernel, screen, per_step, seq, black0, red0, n_steps, n_runs, master_seed, run_offset,
+                        record_every):
     """Screened lockstep driver of a black/red mechanism whose ``kernel(black,
     red, logw, u)`` advances every run one step, each urn gaining one ball,
     and returns the black increments.  ``screen(black, red, logw, win, u)``
-    reads the window minima ``win`` of the given strides."""
+    reads the window minima ``win`` by stride."""
     black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
     red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
     init_totals = black[0] + red[0]
     logw = log_weight_table(seq, black.shape[1] * n_steps + int(init_totals.sum()) + 1)
-    win = {s: _window_min(logw, s) for s in strides}
+    win = _Windows(logw)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, 2), dtype=np.int64)
 
@@ -803,7 +935,9 @@ def _black_red_ensemble(kernel, screen, strides, per_step, seq, black0, red0, n_
             last_add[path, color] = end
 
     advance, counters = _screened((black, red, last_add), lambda u: screen(black, red, logw, win, u), leap, step)
-    steps, props = _drive(gens, per_step, n_steps, record_every, advance, lambda step: black / (step + init_totals))
+    steps, props = _drive(
+        gens, per_step, n_steps, record_every, advance, lambda step: _black_shares(black, step, init_totals)
+    )
     return EnsembleRaw(
         steps, np.stack(props, axis=1), last_add, np.concatenate([black, red], axis=1), seeds, *counters
     )
@@ -825,7 +959,7 @@ def run_ium_ensemble(
     standalone ``init_ium(..., seed=derive_seed(master, offset+i))`` would."""
     init_ium(d, black0, red0, p, seq, seed=0)  # validates arguments
     return _black_red_ensemble(
-        lambda black, red, logw, u: _ium_step(black, red, logw, p, u), _ium_screen, {1, d}, 2 * d,
+        lambda black, red, logw, u: _ium_step(black, red, logw, p, u), _ium_screen, 2 * d,
         seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every,
     )
 
@@ -859,7 +993,7 @@ def run_multicolor_ensemble(
 
     advance, counters = _screened((counts, last_add), lambda u: _multicolor_screen(counts, logw, win, u), leap, step)
     steps, props = _drive(
-        gens, d, n_steps, record_every, advance, lambda step: counts / counts.sum(axis=1, keepdims=True)
+        gens, d, n_steps, record_every, advance, lambda step: _color_shares(counts, step)
     )
     return EnsembleRaw(steps, np.stack(props, axis=1), last_add, counts, seeds, *counters)
 
@@ -873,6 +1007,6 @@ def run_sequential_ensemble(
     ``init_sequential(..., seed=derive_seed(master, offset+i))`` would."""
     init_sequential(black0, red0, seq, seed=0)  # validates arguments
     return _black_red_ensemble(
-        _sequential_step, _sequential_screen, {1, 2}, 2,
+        _sequential_step, _sequential_screen, 2,
         seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every,
     )

@@ -175,6 +175,25 @@ class TestSimulate:
     def test_missing_weights(self):
         assert main(["simulate", "--model", "ium", "--steps", "10", "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "model_args, n_cols",
+        [
+            (["--model", "ium", "--d", "1", "--black0", "0", "--red0", "0"], 1),
+            (["--model", "multicolor", "--a", "0,0"], 2),
+            (["--model", "sequential", "--black0", "0,0", "--red0", "0,0"], 2),
+        ],
+    )
+    def test_empty_urn_has_no_step_0_proportion(self, tmp_path, recwarn, model_args, n_cols):
+        seq = tmp_path / "c3.json"
+        seq.write_text(json.dumps({"kind": "polynomial", "coeffs": [1, 3, 3, 1]}))
+        out = tmp_path / "t.csv"
+        argv = ["simulate", *model_args, "--steps", "3", "--seq", str(seq), "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        rows = out.read_text().splitlines()
+        assert rows[1] == ",".join(["0"] + ["nan"] * n_cols)
+        assert "nan" not in "".join(rows[2:]) and len(rows) == 5
+        assert not recwarn.list
+
 
 class TestMcAndScan:
     def test_mc_report(self, tmp_path):

@@ -287,14 +287,26 @@ class TestMdremConditions:
     rf.make_table([3, 1, 4, 1, 5], example_i().tail),
     rf.make_table([2, 7, 1], rf.TailRule((rf.PolyBranch((1, 0, 2)),))),
     rf.make_polynomial([1, 3, 3, 1]),
-], ids=["table+example-I", "table+poly", "poly"])
+    example_i(),
+    example_ii(),
+    rf.make_table([1, 2], rf.TailRule((rf.PolyBranch((0, 0, 1)), rf.ConstBranch(3.0), rf.ExpBranch(1.1, 2.0)))),
+], ids=["table+example-I", "table+poly", "poly", "example-I", "example-II", "table+three-branches"])
 def test_vector_evaluation_matches_per_index(seq):
     ns = np.array([9, 0, 4, 2, 1000, 3, 17, 5, 1, 6, 250, 4])
+    ns = ns[ns >= seq.domain_start]
     assert np.array_equal(seq.values(ns), [seq.value(int(n)) for n in ns])
     assert np.array_equal(seq.log_values(ns), [seq.log_value(int(n)) for n in ns])
     tail = ns[ns >= 5]
     assert np.array_equal(seq.values(tail), [seq.value(int(n)) for n in tail])
     assert np.array_equal(seq.log_values(tail), [seq.log_value(int(n)) for n in tail])
+    # a contiguous scan, as the checks and the simulators' tables read it,
+    # equals the same indices evaluated out of order
+    for scan in (np.arange(seq.domain_start, 3000), np.arange(7, 2999)):
+        shuffled = np.random.default_rng(0).permutation(scan)
+        for evaluate in (seq.values, seq.log_values):
+            out = np.empty(scan.size)
+            out[shuffled - scan[0]] = evaluate(shuffled)
+            assert np.array_equal(evaluate(scan), out)
 
 
 def test_log_weight_table_marks_zeros():

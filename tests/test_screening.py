@@ -1,5 +1,6 @@
 """Leader-path screening: a screened lockstep ensemble equals the same
-ensemble stepped exactly through its kernel, bit for bit."""
+ensemble stepped exactly through its kernel, and a screened single run the
+same run stepped exactly through the scalar stepper, bit for bit."""
 
 import contextlib
 import json
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from urnfield import ensembles as ens, reinforcement as rf, urns
 from urnfield.cli import main
@@ -154,9 +155,16 @@ def test_window_min_of_a_non_monotone_table():
     logw = rf.log_weight_table(example_i(), 300)
     for stride in (1, 2, 3):
         win = urns._window_min(logw, stride)
+        at = urns._WindowMinAt(logw, stride)  # a single run's, evaluated where read
         for n in (1, 2, 7, 100, 299):
             path = logw[n: n + stride * urns._SUB_BLOCK: stride]
             assert win[n] == path.min()
+            if n + stride * (urns._SUB_BLOCK - 1) < logw.size:
+                assert at[n] == path.min()
+            else:  # past the table a single run reads its last entry
+                assert at[n] == min(path.min(), logw[-1])
+        counts = np.array([[1, 7], [100, 2]])
+        assert np.array_equal(at[counts], win[counts])
 
 
 class TestCounters:
@@ -201,3 +209,130 @@ def test_screened_runs_reproduce_standalone_runs():
         tr = urns.run(state, 600, 200)
         assert np.array_equal(raw.proportions[i], tr.proportions)
         assert raw.last_add[i].tolist() == tr.last_change.tolist()
+
+
+# ---------------------------------------------------------------------------
+# single runs: ``run`` screens each sub-block of a state as an ensemble of one
+
+
+def assert_same_trajectory(a, b):
+    for name in ("steps", "proportions", "color_totals", "counts", "last_change"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y, equal_nan=True), name
+
+
+def assert_same_state(a, b):
+    for name in ("black", "red", "counts"):
+        if hasattr(a, name):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert [getattr(a, k, None) for k in ("n", "substep")] == [getattr(b, k, None) for k in ("n", "substep")]
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@settings(max_examples=200)
+@given(
+    call=ensemble_calls(), n=st.integers(0, 600), record_counts=st.booleans(), split=st.integers(0, 600),
+    odd=st.booleans(),
+)
+def test_screened_run_equals_exact_stepping(call, n, record_counts, split, odd):
+    init, init_args, _, _, tail = call
+    try:
+        states = [init(*init_args, seed=tail["master_seed"]) for _ in range(3)]
+    except ValueError:
+        assume(False)  # an initial state the model rejects
+    if odd and init is urns.init_sequential:
+        for state in states:
+            urns.step_sequential(state)  # urn 1 draws first from here on
+    every = tail["record_every"]
+    screened = urns.run(states[0], n, every, record_counts)
+    with exact_stepping():
+        exact = urns.run(states[1], n, every, record_counts)
+    assert_same_trajectory(screened, exact)
+    assert_same_state(states[0], states[1])
+    assert exact.run_steps_screened == 0
+    for tr in (screened, exact):
+        assert tr.run_steps_screened + tr.run_steps_exact == n
+
+    # two consecutive calls, the first ending at a record step, equal one call
+    first = every * (split % (n // every + 1))
+    head = urns.run(states[2], first, every, record_counts)
+    rest = urns.run(states[2], n - first, every, record_counts)
+    joined = urns.Trajectory(
+        steps=np.concatenate([head.steps, rest.steps[1:] + first]),
+        proportions=np.concatenate([head.proportions, rest.proportions[1:]]),
+        color_totals=np.concatenate([head.color_totals, rest.color_totals[1:]]),
+        counts=np.concatenate([head.counts, rest.counts[1:]]) if record_counts else None,
+        last_change=np.where(rest.last_change > 0, rest.last_change + first, head.last_change),
+    )
+    assert_same_trajectory(joined, screened)
+    assert_same_state(states[2], states[0])
+
+
+def test_sequential_screen_when_urn_1_draws_first():
+    # red path with urn 1 ahead in black balls: drawing first, urn 1 sees the
+    # pooled red count 11, where its black share is largest
+    logw = rf.log_weight_table(N2, 200)
+    win = {s: urns._window_min(logw, s) for s in (1, 2)}
+    black, red = np.array([[2, 4]]), np.array([[6, 5]])
+    q_first = urns._share(logw[4], logw[11])  # urn 1 at pooled red 11
+    q_second = urns._share(logw[2], logw[12])  # urn 0 at pooled red 12
+    assert q_first > max(q_second, urns._share(logw[2], logw[11]), urns._share(logw[4], logw[12]))
+    u = np.full((1, 2, 2), 0.99)
+    u[0, 0, 0] = q_first * (1 - 1e-9)  # urn 1's first uniform: black when urn 1 draws first
+    ok, _ = urns._sequential_screen(black, red, logw, win, u, first=1)
+    assert ok.tolist() == [False]
+    # with urn 0 first the same uniform clears every bound on the red path
+    ok, _ = urns._sequential_screen(black, red, logw, win, u)
+    assert ok.tolist() == [True]
+    u[0, 0, 0] = q_first * (1 + 1e-9)
+    ok, to_red = urns._sequential_screen(black, red, logw, win, u, first=1)
+    assert ok.tolist() == [True] and to_red.tolist() == [True]
+
+
+class TestRunCounters:
+    SIM = ["simulate", "--model", "multicolor", "--m", "3", "--nc", "3", "--a", "1,1,1", "--d", "2"]
+
+    def simulate(self, tmp_path, steps, every, name="out.csv"):
+        out = tmp_path / name
+        argv = self.SIM + ["--steps", str(steps), "--record-every", str(every), "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes(), json.loads((tmp_path / f"{name}.manifest.json").read_text())["arguments"]
+
+    def test_strong_multicolor_run_is_mostly_screened(self, tmp_path):
+        blob, args = self.simulate(tmp_path, 20_000, 100)
+        assert args["run_steps_screened"] + args["run_steps_exact"] == 20_000
+        assert args["run_steps_screened"] > 0.9 * 20_000
+        assert b"run_steps" not in blob
+        with exact_stepping():
+            exact_blob, exact_args = self.simulate(tmp_path, 20_000, 100, "exact.csv")
+        assert exact_blob == blob and exact_args["run_steps_screened"] == 0
+
+    def test_nothing_screened_at_every_step(self, tmp_path):
+        _, args = self.simulate(tmp_path, 500, 1)
+        assert (args["run_steps_screened"], args["run_steps_exact"]) == (0, 500)
+
+    def test_short_runs_reuse_the_weight_table(self):
+        state = urns.init_ium(2, (1, 1), (1, 1), 0.2, WEIGHTS["(n+1)^3"], seed=3)
+        urns.run(state, 20_000, 1000)
+        with mock.patch.object(urns, "log_weight_table", wraps=urns.log_weight_table) as built:
+            for _ in range(200):
+                urns.run(state, 20, 20)
+        assert built.call_count <= 1  # the table at most doubles once over 4000 steps
+
+
+def test_screened_ensembles_from_empty_urns_equal_exact_stepping():
+    seq = WEIGHTS["(n+1)^3"]
+    calls = [
+        (urns.run_ium_ensemble, (seq, 0.3, 2, (0, 0), (0, 0))),
+        (urns.run_multicolor_ensemble, (seq, 3, (0, 0, 0), 2)),
+        (urns.run_sequential_ensemble, (seq, (0, 0), (0, 0))),
+    ]
+    for engine, args in calls:
+        screened = engine(*args, 300, 8, 5, record_every=100)
+        with exact_stepping():
+            exact = engine(*args, 300, 8, 5, record_every=100)
+        assert screened.run_steps_screened > 0
+        assert np.isnan(screened.proportions[:, 0]).all()
+        assert not np.isnan(screened.proportions[:, 1:]).any()
+        for name in ("steps", "proportions", "last_add", "final_counts"):
+            assert np.array_equal(getattr(screened, name), getattr(exact, name), equal_nan=True), name

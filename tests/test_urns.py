@@ -43,6 +43,44 @@ class TestInit:
             urns.init_ium(2, (1,), (1, 1), 0.3, N2, seed=1)
 
 
+class TestEmptyStart:
+    """An urn, or the multi-color urn, may start without balls when W(0) > 0;
+    its step-0 proportion is undefined and recorded as NaN, without a
+    warning (the suite turns RuntimeWarnings into errors)."""
+
+    C3 = rf.make_polynomial([1, 3, 3, 1])
+
+    @pytest.mark.parametrize(
+        "init, nan_cols",
+        [
+            (lambda seq: urns.init_ium(1, (0,), (0,), 0.0, seq, 1), [0]),
+            (lambda seq: urns.init_ium(2, (0, 2), (0, 1), 0.5, seq, 1), [0]),
+            (lambda seq: urns.init_multicolor(2, (0, 0), 1, seq, 1), [0, 1]),
+            (lambda seq: urns.init_sequential((0, 0), (0, 0), seq, 1), [0, 1]),
+        ],
+    )
+    def test_run(self, init, nan_cols):
+        tr = urns.run(init(self.C3), 40, 20)
+        first = tr.proportions[0]
+        assert np.isnan(first[nan_cols]).all()
+        assert np.isfinite(np.delete(first, nan_cols)).all()
+        assert np.isfinite(tr.proportions[1:]).all()
+
+    def test_ensembles(self):
+        from urnfield import embedding
+
+        raws = [
+            urns.run_ium_ensemble(self.C3, 0.0, 1, [0], [0], 1, 1, 0),
+            urns.run_ium_ensemble(self.C3, 0.4, 2, (0, 0), (0, 0), 30, 4, 2, record_every=10),
+            urns.run_multicolor_ensemble(self.C3, 2, (0, 0), 1, 30, 4, 2, record_every=10),
+            urns.run_sequential_ensemble(self.C3, (0, 0), (0, 0), 30, 4, 2, record_every=10),
+            embedding.run_embedding_ensemble(self.C3, 2, (0, 0), 1, 30, 4, 2, record_every=10),
+        ]
+        for raw in raws:
+            assert np.isnan(raw.proportions[:, 0]).all()
+            assert np.isfinite(raw.proportions[:, 1:]).all()
+
+
 class TestStepProbabilities:
     def test_isolated_urn_probability(self):
         # p = 0, counts (3,1), W(n)=n^2: P(black) = 9/10; force uniforms
