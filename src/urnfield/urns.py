@@ -22,8 +22,15 @@ so run ``i`` of an ensemble reproduces a standalone simulation seeded with
 ``derive_seed(master, i)``.
 
 Each mechanism has one lockstep kernel (``_ium_step``, ``_multicolor_step``,
-``_sequential_step``) that ensembles drive, and a scalar stepper that single
-runs step through, the per-step reference the kernels are tested against.
+``_sequential_step``) that ensembles drive, a per-step scalar stepper
+(``_step_ium_core``, ``_step_multicolor_core``, ``_step_sequential_core``),
+the reference the kernels are tested against, and a block stepper
+(``_ium_steps``, ``_multicolor_steps``, ``_sequential_steps``) that ``run``
+steps whole sub-blocks through, and ``run_coupled`` one step at a time.
+The black/red block steppers keep the counts in Python ints and read log
+weights as Python floats for a whole block, with the per-step arithmetic
+of their scalar steppers, so a single run costs about as much per step
+whether or not it ever settles.
 One loop, ``_drive``, draws and records for ensembles, ``run`` and
 ``run_coupled`` alike; it walks each block of draws in sub-blocks that end
 at every record step.
@@ -295,6 +302,41 @@ def init_ium(d: int, black0, red0, p: float, seq: ReinforcementSeq, seed: int) -
     )
 
 
+def _ium_steps(state: UrnState, rows, start: int, last_change: list) -> None:
+    """``_step_ium_core`` over a block: one step per row of ``rows``, each
+    the step's 2d uniforms in urn order, setting ``last_change[c]`` to the
+    step (numbered from ``start + 1``) whenever color ``c``'s total grows."""
+    d, p = state.d, state.p
+    black, red = state.black.tolist(), state.red.tolist()
+    total_b, total_r = sum(black), sum(red)
+    state.logw.cover(max(total_b, total_r) + d * len(rows))  # every count the block can reach
+    logw = state.logw.table.item
+    for step, us in enumerate(rows, start + 1):
+        q_global = None
+        n_black = 0
+        for i in range(d):
+            if us[2 * i] < p:
+                if q_global is None:
+                    q_global = _prob_first(logw(total_b), logw(total_r))
+                q = q_global
+            else:
+                q = _prob_first(logw(black[i]), logw(red[i]))
+            if us[2 * i + 1] < q:
+                black[i] += 1
+                n_black += 1
+            else:
+                red[i] += 1
+        total_b += n_black
+        total_r += d - n_black
+        if n_black:
+            last_change[0] = step
+        if n_black < d:
+            last_change[1] = step
+    state.black[:] = black
+    state.red[:] = red
+    state.n += len(rows)
+
+
 def _step_ium_core(state: UrnState, uniforms: np.ndarray) -> np.ndarray:
     """Advance one step given the 2d uniforms of this step; returns the
     black-increment vector.  All urns see the step-n counts."""
@@ -325,12 +367,6 @@ def step_ium(state: UrnState) -> UrnState:
     return state
 
 
-def _step_ium_colors(state: UrnState, uniforms) -> tuple:
-    """One ium step; returns the colors (0 black, 1 red) whose total grew."""
-    n_black = sum(_step_ium_core(state, uniforms).tolist())
-    return (0,) if n_black == state.d else (1,) if n_black == 0 else (0, 1)
-
-
 def proportions(state: UrnState) -> np.ndarray:
     """Black-ball proportion per urn: B_n(i) / (n + B_0(i) + R_0(i))."""
     return _black_shares(state.black, state.n, state.initial_totals)
@@ -352,13 +388,14 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     Each sub-block of at least ``_MIN_SCREEN`` steps is screened against the
     leader path, as in the ensembles, and a state that passes advances in
     bulk; other sub-blocks go through the scalar stepper.  A failed screen
-    costs about as much as five to ten steps, so after one the next
+    costs about as much as 30 to 40 steps of the black/red steppers at
+    ``d = 2`` and three of the multi-color one, so after one the next
     ``_SUB_BLOCK`` steps go unscreened, twice as many after each further
     failure, at most ``_MAX_WAIT``: a state that does not settle pays for
     few screens."""
     if n_steps < 0 or record_every < 1:
         raise ValueError("n_steps must be >= 0 and record_every >= 1")
-    per_step, step_core, screen, leap, props_of, totals_of, counts_of, meta = _dispatch(state)
+    per_step, steps_of, screen, leap, props_of, totals_of, counts_of, meta = _dispatch(state)
     last_change = [0] * len(totals_of(state))
     wait = state.logw.wait
 
@@ -366,9 +403,7 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
         return props_of(state), totals_of(state), counts_of(state) if record_counts else None
 
     def exact(start, u):
-        for step, us in enumerate(u[0].tolist(), start + 1):  # Python floats compare faster than numpy scalars
-            for c in step_core(state, us):
-                last_change[c] = step
+        steps_of(state, u[0].tolist(), start, last_change)  # Python floats compare faster than numpy scalars
 
     def screen_state(u):
         state.logw.cover(max(totals_of(state)) + per_step * u.shape[1])  # every count the sub-block can reach
@@ -408,14 +443,14 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
 
 
 def _dispatch(state):
-    """Uniforms per step, the scalar stepper fed them (it returns the colors
-    whose total grew), the leader-path screen of a sub-block on the state as
-    one run, the bulk advance of a state that passes it (it returns the
-    color that grew), and what a trajectory records."""
+    """Uniforms per step, the scalar stepper of a block of steps (it sets
+    each color's last-change step), the leader-path screen of a sub-block
+    on the state as one run, the bulk advance of a state that passes it (it
+    returns the color that grew), and what a trajectory records."""
     if isinstance(state, UrnState):
         return (
             2 * state.d,
-            _step_ium_colors,
+            _ium_steps,
             lambda s, u: _ium_screen(s.black[None], s.red[None], s.logw.table, s.logw.wins, u),
             _leap_ium,
             proportions,
@@ -426,7 +461,7 @@ def _dispatch(state):
     if isinstance(state, MultiColorState):
         return (
             state.d,
-            _step_multicolor_core,
+            _multicolor_steps,
             lambda s, u: _multicolor_screen(s.counts[None], s.logw.table, s.logw.wins[s.d], u),
             _leap_multicolor,
             lambda s: _color_shares(s.counts, s.n),
@@ -437,7 +472,7 @@ def _dispatch(state):
     if isinstance(state, SequentialState):
         return (
             2,
-            _step_sequential_pair,
+            _sequential_steps,
             lambda s, u: _sequential_screen(s.black[None], s.red[None], s.logw.table, s.logw.wins, u, s.substep % 2),
             _leap_sequential,
             sequential_proportions,
@@ -508,6 +543,13 @@ def _step_multicolor_core(state: MultiColorState, uniforms: np.ndarray) -> list:
     return added
 
 
+def _multicolor_steps(state: MultiColorState, rows, start: int, last_change: list) -> None:
+    """``_step_multicolor_core`` over a block, as in ``_ium_steps``."""
+    for step, us in enumerate(rows, start + 1):
+        for c in _step_multicolor_core(state, us):
+            last_change[c] = step
+
+
 def _leap_multicolor(state: MultiColorState, leader: int, length: int) -> int:
     """Advance ``length`` steps giving every ball to ``leader``; returns it."""
     state.counts[leader] += state.d * length
@@ -552,6 +594,31 @@ def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> Sequentia
     )
 
 
+def _sequential_steps(state: SequentialState, rows, start: int, last_change: list) -> None:
+    """``_step_sequential_core`` over a block: one sub-step per uniform of
+    ``rows``; each row is one step for ``last_change``, as in
+    ``_ium_steps``."""
+    black, red = state.black.tolist(), state.red.tolist()
+    total_r = sum(red)
+    urn = state.substep % 2
+    n_sub = sum(map(len, rows))
+    state.logw.cover(max(black + [total_r]) + n_sub)  # every count the block can reach
+    logw = state.logw.table.item
+    for step, us in enumerate(rows, start + 1):
+        for u in us:
+            if u < _prob_first(logw(black[urn]), logw(total_r)):
+                black[urn] += 1
+                last_change[0] = step
+            else:
+                red[urn] += 1
+                total_r += 1
+                last_change[1] = step
+            urn = 1 - urn
+    state.black[:] = black
+    state.red[:] = red
+    state.substep += n_sub
+
+
 def _step_sequential_core(state: SequentialState, u: float) -> int:
     """One sub-step from its uniform; returns the color added (0 black, 1 red)."""
     urn = state.substep % 2
@@ -571,12 +638,6 @@ def step_sequential(state: SequentialState) -> SequentialState:
     against the pooled red count."""
     _step_sequential_core(state, float(state.rng.random()))
     return state
-
-
-def _step_sequential_pair(state: SequentialState, uniforms) -> list:
-    """One macro step from its two uniforms: urn 0's sub-step, then urn 1's.
-    Returns the two colors added."""
-    return [_step_sequential_core(state, u) for u in uniforms]
 
 
 def _leap_sequential(state: SequentialState, to_red: bool, length: int) -> int:
@@ -622,9 +683,10 @@ def run_coupled(
 
     def advance(start, u):
         nonlocal violations
+        unused = [0, 0]
         for us in u[0].tolist():
-            _step_ium_core(ium, us)
-            _step_sequential_pair(seqp, us[1::2])
+            _ium_steps(ium, (us,), 0, unused)
+            _sequential_steps(seqp, (us[1::2],), 0, unused)
             violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
             violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
 

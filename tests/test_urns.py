@@ -220,6 +220,67 @@ class TestRun:
         assert path.read_text().splitlines()[0] == "step,c_1,c_2,c_3,c_4"
 
 
+class TestBlockSteppers:
+    """``run`` steps whole sub-blocks at once through the scalar steppers;
+    with screening off, that must equal stepping one step at a time."""
+
+    SEQS = {
+        "n^3": N3,
+        "2^n": rf.make_exponential(2.0),
+        "table W(0)=0": rf.make_table([0, 2, 1, 6], rf.TailRule((rf.PolyBranch((1, 2, 1)),))),
+    }
+
+    @staticmethod
+    def one_at_a_time(state, n_steps, step, totals):
+        """Step ``state`` with ``step``; returns each color's last-change step."""
+        last = [0, 0]
+        for t in range(1, n_steps + 1):
+            before = totals(state)
+            step(state)
+            for c, (a, b) in enumerate(zip(before, totals(state))):
+                if b > a:
+                    last[c] = t
+        return last
+
+    @pytest.mark.parametrize("seq", SEQS.values(), ids=SEQS.keys())
+    @pytest.mark.parametrize("d, p", [(1, 0.0), (2, 0.2), (3, 0.6)])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_ium(self, seq, d, p, seed, monkeypatch):
+        monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)  # every sub-block steps
+        blocked = urns.init_ium(d, (1,) * d, (2,) * d, p, seq, seed)
+        tr = urns.run(blocked, 1000, 100)
+        single = urns.init_ium(d, (1,) * d, (2,) * d, p, seq, seed)
+        last = self.one_at_a_time(single, 1000, urns.step_ium, lambda s: (s.total_black, s.total_red))
+        assert tr.run_steps_screened == 0
+        assert blocked.black.tolist() == single.black.tolist()
+        assert blocked.red.tolist() == single.red.tolist()
+        assert blocked.n == single.n == 1000
+        assert tr.last_change.tolist() == last
+        assert blocked.rng.bit_generator.state == single.rng.bit_generator.state
+
+    @pytest.mark.parametrize("seq", SEQS.values(), ids=SEQS.keys())
+    @pytest.mark.parametrize("odd", [False, True], ids=["urn 0 first", "urn 1 first"])
+    def test_sequential(self, seq, odd, monkeypatch):
+        monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)
+        blocked = urns.init_sequential((1, 2), (2, 1), seq, 5)
+        single = urns.init_sequential((1, 2), (2, 1), seq, 5)
+        if odd:
+            urns.step_sequential(blocked)
+            urns.step_sequential(single)
+        tr = urns.run(blocked, 1000, 100)
+
+        def macro_step(s):
+            urns.step_sequential(s)
+            urns.step_sequential(s)
+
+        last = self.one_at_a_time(single, 1000, macro_step, lambda s: (int(s.black.sum()), int(s.red.sum())))
+        assert blocked.black.tolist() == single.black.tolist()
+        assert blocked.red.tolist() == single.red.tolist()
+        assert blocked.substep == single.substep == 2000 + odd
+        assert tr.last_change.tolist() == last
+        assert blocked.rng.bit_generator.state == single.rng.bit_generator.state
+
+
 class TestDetectMonopoly:
     def _traj(self, totals, steps=None):
         totals = np.asarray(totals)
