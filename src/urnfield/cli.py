@@ -29,6 +29,8 @@ from . import __version__, embedding, ensembles, meanfield, urns
 from .errors import ConditionViolation
 from .reinforcement import (
     ReinforcementSeq,
+    _is_json_int,
+    _is_json_number,
     check_mdrem_conditions,
     check_remainder_bound,
     check_strong,
@@ -212,7 +214,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown model {args.model}")
     traj = urns.run(state, args.steps, args.record_every, record_counts=args.counts)
     if args.steps > 0:
-        traj.events["monopoly"] = urns.detect_monopoly(traj, max(1, args.steps // 5))
+        _, names, label = urns.monopoly_labels(traj.last_change[None], args.steps)
+        traj.events["monopoly"] = names[label[0]]
     blob = traj.csv_bytes("counts" if args.counts else "proportions")
     counters = {"run_steps_screened": traj.run_steps_screened, "run_steps_exact": traj.run_steps_exact}
     return _emit(args, {"": blob}, {**_echo(args), "events": traj.events, **counters})
@@ -245,9 +248,9 @@ def cmd_scan(args) -> int:
     if missing:
         raise ValueError(f"missing scan config fields: {sorted(missing)}")
     for key, ok in (
-        ("m", isinstance(obj["m"], int)),
-        ("p_grid", isinstance(obj["p_grid"], list) and all(isinstance(p, (int, float)) for p in obj["p_grid"])),
-        ("threshold", isinstance(obj.get("threshold", 0.99), (int, float))),
+        ("m", _is_json_int(obj["m"])),
+        ("p_grid", isinstance(obj["p_grid"], list) and all(map(_is_json_number, obj["p_grid"]))),
+        ("threshold", _is_json_number(obj.get("threshold", 0.99))),
     ):
         if not ok:
             raise ValueError(f"scan config field {key!r} has the wrong type: {obj[key]!r}")

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 
 import numpy as np
 from scipy import stats
 
 from . import embedding, meanfield, urns
-from .reinforcement import ReinforcementSeq
+from .reinforcement import ReinforcementSeq, _is_json_int, _is_json_number
 from .seeds import derive_seed
 
 _CONFIG_SCHEMA = 1
@@ -67,7 +67,7 @@ class EnsembleConfig:
     a: tuple[int, ...] = (1, 1)
     record_every: int = 100
     radius: float = 0.05
-    window: int | None = None  # default: final 20% of steps
+    window: int | None = None  # None: urns.monopoly_labels chooses
     run_offset: int = 0
 
     def __post_init__(self):
@@ -84,31 +84,16 @@ class EnsembleConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
-    @property
-    def effective_window(self) -> int:
-        if self.window is not None:
-            return self.window
-        return max(1, self.n_steps // 5)
-
     def to_json(self) -> dict:
-        return {
-            "schema": _CONFIG_SCHEMA,
-            "model": self.model,
-            "seq": self.seq.to_json(),
-            "n_steps": self.n_steps,
-            "n_runs": self.n_runs,
-            "seed": self.seed,
-            "p": self.p,
-            "d": self.d,
-            "black0": list(self.black0),
-            "red0": list(self.red0),
-            "nc": self.nc,
-            "a": list(self.a),
-            "record_every": self.record_every,
-            "radius": self.radius,
-            "window": self.window,
-            "run_offset": self.run_offset,
-        }
+        out = {"schema": _CONFIG_SCHEMA}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "seq":
+                value = value.to_json()
+            elif isinstance(f.default, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "EnsembleConfig":
@@ -116,32 +101,30 @@ class EnsembleConfig:
             raise ValueError("config must be a JSON object")
         if obj.get("schema") != _CONFIG_SCHEMA:
             raise ValueError(f"unsupported config schema: {obj.get('schema')!r}")
-        known = {
-            "schema", "model", "seq", "n_steps", "n_runs", "seed", "p", "d",
-            "black0", "red0", "nc", "a", "record_every", "radius", "window",
-            "run_offset",
-        }
-        unknown = set(obj) - known
+        types = {f.name: f.type for f in fields(EnsembleConfig)}
+        unknown = set(obj) - set(types) - {"schema"}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        required = {"model", "seq", "n_steps", "n_runs", "seed"}
-        missing = required - set(obj)
+        missing = {f.name for f in fields(EnsembleConfig) if f.default is MISSING} - set(obj)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
-        kwargs = {k: obj[k] for k in known - {"schema", "seq"} if k in obj}
+        kwargs = {k: v for k, v in obj.items() if k in types and k != "seq"}
         for key, value in kwargs.items():
-            if key in ("black0", "red0", "a"):
-                ok = isinstance(value, list) and all(isinstance(v, int) for v in value)
-            elif key in ("p", "radius"):
-                ok = isinstance(value, (int, float))
-            else:
-                ok = key == "model" or isinstance(value, int) or (key == "window" and value is None)
-            if not ok:
+            if not _JSON_TYPES[types[key]](value):
                 raise ValueError(f"config field {key!r} has the wrong type: {value!r}")
-        for key in ("black0", "red0", "a"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+            if isinstance(value, list):
+                kwargs[key] = tuple(value)
         return EnsembleConfig(seq=ReinforcementSeq.from_json(obj["seq"]), **kwargs)
+
+
+# what a config's JSON holds, by field annotation
+_JSON_TYPES = {
+    "str": lambda v: isinstance(v, str),
+    "int": _is_json_int,
+    "int | None": lambda v: v is None or _is_json_int(v),
+    "float": _is_json_number,
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(map(_is_json_int, v)),
+}
 
 
 @dataclass(frozen=True)
@@ -269,23 +252,8 @@ def run_ensemble(config: EnsembleConfig, equilibria=None) -> McReport:
     if config.n_steps == 0:
         labels[:] = -1  # a zero-step run carries no limit information
 
-    window = config.effective_window
-    unchanged = raw.last_add <= config.n_steps - window
-    n_colors = raw.last_add.shape[1]
-    mono_label = np.full(config.n_runs, -1, dtype=np.int64)
-    changed_count = (~unchanged).sum(axis=1)
-    single = changed_count == 1
-    mono_label[single] = np.argmax(~unchanged[single], axis=1)
-    if config.n_steps == 0:
-        mono_label[:] = -1
-
-    color_names = (
-        list(urns.MONOPOLY_LABELS_2)
-        if n_colors == 2
-        else [f"color{c}" for c in range(n_colors)]
-    )
-    monopoly_counts = {name: int(np.sum(mono_label == c)) for c, name in enumerate(color_names)}
-    monopoly_counts["none"] = int(np.sum(mono_label < 0))
+    window, names, mono_label = urns.monopoly_labels(raw.last_add, config.n_steps, config.window)
+    monopoly_counts = dict(zip(names, np.bincount(mono_label, minlength=len(names)).tolist()))
     mono_n = config.n_runs - monopoly_counts["none"]
 
     cells = []

@@ -408,7 +408,7 @@ def _gap_valley(params: ModelParams) -> float:
     return _bisect(lambda t: 1.0 - m * (1.0 - p) * f_weight(m, t), 0.5, 1.0)
 
 
-def h_of_z(params: ModelParams, z: float, tol: float = 1e-13) -> float:
+def h_of_z(params: ModelParams, z: float) -> float:
     """The upper coordinate ``y  in (valley, 1]`` balancing the coupling
     supplied at mean level ``z``:  solves local_gap(y) = shared_input(z) on
     the increasing branch.  h(1) = 1."""

@@ -262,9 +262,18 @@ def _json_field(obj, key: str, what: str):
     return obj[key]
 
 
+def _is_json_int(value) -> bool:
+    """An integer as JSON has it: Python's ``bool`` is an ``int``, JSON's is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_json_number(value) -> bool:
+    return _is_json_int(value) or isinstance(value, float)
+
+
 def _json_number(value, key: str) -> float:
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):

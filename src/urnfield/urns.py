@@ -67,7 +67,6 @@ from .reinforcement import ReinforcementSeq, log_weight_table
 from .seeds import derive_seed
 
 _LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above this
-MONOPOLY_LABELS_2 = ("black", "red")
 
 
 class _LogW:
@@ -122,24 +121,25 @@ def _vec_prob(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     return q
 
 
-def _black_shares(black: np.ndarray, step: int, initial_totals: np.ndarray) -> np.ndarray:
-    """Black-ball proportion per urn at ``step``: ``B(i) / (step + B_0(i) +
-    R_0(i))``.  Only an urn that starts empty has a zero total, and only at
-    step 0; its proportion is undefined there and recorded as NaN, without
-    a warning."""
+def _shares(counts: np.ndarray, totals: np.ndarray, step: int) -> np.ndarray:
+    """``counts / totals``, the proportions of an urn's current balls.  Only
+    an urn that starts empty has a zero total, and only before its first
+    ball, within step 0; its proportion is undefined there and recorded as
+    NaN, without a warning."""
     if step:
-        return black / (step + initial_totals)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return black / initial_totals
+        return counts / totals
+    with np.errstate(invalid="ignore"):
+        return counts / totals
+
+
+def _black_shares(black: np.ndarray, red: np.ndarray, step: int) -> np.ndarray:
+    """Black-ball proportion per urn at ``step``: ``B(i) / (B(i) + R(i))``."""
+    return _shares(black, black + red, step)
 
 
 def _color_shares(counts: np.ndarray, step: int) -> np.ndarray:
-    """Proportion of each color at ``step`` (along the last axis); NaN,
-    without a warning, for an urn that starts empty, at step 0."""
-    if step:
-        return counts / counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        return counts / counts.sum(axis=-1, keepdims=True)
+    """Proportion of each color at ``step``, along the last axis."""
+    return _shares(counts, counts.sum(axis=-1, keepdims=True), step)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,9 @@ class Trajectory:
     multi-color model); ``color_totals`` the per-color system totals at the
     same sample steps.  Sample steps are strictly increasing.  ``last_change``
     holds, per color, the last step at which its total grew (0 if it never
-    did); ``run`` records it exactly, whatever the cadence.  The steps split
-    into those advanced in bulk along a leader path and those stepped one
-    by one.
+    did); ``run`` and ``run_coupled`` record it exactly, whatever the
+    cadence.  The steps split into those advanced in bulk along a leader
+    path and those stepped one by one.
     """
 
     steps: np.ndarray
@@ -192,9 +192,24 @@ class Trajectory:
             fh.write(self.csv_bytes(what))
 
 
+def monopoly_labels(last_change: np.ndarray, n_steps: int, window: int | None = None):
+    """The finite-horizon monopoly proxy of runs of ``n_steps`` steps, one
+    per row of ``last_change`` (each color's last-change step): the single
+    color whose total changed over the final ``window`` steps, by default
+    the final fifth (at least one step), or none.  Colors are named
+    ``black`` and ``red`` when there are two, ``color<i>`` otherwise.
+    Returns the window, the color names followed by ``"none"``, and each
+    row's index into them."""
+    if window is None:
+        window = max(1, n_steps // 5)
+    changed = last_change > n_steps - window
+    n_colors = changed.shape[1]
+    names = ["black", "red"] if n_colors == 2 else [f"color{c}" for c in range(n_colors)]
+    return window, names + ["none"], np.where(changed.sum(axis=1) == 1, changed.argmax(axis=1), n_colors)
+
+
 def detect_monopoly(traj: Trajectory, window: int) -> str:
-    """Finite-horizon monopoly proxy: the label of the single color whose
-    total changed over the final ``window`` steps, or ``"none"``.
+    """The monopoly label of a trajectory over its final ``window`` steps.
 
     With ``last_change`` the window is exact.  Without it, totals being
     nondecreasing, a color counts as unchanged iff it is equal at the last
@@ -206,16 +221,12 @@ def detect_monopoly(traj: Trajectory, window: int) -> str:
     base_candidates = np.nonzero(steps <= final - window)[0]
     if base_candidates.size == 0:
         raise ValueError(f"window {window} exceeds the recorded span")
-    if traj.last_change is not None:
-        changed = np.nonzero(traj.last_change > final - window)[0]
-    else:
+    last_change = traj.last_change
+    if last_change is None:
         base = base_candidates[-1]
-        changed = np.nonzero(traj.color_totals[-1] != traj.color_totals[base])[0]
-    if changed.size != 1:
-        return "none"
-    c = int(changed[0])
-    n_colors = traj.color_totals.shape[1]
-    return MONOPOLY_LABELS_2[c] if n_colors == 2 else f"color{c}"
+        last_change = np.where(traj.color_totals[-1] != traj.color_totals[base], final, 0)
+    _, names, label = monopoly_labels(last_change[None], final, window)
+    return names[label[0]]
 
 
 def classify_limits(props: np.ndarray, targets, radius: float) -> np.ndarray:
@@ -254,7 +265,6 @@ class UrnState:
     seq: ReinforcementSeq
     rng: np.random.Generator
     seed: int | None
-    initial_totals: np.ndarray  # per-urn black0 + red0
     logw: _LogW
 
     @property
@@ -297,8 +307,7 @@ def init_ium(d: int, black0, red0, p: float, seq: ReinforcementSeq, seed: int) -
         raise ValueError("system-wide pools both have zero weight")
     rng = np.random.Generator(np.random.PCG64(seed))
     return UrnState(
-        d=d, black=black, red=red, n=0, p=p, seq=seq, rng=rng, seed=seed,
-        initial_totals=black + red, logw=logw,
+        d=d, black=black, red=red, n=0, p=p, seq=seq, rng=rng, seed=seed, logw=logw
     )
 
 
@@ -368,8 +377,8 @@ def step_ium(state: UrnState) -> UrnState:
 
 
 def proportions(state: UrnState) -> np.ndarray:
-    """Black-ball proportion per urn: B_n(i) / (n + B_0(i) + R_0(i))."""
-    return _black_shares(state.black, state.n, state.initial_totals)
+    """Black-ball proportion per urn: B_n(i) / (B_n(i) + R_n(i))."""
+    return _black_shares(state.black, state.red, state.n)
 
 
 def _leap_ium(state: UrnState, to_red: bool, length: int) -> int:
@@ -576,7 +585,6 @@ class SequentialState:
     seq: ReinforcementSeq
     rng: np.random.Generator
     seed: int | None
-    initial_totals: np.ndarray
     logw: _LogW
 
 
@@ -589,8 +597,7 @@ def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> Sequentia
     _check_composition(seq, black, red, logw)
     rng = np.random.Generator(np.random.PCG64(seed))
     return SequentialState(
-        black=black, red=red, substep=0, seq=seq, rng=rng, seed=seed,
-        initial_totals=black + red, logw=logw,
+        black=black, red=red, substep=0, seq=seq, rng=rng, seed=seed, logw=logw
     )
 
 
@@ -649,7 +656,8 @@ def _leap_sequential(state: SequentialState, to_red: bool, length: int) -> int:
 
 
 def sequential_proportions(state: SequentialState) -> np.ndarray:
-    return _black_shares(state.black, state.substep // 2, state.initial_totals)
+    """Black-ball proportion per urn of its current balls, at any sub-step."""
+    return _black_shares(state.black, state.red, state.substep // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +687,14 @@ def run_coupled(
         raise ValueError("the coupling requires a non-decreasing weight sequence")
     ium = init_ium(2, black0, red0, p, seq, seed)
     seqp = init_sequential(black0, red0, seq, seed)
+    last_i, last_s = [0, 0], [0, 0]
     violations = 0
 
     def advance(start, u):
         nonlocal violations
-        unused = [0, 0]
-        for us in u[0].tolist():
-            _ium_steps(ium, (us,), 0, unused)
-            _sequential_steps(seqp, (us[1::2],), 0, unused)
+        for step, us in enumerate(u[0].tolist(), start):
+            _ium_steps(ium, (us,), step, last_i)
+            _sequential_steps(seqp, (us[1::2],), step, last_s)
             violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
             violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
 
@@ -698,16 +706,17 @@ def run_coupled(
     steps, samples = _drive([rng], 4, n_steps, record_every, advance, sample)
     props_i, props_s, totals_i, totals_s = zip(*samples)
 
-    def mk(props, totals, model):
+    def mk(props, totals, last_change, model):
         return Trajectory(
             steps=steps.copy(),
             proportions=np.array(props, dtype=float),
             color_totals=np.array(totals, dtype=np.int64),
             seed=seed,
             meta={"model": model, "p": p, "seq": seq.to_json()},
+            last_change=np.array(last_change, dtype=np.int64),
         )
 
-    return mk(props_i, totals_i, "ium"), mk(props_s, totals_s, "sequential"), violations
+    return mk(props_i, totals_i, last_i, "ium"), mk(props_s, totals_s, last_s, "sequential"), violations
 
 
 # ---------------------------------------------------------------------------
@@ -979,8 +988,7 @@ def _black_red_ensemble(kernel, screen, per_step, seq, black0, red0, n_steps, n_
     reads the window minima ``win`` by stride."""
     black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
     red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
-    init_totals = black[0] + red[0]
-    logw = log_weight_table(seq, black.shape[1] * n_steps + int(init_totals.sum()) + 1)
+    logw = log_weight_table(seq, black.shape[1] * n_steps + int(black[0].sum() + red[0].sum()) + 1)
     win = _Windows(logw)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, 2), dtype=np.int64)
@@ -998,7 +1006,7 @@ def _black_red_ensemble(kernel, screen, per_step, seq, black0, red0, n_steps, n_
 
     advance, counters = _screened((black, red, last_add), lambda u: screen(black, red, logw, win, u), leap, step)
     steps, props = _drive(
-        gens, per_step, n_steps, record_every, advance, lambda step: _black_shares(black, step, init_totals)
+        gens, per_step, n_steps, record_every, advance, lambda step: _black_shares(black, red, step)
     )
     return EnsembleRaw(
         steps, np.stack(props, axis=1), last_add, np.concatenate([black, red], axis=1), seeds, *counters

@@ -349,10 +349,11 @@ class TestMalformedInput:
         {"kind": "table", "table": [1, 2], "tail": {"branches": [{"exp": {}}]}},
         [1, 2],
         {"kind": "exponential", "rho": None},
+        {"kind": "polynomial", "coeffs": [0, 0, True]},
     ]
 
     @pytest.mark.parametrize("seq", SEQS, ids=["no-coeffs", "scalar-coeffs", "exp-without-rho",
-                                               "list", "null-rho"])
+                                               "list", "null-rho", "bool-coeff"])
     @pytest.mark.parametrize("command", [
         ["check-w"],
         ["simulate", "--model", "ium", "--steps", "10", "--seed", "1"],
@@ -372,6 +373,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("field, value", [
         ("black0", 5), ("a", [1, "x"]), ("n_runs", "12"), ("p", None),
+        ("n_runs", True), ("n_steps", True), ("record_every", True), ("p", True), ("black0", [1, True]),
     ])
     def test_mistyped_mc_field_exits_2(self, tmp_path, capsys, field, value):
         assert main(["mc", "--config", str(mc_config(tmp_path, **{field: value}))]) == 2
@@ -380,6 +382,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("key, value", [
         ("per_point", DROP), ("p_grid", DROP), ("m", DROP),
         ("m", "2"), ("p_grid", 0.1), ("p_grid", [0.1, None]), ("threshold", None),
+        ("m", True), ("p_grid", [True]), ("threshold", False),
     ])
     def test_malformed_scan_config_exits_2(self, tmp_path, capsys, key, value):
         cfg = {"schema": 1, "m": 2, "p_grid": [0.1], "per_point": json.loads(mc_config(tmp_path).read_text())}

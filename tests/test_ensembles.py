@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from urnfield import embedding as emb, ensembles as ens, meanfield as mf, reinforcement as rf
+from urnfield import embedding as emb, ensembles as ens, meanfield as mf, reinforcement as rf, urns
 from urnfield.seeds import derive_seed
 
 N2 = rf.make_polynomial([0, 0, 1])
@@ -87,8 +87,8 @@ class TestConfig:
             small_config(model="polya")
 
     def test_default_window_is_a_fifth(self):
-        assert small_config().effective_window == 400
-        assert small_config(window=123).effective_window == 123
+        assert ens.run_ensemble(small_config(n_runs=1)).window == 400
+        assert ens.run_ensemble(small_config(n_runs=1, window=123)).window == 123
 
 
 class TestRunEnsemble:
@@ -206,6 +206,20 @@ class TestMonopolyEstimate:
         )
         est = ens.estimate_monopoly_prob(cfg)
         assert est.frequency < 0.1
+
+
+    @pytest.mark.parametrize("model, seq, init", [
+        ("ium", N2, lambda seq, seed: urns.init_ium(2, (1, 1), (1, 1), 0.5, seq, seed)),
+        ("sequential", rf.make_polynomial([0, 1]), lambda seq, seed: urns.init_sequential((1, 1), (1, 1), seq, seed)),
+        ("multicolor", N2, lambda seq, seed: urns.init_multicolor(3, (1, 1, 1), 2, seq, seed)),
+    ])
+    def test_verdicts_match_single_runs(self, model, seq, init):
+        cfg = small_config(model=model, seq=seq, p=0.5, nc=3, a=(1, 1, 1), n_steps=1_000, n_runs=30, seed=5)
+        rep = ens.run_ensemble(cfg)
+        labels = [urns.detect_monopoly(urns.run(init(seq, derive_seed(5, i)), 1_000, 100), rep.window)
+                  for i in range(cfg.n_runs)]
+        assert rep.monopoly_counts == {name: labels.count(name) for name in rep.monopoly_counts}
+        assert len(set(labels)) > 1
 
 
 class TestScan:

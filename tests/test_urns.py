@@ -80,6 +80,13 @@ class TestEmptyStart:
             assert np.isnan(raw.proportions[:, 0]).all()
             assert np.isfinite(raw.proportions[:, 1:]).all()
 
+    def test_first_sequential_substep(self):
+        # urn 0 gets its first ball on sub-step 1, still within step 0
+        st = urns.init_sequential((0, 1), (0, 1), rf.make_polynomial([1, 2, 1]), seed=3)
+        urns.step_sequential(st)
+        assert st.black.tolist() == [1, 1] and st.red.tolist() == [0, 1]
+        assert urns.sequential_proportions(st).tolist() == [1.0, 0.5]
+
 
 class TestStepProbabilities:
     def test_isolated_urn_probability(self):
@@ -161,7 +168,7 @@ class TestConservation:
         st = urns.init_ium(3, (1, 2, 1), (1, 1, 2), p, N3, seed=5)
         for _ in range(500):
             urns.step_ium(st)
-        assert np.all(st.black + st.red == st.initial_totals + st.n)
+        assert np.all(st.black + st.red == np.array((1, 2, 1)) + (1, 1, 2) + st.n)
         assert st.total_black + st.total_red == 3 * st.n + 8
 
 
@@ -427,6 +434,14 @@ class TestSequential:
         q = urns._prob_first(st.logw(int(st.black[1])), st.logw(int(st.red.sum())))
         assert q == pytest.approx(1 / (1 + 9))  # W(1)=1 vs W(3)=9
 
+    def test_proportions_at_an_odd_substep(self):
+        st = urns.init_sequential((1, 1), (1, 1), N2, seed=2)
+        urns.step_sequential(st)  # a red ball to urn 0
+        assert urns.sequential_proportions(st).tolist() == [1 / 3, 1 / 2]
+        tr = urns.run(st, 1)  # urn 1, then urn 0: both red
+        assert tr.proportions.tolist() == [[1 / 3, 1 / 2], [1 / 4, 1 / 3]]
+        assert np.array_equal(tr.proportions[-1], st.black / (st.black + st.red))
+
     def test_run_macro_steps(self):
         st = urns.init_sequential((1, 1), (1, 1), N2, seed=3)
         tr = urns.run(st, 100, 10)
@@ -463,6 +478,12 @@ class TestCoupled:
         st = urns.init_ium(2, (1, 1), (1, 1), 0.4, N2, seed=33)
         tr = urns.run(st, 500, 50)
         assert np.array_equal(ti.proportions, tr.proportions)
+        assert ti.last_change.tolist() == tr.last_change.tolist()
+
+    def test_last_change_is_the_last_growth_of_each_total(self):
+        for tr in urns.run_coupled((1, 1), (1, 1), 0.4, N2, seed=5, n_steps=300)[:2]:
+            grew = np.diff(tr.color_totals, axis=0) > 0
+            assert tr.last_change.tolist() == [int(tr.steps[1:][g].max(initial=0)) for g in grew.T]
 
 
 class TestEnsembleEngines:
