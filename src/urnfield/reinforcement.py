@@ -273,8 +273,8 @@ def _is_json_number(value) -> bool:
 
 def _json_number(value, key: str) -> float:
     try:
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+        number = float(value) if _is_json_number(value) else math.nan
+    except OverflowError:  # an integer beyond float range
         number = math.nan
     if not math.isfinite(number):
         raise ValueError(f"field {key!r} must be a finite number, got {value!r}")

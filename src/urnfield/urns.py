@@ -21,16 +21,15 @@ lockstep ensemble runners consume per-run streams in the identical order,
 so run ``i`` of an ensemble reproduces a standalone simulation seeded with
 ``derive_seed(master, i)``.
 
-Each mechanism has one lockstep kernel (``_ium_step``, ``_multicolor_step``,
-``_sequential_step``) that ensembles drive, a per-step scalar stepper
-(``_step_ium_core``, ``_step_multicolor_core``, ``_step_sequential_core``),
-the reference the kernels are tested against, and a block stepper
-(``_ium_steps``, ``_multicolor_steps``, ``_sequential_steps``) that ``run``
-steps whole sub-blocks through, and ``run_coupled`` one step at a time.
-The black/red block steppers keep the counts in Python ints and read log
-weights as Python floats for a whole block, with the per-step arithmetic
-of their scalar steppers, so a single run costs about as much per step
-whether or not it ever settles.
+Each mechanism is implemented twice: a lockstep kernel (``_ium_step``,
+``_multicolor_step``, ``_sequential_step``) that ensembles drive, and a
+block stepper (``_ium_steps``, ``_multicolor_steps``, ``_sequential_steps``)
+that ``run`` steps whole sub-blocks of one run through, ``run_coupled`` and
+the public ``step_*`` one step at a time.  A block stepper keeps the counts
+in Python ints and reads log weights as Python floats for a whole block,
+with its kernel's arithmetic on one run, so a single run costs about as
+much per step whether or not it ever settles.  The kernels, checked against
+exact laws, are the reference the block steppers are tested against.
 One loop, ``_drive``, draws and records for ensembles, ``run`` and
 ``run_coupled`` alike; it walks each block of draws in sub-blocks that end
 at every record step.
@@ -42,7 +41,7 @@ whole sub-block from a windowed minimum of the log-weight table and tests
 every uniform of the sub-block against that bound, shrunk by a relative
 margin.  Runs that pass advance along the leader path in bulk; the others
 step through the kernel, or, in ``run``, which screens its state as an
-ensemble of one, through the scalar stepper.  Screening changes neither the
+ensemble of one, through the block stepper.  Screening changes neither the
 RNG contract nor any output: every uniform is still drawn in the same
 order, and counts, last-change steps and recorded proportions are bit for
 bit those of stepping every run.
@@ -53,10 +52,13 @@ reinforcement never overflows.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -312,9 +314,10 @@ def init_ium(d: int, black0, red0, p: float, seq: ReinforcementSeq, seed: int) -
 
 
 def _ium_steps(state: UrnState, rows, start: int, last_change: list) -> None:
-    """``_step_ium_core`` over a block: one step per row of ``rows``, each
-    the step's 2d uniforms in urn order, setting ``last_change[c]`` to the
-    step (numbered from ``start + 1``) whenever color ``c``'s total grows."""
+    """``_ium_step`` on the state as one run, over a block: one step per
+    row of ``rows``, each the step's 2d uniforms in urn order, setting
+    ``last_change[c]`` to the step (numbered from ``start + 1``) whenever
+    color ``c``'s total grows."""
     d, p = state.d, state.p
     black, red = state.black.tolist(), state.red.tolist()
     total_b, total_r = sum(black), sum(red)
@@ -346,33 +349,10 @@ def _ium_steps(state: UrnState, rows, start: int, last_change: list) -> None:
     state.n += len(rows)
 
 
-def _step_ium_core(state: UrnState, uniforms: np.ndarray) -> np.ndarray:
-    """Advance one step given the 2d uniforms of this step; returns the
-    black-increment vector.  All urns see the step-n counts."""
-    logw = state.logw
-    p = state.p
-    log_gb = logw(state.total_black)
-    log_gr = logw(state.total_red)
-    q_global = None
-    add = np.empty(state.d, dtype=np.int64)
-    for i in range(state.d):
-        if uniforms[2 * i] < p:
-            if q_global is None:
-                q_global = _prob_first(log_gb, log_gr)
-            q = q_global
-        else:
-            q = _prob_first(logw(int(state.black[i])), logw(int(state.red[i])))
-        add[i] = uniforms[2 * i + 1] < q
-    state.black += add
-    state.red += 1 - add
-    state.n += 1
-    return add
-
-
 def step_ium(state: UrnState) -> UrnState:
     """One synchronous step: each urn draws from the pooled counts with
     probability p, from itself otherwise."""
-    _step_ium_core(state, state.rng.random(2 * state.d))
+    _ium_steps(state, state.rng.random((1, 2 * state.d)).tolist(), 0, [0, 0])
     return state
 
 
@@ -396,14 +376,12 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
 
     Each sub-block of at least ``_MIN_SCREEN`` steps is screened against the
     leader path, as in the ensembles, and a state that passes advances in
-    bulk; other sub-blocks go through the scalar stepper.  A failed screen
-    costs about as much as 30 to 40 steps of the black/red steppers at
-    ``d = 2`` and three of the multi-color one, so after one the next
-    ``_SUB_BLOCK`` steps go unscreened, twice as many after each further
-    failure, at most ``_MAX_WAIT``: a state that does not settle pays for
-    few screens."""
-    if n_steps < 0 or record_every < 1:
-        raise ValueError("n_steps must be >= 0 and record_every >= 1")
+    bulk; other sub-blocks go through the block stepper.  A failed screen
+    costs about as much as 30 to 45 steps of the black/red steppers at
+    ``d = 2``, and 9 (``nc = 9``) to 15 (``nc = 3``) steps of the
+    multi-color one, so after one the next ``_SUB_BLOCK`` steps go
+    unscreened, twice as many after each further failure, at most
+    ``_MAX_WAIT``: a state that does not settle pays for few screens."""
     per_step, steps_of, screen, leap, props_of, totals_of, counts_of, meta = _dispatch(state)
     last_change = [0] * len(totals_of(state))
     wait = state.logw.wait
@@ -452,7 +430,7 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
 
 
 def _dispatch(state):
-    """Uniforms per step, the scalar stepper of a block of steps (it sets
+    """Uniforms per step, the block stepper of one run (it sets
     each color's last-change step), the leader-path screen of a sub-block
     on the state as one run, the bulk advance of a state that passes it (it
     returns the color that grew), and what a trajectory records."""
@@ -531,32 +509,29 @@ def init_multicolor(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Mul
     )
 
 
-def _color_probs(logw_vals: np.ndarray) -> np.ndarray:
-    hi = logw_vals.max()
-    if hi == -math.inf:
-        raise ConditionViolation("every color has zero weight")
-    w = np.exp(logw_vals - hi)
-    return w / w.sum()
-
-
-def _step_multicolor_core(state: MultiColorState, uniforms: np.ndarray) -> list:
-    """One step from its d uniforms; returns the color of each added ball."""
-    lw = np.array([state.logw(int(c)) for c in state.counts])
-    cum = np.cumsum(_color_probs(lw))
-    added = []
-    for u in uniforms:
-        idx = min(int((u > cum).sum()), state.nc - 1)
-        state.counts[idx] += 1
-        added.append(idx)
-    state.n += 1
-    return added
-
-
 def _multicolor_steps(state: MultiColorState, rows, start: int, last_change: list) -> None:
-    """``_step_multicolor_core`` over a block, as in ``_ium_steps``."""
+    """``_multicolor_step`` on the state as one run, over a block as in
+    ``_ium_steps``: one step per row of ``rows``, each the step's d
+    uniforms.  The weights are summed, and the cut points accumulated, left
+    to right; from ``nc = 8`` numpy sums the kernel's weights in another
+    order, which can move a cut point by an ulp."""
+    counts = state.counts.tolist()
+    state.logw.cover(max(counts) + state.d * len(rows))  # every count the block can reach
+    logw = state.logw.table.item
     for step, us in enumerate(rows, start + 1):
-        for c in _step_multicolor_core(state, us):
+        lw = [logw(c) for c in counts]
+        hi = max(lw)
+        if hi == -math.inf:
+            raise ConditionViolation("every color has zero weight")
+        w = [math.exp(v - hi) for v in lw]
+        total = functools.reduce(operator.add, w)  # sum() compensates from Python 3.12
+        cuts = list(itertools.accumulate([v / total for v in w[:-1]]))
+        for u in us:
+            c = bisect.bisect_left(cuts, u)  # the cut points below u
+            counts[c] += 1
             last_change[c] = step
+    state.counts[:] = counts
+    state.n += len(rows)
 
 
 def _leap_multicolor(state: MultiColorState, leader: int, length: int) -> int:
@@ -569,7 +544,7 @@ def _leap_multicolor(state: MultiColorState, leader: int, length: int) -> int:
 def step_multicolor(state: MultiColorState) -> MultiColorState:
     """Add d balls, colors drawn from the weight distribution frozen at the
     step's start (a multinomial increment)."""
-    _step_multicolor_core(state, state.rng.random(state.d))
+    _multicolor_steps(state, state.rng.random((1, state.d)).tolist(), 0, [0] * state.nc)
     return state
 
 
@@ -602,9 +577,9 @@ def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> Sequentia
 
 
 def _sequential_steps(state: SequentialState, rows, start: int, last_change: list) -> None:
-    """``_step_sequential_core`` over a block: one sub-step per uniform of
-    ``rows``; each row is one step for ``last_change``, as in
-    ``_ium_steps``."""
+    """``_sequential_step`` on the state as one run, over a block: one
+    sub-step per uniform of ``rows``, starting at the state's active urn;
+    each row is one step for ``last_change``, as in ``_ium_steps``."""
     black, red = state.black.tolist(), state.red.tolist()
     total_r = sum(red)
     urn = state.substep % 2
@@ -626,24 +601,10 @@ def _sequential_steps(state: SequentialState, rows, start: int, last_change: lis
     state.substep += n_sub
 
 
-def _step_sequential_core(state: SequentialState, u: float) -> int:
-    """One sub-step from its uniform; returns the color added (0 black, 1 red)."""
-    urn = state.substep % 2
-    q = _prob_first(
-        state.logw(int(state.black[urn])), state.logw(int(state.red.sum()))
-    )
-    state.substep += 1
-    if u < q:
-        state.black[urn] += 1
-        return 0
-    state.red[urn] += 1
-    return 1
-
-
 def step_sequential(state: SequentialState) -> SequentialState:
     """One sub-step: the active urn (alternating) weighs its own black count
     against the pooled red count."""
-    _step_sequential_core(state, float(state.rng.random()))
+    _sequential_steps(state, [[state.rng.random()]], 0, [0, 0])
     return state
 
 
@@ -759,6 +720,8 @@ def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample
     length``.  Returns the recorded steps and the list of ``sample(step)``
     values, taken at step 0, every ``record_every`` steps and at
     ``n_steps``."""
+    if n_steps < 0 or record_every < 1:
+        raise ValueError("n_steps must be >= 0 and record_every >= 1")
     steps, samples = [0], [sample(0)]
     chunk = max(1, min(4096, (1 << 23) // max(1, len(gens) * per_step)))
     for start in range(0, n_steps, chunk):
@@ -802,8 +765,8 @@ def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.
     w = np.exp(lw - hi[:, None])
     probs = w / w.sum(axis=1, keepdims=True)
     # a ball's color is the number of cut points (cumulative probabilities,
-    # summed left to right) below its uniform; cut points never decrease, so
-    # skipping the last one is the scalar stepper's clip to nc - 1
+    # summed left to right) below its uniform among the first nc - 1; the
+    # last, which rounding can leave below 1, is skipped
     added = np.empty_like(counts)
     at_least = u.shape[1]  # balls of color >= c
     cut = probs[:, 0]

@@ -143,6 +143,15 @@ class TestSimulate:
         last = [int(v) for v in lines[-1].split(",")]
         assert sum(last[1:]) == 3 + 2 * 200
 
+    @pytest.mark.parametrize("flags", [["--record-every", "0"], ["--steps", "-3"]], ids=["cadence-0", "negative-steps"])
+    def test_coupled_rejects_bad_horizon(self, tmp_path, capsys, flags):
+        # run_coupled checks its steps and cadence as run does
+        argv = ["simulate", "--model", "coupled", "--m", "2", "--steps", "10", "--seed", "1",
+                "--out", str(tmp_path / "c.csv"), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "c.csv").exists()
+
     def test_coupled_violations_column(self, tmp_path):
         out = tmp_path / "c.csv"
         rc = main(["simulate", "--model", "coupled", "--m", "2", "--p", "0.4",
@@ -343,17 +352,25 @@ DROP = object()
 
 
 class TestMalformedInput:
+    # each malformed sequence and what its error names
     SEQS = [
-        {"kind": "polynomial"},
-        {"kind": "polynomial", "coeffs": 5},
-        {"kind": "table", "table": [1, 2], "tail": {"branches": [{"exp": {}}]}},
-        [1, 2],
-        {"kind": "exponential", "rho": None},
-        {"kind": "polynomial", "coeffs": [0, 0, True]},
+        ({"kind": "polynomial"}, "'coeffs'"),
+        ({"kind": "polynomial", "coeffs": 5}, "'coeffs'"),
+        ({"kind": "table", "table": [1, 2], "tail": {"branches": [{"exp": {}}]}}, "'rho'"),
+        ([1, 2], "sequence"),
+        ({"kind": "exponential", "rho": None}, "'rho'"),
+        ({"kind": "polynomial", "coeffs": [0, 0, True]}, "'coeffs'"),
+        ({"kind": "polynomial", "coeffs": ["0", "0", "1"]}, "'coeffs'"),
+        ({"kind": "exponential", "rho": "2"}, "'rho'"),
+        ({"kind": "table", "table": [1, 2], "tail": {"branches": [{"const": "3"}]}}, "'const'"),
+        ({"kind": "table", "table": [1, "2", 4]}, "'table'"),
+        ({"kind": "exponential", "rho": 10**400}, "'rho'"),  # an integer beyond float range
     ]
 
-    @pytest.mark.parametrize("seq", SEQS, ids=["no-coeffs", "scalar-coeffs", "exp-without-rho",
-                                               "list", "null-rho", "bool-coeff"])
+    @pytest.mark.parametrize("seq, field", SEQS, ids=["no-coeffs", "scalar-coeffs", "exp-without-rho",
+                                                      "list", "null-rho", "bool-coeff", "string-coeff",
+                                                      "string-rho", "string-const", "string-table",
+                                                      "huge-rho"])
     @pytest.mark.parametrize("command", [
         ["check-w"],
         ["simulate", "--model", "ium", "--steps", "10", "--seed", "1"],
@@ -361,7 +378,7 @@ class TestMalformedInput:
          "--seed", "1"],
         ["mc"],
     ], ids=["check-w", "simulate", "embed-test", "mc"])
-    def test_malformed_sequence_exits_2(self, tmp_path, capsys, command, seq):
+    def test_malformed_sequence_exits_2(self, tmp_path, capsys, command, seq, field):
         if command == ["mc"]:
             argv = ["mc", "--config", str(mc_config(tmp_path, seq=seq))]
         else:
@@ -369,7 +386,8 @@ class TestMalformedInput:
             path.write_text(json.dumps(seq))
             argv = [*command, "--seq", str(path)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
     @pytest.mark.parametrize("field, value", [
         ("black0", 5), ("a", [1, "x"]), ("n_runs", "12"), ("p", None),

@@ -1,6 +1,6 @@
 """Leader-path screening: a screened lockstep ensemble equals the same
 ensemble stepped exactly through its kernel, and a screened single run the
-same run stepped exactly through the scalar stepper, bit for bit."""
+same run stepped exactly through the block stepper, bit for bit."""
 
 import contextlib
 import json
@@ -143,12 +143,17 @@ class TestMargin:
         logw = rf.log_weight_table(N2, 200)
         win = urns._window_min(logw, 2)
         counts = np.array([[2, 9, 3]])
-        cut = np.cumsum(urns._color_probs(logw[counts[0]]))
+        w = np.exp(logw[counts[0]] - logw[counts[0]].max())
+        cut = np.cumsum(w / w.sum())
         for rel, passes in ((self.INSIDE, False), (self.BEYOND, True)):
             u = np.full((1, 2, 2), (cut[0] + cut[1]) / 2)
             u[0, 1, 0] = cut[0] * (1 + rel) if edge == "lower" else cut[1] * (1 - rel)
             ok, leader = urns._multicolor_screen(counts, logw, win, u)
             assert ok.tolist() == [passes] and leader.tolist() == [1]
+            # the block stepper gives every ball of the sub-block to the leader
+            state = urns.init_multicolor(3, counts[0], 2, N2, seed=1)
+            urns._multicolor_steps(state, u[0].tolist(), 0, [0] * 3)
+            assert state.counts.tolist() == [2, 13, 3]
 
 
 def test_window_min_of_a_non_monotone_table():

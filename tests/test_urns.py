@@ -88,14 +88,22 @@ class TestEmptyStart:
         assert urns.sequential_proportions(st).tolist() == [1.0, 0.5]
 
 
+def ium_step(st, us):
+    """Step ``st`` once through its block stepper on the forced uniforms
+    ``us``; returns the black increments."""
+    before = st.black.copy()
+    urns._ium_steps(st, [list(us)], st.n, [0, 0])
+    return st.black - before
+
+
 class TestStepProbabilities:
     def test_isolated_urn_probability(self):
         # p = 0, counts (3,1), W(n)=n^2: P(black) = 9/10; force uniforms
         st = urns.init_ium(1, (3,), (1,), 0.0, N2, seed=1)
-        add = urns._step_ium_core(st, np.array([0.99, 0.8999]))
+        add = ium_step(st, [0.99, 0.8999])
         assert add[0] == 1  # 0.8999 < 0.9
         st2 = urns.init_ium(1, (3,), (1,), 0.0, N2, seed=1)
-        add2 = urns._step_ium_core(st2, np.array([0.99, 0.9001]))
+        add2 = ium_step(st2, [0.99, 0.9001])
         assert add2[0] == 0
 
     def test_full_interaction_uses_totals(self):
@@ -103,13 +111,13 @@ class TestStepProbabilities:
         st = urns.init_ium(2, (3, 0), (0, 1), 1.0, N2, seed=1)
         q = urns._prob_first(st.logw(st.total_black), st.logw(st.total_red))
         assert q == pytest.approx(9 / 10)
-        add = urns._step_ium_core(st, np.array([0.0, 0.8999, 0.0, 0.8999]))
+        add = ium_step(st, [0.0, 0.8999, 0.0, 0.8999])
         assert add.tolist() == [1, 1]
 
     def test_synchronous_update(self):
         # both urns must see the step-n totals even after urn 1 updates
         st = urns.init_ium(2, (1, 1), (1, 1), 1.0, N2, seed=1)
-        urns._step_ium_core(st, np.array([0.0, 0.0, 0.0, 0.49]))
+        ium_step(st, [0.0, 0.0, 0.0, 0.49])
         # totals were (2,2): P(black)=1/2 for both draws; second uniform
         # 0.49 < 0.5 so urn 2 also got black despite urn 1's update
         assert st.black.tolist() == [2, 2]
@@ -117,7 +125,7 @@ class TestStepProbabilities:
     def test_forced_monopoly(self):
         st = urns.init_ium(2, (1, 1), (1, 1), 0.5, N2, seed=1)
         for _ in range(50):
-            urns._step_ium_core(st, np.array([0.9, 1e-12, 0.9, 1e-12]))
+            ium_step(st, [0.9, 1e-12, 0.9, 1e-12])
         assert st.total_red == 2  # frozen red counts: monopoly by definition
         assert st.total_black == 102
 
@@ -131,8 +139,8 @@ class TestStepProbabilities:
             swapped = us.copy()
             swapped[1] = 1.0 - us[1]
             swapped[3] = 1.0 - us[3]
-            urns._step_ium_core(a, us)
-            urns._step_ium_core(b, swapped)
+            ium_step(a, us)
+            ium_step(b, swapped)
         assert a.black.tolist() == b.red.tolist()
         assert a.red.tolist() == b.black.tolist()
 
@@ -228,14 +236,33 @@ class TestRun:
 
 
 class TestBlockSteppers:
-    """``run`` steps whole sub-blocks at once through the scalar steppers;
-    with screening off, that must equal stepping one step at a time."""
+    """``run`` steps whole sub-blocks of one run through the block steppers;
+    with screening off, that must equal the lockstep kernel stepping the
+    same run as one row, one step at a time, from the same stream."""
 
     SEQS = {
         "n^3": N3,
         "2^n": rf.make_exponential(2.0),
         "table W(0)=0": rf.make_table([0, 2, 1, 6], rf.TailRule((rf.PolyBranch((1, 2, 1)),))),
     }
+
+    @staticmethod
+    def kernel_path(seed, n_steps, per_step, n_colors, step):
+        """Draw each step's ``per_step`` uniforms from the stream ``seed``
+        starts and pass them as one row to ``step``, which returns the
+        colors that grew; returns each color's last-change step and the
+        stream."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        last = [0] * n_colors
+        for t in range(1, n_steps + 1):
+            for c in step(rng.random((1, per_step))):
+                last[c] = t
+        return last, rng
+
+    @staticmethod
+    def black_red_grew(add):
+        """The colors that grew in a one-row step with black increments ``add``."""
+        return [c for c, grew in enumerate((add.any(), (add == 0).any())) if grew]
 
     @staticmethod
     def one_at_a_time(state, n_steps, step, totals):
@@ -256,36 +283,68 @@ class TestBlockSteppers:
         monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)  # every sub-block steps
         blocked = urns.init_ium(d, (1,) * d, (2,) * d, p, seq, seed)
         tr = urns.run(blocked, 1000, 100)
-        single = urns.init_ium(d, (1,) * d, (2,) * d, p, seq, seed)
-        last = self.one_at_a_time(single, 1000, urns.step_ium, lambda s: (s.total_black, s.total_red))
+        black, red = np.ones((1, d), dtype=np.int64), np.full((1, d), 2)
+        logw = rf.log_weight_table(seq, 3 * d + d * 1000)
+        last, rng = self.kernel_path(
+            seed, 1000, 2 * d, 2, lambda u: self.black_red_grew(urns._ium_step(black, red, logw, p, u))
+        )
         assert tr.run_steps_screened == 0
-        assert blocked.black.tolist() == single.black.tolist()
-        assert blocked.red.tolist() == single.red.tolist()
-        assert blocked.n == single.n == 1000
+        assert blocked.black.tolist() == black[0].tolist()
+        assert blocked.red.tolist() == red[0].tolist()
+        assert blocked.n == 1000
         assert tr.last_change.tolist() == last
-        assert blocked.rng.bit_generator.state == single.rng.bit_generator.state
+        assert blocked.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("seq", SEQS.values(), ids=SEQS.keys())
+    @pytest.mark.parametrize("nc, d", [(2, 1), (3, 2), (9, 3)])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_multicolor(self, seq, nc, d, seed, monkeypatch):
+        monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)
+        a = [1 + c % 2 for c in range(nc)]
+        blocked = urns.init_multicolor(nc, a, d, seq, seed)
+        tr = urns.run(blocked, 1000, 100)
+        counts = np.array([a])
+        logw = rf.log_weight_table(seq, sum(a) + d * 1000)
+        last, rng = self.kernel_path(
+            seed, 1000, d, nc, lambda u: np.flatnonzero(urns._multicolor_step(counts, logw, u)[0])
+        )
+        assert tr.run_steps_screened == 0
+        assert blocked.counts.tolist() == counts[0].tolist()
+        assert blocked.n == 1000
+        assert tr.last_change.tolist() == last
+        assert blocked.rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("seq", SEQS.values(), ids=SEQS.keys())
     @pytest.mark.parametrize("odd", [False, True], ids=["urn 0 first", "urn 1 first"])
     def test_sequential(self, seq, odd, monkeypatch):
         monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)
         blocked = urns.init_sequential((1, 2), (2, 1), seq, 5)
-        single = urns.init_sequential((1, 2), (2, 1), seq, 5)
         if odd:
             urns.step_sequential(blocked)
-            urns.step_sequential(single)
         tr = urns.run(blocked, 1000, 100)
+        if odd:
+            # the kernel starts every step at urn 0: step one sub-step at a time
+            single = urns.init_sequential((1, 2), (2, 1), seq, 5)
+            urns.step_sequential(single)
 
-        def macro_step(s):
-            urns.step_sequential(s)
-            urns.step_sequential(s)
+            def macro_step(s):
+                urns.step_sequential(s)
+                urns.step_sequential(s)
 
-        last = self.one_at_a_time(single, 1000, macro_step, lambda s: (int(s.black.sum()), int(s.red.sum())))
-        assert blocked.black.tolist() == single.black.tolist()
-        assert blocked.red.tolist() == single.red.tolist()
-        assert blocked.substep == single.substep == 2000 + odd
+            last = self.one_at_a_time(single, 1000, macro_step, lambda s: (int(s.black.sum()), int(s.red.sum())))
+            black, red, rng = single.black, single.red, single.rng
+        else:
+            black, red = np.array([[1, 2]]), np.array([[2, 1]])
+            logw = rf.log_weight_table(seq, 6 + 2 * 1000)
+            last, rng = self.kernel_path(
+                5, 1000, 2, 2, lambda u: self.black_red_grew(urns._sequential_step(black, red, logw, u))
+            )
+            black, red = black[0], red[0]
+        assert blocked.black.tolist() == black.tolist()
+        assert blocked.red.tolist() == red.tolist()
+        assert blocked.substep == 2000 + odd
         assert tr.last_change.tolist() == last
-        assert blocked.rng.bit_generator.state == single.rng.bit_generator.state
+        assert blocked.rng.bit_generator.state == rng.bit_generator.state
 
 
 class TestDetectMonopoly:
@@ -390,21 +449,24 @@ class TestMulticolor:
         assert st.counts.sum() == 3 + 2 * 100
 
     def test_equal_counts_uniform_probs(self):
-        st = urns.init_multicolor(4, (3, 3, 3, 3), 1, N3, seed=6)
-        lw = np.array([st.logw(int(c)) for c in st.counts])
-        probs = urns._color_probs(lw)
-        assert np.allclose(probs, 0.25)
+        # four equal weights cut [0, 1) at 1/4, 1/2 and 3/4
+        st = urns.init_multicolor(4, (3, 3, 3, 3), 6, N3, seed=6)
+        us = [0.25 - 1e-12, 0.25 + 1e-12, 0.5 - 1e-12, 0.5 + 1e-12, 0.75 - 1e-12, 0.75 + 1e-12]
+        urns._multicolor_steps(st, [us], 0, [0] * 4)
+        assert st.counts.tolist() == [4, 5, 5, 4]
 
     def test_two_color_reduction_matches_full_interaction_urn(self):
-        # nc=2, d=1 draws a black ball with the same pooled probability the
-        # two-color mechanism at p=1 uses
-        st = urns.init_multicolor(2, (3, 1), 1, N2, seed=1)
-        lw = np.array([st.logw(int(c)) for c in st.counts])
-        assert urns._color_probs(lw)[0] == pytest.approx(9 / 10)
+        # nc=2 draws color 0 with the probability 9/10 the two-color
+        # mechanism at p=1 gives black from the same pooled counts
+        st = urns.init_multicolor(2, (3, 1), 2, N2, seed=1)
+        urns._multicolor_steps(st, [[0.8999, 0.9001]], 0, [0, 0])
+        assert st.counts.tolist() == [4, 2]
+        ium = urns.init_ium(2, (3, 0), (0, 1), 1.0, N2, seed=1)
+        assert ium_step(ium, (0.0, 0.8999, 0.0, 0.9001)).tolist() == [1, 0]
 
     def test_forced_draw(self):
         st = urns.init_multicolor(3, (1, 1, 1), 2, N2, seed=1)
-        urns._step_multicolor_core(st, np.array([1e-9, 1.0 - 1e-9]))
+        urns._multicolor_steps(st, [[1e-9, 1.0 - 1e-9]], 0, [0] * 3)
         assert st.counts.tolist() == [2, 1, 2]
 
 
@@ -417,20 +479,20 @@ class TestSequential:
     def test_forced_all_black_keeps_red_frozen(self):
         st = urns.init_sequential((1, 1), (1, 1), N2, seed=2)
         for _ in range(40):
-            urns._step_sequential_core(st, 1e-12)
+            urns._sequential_steps(st, [[1e-12]], 0, [0, 0])
         assert st.red.sum() == 2
         assert st.substep == 40
 
     def test_alternation(self):
         st = urns.init_sequential((1, 1), (1, 1), N2, seed=2)
-        urns._step_sequential_core(st, 0.5)
+        urns._sequential_steps(st, [[0.5]], 0, [0, 0])
         assert st.black[1] + st.red[1] == 2  # urn 2 untouched on sub-step 1
-        urns._step_sequential_core(st, 0.5)
+        urns._sequential_steps(st, [[0.5]], 0, [0, 0])
         assert st.black.sum() + st.red.sum() == 6
 
     def test_second_substep_sees_updated_red_total(self):
         st = urns.init_sequential((1, 1), (1, 1), N2, seed=2)
-        urns._step_sequential_core(st, 0.999)  # red to urn 1: red total 3
+        urns._sequential_steps(st, [[0.999]], 0, [0, 0])  # red to urn 1: red total 3
         q = urns._prob_first(st.logw(int(st.black[1])), st.logw(int(st.red.sum())))
         assert q == pytest.approx(1 / (1 + 9))  # W(1)=1 vs W(3)=9
 
@@ -504,14 +566,19 @@ class TestEnsembleEngines:
             last = [int(np.flatnonzero(grew[:, c])[-1]) + 1 if grew[:, c].any() else 0 for c in range(2)]
             assert raw.last_add[i].tolist() == last
 
-    def test_multicolor_matches_scalar_runs(self):
+    @pytest.mark.parametrize("nc", [3, 9])
+    def test_multicolor_matches_scalar_runs(self, nc):
+        a = (1,) * nc
         raw = urns.run_multicolor_ensemble(
-            N3, 3, (1, 1, 1), 2, 300, 5, master_seed=55, run_offset=0, record_every=30
+            N3, nc, a, 2, 300, 5, master_seed=55, run_offset=0, record_every=30
         )
         for i in range(5):
-            st = urns.init_multicolor(3, (1, 1, 1), 2, N3, seed=derive_seed(55, i))
-            urns.run(st, 300, 30)
+            st = urns.init_multicolor(nc, a, 2, N3, seed=derive_seed(55, i))
+            tr = urns.run(st, 300, 30)
+            assert np.array_equal(raw.steps, tr.steps)
+            assert np.array_equal(raw.proportions[i], tr.proportions)
             assert np.array_equal(raw.final_counts[i], st.counts)
+            assert raw.last_add[i].tolist() == tr.last_change.tolist()
 
     def test_last_add_tracks_monopoly(self):
         raw = urns.run_ium_ensemble(
