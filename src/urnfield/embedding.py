@@ -280,6 +280,8 @@ def sample_embedding_counts(
     """
     a = tuple(int(v) for v in a)
     init_embedding(nc, a, d, seq, seed=0)  # validates arguments
+    if k < 0 or n_samples < 1:
+        raise ValueError(f"k must be >= 0 and n_samples >= 1, got k = {k}, n_samples = {n_samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
     rates = _rate_table(seq, max(a) + k * d, max(a) + k * d)
     z = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
@@ -332,6 +334,8 @@ def sample_multicolor_counts(
     stream."""
     a = tuple(int(v) for v in a)
     init_multicolor(nc, a, d, seq, seed=0)  # validates arguments
+    if k < 0 or n_samples < 1:
+        raise ValueError(f"k must be >= 0 and n_samples >= 1, got k = {k}, n_samples = {n_samples}")
     rng = np.random.Generator(np.random.PCG64(seed))
     logw = log_weight_table(seq, max(a) + k * d + 1)
     counts = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))

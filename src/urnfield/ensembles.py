@@ -73,6 +73,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.model not in ("ium", "multicolor", "sequential", "embedding"):
             raise ValueError(f"unknown model: {self.model}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.n_steps < 0:

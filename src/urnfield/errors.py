@@ -7,7 +7,7 @@ failure modes that callers (notably the CLI) treat differently.
 
 class ConditionViolation(RuntimeError):
     """A mathematical precondition failed at runtime (e.g. a divergent tail
-    sum was requested, or every pool weight is zero)."""
+    sum was requested, or a weight's log is not finite)."""
 
 
 class InternalConsistencyError(RuntimeError):

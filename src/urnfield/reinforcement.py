@@ -532,7 +532,11 @@ def _validate_tail_positive(seq: ReinforcementSeq, tail: TailRule, base: int) ->
     for r, branch in enumerate(tail.branches):
         k0 = max(0, -(-(start - r) // period))
         if isinstance(branch, PolyBranch):
-            ks = np.arange(k0, max(k0 + 4, branch._positive_from + 2))
+            # q(k) > 0 for k >= 1 + max(|a_i| : a_i < 0) / a_m: scan the values before that
+            positive_from = 1 + max((-c for c in branch.coeffs if c < 0), default=0.0) / branch.coeffs[-1]
+            if positive_from + 2 - k0 > 1e6:
+                raise ValueError(f"tail branch {r}: checking it positive needs more than 1000000 values")
+            ks = np.arange(k0, max(k0 + 4, math.ceil(positive_from) + 2))
             if np.any(branch.values(ks) <= 0):
                 raise ValueError(f"tail branch {r} takes a nonpositive value beyond domain_start")
 
@@ -772,11 +776,13 @@ def check_mdrem_conditions(
 
 
 def log_weight_table(seq: ReinforcementSeq, nmax: int) -> np.ndarray:
-    """``log W(n)`` for n = 0..nmax, with ``-inf`` wherever W(n) == 0."""
+    """``log W(n)`` for n = 0..nmax: ``-inf`` below ``domain_start``, checked finite from it on."""
     table = np.full(nmax + 1, -np.inf)
     ds = seq.domain_start
     if ds <= nmax:
         table[ds:] = seq.log_values(np.arange(ds, nmax + 1))
+        if not np.isfinite(table[ds:]).all():
+            raise ConditionViolation(f"log W(n) is not finite at n = {ds + np.isfinite(table[ds:]).argmin()}")
     return table
 
 

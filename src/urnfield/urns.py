@@ -47,7 +47,9 @@ order, and counts, last-change steps and recorded proportions are bit for
 bit those of stepping every run.
 
 Counts and probabilities are handled through log weights, so exponential
-reinforcement never overflows.
+reinforcement never overflows.  ``log_weight_table`` checks each table once,
+as it is made, and ``init_*`` rule out a draw between zero weights, so the
+kernels and block steppers do not check weights again.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConditionViolation
 from .reinforcement import ReinforcementSeq, log_weight_table
 from .seeds import derive_seed
 
@@ -97,16 +98,10 @@ class _LogW:
 
 
 def _prob_first(log_a: float, log_b: float) -> float:
-    """weight_a / (weight_a + weight_b) from log weights."""
-    if log_a == -math.inf:
-        if log_b == -math.inf:
-            raise ConditionViolation("both pool weights are zero")
-        return 0.0
-    if log_b == -math.inf:
-        return 1.0
+    """weight_a / (weight_a + weight_b) from log weights (``-inf`` for zero)."""
     d = log_b - log_a
     if d > _LOG_EXP_CLIP:
-        return 0.0  # what 1 / (1 + inf) gives in _vec_prob
+        return 0.0  # what 1 / (1 + inf) gives in _share
     return 1.0 / (1.0 + math.exp(d))
 
 
@@ -114,13 +109,6 @@ def _share(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     """weight_a / (weight_a + weight_b) elementwise; NaN where both are zero."""
     with np.errstate(over="ignore", invalid="ignore"):
         return 1.0 / (1.0 + np.exp(log_b - log_a))
-
-
-def _vec_prob(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    q = _share(log_a, log_b)
-    if np.isnan(q).any():
-        raise ConditionViolation("both pool weights are zero")
-    return q
 
 
 def _shares(counts: np.ndarray, totals: np.ndarray, step: int) -> np.ndarray:
@@ -521,8 +509,6 @@ def _multicolor_steps(state: MultiColorState, rows, start: int, last_change: lis
     for step, us in enumerate(rows, start + 1):
         lw = [logw(c) for c in counts]
         hi = max(lw)
-        if hi == -math.inf:
-            raise ConditionViolation("every color has zero weight")
         w = [math.exp(v - hi) for v in lw]
         total = functools.reduce(operator.add, w)  # sum() compensates from Python 3.12
         cuts = list(itertools.accumulate([v / total for v in w[:-1]]))
@@ -745,8 +731,8 @@ def _ium_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, p: float, u:
     """One synchronous interacting-urn step of every run: ``black`` and
     ``red`` are (n_runs, d), ``u`` holds each run's 2d uniforms in urn order
     (interaction draw, then color).  Returns the black increments."""
-    q_global = _vec_prob(logw[black.sum(axis=1)], logw[red.sum(axis=1)])
-    q_local = _vec_prob(logw[black], logw[red])
+    q_global = _share(logw[black.sum(axis=1)], logw[red.sum(axis=1)])
+    q_local = _share(logw[black], logw[red])
     q = np.where(u[:, 0::2] < p, q_global[:, None], q_local)
     add = (u[:, 1::2] < q).astype(np.int64)
     black += add
@@ -760,8 +746,6 @@ def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.
     balls each color got, shaped like ``counts``."""
     lw = logw[counts]
     hi = functools.reduce(np.maximum, lw.T)  # column-wise: faster than max(axis=1) over a few columns
-    if hi.min() == -np.inf:
-        raise ConditionViolation("every color has zero weight")
     w = np.exp(lw - hi[:, None])
     probs = w / w.sum(axis=1, keepdims=True)
     # a ball's color is the number of cut points (cumulative probabilities,
@@ -788,7 +772,7 @@ def _sequential_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, u: np
     the black increments, one column per urn."""
     add = np.empty_like(black)
     for urn in (0, 1):
-        q = _vec_prob(logw[black[:, urn]], logw[red[:, 0] + red[:, 1]])
+        q = _share(logw[black[:, urn]], logw[red[:, 0] + red[:, 1]])
         add[:, urn] = u[:, urn] < q
         black[:, urn] += add[:, urn]
         red[:, urn] += 1 - add[:, urn]
@@ -903,8 +887,7 @@ def _multicolor_screen(counts, logw, win, u):
     lw = logw[counts]
     leader = lw.argmax(axis=1)
     lw[rows, leader] = win[counts[rows, leader]]
-    with np.errstate(invalid="ignore"):  # NaN where every weight is zero: the run fails
-        w = np.exp(lw - lw.max(axis=1, keepdims=True))
+    w = np.exp(lw - lw.max(axis=1, keepdims=True))
     cw = np.cumsum(w, axis=1)
     lo = np.where(leader > 0, cw[rows, leader - 1] / cw[:, -1] * (1.0 + _MARGIN), -np.inf)
     hi = np.where(leader < nc - 1, cw[rows, leader] / cw[:, -1] * (1.0 - _MARGIN), np.inf)
@@ -943,6 +926,12 @@ def _screened(arrays, screen, leap, step):
     return advance, counters
 
 
+def _set_last_add(last_add: np.ndarray, grew: np.ndarray, start: int) -> None:
+    """Set each run's last-change step per color from ``grew`` (runs, length,
+    colors), whether the color grew at step ``start + 1 + t``."""
+    np.copyto(last_add, start + grew.shape[1] - grew[:, ::-1].argmax(axis=1), where=grew.any(axis=1))
+
+
 def _black_red_ensemble(kernel, screen, per_step, seq, black0, red0, n_steps, n_runs, master_seed, run_offset,
                         record_every):
     """Screened lockstep driver of a black/red mechanism whose ``kernel(black,
@@ -957,10 +946,8 @@ def _black_red_ensemble(kernel, screen, per_step, seq, black0, red0, n_steps, n_
     last_add = np.zeros((n_runs, 2), dtype=np.int64)
 
     def step(black, red, last_add, start, u):
-        for t, us in enumerate(u.swapaxes(0, 1), start + 1):
-            add = kernel(black, red, logw, us)
-            last_add[add.any(axis=1), 0] = t
-            last_add[(add == 0).any(axis=1), 1] = t
+        n_black = np.stack([kernel(black, red, logw, us) for us in u.swapaxes(0, 1)], axis=1).sum(axis=2)
+        _set_last_add(last_add, np.stack([n_black > 0, n_black < black.shape[1]], axis=2), start)
 
     def leap(ok, to_red, end, length):
         for grows, color, path in ((black, 0, ok & ~to_red), (red, 1, ok & to_red)):
@@ -1016,8 +1003,8 @@ def run_multicolor_ensemble(
     last_add = np.zeros((n_runs, nc), dtype=np.int64)
 
     def step(counts, last_add, start, u):
-        for t, us in enumerate(u.swapaxes(0, 1), start + 1):
-            last_add[_multicolor_step(counts, logw, us) > 0] = t
+        added = np.stack([_multicolor_step(counts, logw, us) for us in u.swapaxes(0, 1)], axis=1)
+        _set_last_add(last_add, added > 0, start)
 
     def leap(ok, leader, end, length):
         rows = np.flatnonzero(ok)

@@ -43,6 +43,10 @@ class TestExitCodes:
         # m far too small for an off-diagonal equilibrium at this p
         assert main(["sm", "--m", "2", "--p", "0.05"]) == 3
 
+    def test_non_finite_weight_is_a_condition_violation(self, nan_weights_from_300, capsys):
+        assert main(["simulate", "--model", "ium", "--m", "2", "--steps", "400", "--seed", "1"]) == 3
+        assert "not finite at n = 300" in capsys.readouterr().err
+
     def test_sm_large_p_is_argument_error(self):
         assert main(["sm", "--m", "2", "--p", "0.6"]) == 2
 
@@ -347,6 +351,14 @@ class TestEmbedTest:
                    "--k", "2", "--samples", "10", "--seed", "5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("k, samples, error", [("-1", "200", "k must be >= 0"), ("2", "0", "n_samples")])
+    def test_negative_k_or_no_samples_is_named(self, capsys, k, samples, error):
+        rc = main(["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--m", "2",
+                   "--k", k, "--samples", samples, "--seed", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and error in err
+
 
 DROP = object()
 
@@ -365,12 +377,13 @@ class TestMalformedInput:
         ({"kind": "table", "table": [1, 2], "tail": {"branches": [{"const": "3"}]}}, "'const'"),
         ({"kind": "table", "table": [1, "2", 4]}, "'table'"),
         ({"kind": "exponential", "rho": 10**400}, "'rho'"),  # an integer beyond float range
+        ({"kind": "table", "table": [1], "tail": {"branches": [{"poly": [-1e9, 0, 1]}]}}, "tail branch 0"),
     ]
 
     @pytest.mark.parametrize("seq, field", SEQS, ids=["no-coeffs", "scalar-coeffs", "exp-without-rho",
                                                       "list", "null-rho", "bool-coeff", "string-coeff",
                                                       "string-rho", "string-const", "string-table",
-                                                      "huge-rho"])
+                                                      "huge-rho", "tail-scan-too-long"])
     @pytest.mark.parametrize("command", [
         ["check-w"],
         ["simulate", "--model", "ium", "--steps", "10", "--seed", "1"],
@@ -396,6 +409,18 @@ class TestMalformedInput:
     def test_mistyped_mc_field_exits_2(self, tmp_path, capsys, field, value):
         assert main(["mc", "--config", str(mc_config(tmp_path, **{field: value}))]) == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["mc", "scan"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, command, seed):
+        # derive_seed reduces a master seed mod 2^64, so -1 would alias 2^64 - 1
+        path = mc_config(tmp_path, seed=seed)
+        if command == "scan":
+            scan = {"schema": 1, "m": 2, "p_grid": [0.1], "per_point": json.loads(path.read_text())}
+            path.write_text(json.dumps(scan))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed")
 
     @pytest.mark.parametrize("key, value", [
         ("per_point", DROP), ("p_grid", DROP), ("m", DROP),

@@ -78,6 +78,22 @@ class TestConstructors:
         with pytest.raises(ValueError):
             rf.make_table([1, -2])
 
+    def test_tail_positivity_scan_stops_where_negative_coefficients_do(self):
+        # positive coefficients never make a branch nonpositive: 1e12 + k^2
+        # needs no scan up to its Cauchy bound near 1e12
+        seq = rf.make_table([1.0], rf.TailRule((rf.PolyBranch((1e12, 0, 1)),)))
+        assert seq.value(3) == 1e12 + 9
+        # (k - 2)^2 - 1 is 0 at k = 1, and k^2 - 10k + 26 > 0 everywhere
+        with pytest.raises(ValueError, match="nonpositive"):
+            rf.make_table([1.0], rf.TailRule((rf.PolyBranch((3, -4, 1)),)))
+        assert rf.make_table([1.0], rf.TailRule((rf.PolyBranch((26, -10, 1)),))).value(5) == 1.0
+
+    def test_tail_positivity_scan_is_bounded(self):
+        # k^2 - 1e9 is positive only from k = 31623 on, but proving it
+        # would scan 10^9 values
+        with pytest.raises(ValueError, match="more than 1000000 values"):
+            rf.make_table([1.0], rf.TailRule((rf.PolyBranch((-1e9, 0, 1)),)))
+
     @pytest.mark.parametrize("make, arg", [
         (rf.make_table, [1, math.nan, 2]),
         (rf.make_table, [1, math.inf]),
@@ -315,6 +331,53 @@ def test_log_weight_table_marks_zeros():
     assert tbl[2] == pytest.approx(math.log(4.0))
     lin = rf.weight_table(rf.make_polynomial([0, 0, 1]), 5)
     assert lin[0] == 0.0 and lin[3] == 9.0
+
+
+def _table_or_none(zeros, body, branches):
+    try:
+        return rf.make_table([0.0] * zeros + body, rf.TailRule(tuple(branches)))
+    except ValueError:  # a polynomial branch that is not positive from domain_start on
+        return None
+
+
+_WEIGHT_SEQS = st.one_of(
+    st.builds(
+        lambda low, lead: rf.make_polynomial([*low, lead]),
+        st.lists(st.floats(0.0, 1e3), max_size=3), st.floats(1e-300, 1e300),
+    ),
+    st.builds(rf.make_exponential, st.floats(1.0, 1e3, exclude_min=True)),
+    st.builds(
+        _table_or_none,
+        st.integers(0, 3),
+        st.lists(st.floats(1e-300, 1e300), max_size=5),
+        st.lists(
+            st.one_of(
+                # negative lower coefficients: positive only from some k on
+                st.builds(lambda low, lead: rf.PolyBranch((*low, lead)),
+                          st.lists(st.integers(-20, 20).map(float), max_size=3), st.floats(1e-3, 1e3)),
+                st.builds(rf.ExpBranch, st.floats(1e-3, 1.0), st.floats(1e-300, 1e-250)),
+                st.builds(rf.ConstBranch, st.floats(1e-300, 1e300)),
+            ),
+            min_size=1, max_size=3,
+        ),
+    ).filter(lambda seq: seq is not None),
+)
+
+
+@given(seq=_WEIGHT_SEQS, nmax=st.integers(0, 3000))
+def test_log_weight_table_is_finite_from_domain_start(seq, nmax):
+    # every constructor guarantees what the urn kernels rely on without
+    # checking: no weight is zero or non-finite from domain_start on
+    table = rf.log_weight_table(seq, nmax)
+    ds = seq.domain_start
+    assert (table[:ds] == -math.inf).all()
+    assert np.isfinite(table[ds:]).all()
+
+
+def test_log_weight_table_rejects_a_non_finite_value(nan_weights_from_300):
+    assert np.isfinite(rf.log_weight_table(rf.make_polynomial([0, 1]), 299)[1:]).all()
+    with pytest.raises(ConditionViolation, match="not finite at n = 300"):
+        rf.log_weight_table(rf.make_polynomial([0, 1]), 300)
 
 
 class TestFloatRangeEdges:

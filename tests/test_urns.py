@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from urnfield import reinforcement as rf, urns
+from urnfield.errors import ConditionViolation
 from urnfield.seeds import derive_seed
 
 N2 = rf.make_polynomial([0, 0, 1])
@@ -163,10 +164,13 @@ class TestLogSpaceClip:
 
     @pytest.mark.parametrize("gap", GAPS)
     def test_scalar_matches_lockstep_beyond_exp_range(self, gap):
-        # math.exp overflows above log(max float) ~ 709.78, np.exp gives inf
-        for log_a, log_b in ((0.0, gap), (gap, 0.0), (3.5, 3.5 + gap), (3.5 + gap, 3.5)):
+        # math.exp overflows above log(max float) ~ 709.78, np.exp gives inf;
+        # a zero weight (-inf) against a positive one needs no special case
+        zero = -math.inf
+        for log_a, log_b in ((0.0, gap), (gap, 0.0), (3.5, 3.5 + gap), (3.5 + gap, 3.5),
+                             (zero, 0.0), (0.0, zero), (zero, 3.5)):
             q = urns._prob_first(log_a, log_b)
-            assert q == float(urns._vec_prob(np.array([log_a]), np.array([log_b]))[0])
+            assert q == float(urns._share(np.array([log_a]), np.array([log_b]))[0])
         assert urns._prob_first(0.0, gap) < 1e-300
 
 
@@ -604,6 +608,16 @@ class TestEnsembleEngines:
             grew = np.diff(tr.color_totals, axis=0) > 0
             last = [int(np.flatnonzero(grew[:, c])[-1]) + 1 if grew[:, c].any() else 0 for c in range(2)]
             assert raw.last_add[i].tolist() == last
+
+    @pytest.mark.parametrize("run_ensemble", [
+        lambda: urns.run_ium_ensemble(N2, 0.2, 2, (1, 1), (1, 1), 200, 4, master_seed=1),
+        lambda: urns.run_multicolor_ensemble(N2, 3, (1, 1, 1), 2, 200, 4, master_seed=1),
+        lambda: urns.run_sequential_ensemble(N2, (1, 1), (1, 1), 200, 4, master_seed=1),
+    ], ids=["ium", "multicolor", "sequential"])
+    def test_non_finite_weight_raises(self, nan_weights_from_300, run_ensemble):
+        # the kernels do not check weights: the table they read is checked once
+        with pytest.raises(ConditionViolation, match="not finite at n = 300"):
+            run_ensemble()
 
     def test_exponential_weights_no_overflow(self):
         seq = rf.make_exponential(2.0)
