@@ -15,10 +15,8 @@ violation, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
-import io
 import json
 import os
 import sys
@@ -37,8 +35,7 @@ from .reinforcement import (
     check_variation_bound,
     make_polynomial,
 )
-
-_FLOAT_FMT = ".17g"
+from .urns import _csv_bytes
 
 
 def _np_default(obj):
@@ -51,17 +48,6 @@ def _np_default(obj):
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True, default=_np_default) + "\n").encode()
-
-
-def _csv_bytes(header, rows) -> bytes:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(
-            [format(v, _FLOAT_FMT) if isinstance(v, float) else v for v in row]
-        )
-    return buf.getvalue().encode()
 
 
 def _emit(args, payloads: dict[str, bytes], echo: dict) -> int:

@@ -25,11 +25,11 @@ import time
 from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import embedding, meanfield, urns
 from .reinforcement import ReinforcementSeq, _is_json_int, _is_json_number
-from .seeds import derive_seed
+from .seeds import check_seed, derive_seed
 
 _CONFIG_SCHEMA = 1
 
@@ -40,7 +40,7 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
         raise ValueError(f"bad counts: {successes}/{trials}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    z = float(stats.norm.ppf(0.5 * (1.0 + level)))
+    z = float(special.ndtri(0.5 * (1.0 + level)))
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -73,8 +73,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.model not in ("ium", "multicolor", "sequential", "embedding"):
             raise ValueError(f"unknown model: {self.model}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.n_steps < 0:

@@ -32,6 +32,18 @@ def derive_seed(master: int, index: int) -> int:
     return _avalanche((master + (index + 1) * _GOLDEN) & _MASK)
 
 
+def check_seed(seed: int) -> int:
+    """A 64-bit seed, as given: anything outside [0, 2**64) is a ValueError."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
+def stream(seed: int) -> np.random.Generator:
+    """The PCG64 stream of a 64-bit seed; every simulator draws from one."""
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
+
+
 def make_rng(master: int, index: int = 0) -> np.random.Generator:
     """PCG64 generator for stream ``index`` of experiment ``master``."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master, index)))
+    return stream(derive_seed(master, index))

@@ -39,12 +39,14 @@ strong reinforcement almost every step adds the leader's balls, so each
 kernel has a screen beside it that bounds the leader's probability over the
 whole sub-block from a windowed minimum of the log-weight table and tests
 every uniform of the sub-block against that bound, shrunk by a relative
-margin.  Runs that pass advance along the leader path in bulk; the others
-step through the kernel, or, in ``run``, which screens its state as an
-ensemble of one, through the block stepper.  Screening changes neither the
-RNG contract nor any output: every uniform is still drawn in the same
-order, and counts, last-change steps and recorded proportions are bit for
-bit those of stepping every run.
+margin.  Ensembles and single runs read the same table of window minima,
+built by ``_window_min``, and end their screens in the same interval
+test, ``_inside``.  Runs that pass advance along the leader path in bulk;
+the others step through the kernel, or, in ``run``, which screens its
+state as an ensemble of one, through the block stepper.  Screening changes
+neither the RNG contract nor any output: every uniform is still drawn in
+the same order, and counts, last-change steps and recorded proportions are
+bit for bit those of stepping every run.
 
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.  ``log_weight_table`` checks each table once,
@@ -64,10 +66,9 @@ import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .reinforcement import ReinforcementSeq, log_weight_table
-from .seeds import derive_seed
+from .seeds import derive_seed, stream
 
 _LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above this
 
@@ -75,14 +76,15 @@ _LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above t
 class _LogW:
     """Growable lookup of log W(n) for one state; ``-inf`` marks zero
     weight.  It also holds what ``run`` screens that state with: ``wins``,
-    the window minima of the table, and ``wait``, the steps left to step
-    unscreened and the wait after the next failed screen, which carry over
-    from one call of ``run`` to the next."""
+    the window minima of the table as an ensemble holds them, made anew
+    when the table grows, and ``wait``, the steps left to step unscreened
+    and the wait after the next failed screen, which carry over from one
+    call of ``run`` to the next."""
 
     def __init__(self, seq: ReinforcementSeq, initial: int = 256):
         self.seq = seq
         self.table = log_weight_table(seq, initial)
-        self.wins = _Windows(self.table, _WindowMinAt)
+        self.wins = _Windows(self.table)
         self.wait = [0, _SUB_BLOCK]
 
     def __call__(self, n: int) -> float:
@@ -94,7 +96,7 @@ class _LogW:
         """Grow the table, at least doubling it, until it holds log W(n)."""
         if n >= self.table.size:
             self.table = log_weight_table(self.seq, max(n, 2 * self.table.size))
-            self.wins = _Windows(self.table, _WindowMinAt)
+            self.wins = _Windows(self.table)
 
 
 def _prob_first(log_a: float, log_b: float) -> float:
@@ -136,6 +138,16 @@ def _color_shares(counts: np.ndarray, step: int) -> np.ndarray:
 # trajectories
 
 
+def _csv_bytes(header, rows) -> bytes:
+    """CSV with a header row; floats get 17 significant digits, which read
+    back to the same double."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
 @dataclass
 class Trajectory:
     """Recorded time series of a single run.
@@ -161,21 +173,18 @@ class Trajectory:
     run_steps_exact: int = 0
 
     def csv_bytes(self, what: str = "proportions") -> bytes:
-        """CSV of the samples: ``step``, then ``x_i`` per urn or color (17
-        significant digits) or, with ``what="counts"``, ``c_i`` per count."""
+        """CSV of the samples: ``step``, then ``x_i`` per urn or color or,
+        with ``what="counts"``, ``c_i`` per count."""
         if what == "proportions":
-            prefix, data, cell = "x", self.proportions, lambda v: format(v, ".17g")
+            prefix, data = "x", self.proportions
         elif what == "counts":
             if self.counts is None:
                 raise ValueError("trajectory was recorded without counts")
-            prefix, data, cell = "c", self.counts, int
+            prefix, data = "c", self.counts
         else:
             raise ValueError(f"unknown export: {what}")
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["step"] + [f"{prefix}_{i + 1}" for i in range(data.shape[1])])
-        w.writerows([int(s)] + [cell(v) for v in row] for s, row in zip(self.steps, data))
-        return buf.getvalue().encode()
+        header = ["step"] + [f"{prefix}_{i + 1}" for i in range(data.shape[1])]
+        return _csv_bytes(header, ([s, *row] for s, row in zip(self.steps.tolist(), data.tolist())))
 
     def to_csv(self, path, what: str = "proportions") -> None:
         with open(path, "wb") as fh:
@@ -295,9 +304,8 @@ def init_ium(d: int, black0, red0, p: float, seq: ReinforcementSeq, seed: int) -
     _check_composition(seq, black, red, logw)
     if logw(int(black.sum())) == -math.inf and logw(int(red.sum())) == -math.inf:
         raise ValueError("system-wide pools both have zero weight")
-    rng = np.random.Generator(np.random.PCG64(seed))
     return UrnState(
-        d=d, black=black, red=red, n=0, p=p, seq=seq, rng=rng, seed=seed, logw=logw
+        d=d, black=black, red=red, n=0, p=p, seq=seq, rng=stream(seed), seed=seed, logw=logw
     )
 
 
@@ -400,9 +408,7 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
         else:
             screened(start, u)
 
-    # below _MIN_SCREEN steps a record cadence leaves no sub-block to screen
-    stepper = exact if record_every < _MIN_SCREEN else advance
-    steps, samples = _drive([state.rng], per_step, n_steps, record_every, stepper, sample)
+    steps, samples = _drive([state.rng], per_step, n_steps, record_every, advance, sample)
     props, totals, counts = zip(*samples)
     return Trajectory(
         steps=steps,
@@ -490,10 +496,9 @@ def init_multicolor(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Mul
         raise ValueError("a_i = 0 is not allowed when W(0) = 0")
     if all(logw(v) == -math.inf for v in a):
         raise ValueError("every color has zero weight")
-    rng = np.random.Generator(np.random.PCG64(seed))
     return MultiColorState(
         nc=nc, counts=np.array(a, dtype=np.int64), a=a, d=d, n=0,
-        seq=seq, rng=rng, seed=seed, logw=logw,
+        seq=seq, rng=stream(seed), seed=seed, logw=logw,
     )
 
 
@@ -556,9 +561,8 @@ def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> Sequentia
         raise ValueError("the sequential process runs on exactly two urns")
     logw = _LogW(seq)
     _check_composition(seq, black, red, logw)
-    rng = np.random.Generator(np.random.PCG64(seed))
     return SequentialState(
-        black=black, red=red, substep=0, seq=seq, rng=rng, seed=seed, logw=logw
+        black=black, red=red, substep=0, seq=seq, rng=stream(seed), seed=seed, logw=logw
     )
 
 
@@ -649,8 +653,7 @@ def run_coupled(
         seq_totals = (int(seqp.black.sum()), int(seqp.red.sum()))
         return proportions(ium), sequential_proportions(seqp), (ium.total_black, ium.total_red), seq_totals
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    steps, samples = _drive([rng], 4, n_steps, record_every, advance, sample)
+    steps, samples = _drive([stream(seed)], 4, n_steps, record_every, advance, sample)
     props_i, props_s, totals_i, totals_s = zip(*samples)
 
     def mk(props, totals, last_change, model):
@@ -694,7 +697,7 @@ class EnsembleRaw:
 def _streams(master_seed: int, run_offset: int, n_runs: int):
     """Per-run seeds ``derive_seed(master, offset + i)`` and their streams."""
     seeds = np.array([derive_seed(master_seed, run_offset + i) for i in range(n_runs)], dtype=np.uint64)
-    return seeds, [np.random.Generator(np.random.PCG64(int(s))) for s in seeds]
+    return seeds, [stream(int(s)) for s in seeds]
 
 
 def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample, draw: str = "random"):
@@ -790,48 +793,44 @@ def _window_min(logw: np.ndarray, stride: int) -> np.ndarray:
     _SUB_BLOCK``, a lower bound on log W along a path that gains ``stride``
     balls per step, over any sub-block starting at count ``n``.  For
     non-decreasing W it is ``logw[n]``.  Counts past the table count as
-    ``+inf``: no path reaches them within the horizon."""
-    padded = np.concatenate([logw, np.full(stride * (_SUB_BLOCK - 1), np.inf)])
-    return sliding_window_view(padded, stride * (_SUB_BLOCK - 1) + 1)[:, ::stride].min(axis=1)
-
-
-class _WindowMinAt:
-    """``_window_min(logw, stride)`` evaluated only at the counts indexed,
-    for a single run, which reads a few counts per screen of a table that
-    grows with it.  A window that passes the table's end reads its last
-    entry there instead of ``+inf``, which can only lower the bound."""
-
-    def __init__(self, logw: np.ndarray, stride: int):
-        self.logw = logw
-        self.offsets = stride * np.arange(_SUB_BLOCK)
-
-    def __getitem__(self, n) -> np.ndarray:
-        return self.logw.take(np.asarray(n)[..., None] + self.offsets, mode="clip").min(axis=-1)
+    ``+inf``: ensembles size their tables to the horizon, and ``run`` covers
+    every count a sub-block can reach before it screens, so no path reaches
+    them.  Each pass doubles the window and drops as many entries off the
+    padded end (``_SUB_BLOCK`` is a power of two); a minimum does not
+    round, so any grouping gives the same table."""
+    out = np.concatenate([logw, np.full(stride * (_SUB_BLOCK - 1), np.inf)])
+    span = stride
+    while span < stride * _SUB_BLOCK:
+        out = np.minimum(out[:-span], out[span:])
+        span *= 2
+    return out
 
 
 class _Windows(dict):
-    """The window minima of one log-weight table by stride, each made on
-    first use by ``make(logw, stride)``: built in full for an ensemble, or
-    evaluated where read for a single run."""
+    """The window minima of one log-weight table by stride, each built in
+    full on first use.  Ensembles and single runs read them alike; a single
+    run's ``_LogW`` builds a new one whenever its table grows."""
 
-    def __init__(self, logw: np.ndarray, make=_window_min):
+    def __init__(self, logw: np.ndarray):
         super().__init__()
-        self.logw, self.make = logw, make
+        self.logw = logw
 
     def __missing__(self, stride: int):
-        self[stride] = win = self.make(self.logw, stride)
+        self[stride] = win = _window_min(self.logw, stride)
         return win
 
 
-def _extreme(reduce, u: np.ndarray, wanted: np.ndarray, neutral: float) -> np.ndarray:
-    """Per run, ``reduce`` (``np.min`` or ``np.max``) of its draws in the
-    sub-block ``u``, on the ``wanted`` runs only; ``neutral`` elsewhere.
-    Reducing a row subset costs less than reducing every row."""
-    out = np.full(len(u), neutral)
-    rows = np.flatnonzero(wanted)
-    if rows.size:
-        out[rows] = reduce(u if rows.size == len(u) else u[rows], axis=(1, 2))
-    return out
+def _inside(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per run, whether every draw of its sub-block ``u`` (n_runs, length,
+    k) lies strictly inside its interval (``lo``, ``hi``).  An infinite
+    bound is not tested and a NaN bound fails; reducing only the rows a
+    bound tests costs less than reducing every row."""
+    ok = np.ones(len(u), dtype=bool)
+    for reduce, bound, inside, untested in ((np.min, lo, np.greater, -np.inf), (np.max, hi, np.less, np.inf)):
+        rows = np.flatnonzero(bound != untested)
+        if rows.size:
+            ok[rows] &= inside(reduce(u if rows.size == len(u) else u[rows], axis=(1, 2)), bound[rows])
+    return ok
 
 
 def _black_red_screen(qb: np.ndarray, qr: np.ndarray, uc: np.ndarray):
@@ -844,10 +843,7 @@ def _black_red_screen(qb: np.ndarray, qr: np.ndarray, uc: np.ndarray):
     qb = qb.min(axis=1) * (1.0 - _MARGIN)
     qr = qr.max(axis=1) * (1.0 + _MARGIN)
     to_red = 1.0 - qr > qb  # false where a bound is NaN
-    ok = np.where(
-        to_red, _extreme(np.min, uc, to_red, np.inf) >= qr, _extreme(np.max, uc, ~to_red, -np.inf) < qb
-    )
-    return ok, to_red
+    return _inside(uc, np.where(to_red, qr, -np.inf), np.where(to_red, np.inf, qb)), to_red
 
 
 def _ium_screen(black, red, logw, win, u):
@@ -891,8 +887,7 @@ def _multicolor_screen(counts, logw, win, u):
     cw = np.cumsum(w, axis=1)
     lo = np.where(leader > 0, cw[rows, leader - 1] / cw[:, -1] * (1.0 + _MARGIN), -np.inf)
     hi = np.where(leader < nc - 1, cw[rows, leader] / cw[:, -1] * (1.0 - _MARGIN), np.inf)
-    ok = (_extreme(np.min, u, leader > 0, np.inf) > lo) & (_extreme(np.max, u, leader < nc - 1, -np.inf) < hi)
-    return ok, leader
+    return _inside(u, lo, hi), leader
 
 
 def _screened(arrays, screen, leap, step):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import urnfield
 from urnfield import urns
 from urnfield.cli import main
 from urnfield.reinforcement import make_polynomial
@@ -327,6 +331,97 @@ class TestNoTraceback:
             rc = main(["simulate", "--model", model, "--seq", str(seq), *init, "--steps", steps,
                        "--seed", "1", "--out", str(tmp_path / "t.csv")])
             assert rc in (0, 2, 3)
+
+    # weights at the float-range edge: log W gaps near 1030 log 2 under
+    # rho = 2, log W(2) beyond float range under rho = 1e300 and under n^2000,
+    # and a polynomial whose coefficient is near the largest double
+    EDGE_SEQS = {
+        "rho=2": {"kind": "exponential", "rho": 2},
+        "rho=1e300": {"kind": "exponential", "rho": 1e300},
+        "1e300 n^2": {"kind": "polynomial", "coeffs": [0, 0, 1e300]},
+        "n^2000": {"kind": "polynomial", "coeffs": [0] * 2000 + [1]},
+    }
+
+    @staticmethod
+    def write(tmp_path, name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("seq", EDGE_SEQS)
+    def test_check_w(self, tmp_path, seq):
+        path = self.write(tmp_path, "seq.json", self.EDGE_SEQS[seq])
+        for horizon in ("1030", "100000"):
+            assert main(["check-w", "--seq", path, "--horizon", horizon]) in (0, 2, 3)
+
+    @pytest.mark.parametrize("seq", EDGE_SEQS)
+    def test_embed_test(self, tmp_path, seq):
+        path = self.write(tmp_path, "seq.json", self.EDGE_SEQS[seq])
+        for a in ("1,1", "1030,1", "1,1025"):
+            for d in ("1", "2"):
+                rc = main(["embed-test", "--seq", path, "--nc", "2", "--a", a, "--d", d, "--k", "2",
+                           "--samples", "200", "--seed", "1"])
+                assert rc in (0, 2, 3)
+
+    def test_embed_test_at_degree_2000(self):
+        rc = main(["embed-test", "--m", "2000", "--nc", "2", "--a", "1,1", "--d", "2", "--k", "2",
+                   "--samples", "200", "--seed", "1"])
+        assert rc in (0, 2, 3)
+
+    @pytest.mark.parametrize("seq", EDGE_SEQS)
+    @pytest.mark.parametrize("model", ["ium", "multicolor", "sequential", "embedding"])
+    def test_mc(self, tmp_path, seq, model):
+        for init in ({"black0": [1, 1030], "red0": [1025, 1], "a": [1030, 1]}, {}):
+            cfg = {"schema": 1, "model": model, "seq": self.EDGE_SEQS[seq], "n_steps": 50, "n_runs": 4,
+                   "seed": 3, "record_every": 10, "p": 0.5, **init}
+            path = self.write(tmp_path, "mc.json", cfg)
+            assert main(["mc", "--config", path, "--out", str(tmp_path / "r.json"), "--runs-csv"]) in (0, 2, 3)
+
+    @pytest.mark.parametrize("seq", EDGE_SEQS)
+    def test_scan(self, tmp_path, seq):
+        obj = self.EDGE_SEQS[seq]
+        for init in ({"black0": [1, 1030], "red0": [1025, 1]}, {}):
+            cfg = {"schema": 1, "m": len(obj.get("coeffs", "012")) - 1, "p_grid": [0.0, 0.5, 1.0], "per_point": {
+                "schema": 1, "model": "ium", "seq": obj, "n_steps": 50, "n_runs": 4, "seed": 3, "record_every": 10,
+                **init}}
+            path = self.write(tmp_path, "scan.json", cfg)
+            for fmt in ("csv", "json"):
+                assert main(["scan", "--config", path, "--format", fmt]) in (0, 2, 3)
+
+    @pytest.mark.parametrize("m", ["2", "2000"])
+    def test_equilibria(self, m):
+        for p in ("0", "0.3", "1"):
+            for fmt in ("csv", "json"):
+                assert main(["equilibria", "--m", m, "--p", p, "--grid", "64", "--format", fmt]) in (0, 2, 3)
+
+
+class TestSeedRange:
+    SIMULATE = ["simulate", "--m", "2", "--steps", "3"]
+
+    @pytest.mark.parametrize("argv", [
+        SIMULATE + ["--model", "ium", "--seed", "-1"],
+        SIMULATE + ["--model", "ium", "--seed", str(2**64)],
+        SIMULATE + ["--model", "multicolor", "--seed", "-1"],
+        SIMULATE + ["--model", "sequential", "--seed", str(2**64)],
+        SIMULATE + ["--model", "coupled", "--seed", "-1"],
+        # the discrete side of embed-test draws from seed + 1
+        ["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--m", "2", "--k", "2", "--samples", "200",
+         "--seed", str(2**64 - 1)],
+    ], ids=["ium-below", "ium-above", "multicolor-below", "sequential-above", "coupled-below", "embed-test-above"])
+    def test_seed_outside_64_bits_is_named(self, capsys, argv):
+        assert main(argv) == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, capsys):
+        assert main(self.SIMULATE + ["--model", "ium", "--seed", str(2**64 - 1)]) == 0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; no command needs it up front
+    code = "import sys, urnfield.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(urnfield.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestEmbedTest:

@@ -157,19 +157,27 @@ class TestMargin:
 
 
 def test_window_min_of_a_non_monotone_table():
-    logw = rf.log_weight_table(example_i(), 300)
-    for stride in (1, 2, 3):
-        win = urns._window_min(logw, stride)
-        at = urns._WindowMinAt(logw, stride)  # a single run's, evaluated where read
-        for n in (1, 2, 7, 100, 299):
-            path = logw[n: n + stride * urns._SUB_BLOCK: stride]
-            assert win[n] == path.min()
-            if n + stride * (urns._SUB_BLOCK - 1) < logw.size:
-                assert at[n] == path.min()
-            else:  # past the table a single run reads its last entry
-                assert at[n] == min(path.min(), logw[-1])
-        counts = np.array([[1, 7], [100, 2]])
-        assert np.array_equal(at[counts], win[counts])
+    # weights drawn at random to 300: the least of a window can lie anywhere in it
+    drawn = rf.make_table(np.random.default_rng(0).uniform(0.5, 2.0, 301).tolist())
+    for seq in (WEIGHTS["example I"], WEIGHTS["2^n"], WEIGHTS["table W(0)=0"], drawn):
+        logw = rf.log_weight_table(seq, 300)
+        padded = np.concatenate([logw, np.full(3 * urns._SUB_BLOCK, np.inf)])  # past the table: +inf
+        for stride in (1, 2, 3):
+            brute = [padded[n: n + stride * urns._SUB_BLOCK: stride].min() for n in range(logw.size)]
+            assert np.array_equal(urns._window_min(logw, stride), brute), (seq.to_json(), stride)
+
+
+def test_single_run_whose_window_passes_the_table_end():
+    # the first sub-block reaches count 240 of a 257-entry table; its
+    # 64-step window reads past the end
+    states = [urns.init_multicolor(2, (220, 1), 1, WEIGHTS["example I"], seed=9) for _ in range(2)]
+    assert 240 < states[0].logw.table.size < 220 + urns._SUB_BLOCK
+    screened = urns.run(states[0], 400, 20)
+    with exact_stepping():
+        exact = urns.run(states[1], 400, 20)
+    assert screened.run_steps_screened > 0
+    assert_same_trajectory(screened, exact)
+    assert_same_state(states[0], states[1])
 
 
 class TestCounters:
