@@ -21,33 +21,17 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, embedding, ensembles, meanfield, urns
 from .errors import ConditionViolation
+from .formats import csv_bytes, json_bytes, read_fields
 from .reinforcement import (
     ReinforcementSeq,
-    _is_json_int,
-    _is_json_number,
     check_mdrem_conditions,
     check_remainder_bound,
     check_strong,
     check_variation_bound,
     make_polynomial,
 )
-from .urns import _csv_bytes
-
-
-def _np_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True, default=_np_default) + "\n").encode()
 
 
 def _emit(args, payloads: dict[str, bytes], echo: dict) -> int:
@@ -73,7 +57,7 @@ def _emit(args, payloads: dict[str, bytes], echo: dict) -> int:
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(str(out) + ".manifest.json", "wb") as fh:
-        fh.write(_json_bytes(manifest))
+        fh.write(json_bytes(manifest))
     return 0
 
 
@@ -125,11 +109,11 @@ def cmd_field(args) -> int:
     params = meanfield.ModelParams(args.m, args.p)
     rows = meanfield.sample_field(params, args.resolution)
     if args.format == "json":
-        blob = _json_bytes(
+        blob = json_bytes(
             {"m": args.m, "p": args.p, "rows": [list(map(float, r)) for r in rows]}
         )
     else:
-        blob = _csv_bytes(["x", "y", "F1", "F2"], [tuple(map(float, r)) for r in rows])
+        blob = csv_bytes(["x", "y", "F1", "F2"], [tuple(map(float, r)) for r in rows])
     return _emit(args, {"": blob}, _echo(args))
 
 
@@ -137,9 +121,9 @@ def cmd_equilibria(args) -> int:
     params = meanfield.ModelParams(args.m, args.p)
     eqs = meanfield.find_equilibria(params, args.grid, args.tol)
     if args.format == "json":
-        blob = _json_bytes({"m": args.m, "p": args.p, "equilibria": [e.to_json() for e in eqs]})
+        blob = json_bytes({"m": args.m, "p": args.p, "equilibria": [e.to_json() for e in eqs]})
     else:
-        blob = _csv_bytes(
+        blob = csv_bytes(
             ["x", "y", "lambda_minus", "lambda_plus", "class"],
             [(e.x, e.y, e.lambda_minus, e.lambda_plus, e.stability) for e in eqs],
         )
@@ -150,7 +134,7 @@ def cmd_um(args) -> int:
     params = meanfield.ModelParams(args.m, args.p)
     u = meanfield.solve_um(params)
     margin = meanfield.um_stability_margin(params)
-    blob = _json_bytes(
+    blob = json_bytes(
         {
             "m": args.m,
             "p": args.p,
@@ -166,7 +150,7 @@ def cmd_um(args) -> int:
 def cmd_sm(args) -> int:
     params = meanfield.ModelParams(args.m, args.p)
     eq = meanfield.solve_sm(params, args.delta)
-    blob = _json_bytes({"m": args.m, "p": args.p, "delta": args.delta, **eq.to_json()})
+    blob = json_bytes({"m": args.m, "p": args.p, "delta": args.delta, **eq.to_json()})
     return _emit(args, {"": blob}, _echo(args))
 
 
@@ -185,7 +169,7 @@ def cmd_simulate(args) -> int:
             )
             for k in range(len(ti.steps))
         ]
-        blob = _csv_bytes(
+        blob = csv_bytes(
             ["step", "x_1", "x_2", "seq_x_1", "seq_x_2", "violations"], rows
         )
         return _emit(args, {"": blob}, {**_echo(args), "violations": violations})
@@ -210,11 +194,11 @@ def cmd_simulate(args) -> int:
 def cmd_mc(args) -> int:
     config = ensembles.EnsembleConfig.from_json(_load_json(args.config))
     report = ensembles.run_ensemble(config)
-    payloads = {"": _json_bytes(report.to_json())}
+    payloads = {"": json_bytes(report.to_json())}
     if args.runs_csv:
         d = len(report.run_rows[0]) - 3 if report.run_rows else 0
         header = ["run_index", "seed", "label"] + [f"x_{i + 1}_final" for i in range(d)]
-        payloads["runs.csv"] = _csv_bytes(header, report.run_rows)
+        payloads["runs.csv"] = csv_bytes(header, report.run_rows)
     echo = _echo(args)
     echo["seed"] = config.seed
     echo["runtime_s"] = report.runtime_s
@@ -224,36 +208,15 @@ def cmd_mc(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    obj = _load_json(args.config)
-    if not isinstance(obj, dict) or obj.get("schema") != 1:
-        raise ValueError("scan config must be an object with schema = 1")
-    unknown = set(obj) - {"schema", "m", "p_grid", "threshold", "per_point"}
-    if unknown:
-        raise ValueError(f"unknown scan config fields: {sorted(unknown)}")
-    missing = {"m", "p_grid", "per_point"} - set(obj)
-    if missing:
-        raise ValueError(f"missing scan config fields: {sorted(missing)}")
-    for key, ok in (
-        ("m", _is_json_int(obj["m"])),
-        ("p_grid", isinstance(obj["p_grid"], list) and all(map(_is_json_number, obj["p_grid"]))),
-        ("threshold", _is_json_number(obj.get("threshold", 0.99))),
-    ):
-        if not ok:
-            raise ValueError(f"scan config field {key!r} has the wrong type: {obj[key]!r}")
+    types = {"m": "int", "p_grid": "tuple[float, ...]", "threshold": "float", "per_point": "EnsembleConfig"}
+    obj = read_fields(_load_json(args.config), types, ("m", "p_grid", "per_point"), "scan config")
     per_point = ensembles.EnsembleConfig.from_json(obj["per_point"])
-    curve = ensembles.scan_p(
-        int(obj["m"]), obj["p_grid"], per_point, float(obj.get("threshold", 0.99))
-    )
+    curve = ensembles.scan_p(obj["m"], obj["p_grid"], per_point, float(obj.get("threshold", 0.99)))
     if args.format == "csv":
-        blob = _csv_bytes(
-            ["p", "domination_frequency", "ci_lo", "ci_hi"],
-            [
-                (p, f, lo, hi)
-                for p, f, (lo, hi) in zip(curve.p_grid, curve.frequencies, curve.cis)
-            ],
-        )
+        rows = [(p, f, lo, hi) for p, f, (lo, hi) in zip(curve.p_grid, curve.frequencies, curve.cis)]
+        blob = csv_bytes(["p", "domination_frequency", "ci_lo", "ci_hi"], rows)
     else:
-        blob = _json_bytes(curve.to_json())
+        blob = json_bytes(curve.to_json())
     echo = _echo(args)
     echo["seed"] = per_point.seed
     return _emit(args, {"": blob}, echo)
@@ -270,7 +233,7 @@ def cmd_check_w(args) -> int:
         rem_ratio, sq_ratio = check_mdrem_conditions(seq)
         results["rem_ratio"] = rem_ratio.to_json()
         results["squared_rem_ratio"] = sq_ratio.to_json()
-    blob = _json_bytes({"seq": seq.to_json(), "horizon": args.horizon, "checks": results})
+    blob = json_bytes({"seq": seq.to_json(), "horizon": args.horizon, "checks": results})
     return _emit(args, {"": blob}, _echo(args))
 
 
@@ -283,7 +246,7 @@ def cmd_embed_test(args) -> int:
         seq, args.nc, args.a, args.d, args.k, args.samples, args.seed + 1
     )
     report = embedding.compare_laws(za, zb)
-    blob = _json_bytes(
+    blob = json_bytes(
         {
             "nc": args.nc,
             "a": list(args.a),

@@ -34,6 +34,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConditionViolation, InternalConsistencyError
+from .formats import csv_bytes, json_fields
 from .reinforcement import ReinforcementSeq, log_weight_table, weight_table
 from .seeds import stream
 from .urns import EnsembleRaw, _color_shares, _drive, _multicolor_step, _streams, init_multicolor
@@ -218,21 +219,10 @@ def visit_times(state: EmbeddingState, edge: int) -> list[float]:
 def save_jump_log(state: EmbeddingState, path) -> None:
     """Write the realized jumps as CSV: jump_index, tau, edge, the count
     snapshot, and the refresh flag."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["jump_index", "tau", "edge"]
-            + [f"Z_{i + 1}" for i in range(state.nc)]
-            + ["refresh_flag"]
-        )
-        for idx, ev in enumerate(state.jump_log, start=1):
-            w.writerow(
-                [idx, format(ev.time, ".17g"), ev.edge + 1]
-                + list(ev.z)
-                + [int(ev.refresh)]
-            )
+    header = ["jump_index", "tau", "edge", *(f"Z_{i + 1}" for i in range(state.nc)), "refresh_flag"]
+    rows = ([idx, ev.time, ev.edge + 1, *ev.z, int(ev.refresh)] for idx, ev in enumerate(state.jump_log, start=1))
+    with open(path, "wb") as fh:
+        fh.write(csv_bytes(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +352,7 @@ class LawTestReport:
     counts_b: tuple
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "categories": [list(c) for c in self.categories],
-            "counts_a": list(self.counts_a),
-            "counts_b": list(self.counts_b),
-        }
+        return json_fields(self)
 
 
 def _row_categories(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,11 +27,9 @@ from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 import numpy as np
 from scipy import special
 
-from . import embedding, meanfield, urns
-from .reinforcement import ReinforcementSeq, _is_json_int, _is_json_number
+from . import embedding, formats, meanfield, urns
+from .reinforcement import ReinforcementSeq
 from .seeds import check_seed, derive_seed
-
-_CONFIG_SCHEMA = 1
 
 
 def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
@@ -86,46 +84,14 @@ class EnsembleConfig:
             raise ValueError("record_every must be >= 1")
 
     def to_json(self) -> dict:
-        out = {"schema": _CONFIG_SCHEMA}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "seq":
-                value = value.to_json()
-            elif isinstance(f.default, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return {"schema": formats.SCHEMA, **formats.json_fields(self)}
 
     @staticmethod
     def from_json(obj: dict) -> "EnsembleConfig":
-        if not isinstance(obj, dict):
-            raise ValueError("config must be a JSON object")
-        if obj.get("schema") != _CONFIG_SCHEMA:
-            raise ValueError(f"unsupported config schema: {obj.get('schema')!r}")
         types = {f.name: f.type for f in fields(EnsembleConfig)}
-        unknown = set(obj) - set(types) - {"schema"}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = {f.name for f in fields(EnsembleConfig) if f.default is MISSING} - set(obj)
-        if missing:
-            raise ValueError(f"missing config fields: {sorted(missing)}")
-        kwargs = {k: v for k, v in obj.items() if k in types and k != "seq"}
-        for key, value in kwargs.items():
-            if not _JSON_TYPES[types[key]](value):
-                raise ValueError(f"config field {key!r} has the wrong type: {value!r}")
-            if isinstance(value, list):
-                kwargs[key] = tuple(value)
-        return EnsembleConfig(seq=ReinforcementSeq.from_json(obj["seq"]), **kwargs)
-
-
-# what a config's JSON holds, by field annotation
-_JSON_TYPES = {
-    "str": lambda v: isinstance(v, str),
-    "int": _is_json_int,
-    "int | None": lambda v: v is None or _is_json_int(v),
-    "float": _is_json_number,
-    "tuple[int, ...]": lambda v: isinstance(v, list) and all(map(_is_json_int, v)),
-}
+        required = [f.name for f in fields(EnsembleConfig) if f.default is MISSING]
+        kwargs = formats.read_fields(obj, types, required, "config")
+        return EnsembleConfig(seq=ReinforcementSeq.from_json(kwargs.pop("seq")), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -137,13 +103,7 @@ class CellCount:
     stability: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "location": list(self.location),
-            "count": self.count,
-            "frequency": self.frequency,
-            "ci": list(self.ci),
-            "stability": self.stability,
-        }
+        return formats.json_fields(self)
 
 
 @dataclass
@@ -167,19 +127,8 @@ class McReport:
         """Deterministic report body; runtime and the run-step counters are
         deliberately excluded so identical configurations produce
         byte-identical files."""
-        return {
-            "config": self.config.to_json(),
-            "n_runs": self.config.n_runs,
-            "cells": [c.to_json() for c in self.cells],
-            "unresolved": self.unresolved,
-            "monopoly_counts": self.monopoly_counts,
-            "monopoly_frequency": self.monopoly_frequency,
-            "monopoly_ci": list(self.monopoly_ci),
-            "domination_count": self.domination_count,
-            "domination_frequency": self.domination_frequency,
-            "domination_ci": list(self.domination_ci),
-            "window": self.window,
-        }
+        skip = ("run_rows", "runtime_s", "run_steps_screened", "run_steps_exact")
+        return {**formats.json_fields(self, skip), "n_runs": self.config.n_runs}
 
 
 def _classification_targets(config: EnsembleConfig, equilibria):
@@ -311,13 +260,7 @@ class MonopolyEstimate:
     n_runs: int
 
     def to_json(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "ci": list(self.ci),
-            "by_color": self.by_color,
-            "window": self.window,
-            "n_runs": self.n_runs,
-        }
+        return formats.json_fields(self)
 
 
 def estimate_monopoly_prob(config: EnsembleConfig) -> MonopolyEstimate:
@@ -343,14 +286,7 @@ class PhaseCurve:
     threshold_crossing: float | None  # smallest grid p with frequency >= threshold
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "p_grid": self.p_grid,
-            "domination_frequencies": self.frequencies,
-            "cis": [list(c) for c in self.cis],
-            "threshold": self.threshold,
-            "threshold_crossing": self.threshold_crossing,
-        }
+        return {**formats.json_fields(self, ("frequencies",)), "domination_frequencies": self.frequencies}
 
 
 def scan_p(m: int, p_grid, per_point: EnsembleConfig, threshold: float = 0.99) -> PhaseCurve:

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConditionViolation, InternalConsistencyError
+from .formats import json_fields
 from .quadrature import adaptive_simpson, adaptive_simpson_scalar
 
 _DEADBAND = 1e-9  # |lambda_+| below this is reported as (nonstrictly) stable
@@ -244,15 +245,7 @@ class Equilibrium:
         return (self.x, self.y)
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "residual": self.residual,
-            "lambda_minus": self.lambda_minus,
-            "lambda_plus": self.lambda_plus,
-            "class": self.stability,
-            "provenance": self.provenance,
-        }
+        return {**json_fields(self, ("stability",)), "class": self.stability}
 
 
 def _classify(lambda_plus: float) -> str:

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConditionViolation
+from .formats import is_json_number, json_fields
 from .quadrature import adaptive_simpson
 
 DEFAULT_HORIZON = 1_000_000
@@ -116,20 +117,20 @@ class PolyBranch:
         """Euler-Maclaurin estimate of log sum_{k >= K} q(k)^{-power}."""
         m, coeffs = self.degree, self.coeffs
         mp = m * power
-        # integral: K^{1-mp} * J with J = int_0^1 t^{mp-2} / r(t)^power dt,
-        # r(t) = a_m + a_{m-1} t/K + ... (positive near t=0; K is beyond the
-        # Cauchy bound so q, hence r, is positive on the whole range)
-        rev = tuple(c / big_k ** i for i, c in enumerate(reversed(coeffs)))
+        # integral: K^{1-mp} a_m^{-power} J with J = int_0^1 t^{mp-2} / r(t)^power dt,
+        # r(t) = 1 + (a_{m-1}/a_m) t/K + ... (positive near t=0; K is beyond the
+        # Cauchy bound so q, hence r, is positive on the whole range); dividing
+        # by a_m keeps r^power in float range whatever the leading coefficient
+        lead = coeffs[-1]
+        rev = tuple(c / lead / big_k ** i for i, c in enumerate(reversed(coeffs)))
 
         def reduced(t):
-            # 0/0 or x/0 where r^power underflows: adaptive_simpson rejects it
+            # adaptive_simpson rejects a value that is not finite
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 return t ** (mp - 2) / _horner(rev, t) ** power
 
-        j_val = adaptive_simpson(reduced, 0.0, 1.0, tol=1e-14)
-        if j_val <= 0.0:  # r^power overflowed on the whole range
-            raise ConditionViolation(f"polynomial tail {self.coeffs}: W^-{power} underflows")
-        log_integral = (1 - mp) * math.log(big_k) + math.log(j_val)
+        j_val = adaptive_simpson(reduced, 0.0, 1.0, tol=1e-14)  # > 0: r(1)^power is finite
+        log_integral = (1 - mp) * math.log(big_k) + math.log(j_val) - power * math.log(lead)
         log_qk = float(self.log_values(np.array([big_k]))[0])
         log_half = math.log(0.5) - power * log_qk
         base = np.logaddexp(log_integral, log_half)
@@ -144,7 +145,10 @@ class PolyBranch:
     @cached_property
     def _positive_from(self) -> int:
         # Cauchy bound: q(k) > 0 for k beyond 1 + max |a_i|/a_m
-        return 1 + math.ceil(max(abs(c) for c in self.coeffs) / self.coeffs[-1])
+        bound = max(abs(c) for c in self.coeffs) / self.coeffs[-1]
+        if bound > sys.float_info.max:
+            raise ConditionViolation(f"polynomial tail {self.coeffs}: its Cauchy bound leaves float range")
+        return 1 + math.ceil(bound)
 
     def to_json(self):
         return {"poly": list(self.coeffs)}
@@ -262,18 +266,9 @@ def _json_field(obj, key: str, what: str):
     return obj[key]
 
 
-def _is_json_int(value) -> bool:
-    """An integer as JSON has it: Python's ``bool`` is an ``int``, JSON's is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_json_number(value) -> bool:
-    return _is_json_int(value) or isinstance(value, float)
-
-
 def _json_number(value, key: str) -> float:
     try:
-        number = float(value) if _is_json_number(value) else math.nan
+        number = float(value) if is_json_number(value) else math.nan
     except OverflowError:  # an integer beyond float range
         number = math.nan
     if not math.isfinite(number):
@@ -553,12 +548,7 @@ class ConditionVerdict:
     verdict: str  # holds | fails | inconclusive
 
     def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "horizon": self.horizon,
-            "estimate": self.estimate,
-            "verdict": self.verdict,
-        }
+        return json_fields(self)
 
 
 def remainder(seq: ReinforcementSeq, n: int, horizon: int = DEFAULT_HORIZON) -> float:

@@ -57,9 +57,7 @@ kernels and block steppers do not check weights again.
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
-import io
 import itertools
 import math
 import operator
@@ -67,6 +65,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import formats
 from .reinforcement import ReinforcementSeq, log_weight_table
 from .seeds import derive_seed, stream
 
@@ -138,16 +137,6 @@ def _color_shares(counts: np.ndarray, step: int) -> np.ndarray:
 # trajectories
 
 
-def _csv_bytes(header, rows) -> bytes:
-    """CSV with a header row; floats get 17 significant digits, which read
-    back to the same double."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
-    return buf.getvalue().encode()
-
-
 @dataclass
 class Trajectory:
     """Recorded time series of a single run.
@@ -184,7 +173,7 @@ class Trajectory:
         else:
             raise ValueError(f"unknown export: {what}")
         header = ["step"] + [f"{prefix}_{i + 1}" for i in range(data.shape[1])]
-        return _csv_bytes(header, ([s, *row] for s, row in zip(self.steps.tolist(), data.tolist())))
+        return formats.csv_bytes(header, ([s, *row] for s, row in zip(self.steps.tolist(), data.tolist())))
 
     def to_csv(self, path, what: str = "proportions") -> None:
         with open(path, "wb") as fh:

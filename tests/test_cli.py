@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,12 +68,13 @@ class TestExitCodes:
         bad.write_text("not json at all")
         assert main(["mc", "--config", str(bad)]) == 2
 
-    def test_unknown_config_field(self, tmp_path):
+    def test_unknown_config_field(self, tmp_path, capsys):
         path = mc_config(tmp_path)
         blob = json.loads(path.read_text())
         blob["typo"] = True
         path.write_text(json.dumps(blob))
         assert main(["mc", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config fields: ['typo']\n"
 
     def test_threads_rejected(self, tmp_path):
         path = mc_config(tmp_path, threads=2)
@@ -424,6 +427,26 @@ def test_import_leaves_scipy_stats_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+# sha256 of the README commands' output, pinned with numpy 2.4.6 and scipy
+# 1.17.1.  The bytes come from integer counts, exact divisions and a
+# chi-square over integer tallies, so only a draw within rounding of a weight
+# share or a different scipy chdtrc could move them.
+README_DIGESTS = {
+    "simulate --model ium --m 3 --p 0.2 --steps 100000 --seed 7 --record-every 100":
+        "89a31b936157851a9ec25a24280ae1ebeb1674088419adade3cedbf148ade59f",
+    "simulate --model coupled --m 2 --p 0.4 --steps 10000 --seed 1":
+        "5afac6e0d539a7f3e721636f7d80b6dc9a63a83e144e9e7e8485bfa4271724c7",
+    "embed-test --nc 2 --a 1,1 --d 2 --m 2 --k 3 --samples 100000 --seed 5":
+        "84a0c7319d7a7628a487d0080c0e1976cb1d3cef09a12bd2b7d98e7a33784e42",
+}
+
+
+def test_readme_outputs_are_byte_identical(capsys):
+    for command, digest in README_DIGESTS.items():
+        assert main(command.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
+
+
 class TestEmbedTest:
     def test_report(self, tmp_path, capsys):
         rc = main(["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--m", "2",
@@ -500,10 +523,20 @@ class TestMalformedInput:
     @pytest.mark.parametrize("field, value", [
         ("black0", 5), ("a", [1, "x"]), ("n_runs", "12"), ("p", None),
         ("n_runs", True), ("n_steps", True), ("record_every", True), ("p", True), ("black0", [1, True]),
+        ("window", 2.5),
     ])
     def test_mistyped_mc_field_exits_2(self, tmp_path, capsys, field, value):
         assert main(["mc", "--config", str(mc_config(tmp_path, **{field: value}))]) == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+
+    @pytest.mark.parametrize("field", ["seed", "n_steps"])
+    def test_missing_mc_field_exits_2(self, tmp_path, capsys, field):
+        path = mc_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        del cfg[field]
+        path.write_text(json.dumps(cfg))
+        assert main(["mc", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: missing config fields: ['{field}']\n"
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     @pytest.mark.parametrize("command", ["mc", "scan"])
@@ -520,7 +553,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("key, value", [
         ("per_point", DROP), ("p_grid", DROP), ("m", DROP),
         ("m", "2"), ("p_grid", 0.1), ("p_grid", [0.1, None]), ("threshold", None),
-        ("m", True), ("p_grid", [True]), ("threshold", False),
+        ("m", True), ("p_grid", [True]), ("threshold", False), ("n_steps", 100),
     ])
     def test_malformed_scan_config_exits_2(self, tmp_path, capsys, key, value):
         cfg = {"schema": 1, "m": 2, "p_grid": [0.1], "per_point": json.loads(mc_config(tmp_path).read_text())}
@@ -531,7 +564,24 @@ class TestMalformedInput:
         path = tmp_path / "scan.json"
         path.write_text(json.dumps(cfg))
         assert main(["scan", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+
+    @pytest.mark.parametrize("command", ["mc", "scan"])
+    @pytest.mark.parametrize("schema", [2, DROP], ids=["schema-2", "no-schema"])
+    def test_config_without_schema_1_exits_2(self, tmp_path, capsys, command, schema):
+        cfg = json.loads(mc_config(tmp_path).read_text())
+        if command == "scan":
+            cfg = {"schema": 1, "m": 2, "p_grid": [0.1], "per_point": cfg}
+        if schema is DROP:
+            del cfg["schema"]
+        else:
+            cfg["schema"] = schema
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        what = "scan config" if command == "scan" else "config"
+        assert capsys.readouterr().err == f"error: {what} must be a JSON object with schema = 1\n"
 
 
 class TestCheckWFloatRange:
@@ -553,9 +603,26 @@ class TestCheckWFloatRange:
             assert checks[name]["estimate"] == float("inf")
         assert '"estimate": Infinity' in out
 
-    @pytest.mark.parametrize("coeffs", [[1e-300, 0, 1e-300], [1e300, 0, 1], [0, 0, 1e200]])
+    # k^2000 past the explicit terms, a tail that starts near index 1e300, and
+    # a Cauchy bound beyond the largest double leave float range
+    @pytest.mark.parametrize("coeffs", [[0] * 2000 + [1], [1e300, 0, 1], [1e300, 0, 1e-10]])
     def test_polynomial_tail_beyond_float_range_exits_3(self, tmp_path, capsys, coeffs):
         rc, out, err = self.run(tmp_path, capsys, {"kind": "polynomial", "coeffs": coeffs}, 10_000)
         assert rc == 3
         assert out == ""
-        assert err.startswith("condition violation:")
+        assert err.startswith("condition violation:") and "leaves float range" in err
+
+    @staticmethod
+    def verdicts(out):
+        return {name: check["verdict"] for name, check in json.loads(out)["checks"].items()}
+
+    @pytest.mark.parametrize("coeffs", [[0, 0, 1e160], [0, 0, 1e200], [1e-300, 0, 1e-300]],
+                             ids=["1e160 n^2", "1e200 n^2", "1e-300 (n^2+1)"])
+    def test_scaled_n2_checks_like_n2(self, tmp_path, capsys, coeffs):
+        # the tail of W^-2 is integrated as (W / a_m)^-2, so a_m^2 beyond float range does not matter
+        rc, out, _ = self.run(tmp_path, capsys, {"kind": "polynomial", "coeffs": coeffs}, 10_000)
+        assert rc == 0
+        assert self.verdicts(out) == self.verdicts(self.run(tmp_path, capsys, N2_JSON, 10_000)[1])
+        if coeffs[:2] == [0, 0]:
+            estimate = json.loads(out)["checks"]["strong"]["estimate"]
+            assert estimate == pytest.approx(math.pi**2 / 6 / coeffs[2], rel=1e-12)
