@@ -172,7 +172,7 @@ def cmd_simulate(args) -> int:
         blob = csv_bytes(
             ["step", "x_1", "x_2", "seq_x_1", "seq_x_2", "violations"], rows
         )
-        return _emit(args, {"": blob}, {**_echo(args), "violations": violations})
+        return _emit(args, {"": blob}, {**_echo(args), "violations": violations, **_counters(ti)})
 
     if args.model == "ium":
         state = urns.init_ium(args.d, args.black0, args.red0, args.p, seq, args.seed)
@@ -187,8 +187,12 @@ def cmd_simulate(args) -> int:
         _, names, label = urns.monopoly_labels(traj.last_change[None], args.steps)
         traj.events["monopoly"] = names[label[0]]
     blob = traj.csv_bytes("counts" if args.counts else "proportions")
-    counters = {"run_steps_screened": traj.run_steps_screened, "run_steps_exact": traj.run_steps_exact}
-    return _emit(args, {"": blob}, {**_echo(args), "events": traj.events, **counters})
+    return _emit(args, {"": blob}, {**_echo(args), "events": traj.events, **_counters(traj)})
+
+
+def _counters(traj) -> dict:
+    """A trajectory's run-step counters, for the manifest."""
+    return {"run_steps_screened": traj.run_steps_screened, "run_steps_exact": traj.run_steps_exact}
 
 
 def cmd_mc(args) -> int:

@@ -41,7 +41,13 @@ _EM_EXPLICIT_TERMS = 512  # explicit terms before the Euler-Maclaurin tail
 
 
 def _horner(coeffs, x):
-    """Evaluate a_0 + a_1 x + ... + a_m x^m (vectorized in x)."""
+    """Evaluate a_0 + a_1 x + ... + a_m x^m (vectorized in x).  Zero
+    coefficients of the highest powers are skipped: at finite x they only
+    add exact zeros, and ``n^2000`` has 2000 of them in log space."""
+    m = len(coeffs)
+    while m > 1 and coeffs[m - 1] == 0:
+        m -= 1
+    coeffs = coeffs[:m]
     result = np.full_like(np.asarray(x, dtype=float), coeffs[-1])
     for c in reversed(coeffs[:-1]):
         result = result * x + c
@@ -106,8 +112,6 @@ class PolyBranch:
             return math.inf
         k0 = max(k0, self._positive_from)
         big_k = k0 + _EM_EXPLICIT_TERMS
-        if big_k ** self.degree > sys.float_info.max:
-            raise ConditionViolation(f"polynomial tail {self.coeffs}: k^{self.degree} leaves float range")
         ks = np.arange(k0, big_k)
         log_explicit = _logsumexp(-power * self.log_values(ks))
         log_tail = self._log_em_tail(big_k, power)
@@ -120,9 +124,10 @@ class PolyBranch:
         # integral: K^{1-mp} a_m^{-power} J with J = int_0^1 t^{mp-2} / r(t)^power dt,
         # r(t) = 1 + (a_{m-1}/a_m) t/K + ... (positive near t=0; K is beyond the
         # Cauchy bound so q, hence r, is positive on the whole range); dividing
-        # by a_m keeps r^power in float range whatever the leading coefficient
+        # by a_m keeps r^power in float range whatever the leading coefficient,
+        # and K^-i, not K^i, keeps its coefficients in range whatever the degree
         lead = coeffs[-1]
-        rev = tuple(c / lead / big_k ** i for i, c in enumerate(reversed(coeffs)))
+        rev = tuple(c / lead * float(big_k) ** -i for i, c in enumerate(reversed(coeffs)))
 
         def reduced(t):
             # adaptive_simpson rejects a value that is not finite
@@ -134,11 +139,13 @@ class PolyBranch:
         log_qk = float(self.log_values(np.array([big_k]))[0])
         log_half = math.log(0.5) - power * log_qk
         base = np.logaddexp(log_integral, log_half)
-        # add -f'(K)/12 with f = q^{-power}: f' < 0, as q'(K) > 0 this far out
+        # add -f'(K)/12 with f = q^{-power}: f' < 0, as q'(K) > 0 this far out;
+        # q'(K) = a_m K^(m-1) s with s = m + (m-1) a_{m-1}/(a_m K) + ..., in log space
         dq = _poly_derivative(coeffs)
-        qprime = float(_horner(dq, float(big_k))) if dq else 0.0
-        if qprime > 0:
-            log_corr = math.log(power * qprime / 12.0) - (power + 1) * log_qk
+        s = float(_horner(tuple(c / lead for c in reversed(dq)), 1.0 / big_k)) if dq else 0.0
+        if s > 0:
+            log_qprime = math.log(lead) + (m - 1) * math.log(big_k) + math.log(s)
+            log_corr = math.log(power / 12.0) + log_qprime - (power + 1) * log_qk
             base += math.log1p(math.exp(log_corr - base))
         return float(base)
 

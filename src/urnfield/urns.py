@@ -23,30 +23,31 @@ so run ``i`` of an ensemble reproduces a standalone simulation seeded with
 
 Each mechanism is implemented twice: a lockstep kernel (``_ium_step``,
 ``_multicolor_step``, ``_sequential_step``) that ensembles drive, and a
-block stepper (``_ium_steps``, ``_multicolor_steps``, ``_sequential_steps``)
-that ``run`` steps whole sub-blocks of one run through, ``run_coupled`` and
-the public ``step_*`` one step at a time.  A block stepper keeps the counts
-in Python ints and reads log weights as Python floats for a whole block,
-with its kernel's arithmetic on one run, so a single run costs about as
-much per step whether or not it ever settles.  The kernels, checked against
-exact laws, are the reference the block steppers are tested against.
-One loop, ``_drive``, draws and records for ensembles, ``run`` and
-``run_coupled`` alike; it walks each block of draws in sub-blocks that end
-at every record step.
+block stepper (``_ium_steps``, ``_multicolor_steps``,
+``_sequential_steps``) that ``run`` and ``run_coupled`` step whole
+sub-blocks of one run through, and the public ``step_*`` one step at a
+time.  A block stepper keeps the counts in Python ints and reads log
+weights as Python floats for a whole block, with its kernel's arithmetic on
+one run, so a single run costs about as much per step whether or not it
+ever settles.  The kernels, checked against exact laws, are the reference
+the block steppers are tested against.  One loop, ``_drive``, draws and
+records for ensembles, ``run`` and ``run_coupled`` alike; it walks each
+block of draws in sub-blocks that end at every record step.
 
-Ensembles and ``run`` screen each sub-block against the leader path.  Under
-strong reinforcement almost every step adds the leader's balls, so each
-kernel has a screen beside it that bounds the leader's probability over the
-whole sub-block from a windowed minimum of the log-weight table and tests
-every uniform of the sub-block against that bound, shrunk by a relative
-margin.  Ensembles and single runs read the same table of window minima,
-built by ``_window_min``, and end their screens in the same interval
-test, ``_inside``.  Runs that pass advance along the leader path in bulk;
-the others step through the kernel, or, in ``run``, which screens its
-state as an ensemble of one, through the block stepper.  Screening changes
-neither the RNG contract nor any output: every uniform is still drawn in
-the same order, and counts, last-change steps and recorded proportions are
-bit for bit those of stepping every run.
+Ensembles, ``run`` and ``run_coupled`` screen each sub-block against the
+leader path.  Under strong reinforcement almost every step adds the
+leader's balls, so each kernel has a screen beside it that bounds the
+leader's probability over the whole sub-block from a windowed minimum of
+the log-weight table and tests every uniform of the sub-block against that
+bound, shrunk by a relative margin.  Ensembles and single runs read the
+same table of window minima, built by ``_window_min``, and end their
+screens in the same interval test, ``_inside``.  Runs that pass advance
+along the leader path in bulk; the others step through the kernel, or, in
+``run`` and ``run_coupled``, which screen their states as ensembles of one,
+through the block stepper.  Screening changes neither the RNG contract nor
+any output: every uniform is still drawn in the same order, and counts,
+last-change steps and recorded proportions are bit for bit those of
+stepping every run.
 
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.  ``log_weight_table`` checks each table once,
@@ -147,7 +148,8 @@ class Trajectory:
     holds, per color, the last step at which its total grew (0 if it never
     did); ``run`` and ``run_coupled`` record it exactly, whatever the
     cadence.  The steps split into those advanced in bulk along a leader
-    path and those stepped one by one.
+    path and those stepped one by one; both sides of ``run_coupled`` carry
+    the pair's split.
     """
 
     steps: np.ndarray
@@ -298,11 +300,12 @@ def init_ium(d: int, black0, red0, p: float, seq: ReinforcementSeq, seed: int) -
     )
 
 
-def _ium_steps(state: UrnState, rows, start: int, last_change: list) -> None:
+def _ium_steps(state: UrnState, rows, start: int, last_change: list, path: list | None = None) -> None:
     """``_ium_step`` on the state as one run, over a block: one step per
     row of ``rows``, each the step's 2d uniforms in urn order, setting
     ``last_change[c]`` to the step (numbered from ``start + 1``) whenever
-    color ``c``'s total grows."""
+    color ``c``'s total grows.  A ``path`` list gets the counts after each
+    step, the urns' black counts then their red ones."""
     d, p = state.d, state.p
     black, red = state.black.tolist(), state.red.tolist()
     total_b, total_r = sum(black), sum(red)
@@ -329,6 +332,8 @@ def _ium_steps(state: UrnState, rows, start: int, last_change: list) -> None:
             last_change[0] = step
         if n_black < d:
             last_change[1] = step
+        if path is not None:
+            path.append(black + red)
     state.black[:] = black
     state.red[:] = red
     state.n += len(rows)
@@ -359,17 +364,11 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     at the given cadence (step 0 and the final step are always recorded).
     Consecutive runs of a state continue its one stream.
 
-    Each sub-block of at least ``_MIN_SCREEN`` steps is screened against the
-    leader path, as in the ensembles, and a state that passes advances in
-    bulk; other sub-blocks go through the block stepper.  A failed screen
-    costs about as much as 30 to 45 steps of the black/red steppers at
-    ``d = 2``, and 9 (``nc = 9``) to 15 (``nc = 3``) steps of the
-    multi-color one, so after one the next ``_SUB_BLOCK`` steps go
-    unscreened, twice as many after each further failure, at most
-    ``_MAX_WAIT``: a state that does not settle pays for few screens."""
-    per_step, steps_of, screen, leap, props_of, totals_of, counts_of, meta = _dispatch(state)
+    Sub-blocks are screened against the leader path at ``_paced``'s
+    cadence, as in the ensembles, and a state that passes advances in bulk;
+    other sub-blocks go through the block stepper."""
+    per_step, steps_of, _, leap, props_of, totals_of, counts_of, meta = _dispatch(state)
     last_change = [0] * len(totals_of(state))
-    wait = state.logw.wait
 
     def sample(step):
         return props_of(state), totals_of(state), counts_of(state) if record_counts else None
@@ -377,26 +376,10 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     def exact(start, u):
         steps_of(state, u[0].tolist(), start, last_change)  # Python floats compare faster than numpy scalars
 
-    def screen_state(u):
-        state.logw.cover(max(totals_of(state)) + per_step * u.shape[1])  # every count the sub-block can reach
-        ok, leader = screen(state, u)
-        wait[:] = [0, _SUB_BLOCK] if ok[0] else [wait[1], min(2 * wait[1], _MAX_WAIT)]
-        return ok, leader
-
     def leap_state(ok, leader, end, length):
         last_change[leap(state, leader[0], length)] = end
 
-    screened, counters = _screened((), screen_state, leap_state, exact)
-
-    def advance(start, u):
-        if u.shape[1] < _MIN_SCREEN:
-            exact(start, u)
-        elif wait[0] > 0:
-            wait[0] -= u.shape[1]
-            exact(start, u)
-        else:
-            screened(start, u)
-
+    advance, counters = _paced(state.logw.wait, _screen_of(state), leap_state, exact)
     steps, samples = _drive([state.rng], per_step, n_steps, record_every, advance, sample)
     props, totals, counts = zip(*samples)
     return Trajectory(
@@ -451,6 +434,51 @@ def _dispatch(state):
             lambda s: {"model": "sequential", "seq": s.seq.to_json()},
         )
     raise TypeError(f"unknown state type: {type(state)!r}")
+
+
+def _screen_of(state):
+    """The leader-path screen of a sub-block of uniforms ``u`` on ``state``
+    as an ensemble of one; it first covers every count the sub-block can
+    reach."""
+    per_step, _, screen, _, _, totals_of, _, _ = _dispatch(state)
+
+    def screen_state(u):
+        state.logw.cover(max(totals_of(state)) + per_step * u.shape[1])
+        return screen(state, u)
+
+    return screen_state
+
+
+def _paced(wait, screen, leap, exact):
+    """``_drive``'s ``advance`` for a single run, screened as ``_screened``
+    screens an ensemble of one, but not at every sub-block.  A failed
+    screen costs about as much as 30 to 45 steps of the black/red steppers
+    at ``d = 2``, and 9 (``nc = 9``) to 15 (``nc = 3``) steps of the
+    multi-color one.  So sub-blocks shorter than ``_MIN_SCREEN`` step
+    exactly, and after a failed screen the next ``_SUB_BLOCK`` steps go
+    unscreened, twice as many after each further failure, at most
+    ``_MAX_WAIT``: a run that does not settle pays for few screens.
+    ``wait`` holds the steps left to go unscreened and the wait after the
+    next failure.  Returns the advance and its [screened, exact] counters
+    (``exact`` counts the steps of failed screens only)."""
+
+    def paced_screen(u):
+        ok, leader = screen(u)
+        wait[:] = [0, _SUB_BLOCK] if ok[0] else [wait[1], min(2 * wait[1], _MAX_WAIT)]
+        return ok, leader
+
+    screened, counters = _screened((), paced_screen, leap, exact)
+
+    def advance(start, u):
+        if u.shape[1] < _MIN_SCREEN:
+            exact(start, u)
+        elif wait[0] > 0:
+            wait[0] -= u.shape[1]
+            exact(start, u)
+        else:
+            screened(start, u)
+
+    return advance, counters
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +583,11 @@ def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> Sequentia
     )
 
 
-def _sequential_steps(state: SequentialState, rows, start: int, last_change: list) -> None:
+def _sequential_steps(state: SequentialState, rows, start: int, last_change: list, path: list | None = None) -> None:
     """``_sequential_step`` on the state as one run, over a block: one
     sub-step per uniform of ``rows``, starting at the state's active urn;
-    each row is one step for ``last_change``, as in ``_ium_steps``."""
+    each row is one step for ``last_change`` and ``path``, as in
+    ``_ium_steps``."""
     black, red = state.black.tolist(), state.red.tolist()
     total_r = sum(red)
     urn = state.substep % 2
@@ -575,6 +604,8 @@ def _sequential_steps(state: SequentialState, rows, start: int, last_change: lis
                 total_r += 1
                 last_change[1] = step
             urn = 1 - urn
+        if path is not None:
+            path.append(black + red)
     state.black[:] = black
     state.red[:] = red
     state.substep += n_sub
@@ -620,6 +651,12 @@ def run_coupled(
     Requires a non-decreasing weight sequence.  Returns both trajectories
     and the number of violations of the dominance inequalities
     ``seq_red >= ium_red`` and ``seq_black <= ium_black`` (surely 0).
+
+    The pair is screened as ``run`` screens one state, at ``_paced``'s
+    cadence: a sub-block in which both sides pass their screens advances
+    both along their leader paths in bulk, and the violations are counted
+    along those paths.  Otherwise each side steps the sub-block through
+    its block stepper.  Both trajectories carry the pair's counters.
     """
     total0 = int(np.sum(black0) + np.sum(red0))
     bound = 2 * n_steps + total0 + 2
@@ -629,19 +666,35 @@ def run_coupled(
     seqp = init_sequential(black0, red0, seq, seed)
     last_i, last_s = [0, 0], [0, 0]
     violations = 0
+    screen_i, screen_s = _screen_of(ium), _screen_of(seqp)
 
-    def advance(start, u):
+    def exact(start, u):
         nonlocal violations
-        for step, us in enumerate(u[0].tolist(), start):
-            _ium_steps(ium, (us,), step, last_i)
-            _sequential_steps(seqp, (us[1::2],), step, last_s)
-            violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
-            violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
+        path_i, path_s = [], []
+        _ium_steps(ium, u[0].tolist(), start, last_i, path_i)
+        _sequential_steps(seqp, u[0, :, 1::2].tolist(), start, last_s, path_s)
+        violations += _violations(path_i, path_s)
+
+    def screen(u):
+        ok, to_red_i = screen_i(u)
+        if not ok[0]:
+            return ok, None
+        ok, to_red_s = screen_s(u[:, :, 1::2])
+        return ok, (bool(to_red_i[0]), bool(to_red_s[0]))
+
+    def leap(ok, to_red, end, length):
+        nonlocal violations
+        path_i = _leap_path(np.concatenate([ium.black, ium.red]), to_red[0], length)
+        path_s = _leap_path(np.concatenate([seqp.black, seqp.red]), to_red[1], length)
+        last_i[_leap_ium(ium, to_red[0], length)] = end
+        last_s[_leap_sequential(seqp, to_red[1], length)] = end
+        violations += _violations(path_i, path_s)
 
     def sample(step):
         seq_totals = (int(seqp.black.sum()), int(seqp.red.sum()))
         return proportions(ium), sequential_proportions(seqp), (ium.total_black, ium.total_red), seq_totals
 
+    advance, counters = _paced([0, _SUB_BLOCK], screen, leap, exact)
     steps, samples = _drive([stream(seed)], 4, n_steps, record_every, advance, sample)
     props_i, props_s, totals_i, totals_s = zip(*samples)
 
@@ -653,9 +706,30 @@ def run_coupled(
             seed=seed,
             meta={"model": model, "p": p, "seq": seq.to_json()},
             last_change=np.array(last_change, dtype=np.int64),
+            run_steps_screened=counters[0],
+            run_steps_exact=n_steps - counters[0],
         )
 
     return mk(props_i, totals_i, last_i, "ium"), mk(props_s, totals_s, last_s, "sequential"), violations
+
+
+def _leap_path(counts: np.ndarray, to_red: bool, length: int) -> np.ndarray:
+    """The counts, black per urn then red per urn, after each of ``length``
+    steps along the all-black or all-red path from ``counts``: one row per
+    step, each urn gaining one ball a step."""
+    d = len(counts) // 2
+    return counts + np.arange(1, length + 1)[:, None] * np.repeat([1 - to_red, int(to_red)], d)
+
+
+def _violations(ium, seq) -> int:
+    """Violations of the coupling's dominance inequalities over a stretch of
+    steps: ``ium`` and ``seq`` hold each side's counts after each step, one
+    row per step, black per urn then red per urn.  Each sequential black
+    count above its interacting one, and each sequential red count below
+    it, is one violation."""
+    ium, seq = np.asarray(ium), np.asarray(seq)
+    d = ium.shape[1] // 2
+    return int(np.count_nonzero(seq[:, :d] > ium[:, :d]) + np.count_nonzero(seq[:, d:] < ium[:, d:]))
 
 
 # ---------------------------------------------------------------------------

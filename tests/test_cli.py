@@ -172,6 +172,9 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == "step,x_1,x_2,seq_x_1,seq_x_2,violations"
         assert lines[-1].endswith(",0")
+        args = json.loads((tmp_path / "c.csv.manifest.json").read_text())["arguments"]
+        assert args["run_steps_screened"] > 0
+        assert args["run_steps_screened"] + args["run_steps_exact"] == 500
 
     @pytest.mark.parametrize("counts", [False, True])
     @pytest.mark.parametrize(
@@ -603,14 +606,23 @@ class TestCheckWFloatRange:
             assert checks[name]["estimate"] == float("inf")
         assert '"estimate": Infinity' in out
 
-    # k^2000 past the explicit terms, a tail that starts near index 1e300, and
-    # a Cauchy bound beyond the largest double leave float range
-    @pytest.mark.parametrize("coeffs", [[0] * 2000 + [1], [1e300, 0, 1], [1e300, 0, 1e-10]])
-    def test_polynomial_tail_beyond_float_range_exits_3(self, tmp_path, capsys, coeffs):
-        rc, out, err = self.run(tmp_path, capsys, {"kind": "polynomial", "coeffs": coeffs}, 10_000)
+    def test_cauchy_bound_beyond_float_range_exits_3(self, tmp_path, capsys):
+        rc, out, err = self.run(tmp_path, capsys, {"kind": "polynomial", "coeffs": [1e300, 0, 1e-10]}, 10_000)
         assert rc == 3
         assert out == ""
         assert err.startswith("condition violation:") and "leaves float range" in err
+
+    # W(K) beyond float range where the Euler-Maclaurin tail starts: k^2000
+    # and k^120 at K = 513, and k^2 at a tail that starts near index 1e300
+    @pytest.mark.parametrize("coeffs", [[0] * 2000 + [1], [0] * 120 + [1], [1e300, 0, 1]],
+                             ids=["n^2000", "n^120", "1e300 + n^2"])
+    def test_polynomial_tail_past_float_range_is_checked(self, tmp_path, capsys, coeffs):
+        rc, out, _ = self.run(tmp_path, capsys, {"kind": "polynomial", "coeffs": coeffs}, 10_000)
+        assert rc == 0
+        strong = json.loads(out)["checks"]["strong"]
+        assert (strong["condition"], strong["verdict"]) == ("summable", "holds")
+        if coeffs[0] == 0:
+            assert strong["estimate"] == 1.0  # 2^-m and beyond vanish next to W(1)^-1 = 1
 
     @staticmethod
     def verdicts(out):

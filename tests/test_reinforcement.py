@@ -410,11 +410,25 @@ class TestFloatRangeEdges:
         rel = 1e-6 if coeffs[0] else 1e-12  # the constant term moves the ratios a little
         assert [v.estimate for v in got] == pytest.approx([v.estimate for v in ref], rel=rel)
 
-    def test_tail_start_beyond_float_range_is_a_condition_violation(self):
-        # the Cauchy bound puts the tail's first index near 1e300
-        seq = rf.make_polynomial([1e300, 0, 1])
-        with pytest.raises(ConditionViolation, match="float range"):
-            rf.check_strong(seq, horizon=10_000)
+    def test_tail_start_near_1e300_is_summed(self):
+        # the Cauchy bound puts the tail's first index near 1e300; from K0 =
+        # 2e300 on, W = k^2 + 1e300 is beyond float range and the tail is 1/K0
+        branch = rf.PolyBranch((1e300, 0, 1))
+        assert branch.log_recip_tail(2 * 10**300, 1) == pytest.approx(-math.log(2e300), rel=1e-14)
+        assert rf.check_strong(rf.make_polynomial([1e300, 0, 1]), horizon=10_000).verdict == "holds"
+
+    @pytest.mark.parametrize("m", [120, 2000])
+    def test_tail_of_a_degree_beyond_float_range(self, m):
+        # K^m leaves float range from K = 513 on, where the tail of k^-m is
+        # summed from; the reference sums the terms in log space to 10^5
+        k = np.arange(513.0, 100_001.0)
+        got = rf.PolyBranch((0,) * m + (1,)).log_recip_tail(513, 1)
+        assert got == pytest.approx(float(np.logaddexp.reduce(-m * np.log(k))), rel=1e-12)
+        # the Euler-Maclaurin terms at K = 513: integral, f(K)/2 and -f'(K)/12
+        log_k = math.log(513)
+        terms = [(1 - m) * log_k - math.log(m - 1), math.log(0.5) - m * log_k, math.log(m / 12) - (m + 1) * log_k]
+        want = float(np.logaddexp.reduce(terms))
+        assert rf.PolyBranch((0,) * m + (1,))._log_em_tail(513, 1) == pytest.approx(want, rel=1e-12)
 
 
 class TestFromJsonErrors:

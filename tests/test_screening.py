@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from urnfield import ensembles as ens, reinforcement as rf, urns
 from urnfield.cli import main
-from urnfield.seeds import derive_seed
+from urnfield.seeds import derive_seed, stream
 
 
 def example_i():
@@ -349,3 +349,102 @@ def test_screened_ensembles_from_empty_urns_equal_exact_stepping():
         assert not np.isnan(screened.proportions[:, 1:]).any()
         for name in ("steps", "proportions", "last_add", "final_counts"):
             assert np.array_equal(getattr(screened, name), getattr(exact, name), equal_nan=True), name
+
+
+# ---------------------------------------------------------------------------
+# the coupling: ``run_coupled`` screens the pair as ``run`` screens one state
+
+
+def coupled_by_step(black0, red0, p, seq, seed, n_steps, record_every):
+    """``run_coupled`` as a loop of single steps: each step's four uniforms
+    from the seed's stream go through both block steppers one row at a
+    time, and the dominance inequalities are tested after every step."""
+    ium = urns.init_ium(2, black0, red0, p, seq, seed)
+    seqp = urns.init_sequential(black0, red0, seq, seed)
+    rng = stream(seed)
+    last_i, last_s = [0, 0], [0, 0]
+    violations = 0
+
+    def sample():
+        return (urns.proportions(ium), urns.sequential_proportions(seqp), (ium.total_black, ium.total_red),
+                (int(seqp.black.sum()), int(seqp.red.sum())))
+
+    steps, samples = [0], [sample()]
+    for step in range(n_steps):
+        us = rng.random(4).tolist()
+        urns._ium_steps(ium, (us,), step, last_i)
+        urns._sequential_steps(seqp, (us[1::2],), step, last_s)
+        violations += int(seqp.red[0] < ium.red[0]) + int(seqp.red[1] < ium.red[1])
+        violations += int(seqp.black[0] > ium.black[0]) + int(seqp.black[1] > ium.black[1])
+        if (step + 1) % record_every == 0 or step + 1 == n_steps:
+            steps.append(step + 1)
+            samples.append(sample())
+    return steps, [np.array(x) for x in zip(*samples)], (last_i, last_s), violations
+
+
+COUPLED_WEIGHTS = {"n^2": N2, "n^3": rf.make_polynomial([0, 0, 0, 1]), "1.5^n": rf.make_exponential(1.5)}
+
+
+@pytest.mark.parametrize("n_steps, record_every", [(0, 1), (1000, 1), (517, 7), (3000, 100)])
+@pytest.mark.parametrize("p, seed", [(0.8, 1), (0.2, 3)], ids=["settles", "mixed"])
+@pytest.mark.parametrize("seq", COUPLED_WEIGHTS)
+def test_coupled_run_equals_the_step_loop(seq, p, seed, n_steps, record_every):
+    black0, red0 = (2, 1), (1, 2)
+    ti, ts, violations = urns.run_coupled(black0, red0, p, COUPLED_WEIGHTS[seq], seed, n_steps, record_every)
+    steps, (props_i, props_s, totals_i, totals_s), (last_i, last_s), want = coupled_by_step(
+        black0, red0, p, COUPLED_WEIGHTS[seq], seed, n_steps, record_every)
+    assert violations == want
+    for tr, props, totals, last in ((ti, props_i, totals_i, last_i), (ts, props_s, totals_s, last_s)):
+        assert tr.steps.tolist() == steps
+        assert np.array_equal(tr.proportions, props)
+        assert np.array_equal(tr.color_totals, totals)
+        assert tr.last_change.tolist() == last
+        assert (tr.run_steps_screened, tr.run_steps_exact) == (ti.run_steps_screened, ti.run_steps_exact)
+        assert tr.run_steps_screened + tr.run_steps_exact == n_steps
+    if record_every < urns._MIN_SCREEN:
+        assert ti.run_steps_screened == 0
+
+
+def test_coupled_cases_settle_and_mix():
+    # the cases above cover a pair that leaps most of its steps and one whose
+    # interacting side goes to a mixed limit and never passes a screen
+    ti, _, _ = urns.run_coupled((2, 1), (1, 2), 0.8, N2, 1, 3000, 100)
+    assert ti.run_steps_screened > 0.8 * 3000
+    ti, _, _ = urns.run_coupled((2, 1), (1, 2), 0.2, N2, 3, 3000, 100)
+    assert ti.run_steps_screened == 0
+    assert 0.05 < ti.proportions[-1].min() and ti.proportions[-1].max() < 0.95
+
+
+def test_violations_along_leaped_paths():
+    # synthetic starts that break the dominance inequalities, counted along
+    # both leader paths against a step-by-step tally
+    rng = np.random.default_rng(11)
+    total = 0
+    for _ in range(300):
+        start_i, start_s = rng.integers(0, 40, 4), rng.integers(0, 40, 4)
+        red_i, red_s = (bool(r) for r in rng.integers(0, 2, 2))
+        length = int(rng.integers(1, urns._SUB_BLOCK + 1))
+        got = urns._violations(urns._leap_path(start_i, red_i, length), urns._leap_path(start_s, red_s, length))
+        ci, cs, want = start_i.tolist(), start_s.tolist(), 0
+        for _ in range(length):
+            for c, red in ((ci, red_i), (cs, red_s)):
+                for k in (0, 1):
+                    c[2 * red + k] += 1
+            want += sum(cs[k] > ci[k] for k in (0, 1)) + sum(cs[k] < ci[k] for k in (2, 3))
+        assert got == want
+        total += want
+    assert total > 0
+
+
+@pytest.mark.parametrize("init, stepper, width", [
+    (lambda: urns.init_ium(2, (1, 2), (2, 1), 0.5, N2, seed=3), urns._ium_steps, 4),
+    (lambda: urns.init_sequential((1, 2), (2, 1), N2, seed=3), urns._sequential_steps, 2),
+])
+def test_block_steppers_report_the_counts_after_each_step(init, stepper, width):
+    block, single = init(), init()
+    rows = np.random.default_rng(5).random((50, width)).tolist()
+    path = []
+    stepper(block, rows, 0, [0, 0], path)
+    for step, row in enumerate(rows):
+        stepper(single, (row,), step, [0, 0])
+        assert path[step] == single.black.tolist() + single.red.tolist()
