@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +118,14 @@ class TestConstructors:
         with pytest.raises(ValueError):
             seq2.value(0)
 
+    def test_negative_index_rejected(self):
+        # a table used to wrap around: W(-1) read the last table value
+        for seq in (rf.make_table([1, 2, 3]), rf.make_polynomial([0, 0, 1]), example_i()):
+            for ns in (np.array([2, -1]), range(-1, 2)):
+                for evaluate in (seq.values, seq.log_values):
+                    with pytest.raises(ValueError, match="n >= 0"):
+                        evaluate(ns)
+
     def test_eval_is_deterministic(self):
         seq = example_i()
         first = [seq.value(n) for n in range(1, 50)]
@@ -233,6 +242,11 @@ class TestVariationBound:
         v = rf.check_variation_bound(rf.make_polynomial([0, 0, 0, 1]), horizon=100_000)
         assert v.verdict == "holds"
         assert v.estimate == pytest.approx(1.0, abs=1e-9)
+        # at the default horizon: a wrong join of suffix-sum blocks moves these, not the verdicts
+        for seq in (rf.make_exponential(1.5), rf.make_polynomial([1, 3, 3, 1])):
+            v = rf.check_variation_bound(seq)
+            assert v.verdict == "holds"
+            assert v.estimate == pytest.approx(1.0, rel=1e-9)
 
     def test_example_i_holds(self):
         v = rf.check_variation_bound(example_i(), horizon=200_000)
@@ -269,6 +283,12 @@ class TestRemainderBound:
         assert v.verdict == "holds"
         assert v.estimate == pytest.approx(2.0, rel=1e-9)
 
+    def test_geometric_estimate_at_the_default_horizon(self):
+        # W(n) Rem(n) = rho / (rho - 1) for rho^n
+        v = rf.check_remainder_bound(rf.make_exponential(1.5))
+        assert v.verdict == "holds"
+        assert v.estimate == pytest.approx(3.0, rel=1e-9)
+
     def test_quadratic_grows_and_fails(self):
         v = rf.check_remainder_bound(rf.make_polynomial([0, 0, 1]), horizon=100_000)
         assert v.verdict == "fails"
@@ -282,12 +302,13 @@ class TestMdremConditions:
         assert r2.verdict == "holds"
 
     def test_geometric_ratio_vanishes(self):
-        r1, r2 = rf.check_mdrem_conditions(rf.make_exponential(2.0))
-        assert r1.verdict == "holds"
-        assert r1.estimate < 1e-30
-        # the squared-tail ratio is constant 1/3 for a geometric sequence
-        assert r2.verdict == "fails"
-        assert r2.estimate == pytest.approx(1.0 / 3.0, rel=1e-6)
+        for rho in (2.0, 1.5):
+            r1, r2 = rf.check_mdrem_conditions(rf.make_exponential(rho))
+            assert r1.verdict == "holds"
+            assert r1.estimate < 1e-30
+            # the squared-tail ratio is constant (rho - 1) / (rho + 1) for a geometric sequence
+            assert r2.verdict == "fails"
+            assert r2.estimate == pytest.approx((rho - 1) / (rho + 1), rel=1e-9)
 
     def test_barely_summable_ratio_does_not_vanish(self):
         ns = np.arange(400_000, dtype=float)
@@ -315,14 +336,103 @@ def test_vector_evaluation_matches_per_index(seq):
     tail = ns[ns >= 5]
     assert np.array_equal(seq.values(tail), [seq.value(int(n)) for n in tail])
     assert np.array_equal(seq.log_values(tail), [seq.log_value(int(n)) for n in tail])
-    # a contiguous scan, as the checks and the simulators' tables read it,
-    # equals the same indices evaluated out of order
-    for scan in (np.arange(seq.domain_start, 3000), np.arange(7, 2999)):
-        shuffled = np.random.default_rng(0).permutation(scan)
-        for evaluate in (seq.values, seq.log_values):
+    # a contiguous scan, as an index array or as the range the checks and the
+    # simulators' tables read, equals the same indices evaluated out of order
+    # and one at a time: from the domain start, inside the table, at its end
+    # and at each residue of the period past it
+    end = max(len(seq.table or ()), seq.domain_start)
+    period = len(seq.tail.branches) if seq.tail else 1
+    starts = {seq.domain_start, 7, max(end - 2, seq.domain_start)} | {end + r for r in range(period)}
+    for start in sorted(starts):
+        scan = np.arange(start, 2999)
+        shuffled = np.random.default_rng(start).permutation(scan)
+        for evaluate, one in ((seq.values, seq.value), (seq.log_values, seq.log_value)):
             out = np.empty(scan.size)
-            out[shuffled - scan[0]] = evaluate(shuffled)
+            out[shuffled - start] = evaluate(shuffled)
             assert np.array_equal(evaluate(scan), out)
+            assert np.array_equal(evaluate(range(start, 2999)), out)
+            assert np.array_equal(evaluate(range(start, start + 40)), [one(n) for n in range(start, start + 40)])
+
+
+class TestLogSuffixSums:
+    """``_log_suffix_sums`` against 40-digit sums at sampled indices: its worst
+    error is no larger than that of ``np.logaddexp.accumulate``."""
+
+    B = rf._SUFFIX_BLOCK
+
+    @staticmethod
+    def worst_errors(x, log_init, idx):
+        got = rf._log_suffix_sums(x, log_init)
+        accumulated = np.logaddexp.accumulate(np.concatenate(([log_init], x[::-1])))[:0:-1]
+        assert got.shape == x.shape
+        worst = [0.0, 0.0]
+        idx = set(int(i) for i in idx)
+        with mpmath.workdps(40):
+            total = mpmath.exp(log_init) if log_init > -math.inf else mpmath.mpf(0)
+            for j in range(x.size - 1, min(idx) - 1, -1):
+                if x[j] > -math.inf:
+                    total += mpmath.exp(x[j])
+                if j not in idx:
+                    continue
+                want = mpmath.log(total) if total > 0 else -mpmath.inf
+                if mpmath.isinf(want):
+                    assert got[j] == accumulated[j] == want
+                    continue
+                for side, value in enumerate((got[j], accumulated[j])):
+                    worst[side] = max(worst[side], float(abs(want - value)))
+        return worst
+
+    def check(self, x, log_init=-math.inf, n_sampled=None):
+        x = np.asarray(x, dtype=float)
+        idx = np.arange(x.size)
+        if n_sampled is not None:
+            rng = np.random.default_rng(x.size)
+            idx = np.concatenate([rng.integers(0, x.size, n_sampled), idx[:: self.B], idx[-self.B - 2 :], [0]])
+        blocked, accumulated = self.worst_errors(x, log_init, idx)
+        assert blocked <= accumulated
+
+    @pytest.mark.parametrize("log_init", [-math.inf, 2.5])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 5 * B + 7])
+    def test_short_noise(self, n, log_init):
+        self.check(np.random.default_rng(n).normal(0.0, 5.0, n), log_init)
+
+    def test_inverse_cubes(self):
+        # -3 log k, the remainder of W = k^3, seeded with the rest of the sum
+        n = 10**5 + 3
+        self.check(-3.0 * np.log(np.arange(1.0, n + 1)), math.log(0.5) - 2 * math.log(n + 1), n_sampled=300)
+
+    # -k log rho: at rho = 1.5 every block is summed by its cumsum; at log rho =
+    # 11.5 and 20 a block's last suffix sums would fall into or below the
+    # subnormal range
+    @pytest.mark.parametrize("log_rho", [math.log(1.5), 11.5, 20.0])
+    def test_geometric(self, log_rho):
+        self.check(-np.arange(1.0, 10**4 + 4) * log_rho, n_sampled=300)
+
+    @pytest.mark.parametrize("log_init", [-math.inf, 1.0])
+    def test_minus_infinity_holes_and_an_empty_block(self, log_init):
+        rng = np.random.default_rng(7)
+        x = rng.normal(0.0, 5.0, 10**4 + 3)
+        x[rng.random(x.size) < 0.1] = -math.inf
+        x[500 : 500 + 3 * self.B] = -math.inf  # holds at least two whole blocks
+        x[-5:] = -math.inf
+        self.check(x, log_init, n_sampled=300)
+
+    def test_plus_infinity(self):
+        x = np.random.default_rng(8).normal(0.0, 5.0, 40 * self.B + 3)
+        x[17 * self.B + 5] = math.inf
+        self.check(x)
+
+    def test_steep_walk_takes_the_exact_path(self):
+        # steps of up to -1000 leave exp(x - block max) far below the subnormal range
+        x = np.cumsum(np.random.default_rng(9).uniform(-1000.0, 0.0, 10**4 + 3))
+        self.check(x, n_sampled=300)
+
+    def test_steep_and_mild_blocks_mixed(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(0.0, 5.0, 10**4 + 3)
+        x[3000:6000] = x[3000] - 900.0 * np.arange(3000)  # rho^n at rho = e^900
+        x[8000:8300] += 600.0 * np.arange(300)  # and rising steeply
+        self.check(x, 1.0, n_sampled=300)
 
 
 def test_log_weight_table_marks_zeros():
