@@ -25,6 +25,7 @@ from . import __version__, embedding, ensembles, meanfield, urns
 from .errors import ConditionViolation
 from .formats import csv_bytes, json_bytes, read_fields
 from .reinforcement import (
+    DEFAULT_HORIZON,
     ReinforcementSeq,
     check_mdrem_conditions,
     check_remainder_bound,
@@ -234,7 +235,7 @@ def cmd_check_w(args) -> int:
         "remainder_bound": check_remainder_bound(seq, args.horizon).to_json(),
     }
     if results["strong"]["verdict"] == "holds":
-        rem_ratio, sq_ratio = check_mdrem_conditions(seq)
+        rem_ratio, sq_ratio = check_mdrem_conditions(seq, horizon=max(args.horizon, DEFAULT_HORIZON))
         results["rem_ratio"] = rem_ratio.to_json()
         results["squared_rem_ratio"] = sq_ratio.to_json()
     blob = json_bytes({"seq": seq.to_json(), "horizon": args.horizon, "checks": results})

@@ -22,12 +22,13 @@ ill-conditioned.
 the jump log and the holding-time decompositions.  The lockstep paths, the
 shared-stream sampler and the per-run-stream embedding ensemble, drive one
 array step, ``_jump``.  Every rate comes from ``_rate_table``: the timers
-hold linear-scale rates, so a weight beyond float range at a reachable
-count is a ConditionViolation.
+hold linear-scale rates, so a weight beyond float range (or one that
+underflows to 0) at a reachable count is a ConditionViolation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -73,16 +74,19 @@ class EmbeddingState:
 
 
 def _rate_table(seq: ReinforcementSeq, nmax: int, need: int) -> np.ndarray:
-    """Timer rates W(n) for n = 0..nmax, cut before the first rate that is
-    not finite.  The timers hold linear-scale rates, so a rate beyond float
-    range at or below the count ``need`` is a ConditionViolation."""
+    """Timer rates W(n) for n = 0..nmax, cut before the first rate from
+    ``domain_start`` on that is not finite or not positive.  The timers hold
+    linear-scale rates, so a weight beyond float range (or one that
+    underflows to 0) at or below the count ``need`` is a ConditionViolation.
+    Every rate a timer reads is therefore positive and finite."""
     with np.errstate(over="ignore"):
         table = weight_table(seq, nmax)
-    bad = np.flatnonzero(~np.isfinite(table))
+    ds = seq.domain_start
+    bad = ds + np.flatnonzero(~((table[ds:] > 0.0) & (table[ds:] < np.inf)))
     if bad.size and bad[0] <= need:
+        what = "exceeds float range" if table[bad[0]] > 0 else "underflows to 0"
         raise ConditionViolation(
-            f"W({bad[0]}) exceeds float range; the embedding's timers need finite "
-            f"rates up to n = {need}"
+            f"W({bad[0]}) {what}; the embedding's timers need positive finite rates up to n = {need}"
         )
     return table[: bad[0]] if bad.size else table
 
@@ -146,10 +150,7 @@ def refresh_rates(state: EmbeddingState) -> EmbeddingState:
 def advance_to_next_jump(state: EmbeddingState) -> tuple[EmbeddingState, JumpEvent]:
     """Cross the edge with the least remaining time, consume every timer's
     mass for the elapsed interval, and re-arm the crossed edge."""
-    with np.errstate(divide="ignore"):
-        remaining = state.mass / state.rate
-    if not np.isfinite(remaining).any():
-        raise ConditionViolation("no timer can ring: all rates are zero")
+    remaining = state.mass / state.rate  # _rate_table's rates are positive and finite
     winner = int(np.argmin(remaining))
     dt = float(remaining[winner])
     state.time += dt
@@ -229,26 +230,32 @@ def save_jump_log(state: EmbeddingState, path) -> None:
 # vectorized sampling of the embedded counts
 
 
-def _jump(z, z_ref, mass, rate, rates, fresh, rows, refresh: bool) -> np.ndarray:
-    """One jump of every copy (rows of the (n, nc) arrays) in lockstep, as
-    :func:`advance_to_next_jump` makes it: the timer with the least
-    remaining time rings, every timer spends ``rate * dt`` of its mass, and
-    the winner re-arms with its ``fresh`` Exp(1) mass at the rate of the
-    last refresh snapshot.  ``refresh`` then re-rates every timer from the
-    new counts.  Returns the winning edge per copy."""
-    with np.errstate(divide="ignore"):
-        remaining = mass / rate
-    win = np.argmin(remaining, axis=1)
-    dt = remaining[rows, win]
+def _jump(z, mass, rate, rates, fresh, base, refresh: bool) -> np.ndarray:
+    """One jump of every copy (rows of the row-major (n, nc) arrays) in
+    lockstep, as :func:`advance_to_next_jump` makes it: the timer with the
+    least remaining time rings, every timer spends ``rate * dt`` of its
+    mass, and the winner re-arms with its ``fresh`` Exp(1) mass at the rate
+    of the last refresh snapshot, which is the rate it already has.
+    ``refresh`` then re-rates every timer from the new counts.
+
+    The winner is taken column by column with a strict ``<``, so a tie goes
+    to the first timer, as with ``argmin``; a remaining time is never NaN,
+    as masses are finite and ``_rate_table`` gives only positive finite
+    rates.  ``base`` is ``arange(n) * nc``: ``base + winner`` indexes each
+    copy's winner in the flattened arrays, which is returned."""
+    remaining = (mass / rate).T
+    dt = remaining[0]
+    win = np.zeros(len(dt), dtype=np.intp)
+    for c in range(1, len(remaining)):
+        win += (remaining[c] < dt) * (c - win)
+        dt = np.minimum(dt, remaining[c])
     mass -= rate * dt[:, None]
     np.maximum(mass, 0.0, out=mass)
-    z[rows, win] += 1
-    mass[rows, win] = fresh
+    win += base
+    z.ravel()[win] += 1
+    mass.ravel()[win] = fresh
     if refresh:
-        z_ref[:] = z
-        rate[:] = rates[z]
-    else:
-        rate[rows, win] = rates[z_ref[rows, win]]
+        np.take(rates, z, out=rate)
     return win
 
 
@@ -276,13 +283,12 @@ def sample_embedding_counts(
     rng = stream(seed)
     rates = _rate_table(seq, max(a) + k * d, max(a) + k * d)
     z = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
-    z_ref = z.copy()
     mass = rng.exponential(size=(n_samples, nc))
     rate = rates[z]
-    rows = np.arange(n_samples)
+    base = np.arange(0, n_samples * nc, nc)
     for j in range(1, k * d + 1):
         fresh = rng.exponential(size=n_samples)
-        _jump(z, z_ref, mass, rate, rates, fresh, rows, refresh_every_jump or j % d == 0)
+        _jump(z, mass, rate, rates, fresh, base, refresh_every_jump or j % d == 0)
     return z
 
 
@@ -299,17 +305,16 @@ def run_embedding_ensemble(
     rates = _rate_table(seq, max(a) + d * n_steps, max(a) + d * n_steps)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     z = np.tile(np.array(a, dtype=np.int64), (n_runs, 1))
-    z_ref = z.copy()
     mass = np.stack([g.exponential(size=nc) for g in gens])
     rate = rates[z]
-    rows = np.arange(n_runs)
+    base = np.arange(0, n_runs * nc, nc)
     last_add = np.zeros((n_runs, nc), dtype=np.int64)
 
     def advance(start, fresh):
         for step, draws in enumerate(fresh.swapaxes(0, 1), start + 1):
             for j in range(d):
-                win = _jump(z, z_ref, mass, rate, rates, draws[:, j], rows, j == d - 1)
-                last_add[rows, win] = step
+                win = _jump(z, mass, rate, rates, draws[:, j], base, j == d - 1)
+                last_add.ravel()[win] = step
 
     steps, props = _drive(
         gens, d, n_steps, record_every, advance, lambda step: _color_shares(z, step), "standard_exponential"
@@ -355,11 +360,48 @@ class LawTestReport:
         return json_fields(self)
 
 
-def _row_categories(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+_KEY_ROOM = 4  # count categories over a key space of up to this many times the rows
+
+
+def _row_categories(samples_a: np.ndarray, samples_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of two integer arrays in lexicographic order, and
+    how often each occurs in either array.
+
+    Each column's values are shifted by the column's min over both arrays,
+    and the columns are read as the digits of a mixed-radix key with radix
+    ``max - min + 1`` per column, first column most significant; key order
+    is lexicographic row order.  One ``bincount`` of the keys per array then
+    counts the categories.  When the key space is more than ``_KEY_ROOM``
+    times the row count, ``_folded_categories`` finds them instead."""
+    lo = [min(int(a.min()), int(b.min())) for a, b in zip(samples_a.T, samples_b.T)]
+    hi = [max(int(a.max()), int(b.max())) for a, b in zip(samples_a.T, samples_b.T)]
+    radix = [h - l + 1 for l, h in zip(lo, hi)]
+    size, n_a = math.prod(radix), len(samples_a)
+    if size > _KEY_ROOM * (n_a + len(samples_b)):
+        cats, key = _folded_categories(np.concatenate([samples_a, samples_b]))
+        return cats, np.bincount(key[:n_a], minlength=len(cats)), np.bincount(key[n_a:], minlength=len(cats))
+
+    def keys(samples):
+        key = np.zeros(len(samples), dtype=np.intp)
+        for col, l, r in zip(samples.T, lo, radix):
+            key *= r
+            key += col
+            key -= l
+        return key
+
+    counts_a = np.bincount(keys(samples_a), minlength=size)
+    counts_b = np.bincount(keys(samples_b), minlength=size)
+    seen = np.flatnonzero(counts_a + counts_b)
+    cats = np.stack(np.unravel_index(seen, radix), axis=1) + lo
+    return cats, counts_a[seen], counts_b[seen]
+
+
+def _folded_categories(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an integer array in lexicographic order, and each
-    row's index among them.  Each column's 1-D codes are folded into one
-    integer key, first column most significant; the key is re-compressed to
-    dense codes after every fold, so it stays below ``len(rows)**2``."""
+    row's index among them, for any span of values.  Each column's 1-D codes
+    (two sorts) are folded into one integer key, first column most
+    significant; the key is re-compressed to dense codes after every fold,
+    so it stays below ``len(rows)**2``."""
     key = np.zeros(len(rows), dtype=np.int64)
     for col in rows.T:
         values, codes = np.unique(col, return_inverse=True)
@@ -379,8 +421,7 @@ def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     n_a, n_b = len(samples_a), len(samples_b)
     if n_a < 100 or n_b < 100:
         raise ValueError("need at least 100 samples on each side")
-    pooled = np.concatenate([samples_a, samples_b])
-    cats, inverse = _row_categories(pooled)
+    cats, ca, cb = _row_categories(samples_a, samples_b)
     if len(cats) > 64:
         from scipy.stats import ks_2samp  # importing scipy.stats takes about a second
 
@@ -388,10 +429,8 @@ def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
         return LawTestReport(
             "ks", float(stat), 0, float(p), n_a, n_b, (), (), ()
         )
-    ca = np.bincount(inverse[:n_a], minlength=len(cats)).astype(float)
-    cb = np.bincount(inverse[n_a:], minlength=len(cats)).astype(float)
     cats_list = [tuple(int(v) for v in c) for c in cats]
-    ca, cb, cats_list = _pool_rare(ca, cb, cats_list, n_a, n_b)
+    ca, cb, cats_list = _pool_rare(ca.astype(float), cb.astype(float), cats_list, n_a, n_b)
     counts = tuple(cats_list), tuple(int(v) for v in ca), tuple(int(v) for v in cb)
     if len(ca) < 2:
         # a single outcome on both sides is a perfect match

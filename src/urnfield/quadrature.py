@@ -23,10 +23,12 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-10,
+    panels: int = 1,
 ) -> float:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.  A
-    non-finite value of ``f`` raises :class:`ConditionViolation`: refining
-    its panel could never settle."""
+    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``,
+    starting from ``panels`` equal panels.  A non-finite value of ``f``
+    raises :class:`ConditionViolation`: refining its panel could never
+    settle."""
     if b == a:
         return 0.0
     if b < a:
@@ -38,8 +40,8 @@ def adaptive_simpson(
             raise ConditionViolation(f"integrand is not finite on a panel of [{a}, {b}]")
         return y
 
-    lo = np.array([float(a)])
-    hi = np.array([float(b)])
+    edges = np.linspace(float(a), float(b), panels + 1)
+    lo, hi = edges[:-1], edges[1:]
     flo = finite_f(lo)
     fhi = finite_f(hi)
     mid = 0.5 * (lo + hi)

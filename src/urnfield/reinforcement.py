@@ -112,39 +112,28 @@ class PolyBranch:
         return self.degree * power >= 2
 
     def log_recip_tail(self, k0: int, power: int) -> float:
-        """log of ``sum_{k >= k0} branch(k)^{-power}`` (``inf`` if divergent)."""
+        """log of ``sum_{k >= k0} branch(k)^{-power}`` (``inf`` if divergent).
+        Every term from ``k0`` on counts: the branch must be positive there."""
         if not self.summable(power):
             return math.inf
-        k0 = max(k0, self._positive_from)
-        big_k = k0 + _EM_EXPLICIT_TERMS
+        big_k = max(k0, self._increasing_from) + _EM_EXPLICIT_TERMS
         ks = np.arange(k0, big_k)
         log_explicit = _logsumexp(-power * self.log_values(ks))
         log_tail = self._log_em_tail(big_k, power)
         return np.logaddexp(log_explicit, log_tail)
 
     def _log_em_tail(self, big_k: int, power: int) -> float:
-        """Euler-Maclaurin estimate of log sum_{k >= K} q(k)^{-power}."""
+        """Euler-Maclaurin estimate of log sum_{k >= K} q(k)^{-power}: the
+        integral from K, f(K)/2 and -f'(K)/12 with f = q^{-power}."""
         m, coeffs = self.degree, self.coeffs
-        mp = m * power
-        # integral: K^{1-mp} a_m^{-power} J with J = int_0^1 t^{mp-2} / r(t)^power dt,
-        # r(t) = 1 + (a_{m-1}/a_m) t/K + ... (positive near t=0; K is beyond the
-        # Cauchy bound so q, hence r, is positive on the whole range); dividing
-        # by a_m keeps r^power in float range whatever the leading coefficient,
-        # and K^-i, not K^i, keeps its coefficients in range whatever the degree
         lead = coeffs[-1]
-        rev = tuple(c / lead * float(big_k) ** -i for i, c in enumerate(reversed(coeffs)))
-
-        def reduced(t):
-            # adaptive_simpson rejects a value that is not finite
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return t ** (mp - 2) / _horner(rev, t) ** power
-
-        j_val = adaptive_simpson(reduced, 0.0, 1.0, tol=1e-14)  # > 0: r(1)^power is finite
-        log_integral = (1 - mp) * math.log(big_k) + math.log(j_val) - power * math.log(lead)
+        log_integral = self._log_integral_from(max(big_k, self._cauchy_bound), power)
+        if big_k < self._cauchy_bound:
+            log_integral = np.logaddexp(log_integral, self._log_integral_between(big_k, self._cauchy_bound, power))
         log_qk = float(self.log_values(np.array([big_k]))[0])
         log_half = math.log(0.5) - power * log_qk
         base = np.logaddexp(log_integral, log_half)
-        # add -f'(K)/12 with f = q^{-power}: f' < 0, as q'(K) > 0 this far out;
+        # add -f'(K)/12: f' < 0, as q'(K) > 0 from K >= _increasing_from on;
         # q'(K) = a_m K^(m-1) s with s = m + (m-1) a_{m-1}/(a_m K) + ..., in log space
         dq = _poly_derivative(coeffs)
         s = float(_horner(tuple(c / lead for c in reversed(dq)), 1.0 / big_k)) if dq else 0.0
@@ -154,13 +143,71 @@ class PolyBranch:
             base += math.log1p(math.exp(log_corr - base))
         return float(base)
 
+    def _log_integral_from(self, big_k: int, power: int) -> float:
+        """log of int_K^inf q(x)^{-power} dx for K at or beyond the Cauchy bound."""
+        m, coeffs = self.degree, self.coeffs
+        mp = m * power
+        # K^{1-mp} a_m^{-power} J with J = int_0^1 t^{mp-2} / r(t)^power dt,
+        # r(t) = 1 + (a_{m-1}/a_m) t/K + ...; beyond the Cauchy bound every
+        # term after the 1 is at most 1 in size and q, hence r, is positive;
+        # dividing by a_m keeps r^power in float range whatever the leading
+        # coefficient, and K^-i, not K^i, keeps its coefficients in range
+        # whatever the degree
+        lead = coeffs[-1]
+        rev = tuple(c / lead * float(big_k) ** -i for i, c in enumerate(reversed(coeffs)))
+
+        def reduced(t):
+            # adaptive_simpson rejects a value that is not finite
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return t ** (mp - 2) / _horner(rev, t) ** power
+
+        j_val = adaptive_simpson(reduced, 0.0, 1.0, tol=1e-14)  # > 0: r(1)^power is finite
+        return (1 - mp) * math.log(big_k) + math.log(j_val) - power * math.log(lead)
+
+    def _log_integral_between(self, lo: int, hi: int, power: int) -> float:
+        """log of int_lo^hi q(x)^{-power} dx, taken over s = log x: below the
+        Cauchy bound q can change its scale anywhere (1e300 + x^2 turns at
+        x = 1e150), while over s the log of the integrand moves by at most
+        ``m * power`` per unit.  A grid of step 1/4 finds its top; where it
+        stays 40 below (for non-negative coefficients it is concave in s),
+        the integrand adds under e^-40 of the integral and is left out."""
+        mp, rev = self.degree * power, tuple(reversed(self.coeffs))
+
+        def log_f(s, at):
+            # log(x q(x)^-power) - (1 - mp) log(at) at x = at e^s, with
+            # q(x) = x^m R(1/x); s stays small where it counts, so that
+            # rounding s does not show in the integrand
+            return (1 - mp) * s - power * np.log(_horner(rev, np.exp(-s) / at))
+
+        grid = np.linspace(0.0, math.log(hi / lo), 4 * math.ceil(math.log(hi / lo)) + 1)
+        log_grid = log_f(grid, lo)
+        top = int(np.argmax(log_grid))
+        near = np.flatnonzero(log_grid >= log_grid[top] - 40.0)
+        at = lo * math.exp(grid[top])
+        a, b = grid[max(near[0] - 1, 0)] - grid[top], grid[min(near[-1] + 1, grid.size - 1)] - grid[top]
+        log_top = float(log_f(np.array([0.0]), at)[0])
+
+        def scaled(s):
+            with np.errstate(over="ignore"):
+                return np.exp(log_f(s, at) - log_top)
+
+        j_val = adaptive_simpson(scaled, a, b, tol=1e-14, panels=math.ceil(b - a))
+        return (1 - mp) * math.log(at) + log_top + math.log(j_val)
+
     @cached_property
-    def _positive_from(self) -> int:
-        # Cauchy bound: q(k) > 0 for k beyond 1 + max |a_i|/a_m
+    def _cauchy_bound(self) -> int:
+        # q(x) > 0 for x beyond 1 + max |a_i|/a_m
         bound = max(abs(c) for c in self.coeffs) / self.coeffs[-1]
         if bound > sys.float_info.max:
             raise ConditionViolation(f"polynomial tail {self.coeffs}: its Cauchy bound leaves float range")
         return 1 + math.ceil(bound)
+
+    @cached_property
+    def _increasing_from(self) -> int:
+        # q(x) > 0 and q'(x) > 0 for x >= 1 + max(|a_i| : a_i < 0)/a_m, the
+        # bound make_table checks a tail positive up to; with no negative
+        # coefficient that is every x >= 1
+        return 1 + math.ceil(max((-c for c in self.coeffs if c < 0), default=0.0) / self.coeffs[-1])
 
     def to_json(self):
         return {"poly": list(self.coeffs)}
@@ -518,7 +565,7 @@ class ReinforcementSeq:
         lo = max(n, self.domain_start)
         if lo < explicit_len:
             parts.append(_logsumexp(-power * self.log_values(range(lo, explicit_len))))
-        base = max(n, explicit_len)
+        base = max(lo, explicit_len)
         period = len(self._branches)
         for r, branch in enumerate(self._branches):
             # smallest k with period*k + r >= base

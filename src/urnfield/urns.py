@@ -523,8 +523,7 @@ def _multicolor_steps(state: MultiColorState, rows, start: int, last_change: lis
     """``_multicolor_step`` on the state as one run, over a block as in
     ``_ium_steps``: one step per row of ``rows``, each the step's d
     uniforms.  The weights are summed, and the cut points accumulated, left
-    to right; from ``nc = 8`` numpy sums the kernel's weights in another
-    order, which can move a cut point by an ulp."""
+    to right, as in the kernel."""
     counts = state.counts.tolist()
     state.logw.cover(max(counts) + state.d * len(rows))  # every count the block can reach
     logw = state.logw.table.item
@@ -810,22 +809,23 @@ def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.
     """Add one ball per column of ``u`` to every row of ``counts``, colors
     drawn from the log weights frozen at the step's start.  Returns the
     balls each color got, shaped like ``counts``."""
-    lw = logw[counts]
-    hi = functools.reduce(np.maximum, lw.T)  # column-wise: faster than max(axis=1) over a few columns
-    w = np.exp(lw - hi[:, None])
-    probs = w / w.sum(axis=1, keepdims=True)
+    lw = logw[counts].T
+    # column by column: faster than max(axis=1) and a broadcast over a few columns
+    hi = functools.reduce(np.maximum, lw)
+    w = [np.exp(col - hi) for col in lw]
+    total = functools.reduce(operator.add, w)  # left to right, as _multicolor_steps sums
     # a ball's color is the number of cut points (cumulative probabilities,
     # summed left to right) below its uniform among the first nc - 1; the
     # last, which rounding can leave below 1, is skipped
     added = np.empty_like(counts)
     at_least = u.shape[1]  # balls of color >= c
-    cut = probs[:, 0]
+    cut = w[0] / total
     for c in range(counts.shape[1] - 1):
         above = sum(u[:, j] > cut for j in range(u.shape[1]))
         added[:, c] = at_least - above
         at_least = above
         if c + 1 < counts.shape[1] - 1:
-            cut = cut + probs[:, c + 1]
+            cut = cut + w[c + 1] / total
     added[:, -1] = at_least
     counts += added
     return added

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import urnfield
-from urnfield import urns
+from urnfield import cli, reinforcement as rf, urns
 from urnfield.cli import main
 from urnfield.reinforcement import make_polynomial
 
@@ -606,6 +606,22 @@ class TestCheckWFloatRange:
             assert checks[name]["estimate"] == float("inf")
         assert '"estimate": Infinity' in out
 
+    @pytest.mark.parametrize("horizon, scanned", [(1_000, 1_000_000), (2_000_000, 2_000_000)])
+    def test_remainder_decay_checks_follow_a_horizon_above_the_default(
+        self, tmp_path, capsys, monkeypatch, horizon, scanned
+    ):
+        seen = []
+
+        def spy(seq, **kwargs):
+            seen.append(kwargs["horizon"])
+            return rf.check_mdrem_conditions(seq, **kwargs)
+
+        monkeypatch.setattr(cli, "check_mdrem_conditions", spy)
+        rc, out, _ = self.run(tmp_path, capsys, N2_JSON, horizon)
+        assert rc == 0
+        assert seen == [scanned]
+        assert {"rem_ratio", "squared_rem_ratio"} <= json.loads(out)["checks"].keys()
+
     def test_cauchy_bound_beyond_float_range_exits_3(self, tmp_path, capsys):
         rc, out, err = self.run(tmp_path, capsys, {"kind": "polynomial", "coeffs": [1e300, 0, 1e-10]}, 10_000)
         assert rc == 3
@@ -637,4 +653,4 @@ class TestCheckWFloatRange:
         assert self.verdicts(out) == self.verdicts(self.run(tmp_path, capsys, N2_JSON, 10_000)[1])
         if coeffs[:2] == [0, 0]:
             estimate = json.loads(out)["checks"]["strong"]["estimate"]
-            assert estimate == pytest.approx(math.pi**2 / 6 / coeffs[2], rel=1e-12)
+            assert estimate == pytest.approx(math.pi**2 / 6 / coeffs[2], rel=1e-12, abs=0.0)

@@ -1,8 +1,11 @@
+import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from urnfield import embedding as emb, reinforcement as rf
@@ -41,6 +44,14 @@ class TestInit:
             for _ in range(60):
                 emb.advance_to_next_jump(st)
         assert st.z.max() == 1025
+
+    def test_rate_that_underflows_is_a_condition_violation(self):
+        # W(n) = 2^-n is 0.0 in float from n = 1075 on: a timer at rate 0
+        # would never ring, and its mass / rate could be 0 / 0
+        seq = rf.make_table([1.0], rf.TailRule((rf.ExpBranch(0.5),)))
+        assert emb.init_embedding(2, (1070, 1070), 1, seq, seed=1).rate.min() > 0.0
+        with pytest.raises(ConditionViolation, match="underflows to 0"):
+            emb.sample_embedding_counts(seq, 2, (1070, 1070), 1, 10, 100, seed=1)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -175,6 +186,40 @@ class TestRaceDistribution:
         assert np.all(counts.sum(axis=1) == 4 + 8)
 
 
+# sha256 of the int64 counts of 3000 copies under n^2 from one ball per
+# color: (embedding, embedding refreshed every jump, multicolor urn).  The
+# embedding sampler is seeded 17 + nc, the urn sampler 19 + nc.
+SAMPLER_DIGESTS = {
+    (2, 2, 3): ("3e8e9b75d111899cfc9252c1ea8f12eb4d9dca3c04b62c6627a3cb803332ad04",
+                "60a97dfda12243b6bf11a7cfcf423a3df6bab23de83473c87d27bb0750e066e0",
+                "8185be66447601202a1a0c40932e21e28a5e9d8747b69e3c7f338e46591a6889"),
+    (3, 2, 4): ("46ef7e89d8e825143c399148d3d47961b1b4cadf485029d275314d9073b1f7e5",
+                "74eb924ab3e8c37b052a25646cfb936c3a82807e014fa51e1f748b5e5f32f25a",
+                "aafe0e21b6fc5f3506649699caf7792c27550ba4caead0a4fb0219708b9b9022"),
+    (5, 1, 4): ("81b912cf6fc2943a4173822887511745ebd596316e9da85eaab798c38a5de36c",
+                "81b912cf6fc2943a4173822887511745ebd596316e9da85eaab798c38a5de36c",
+                "28bee5472483691e60cf835edf35c15612f9cceccd292c888dc084daa3d8296d"),
+    (9, 3, 3): ("18c70f7e3f76a7afe03807f7299f241ee7f3680d96322e98aef283ee465e4019",
+                "777f4ce9b354aa5a8f4186ab293093a81e08d191ad3f46eb624e85849b4349cf",
+                "4617a87ff9c0c6e276af2e67609d1a3ea974ff6674081055afa8f8629a130b79"),
+}
+
+
+@pytest.mark.parametrize("nc, d, k", SAMPLER_DIGESTS, ids=[f"nc{nc}-d{d}-k{k}" for nc, d, k in SAMPLER_DIGESTS])
+def test_sampler_outputs_are_pinned(nc, d, k):
+    a = (1,) * nc
+
+    def digest(counts):
+        return hashlib.sha256(np.ascontiguousarray(counts, dtype=np.int64).tobytes()).hexdigest()
+
+    got = (
+        digest(emb.sample_embedding_counts(N2, nc, a, d, k, 3000, seed=17 + nc)),
+        digest(emb.sample_embedding_counts(N2, nc, a, d, k, 3000, seed=17 + nc, refresh_every_jump=True)),
+        digest(emb.sample_multicolor_counts(N2, nc, a, d, k, 3000, seed=19 + nc)),
+    )
+    assert got == SAMPLER_DIGESTS[nc, d, k]
+
+
 class TestEnsembleEngine:
     @pytest.mark.parametrize(
         "seq, nc, a, d, offset",
@@ -281,6 +326,41 @@ class TestCompareLaws:
         eb = (ca + cb) * (len(zb) / (len(za) + len(zb)))
         assert rep.statistic == pytest.approx(np.sum((ca - ea) ** 2 / ea) + np.sum((cb - eb) ** 2 / eb), rel=1e-12)
         assert rep.dof == len(cats) - 1
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["counted", "fallback"])
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64]), ncol=st.integers(1, 5),
+        n_a=st.integers(100, 600), n_b=st.integers(100, 600), n_rows=st.integers(1, 150),
+        skew=st.floats(0.0, 3.0), low=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_categories_match_numpy_unique(self, fallback, dtype, ncol, n_a, n_b, n_rows, skew, low, seed):
+        # up to 150 template rows drawn with skewed frequencies, so that rare
+        # categories get pooled and more than 64 send the test to KS; the
+        # columns span a key space of at most 4 (n_a + n_b) keys, which are
+        # counted, or of 2^22 per column, which take the fallback
+        rng = np.random.default_rng(seed)
+        width = 2**22 if fallback else max(1, int((4 * (n_a + n_b)) ** (1 / ncol)))
+        rows = rng.integers(low, low + width, size=(n_rows, ncol))
+        freq = np.arange(1, n_rows + 1) ** -skew
+        za = rows[rng.choice(n_rows, size=n_a, p=freq / freq.sum())].astype(dtype)
+        zb = rows[rng.choice(n_rows, size=n_b, p=freq / freq.sum())].astype(dtype)
+        with mock.patch.object(emb, "_folded_categories", wraps=emb._folded_categories) as fold:
+            rep = emb.compare_laws(za, zb)
+        both = np.concatenate([za, zb])
+        key_space = math.prod(int(hi) - int(lo) + 1 for lo, hi in zip(both.min(axis=0), both.max(axis=0)))
+        assert fold.called == (key_space > 4 * (n_a + n_b))
+        cats, inverse = np.unique(both, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        if len(cats) > 64:
+            ks = stats.ks_2samp(za[:, 0], zb[:, 0])
+            assert (rep.method, rep.statistic, rep.p_value) == ("ks", float(ks.statistic), float(ks.pvalue))
+            return
+        ca = np.bincount(inverse[:n_a], minlength=len(cats)).astype(float)
+        cb = np.bincount(inverse[n_a:], minlength=len(cats)).astype(float)
+        ca, cb, pooled = emb._pool_rare(ca, cb, [tuple(int(v) for v in c) for c in cats], n_a, n_b)
+        assert rep.categories == tuple(pooled)
+        assert (rep.counts_a, rep.counts_b) == (tuple(int(v) for v in ca), tuple(int(v) for v in cb))
+        assert rep.dof == len(ca) - 1
 
     def test_ks_beyond_64_categories(self):
         rng = np.random.default_rng(7)

@@ -178,6 +178,46 @@ class TestRemainder:
         seq = rf.make_polynomial([0, 0, 1])
         assert math.exp(seq.log_recip_tail(k, 1)) == pytest.approx(float(zeta(2, k)), rel=1e-13)
 
+    @staticmethod
+    def shifted_squares(c, n=1):
+        """sum_{k >= n} 1/(c + k^2) to 40 digits: Im psi(n + i sqrt(c)) / sqrt(c),
+        or pi coth(pi sqrt(c)) / (2 sqrt(c)) - 1/(2c) from n = 1"""
+        with mpmath.workdps(40):
+            c = mpmath.mpf(c)
+            r = mpmath.sqrt(c)
+            if n == 1:
+                return float(mpmath.pi * mpmath.coth(mpmath.pi * r) / (2 * r) - 1 / (2 * c))
+            return float(mpmath.im(mpmath.digamma(n + 1j * r)) / r)
+
+    @pytest.mark.parametrize("horizon", [1_000, 1_000_000])
+    def test_a_large_constant_term_is_summed_from_the_first_term(self, horizon):
+        # the tail once began at the Cauchy bound 1 + 10^6 and dropped the
+        # terms before it: at horizon 10^3 the sum read 7.861e-4
+        seq = rf.make_polynomial([1e6, 0, 1])
+        got = math.exp(seq.log_recip_tail(horizon + 1))
+        assert got == pytest.approx(self.shifted_squares(1e6, horizon + 1), rel=1e-13)
+        assert rf.check_strong(seq, horizon=horizon).estimate == pytest.approx(self.shifted_squares(1e6), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 10_001])
+    def test_a_constant_term_near_float_max(self, n):
+        # 1e300 + k^2 turns at k = 1e150: the integral is taken over log k
+        seq = rf.make_polynomial([1e300, 0, 1])
+        full = self.shifted_squares(1e300)  # the terms below n add under 1e-146 of it
+        assert math.exp(seq.log_recip_tail(n)) == pytest.approx(full, rel=1e-12, abs=0.0)
+        assert rf.check_strong(seq, horizon=10_000).estimate == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [0, 3, 15, 40, 1_000])
+    def test_table_tail_with_a_negative_coefficient(self, n):
+        # W(n) = (n - 10)^2 + 1 from n = 3 on is increasing only from n = 21
+        # (1 + 20/1); the terms before that are summed one by one
+        seq = rf.make_table([1.0, 2.0, 3.0], rf.TailRule((rf.PolyBranch((101.0, -20.0, 1.0)),)))
+        with mpmath.workdps(40):
+            from_zero = (1 + mpmath.pi * mpmath.coth(mpmath.pi)) / 2  # sum_{j >= 0} 1/(j^2 + 1)
+            j0 = max(n, 3) - 10
+            terms = mpmath.fsum(1 / (mpmath.mpf(j) ** 2 + 1) for j in range(min(j0, 0), max(j0, 0)))
+            want = from_zero + (terms if j0 < 0 else -terms) + mpmath.fsum(1 / mpmath.mpf(v) for v in (1, 2, 3)[n:])
+        assert math.exp(seq.log_recip_tail(n)) == pytest.approx(float(want), rel=1e-13)
+
     def test_strong_estimate_for_squares_at_a_short_horizon(self):
         v = rf.check_strong(rf.make_polynomial([0, 0, 1]), horizon=20)
         assert v.estimate == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
@@ -185,7 +225,7 @@ class TestRemainder:
     def test_geometric_closed_form(self):
         seq = rf.make_exponential(2.0)
         for k in (1, 3, 10, 40):
-            assert rf.remainder(seq, k) == pytest.approx(2.0 ** (1 - k), rel=1e-12)
+            assert rf.remainder(seq, k) == pytest.approx(2.0 ** (1 - k), rel=1e-12, abs=0.0)
 
     def test_harmonic_divergence(self):
         seq = rf.make_polynomial([0, 1])
@@ -521,8 +561,8 @@ class TestFloatRangeEdges:
         assert [v.estimate for v in got] == pytest.approx([v.estimate for v in ref], rel=rel)
 
     def test_tail_start_near_1e300_is_summed(self):
-        # the Cauchy bound puts the tail's first index near 1e300; from K0 =
-        # 2e300 on, W = k^2 + 1e300 is beyond float range and the tail is 1/K0
+        # a tail that starts near index 1e300: from K0 = 2e300 on, W = k^2 +
+        # 1e300 is beyond float range and the tail is 1/K0
         branch = rf.PolyBranch((1e300, 0, 1))
         assert branch.log_recip_tail(2 * 10**300, 1) == pytest.approx(-math.log(2e300), rel=1e-14)
         assert rf.check_strong(rf.make_polynomial([1e300, 0, 1]), horizon=10_000).verdict == "holds"

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -570,7 +572,7 @@ class TestEnsembleEngines:
             last = [int(np.flatnonzero(grew[:, c])[-1]) + 1 if grew[:, c].any() else 0 for c in range(2)]
             assert raw.last_add[i].tolist() == last
 
-    @pytest.mark.parametrize("nc", [3, 9])
+    @pytest.mark.parametrize("nc", [3, 8, 9, 12])
     def test_multicolor_matches_scalar_runs(self, nc):
         a = (1,) * nc
         raw = urns.run_multicolor_ensemble(
@@ -583,6 +585,35 @@ class TestEnsembleEngines:
             assert np.array_equal(raw.proportions[i], tr.proportions)
             assert np.array_equal(raw.final_counts[i], st.counts)
             assert raw.last_add[i].tolist() == tr.last_change.tolist()
+
+    @pytest.mark.parametrize("nc", [8, 12])
+    def test_multicolor_cut_point_summed_left_to_right(self, nc):
+        # weights whose left-to-right sum is not numpy's pairwise w.sum(), and
+        # a uniform on the cut point that moves between the two sums: the
+        # kernel and the block stepper give the ball the same color
+        rng = np.random.default_rng(nc)
+        for _ in range(1000):
+            values = rng.uniform(0.5, 2.0, size=nc)
+            seq = rf.make_table(values.tolist(), rf.TailRule((rf.ConstBranch(1.0),)))
+            logw = rf.log_weight_table(seq, nc - 1)
+            w = np.exp(logw - logw.max())
+            total = functools.reduce(operator.add, w.tolist())
+            cuts = np.cumsum(w[:-1] / total)
+            pairwise = np.cumsum(w[:-1] / w.sum())
+            if (cuts != pairwise).any():
+                break
+        else:
+            pytest.fail("no weights found whose sums differ")
+        c = int(np.flatnonzero(cuts != pairwise)[0])
+        u = max(cuts[c], pairwise[c])  # a ball lands above exactly one of the two
+        picks = {int(np.sum(u > cuts)), int(np.sum(u > pairwise))}
+        assert len(picks) == 2
+        counts = np.array([range(nc)])
+        added = urns._multicolor_step(counts, logw, np.array([[u]]))
+        st = urns.init_multicolor(nc, range(nc), 1, seq, seed=1)
+        urns._multicolor_steps(st, [[u]], 0, [0] * nc)
+        assert added[0].tolist() == (st.counts - np.arange(nc)).tolist()
+        assert int(np.flatnonzero(added[0])[0]) == int(np.sum(u > cuts))
 
     def test_last_add_tracks_monopoly(self):
         raw = urns.run_ium_ensemble(
