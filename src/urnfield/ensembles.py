@@ -120,7 +120,7 @@ class McReport:
     window: int
     run_rows: list = dc_field(default_factory=list)  # (run_index, seed, label, final...)
     runtime_s: float = 0.0
-    run_steps_screened: int = 0  # advanced in bulk along a leader path
+    run_steps_screened: int = 0  # decided by a bound: leaped along a leader path or resolved
     run_steps_exact: int = 0  # stepped through the kernel
 
     def to_json(self) -> dict:

@@ -723,6 +723,15 @@ def _log_w_scan(seq: ReinforcementSeq, stop: int, first: int = 1) -> tuple[int, 
     return start, seq.log_values(range(start, stop + 1))
 
 
+def _scan_to(seq: ReinforcementSeq, scan: tuple[int, np.ndarray] | None, stop: int) -> tuple[int, np.ndarray]:
+    """``_log_w_scan(seq, stop)``, read through a slice of ``scan``, an
+    earlier scan from index 1, where that reaches ``stop``.  The private
+    forms of the checks take such a scan, so that ``check-w`` scans once."""
+    if scan is not None and scan[0] + scan[1].size > stop:
+        return scan[0], scan[1][: max(stop + 1 - scan[0], 0)]
+    return _log_w_scan(seq, stop)
+
+
 def _log_rem_scan(seq: ReinforcementSeq, logw: np.ndarray, stop: int, power: int = 1) -> tuple[np.ndarray, bool]:
     """``log sum_{k >= n} W(k)^-power`` at each ``n`` of a scan ending at ``stop``,
     and whether the analytic tail beyond ``stop`` (known convergent) is in it."""
@@ -774,9 +783,13 @@ def check_strong(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON, tol: flo
     over the final decade); otherwise the truncated sum is reported as
     inconclusive rather than guessed.
     """
+    return _check_strong(seq, None, horizon, tol)
+
+
+def _check_strong(seq: ReinforcementSeq, scan, horizon: int, tol: float = 1e-9) -> ConditionVerdict:
     if horizon < 10:
         raise ValueError("horizon must be at least 10")
-    start, logw = _log_w_scan(seq, horizon)
+    start, logw = _scan_to(seq, scan, horizon)
     summable = seq.reciprocal_summable()
     certified = summable is None and _sup_growth(logw - np.log(np.arange(start, horizon + 1)))[1] < max(tol, 1e-12)
     verdict = _verdict(summable is True, summable is False or certified)
@@ -790,7 +803,7 @@ def _log_sub(hi: float, lo: float) -> float:
     return hi + math.log1p(-math.exp(lo - hi))
 
 
-def _log_variation_tail(seq: ReinforcementSeq, from_n: int, logr: np.ndarray) -> float | None:
+def _log_variation_tail(seq: ReinforcementSeq, from_n: int, logw: np.ndarray) -> float | None:
     """log of ``sum_{k >= from_n} |1/W(k) - 1/W(k+1)|`` for a sequence whose
     reciprocal sum converges.
 
@@ -798,14 +811,14 @@ def _log_variation_tail(seq: ReinforcementSeq, from_n: int, logr: np.ndarray) ->
     tails it is assembled per residue class: beyond the branches' sign-settling
     range each pairwise difference series has constant sign, so the sum of
     absolute differences equals the absolute difference of the two tail sums.
-    ``logr`` is ``-log W`` over the numeric scan; a sign flip of
+    ``logw`` is ``log W`` over the numeric scan; a sign flip of
     ``1/W(k) - 1/W(k+1)`` over its final tenth (at least 16 steps) means the
     series has not settled and the tail cannot be trusted (returns None).
     """
     if seq.kind in ("polynomial", "exponential"):
         return float(-seq.log_values(np.array([from_n]))[0])
-    width = min(logr.size - 1, max(16, (logr.size - 1) // 10))
-    window = np.sign(logr[-width - 1 : -1] - logr[-width:])
+    width = min(logw.size - 1, max(16, (logw.size - 1) // 10))
+    window = np.sign(logw[-width:] - logw[-width - 1 : -1])
     period = len(seq._branches)
     lanes_settled = all(
         lane.size == 0 or np.all(lane == lane[0])
@@ -828,12 +841,16 @@ def _log_variation_tail(seq: ReinforcementSeq, from_n: int, logr: np.ndarray) ->
 
 def check_variation_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
     """sup_n W(n) * sum_{k>=n} |1/W(k) - 1/W(k+1)| over the scanned range."""
-    _, logr = _log_w_scan(seq, horizon + 1)
-    np.negative(logr, out=logr)  # log 1/W
-    # log |1/W(k) - 1/W(k+1)| = hi + log1p(-exp(lo - hi)) with hi >= lo the two logs, built in place
-    logdiff = np.maximum(logr[:-1], logr[1:])
-    lo = np.minimum(logr[:-1], logr[1:])
-    lo -= logdiff
+    return _check_variation_bound(seq, None, horizon)
+
+
+def _check_variation_bound(seq: ReinforcementSeq, scan, horizon: int) -> ConditionVerdict:
+    _, logw = _scan_to(seq, scan, horizon + 1)
+    # log |1/W(k) - 1/W(k+1)| = hi + log1p(-exp(lo - hi)) with hi >= lo the two logs of 1/W, built in place
+    logdiff = np.minimum(logw[:-1], logw[1:])
+    lo = np.maximum(logw[:-1], logw[1:])
+    np.subtract(logdiff, lo, out=lo)  # lo - hi
+    np.negative(logdiff, out=logdiff)  # hi
     with np.errstate(divide="ignore", invalid="ignore"):
         np.exp(lo, out=lo)
         np.negative(lo, out=lo)
@@ -841,15 +858,19 @@ def check_variation_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON)
         logdiff += lo
     del lo
     logdiff[np.isnan(logdiff)] = -np.inf
-    log_tail = _log_variation_tail(seq, horizon + 2, logr) if seq.reciprocal_summable() is True else None
+    log_tail = _log_variation_tail(seq, horizon + 2, logw) if seq.reciprocal_summable() is True else None
     logv = _log_suffix_sums(logdiff, -math.inf if log_tail is None else log_tail)
-    logv -= logr[:-1]  # times W(n)
+    logv += logw[:-1]  # times W(n)
     return _sup_verdict("variation_bound", horizon, logv, log_tail is not None)
 
 
 def check_remainder_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
     """sup_n W(n) * Rem(n) over the scanned range."""
-    _, logw = _log_w_scan(seq, horizon)
+    return _check_remainder_bound(seq, None, horizon)
+
+
+def _check_remainder_bound(seq: ReinforcementSeq, scan, horizon: int) -> ConditionVerdict:
+    _, logw = _scan_to(seq, scan, horizon)
     log_rem, tail_known = _log_rem_scan(seq, logw, horizon)
     log_rem += logw
     return _sup_verdict("remainder_bound", horizon, log_rem, tail_known)
@@ -863,6 +884,12 @@ def check_mdrem_conditions(
 ) -> tuple[ConditionVerdict, ConditionVerdict]:
     """Remainder decay checks: ``Rem(K n)/Rem(n)`` shrinking as K grows, and
     ``(sum_{i>=n} W(i)^-2) / Rem(n)^2`` vanishing along ``horizons``."""
+    return _check_mdrem_conditions(seq, None, horizons, K_list, horizon)
+
+
+def _check_mdrem_conditions(
+    seq: ReinforcementSeq, scan, horizons=(100, 1_000, 10_000), K_list=(2, 4, 8, 16), horizon: int = DEFAULT_HORIZON
+) -> tuple[ConditionVerdict, ConditionVerdict]:
     horizons = sorted(int(h) for h in horizons)
     K_list = sorted(int(k) for k in K_list)
     if not horizons or not K_list:
@@ -872,7 +899,7 @@ def check_mdrem_conditions(
         horizon = 4 * need
     if seq.reciprocal_summable() is False:
         raise ConditionViolation("remainder conditions are undefined for a divergent tail")
-    start, logw = _log_w_scan(seq, horizon)
+    start, logw = _scan_to(seq, scan, horizon)
     log_rem, tail_known = _log_rem_scan(seq, logw, horizon)
     log_rem2, _ = _log_rem_scan(seq, logw, horizon, power=2)
 

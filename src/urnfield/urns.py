@@ -44,10 +44,16 @@ same table of window minima, built by ``_window_min``, and end their
 screens in the same interval test, ``_inside``.  Runs that pass advance
 along the leader path in bulk; the others step through the kernel, or, in
 ``run`` and ``run_coupled``, which screen their states as ensembles of one,
-through the block stepper.  Screening changes neither the RNG contract nor
-any output: every uniform is still drawn in the same order, and counts,
-last-change steps and recorded proportions are bit for bit those of
-stepping every run.
+through the block stepper.  The interacting-urn ensemble first decides the
+draws of the runs that fail from bounds on each urn's black share over
+every state the run can reach within the sub-block, a mixed limit's
+minority draws included, and steps only the steps left open through the
+kernel (``_ium_resolve``).  A run-step is counted as screened when a bound
+decides it, leaped or resolved, and as exact when it goes through the
+kernel or the block stepper.  Screening changes neither the RNG contract
+nor any output: every uniform is still drawn in the same order, and
+counts, last-change steps and recorded proportions are bit for bit those
+of stepping every run.
 
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.  ``log_weight_table`` checks each table once,
@@ -744,8 +750,9 @@ _MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screen
 class EnsembleRaw:
     """Raw per-run output of a vectorized ensemble: recorded proportion
     samples, per-color last-change steps, and final counts.  The run-steps
-    split into those advanced in bulk along a leader path and those stepped
-    through the kernel."""
+    split into those a bound decided, advanced in bulk along a leader path
+    or resolved by ``_ium_resolve``, and those stepped through the
+    kernel."""
 
     steps: np.ndarray  # (k,)
     proportions: np.ndarray  # (n_runs, k, d_or_nc)
@@ -953,33 +960,146 @@ def _multicolor_screen(counts, logw, win, u):
     return _inside(u, lo, hi), leader
 
 
+class _Reach:
+    """Bounds on log W over the counts that a state of ``d`` black/red urns
+    can reach within a sub-block.  By step ``t`` each urn's counts lie
+    within ``t`` balls of their start and each pooled total within ``d t``.
+    The steps fall into groups ``g = t.bit_length()``, so ``t < 2^g``: over
+    group ``g`` an urn's count stays in the span of ``2^g`` counts from its
+    start, and a pooled total in the span of ``2^k`` counts, ``2^k`` the
+    first power of two above ``d (2^g - 1)``.  ``lo`` and ``hi`` hold the
+    least and the greatest log W over such spans, read at the offsets
+    ``first`` and ``last`` from a count.  For non-decreasing W they are the
+    table itself, padded with its last entry, read at a span's first and
+    last count.  Otherwise they are flat tables of every level ``k``, at
+    ``k * logw.size``, built by doubling as in ``_window_min``, 16 times the
+    size of the log-weight table at ``d = 2``; a span that passes the
+    table's end is bounded over the counts in it, since no run reaches past
+    the end.  One read per count and group costs less than the two that
+    bound each step's exact window: at 300 flagged runs those reads took
+    longer than stepping every step through the kernel."""
+
+    def __init__(self, logw: np.ndarray, d: int):
+        size = logw.size
+        self.group = np.array([t.bit_length() for t in range(_SUB_BLOCK)])
+        # each urn's span level, then the pooled total's, for black then red
+        levels = np.tile([[g] * d + [(d * (2**g - 1)).bit_length()] for g in range(self.group[-1] + 1)], 2)
+        if (logw[1:] >= logw[:-1]).all():
+            self.lo = self.hi = np.concatenate([logw, np.full(1 << levels.max(), logw[-1])])
+            self.first, self.last = np.zeros_like(levels), (1 << levels) - 1
+            return
+        lo, hi = [logw], [logw]
+        for span in (1 << k for k in range(levels.max())):
+            pad = min(span, size)
+            lo.append(np.minimum(lo[-1], np.concatenate([lo[-1][span:], np.full(pad, np.inf)])))
+            hi.append(np.maximum(hi[-1], np.concatenate([hi[-1][span:], np.full(pad, -np.inf)])))
+        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
+        self.first = self.last = levels * size
+
+    def __call__(self, counts: np.ndarray, length: int):
+        """The least and the greatest log W over each group of the steps of
+        a sub-block of ``length`` steps from ``counts`` (rows, 2d + 2): each
+        urn's black count, the pooled black total, then the same for red.
+        Both are (rows, groups, 2d + 2)."""
+        groups = self.group[length - 1] + 1
+        return self.lo[counts[:, None, :] + self.first[:groups]], self.hi[counts[:, None, :] + self.last[:groups]]
+
+
+def _ium_resolve(black: np.ndarray, red: np.ndarray, logw: np.ndarray, reach: _Reach, p: float, u: np.ndarray):
+    """``_ium_step`` over a sub-block ``u`` (n_runs, length, 2d), with only
+    the steps that a bound leaves open stepped through the kernel.
+
+    ``reach`` bounds log W over every state a run can reach by each step,
+    and so each urn's black share: the pooled one where the interaction
+    draw is below ``p``, the urn's own otherwise.  A color uniform below the
+    lower bound, shrunk by ``_MARGIN``, is black and one above the upper
+    bound red, whatever the sub-block's other draws do.  A step with an urn
+    left open goes through the kernel on its exact state: the start
+    counts, plus the decided balls before it, plus the kernel's balls at
+    the run's earlier open steps.  Round ``k`` steps the ``k``-th open step
+    of every run that has one; runs sorted by their open steps make each
+    round's runs a prefix.  Urns are taken one column at a time, which
+    costs less than reducing over a short last axis.
+
+    Advances ``black`` and ``red`` to the sub-block's end and returns each
+    step's black balls (n_runs, length) and the run-steps stepped through
+    the kernel.  Where the rounds would outnumber half the steps it
+    advances nothing and returns None."""
+    n_runs, length, _ = u.shape
+    d = black.shape[1]
+    counts = [black, black.sum(axis=1, keepdims=True), red, red.sum(axis=1, keepdims=True)]
+    lo, hi = reach(np.concatenate(counts, axis=1), length)
+    group = reach.group[:length]
+    below = _share(lo[:, :, :d + 1], hi[:, :, d + 1:]) * (1.0 - _MARGIN)
+    above = _share(hi[:, :, :d + 1], lo[:, :, d + 1:]) * (1.0 + _MARGIN)
+    below_pooled, above_pooled = below[:, group, d], above[:, group, d]
+    open_ = np.zeros((n_runs, length), dtype=bool)
+    blacks = []
+    for i in range(d):
+        pooled = u[:, :, 2 * i] < p
+        color = u[:, :, 2 * i + 1]
+        is_black = color < np.where(pooled, below_pooled, below[:, group, i])
+        open_ |= ~(is_black | (color > np.where(pooled, above_pooled, above[:, group, i])))
+        blacks.append(is_black)
+    n_open = np.count_nonzero(open_, axis=1)
+    rounds = int(n_open.max(initial=0))
+    if 2 * rounds > length:
+        return None
+    closed = ~open_
+    decided = [np.cumsum(is_black & closed, axis=1) for is_black in blacks]  # each urn's decided black balls
+    n_black = np.diff(sum(decided), axis=1, prepend=0)
+    at = np.flatnonzero(open_)  # the open steps, run by run, as flat indices
+    run, t = np.divmod(at, length)
+    before = np.stack([c.reshape(-1)[at] for c in decided], axis=1)  # an open step adds none
+    u_at, t_at, n_black_at = u[run, t], t[:, None], np.empty(at.size, dtype=np.int64)
+    order = np.argsort(-n_open, kind="stable")
+    first = (np.cumsum(n_open) - n_open)[order]  # where each run's open steps start in ``at``
+    live = np.count_nonzero(n_open > np.arange(rounds)[:, None], axis=1)
+    now, total = black[order], (black + red)[order]  # black counts with the kernel's balls so far
+    for k in range(rounds):
+        n = live[k]
+        pos = first[:n] + k
+        b = now[:n] + before[pos]
+        grew = _ium_step(b, total[:n] + t_at[pos] - b, logw, p, u_at[pos])
+        now[:n] += grew
+        n_black_at[pos] = grew.sum(axis=1)
+    n_black.reshape(-1)[at] = n_black_at
+    grown = np.stack([c[:, -1] for c in decided], axis=1)
+    grown[order] += now - black[order]
+    black += grown
+    red += length - grown
+    return n_black, at.size
+
+
 def _screened(arrays, screen, leap, step):
     """``_drive``'s ``advance`` for a screened ensemble whose per-run state
     is ``arrays`` (rows are runs).  Per sub-block, ``screen(u)`` gives the
     passing runs and their leaders, ``leap(ok, leader, end, length)``
     advances those along their leader paths and ``step(*rows, start, u)``
-    steps the others exactly on their row subset; when fewer than half
-    pass, every row steps in place instead.  Returns the advance and its
-    [screened, exact] run-step counters."""
+    steps the others on their row subset; when fewer than half pass, every
+    row steps in place instead.  ``step`` returns the run-steps it stepped
+    through the kernel, or None for all of them.  Returns the advance and
+    its [screened, exact] run-step counters: run-steps decided by a bound,
+    leaped or not, and run-steps stepped through the kernel."""
     counters = [0, 0]
 
     def advance(start, u):
         ok, leader = screen(u)
         n_runs, length = u.shape[:2]
-        n_ok = int(np.count_nonzero(ok))
-        if 2 * n_ok < n_runs:
-            step(*arrays, start, u)
-            counters[1] += n_runs * length
-            return
-        leap(ok, leader, start + length, length)
-        flagged = np.flatnonzero(~ok)
-        if flagged.size:
-            part = [a[flagged] for a in arrays]
-            step(*part, start, u[flagged])
-            for a, rows in zip(arrays, part):
-                a[flagged] = rows
-        counters[0] += n_ok * length
-        counters[1] += flagged.size * length
+        if 2 * np.count_nonzero(ok) < n_runs:
+            n_stepped, exact = n_runs, step(*arrays, start, u)
+        else:
+            leap(ok, leader, start + length, length)
+            flagged = np.flatnonzero(~ok)
+            n_stepped, exact = flagged.size, 0
+            if flagged.size:
+                part = [a[flagged] for a in arrays]
+                exact = step(*part, start, u[flagged])
+                for a, rows in zip(arrays, part):
+                    a[flagged] = rows
+        exact = n_stepped * length if exact is None else exact
+        counters[0] += n_runs * length - exact
+        counters[1] += exact
 
     return advance, counters
 
@@ -991,21 +1111,31 @@ def _set_last_add(last_add: np.ndarray, grew: np.ndarray, start: int) -> None:
 
 
 def _black_red_ensemble(kernel, screen, per_step, seq, black0, red0, n_steps, n_runs, master_seed, run_offset,
-                        record_every):
+                        record_every, resolver=None):
     """Screened lockstep driver of a black/red mechanism whose ``kernel(black,
     red, logw, u)`` advances every run one step, each urn gaining one ball,
     and returns the black increments.  ``screen(black, red, logw, win, u)``
-    reads the window minima ``win`` by stride."""
+    reads the window minima ``win`` by stride.  The runs a screen flags go
+    through ``resolver(logw)(black, red, u)``, as ``_ium_resolve``, if
+    there is a resolver and it takes the sub-block, and through the kernel
+    otherwise."""
     black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
     red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
-    logw = log_weight_table(seq, black.shape[1] * n_steps + int(black[0].sum() + red[0].sum()) + 1)
+    logw = log_weight_table(seq, black.shape[1] * n_steps + int(np.sum(black0) + np.sum(red0)) + 1)
     win = _Windows(logw)
+    resolve = resolver and resolver(logw)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, 2), dtype=np.int64)
 
     def step(black, red, last_add, start, u):
-        n_black = np.stack([kernel(black, red, logw, us) for us in u.swapaxes(0, 1)], axis=1).sum(axis=2)
+        resolved = resolve and resolve(black, red, u)
+        if resolved:
+            n_black, exact = resolved
+        else:
+            n_black = np.stack([kernel(black, red, logw, us) for us in u.swapaxes(0, 1)], axis=1).sum(axis=2)
+            exact = None
         _set_last_add(last_add, np.stack([n_black > 0, n_black < black.shape[1]], axis=2), start)
+        return exact
 
     def leap(ok, to_red, end, length):
         for grows, color, path in ((black, 0, ok & ~to_red), (red, 1, ok & to_red)):
@@ -1036,9 +1166,14 @@ def run_ium_ensemble(
     """All runs advanced in lockstep; run ``i`` consumes the same stream a
     standalone ``init_ium(..., seed=derive_seed(master, offset+i))`` would."""
     init_ium(d, black0, red0, p, seq, seed=0)  # validates arguments
+
+    def resolver(logw):
+        reach = _Reach(logw, d)
+        return lambda black, red, u: _ium_resolve(black, red, logw, reach, p, u)
+
     return _black_red_ensemble(
         lambda black, red, logw, u: _ium_step(black, red, logw, p, u), _ium_screen, 2 * d,
-        seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every,
+        seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every, resolver,
     )
 
 

@@ -610,13 +610,13 @@ class TestCheckWFloatRange:
     def test_remainder_decay_checks_follow_a_horizon_above_the_default(
         self, tmp_path, capsys, monkeypatch, horizon, scanned
     ):
-        seen = []
+        seen, checks = [], rf._check_mdrem_conditions
 
-        def spy(seq, **kwargs):
+        def spy(seq, scan, **kwargs):
             seen.append(kwargs["horizon"])
-            return rf.check_mdrem_conditions(seq, **kwargs)
+            return checks(seq, scan, **kwargs)
 
-        monkeypatch.setattr(cli, "check_mdrem_conditions", spy)
+        monkeypatch.setattr(rf, "_check_mdrem_conditions", spy)
         rc, out, _ = self.run(tmp_path, capsys, N2_JSON, horizon)
         assert rc == 0
         assert seen == [scanned]

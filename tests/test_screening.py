@@ -34,9 +34,9 @@ N2 = WEIGHTS["n^2"]
 
 
 @contextlib.contextmanager
-def exact_stepping():
-    """Every run fails the screen, so every sub-block steps every row
-    through the kernel in place: the reference the screen must match."""
+def failed_screens():
+    """Every run fails the screen, so every sub-block steps every row in
+    place."""
     screened = urns._screened
 
     def none_pass(arrays, screen, leap, step):
@@ -47,6 +47,15 @@ def exact_stepping():
         return screened(arrays, fail_all, leap, step)
 
     with mock.patch.object(urns, "_screened", none_pass):
+        yield
+
+
+@contextlib.contextmanager
+def exact_stepping():
+    """Every run fails the screen and the ium ensemble's resolver decides
+    no draw, so every sub-block steps every row through the kernel in
+    place: the reference the screen and the resolver must match."""
+    with failed_screens(), mock.patch.object(urns, "_ium_resolve", lambda *args: None):
         yield
 
 
@@ -64,11 +73,12 @@ COUNT = st.integers(0, 12) | st.integers(1015, 1035)
 
 
 @st.composite
-def ensemble_calls(draw):
-    """A random ensemble: model, weights, initial state, horizon and record
-    cadence (sub-blocks end at every record step)."""
+def ensemble_calls(draw, models=("ium", "multicolor", "sequential")):
+    """A random ensemble of one of ``models``: model, weights, initial
+    state, horizon and record cadence (sub-blocks end at every record
+    step)."""
     seq = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
-    model = draw(st.sampled_from(["ium", "multicolor", "sequential"]))
+    model = draw(st.sampled_from(models))
     tail = dict(
         n_steps=draw(st.integers(1, 200)),
         n_runs=draw(st.integers(1, 12)),
@@ -89,15 +99,19 @@ def ensemble_calls(draw):
     return urns.init_sequential, (black0, red0, seq), urns.run_sequential_ensemble, (seq, black0, red0), tail
 
 
-@given(call=ensemble_calls())
-def test_screened_ensemble_equals_exact_stepping(call):
-    init, init_args, engine, args, tail = call
+def assume_valid(init, init_args):
     try:
         state = init(*init_args, seed=0)
     except ValueError:
         assume(False)  # an initial state the model rejects
     # an urn without balls has no proportion at step 0
     assume(state.counts.sum() > 0 if init is urns.init_multicolor else (state.black + state.red).all())
+
+
+@given(call=ensemble_calls())
+def test_screened_ensemble_equals_exact_stepping(call):
+    init, init_args, engine, args, tail = call
+    assume_valid(init, init_args)
     screened = engine(*args, **tail)
     with exact_stepping():
         exact = engine(*args, **tail)
@@ -105,6 +119,20 @@ def test_screened_ensemble_equals_exact_stepping(call):
     assert exact.run_steps_screened == 0
     for raw in (screened, exact):
         assert raw.run_steps_screened + raw.run_steps_exact == tail["n_runs"] * tail["n_steps"]
+
+
+@settings(max_examples=200)
+@given(call=ensemble_calls(models=("ium",)))
+def test_resolved_ium_ensemble_equals_exact_stepping(call):
+    # every run fails the screen, so every sub-block goes to the resolver
+    init, init_args, engine, args, tail = call
+    assume_valid(init, init_args)
+    with failed_screens():
+        resolved = engine(*args, **tail)
+    with exact_stepping():
+        exact = engine(*args, **tail)
+    assert_same_raw(resolved, exact)
+    assert resolved.run_steps_screened + resolved.run_steps_exact == tail["n_runs"] * tail["n_steps"]
 
 
 class TestMargin:
@@ -125,6 +153,24 @@ class TestMargin:
             u[0, 1, 3] = q * (1 - rel)  # urn 2's color uniform at the second step
             ok, to_red = urns._ium_screen(black, red, logw, win, u)
             assert ok.tolist() == [passes] and to_red.tolist() == [False]
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_ium_resolved_draw(self, edge):
+        # urn 2's color uniform at the second step, against its own black
+        # share bounded over black counts 4..5 and red counts 2..3
+        logw = rf.log_weight_table(N2, 200)
+        black, red = np.array([[6, 4]]), np.array([[1, 2]])
+        q = urns._share(logw[4], logw[3]) if edge == "lower" else urns._share(logw[5], logw[2])
+        for rel, decided in ((self.INSIDE, False), (self.BEYOND, True)):
+            u = np.tile([0.9, 0.0], (1, 3, 2))  # urns draw from themselves, and draw black
+            u[0, 1, 3] = q * (1 - rel) if edge == "lower" else q * (1 + rel)
+            b, r = black.copy(), red.copy()
+            n_black, exact = urns._ium_resolve(b, r, logw, urns._Reach(logw, 2), 0.5, u)
+            assert exact == (0 if decided else 1)
+            kernel_b, kernel_r = black.copy(), red.copy()
+            by_kernel = [int(urns._ium_step(kernel_b, kernel_r, logw, 0.5, u[:, t]).sum()) for t in range(3)]
+            assert n_black[0].tolist() == by_kernel
+            assert np.array_equal(b, kernel_b) and np.array_equal(r, kernel_r)
 
     def test_sequential(self):
         logw = rf.log_weight_table(N2, 200)
@@ -167,6 +213,25 @@ def test_window_min_of_a_non_monotone_table():
             assert np.array_equal(urns._window_min(logw, stride), brute), (seq.to_json(), stride)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reach_bounds_every_reachable_count(d):
+    # by step t an urn's count lies within t balls of its start and a pooled
+    # total within d t; the bounds of t's group hold over all of them
+    drawn = rf.make_table(np.random.default_rng(d).uniform(0.5, 2.0, 400).tolist())
+    rng = np.random.default_rng(7)
+    for seq in (N2, WEIGHTS["example I"], WEIGHTS["2^n"], WEIGHTS["table W(0)=0"], drawn):
+        logw = rf.log_weight_table(seq, 399)
+        reach = urns._Reach(logw, d)
+        counts = rng.integers(0, 400 - d * urns._SUB_BLOCK, (30, 2 * d + 2))
+        for length in (1, 17, urns._SUB_BLOCK):
+            lo, hi = reach(counts, length)
+            for t in range(length):
+                g = t.bit_length()
+                for col in range(2 * d + 2):
+                    span = logw[counts[:, col, None] + np.arange((d if col % (d + 1) == d else 1) * t + 1)]
+                    assert (lo[:, g, col] <= span.min(axis=1)).all() and (hi[:, g, col] >= span.max(axis=1)).all()
+
+
 def test_single_run_whose_window_passes_the_table_end():
     # the first sub-block reaches count 240 of a 257-entry table; its
     # 64-step window reads past the end
@@ -187,6 +252,20 @@ class TestCounters:
         rep = ens.run_ensemble(cfg)
         assert rep.run_steps_screened + rep.run_steps_exact == 20 * 300
         assert (rep.run_steps_screened > 0) == (model != "embedding")
+
+    def test_exact_run_steps_are_the_kernel_steps(self):
+        # runs headed for the mixed cells fail the screen; the resolver
+        # decides most of their draws and steps the rest through the kernel
+        kernel, stepped = urns._ium_step, []
+
+        def counting(black, *args):
+            stepped.append(len(black))
+            return kernel(black, *args)
+
+        with mock.patch.object(urns, "_ium_step", counting):
+            raw = urns.run_ium_ensemble(N2, 0.2, 2, (1, 1), (1, 1), 3000, 40, 2025, record_every=100)
+        assert raw.run_steps_exact == sum(stepped)
+        assert raw.run_steps_screened + raw.run_steps_exact == 40 * 3000
 
     def test_strong_multicolor_is_mostly_screened(self):
         raw = urns.run_multicolor_ensemble(WEIGHTS["(n+1)^3"], 3, (1, 1, 1), 2, 4000, 200, 4040, record_every=1000)

@@ -650,6 +650,18 @@ class TestEnsembleEngines:
         with pytest.raises(ConditionViolation, match="not finite at n = 300"):
             run_ensemble()
 
+    @pytest.mark.parametrize("run_ensemble, shares, colors, counts", [
+        (lambda n: urns.run_ium_ensemble(N2, 0.2, 2, (1, 1), (1, 1), 200, n, master_seed=1), 2, 2, 4),
+        (lambda n: urns.run_multicolor_ensemble(N2, 3, (1, 1, 1), 2, 200, n, master_seed=1), 3, 3, 3),
+        (lambda n: urns.run_sequential_ensemble(N2, (1, 1), (1, 1), 200, n, master_seed=1), 2, 2, 4),
+    ], ids=["ium", "multicolor", "sequential"])
+    def test_zero_runs(self, run_ensemble, shares, colors, counts):
+        raw = run_ensemble(0)
+        assert raw.steps.tolist() == [0, 100, 200]
+        assert raw.proportions.shape == (0, 3, shares)
+        assert raw.last_add.shape == (0, colors) and raw.final_counts.shape == (0, counts)
+        assert raw.seeds.shape == (0,) and raw.run_steps_screened == raw.run_steps_exact == 0
+
     def test_exponential_weights_no_overflow(self):
         seq = rf.make_exponential(2.0)
         raw = urns.run_ium_ensemble(
