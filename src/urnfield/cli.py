@@ -225,15 +225,14 @@ def cmd_scan(args) -> int:
 
 def cmd_check_w(args) -> int:
     seq = ReinforcementSeq.from_json(_load_json(args.seq))
-    scan = reinforcement._log_w_scan(seq, args.horizon + 1)  # as far as the first three checks read
     results = {
-        "strong": reinforcement._check_strong(seq, scan, args.horizon).to_json(),
-        "variation_bound": reinforcement._check_variation_bound(seq, scan, args.horizon).to_json(),
-        "remainder_bound": reinforcement._check_remainder_bound(seq, scan, args.horizon).to_json(),
+        "strong": reinforcement.check_strong(seq, args.horizon).to_json(),
+        "variation_bound": reinforcement.check_variation_bound(seq, args.horizon).to_json(),
+        "remainder_bound": reinforcement.check_remainder_bound(seq, args.horizon).to_json(),
     }
     if results["strong"]["verdict"] == "holds":
         horizon = max(args.horizon, DEFAULT_HORIZON)
-        rem_ratio, sq_ratio = reinforcement._check_mdrem_conditions(seq, scan, horizon=horizon)
+        rem_ratio, sq_ratio = reinforcement.check_mdrem_conditions(seq, horizon=horizon)
         results["rem_ratio"] = rem_ratio.to_json()
         results["squared_rem_ratio"] = sq_ratio.to_json()
     blob = json_bytes({"seq": seq.to_json(), "horizon": args.horizon, "checks": results})

@@ -12,12 +12,15 @@ these weights.  Three kinds are supported:
 
 The checkers estimate, from truncated sums plus analytic tail bounds where
 the kind provides one, whether the sequence is reciprocally summable,
-whether ``W(n) * sum_k |1/W(kis) - 1/W(k+1)|`` stays bounded, whether
+whether ``W(n) * sum_k |1/W(k) - 1/W(k+1)|`` stays bounded, whether
 ``W(n) * Rem(n)`` stays bounded, and whether the remainder-ratio decay
 conditions hold.  These conditions are asymptotic statements; the verdicts
 are explicitly finite-horizon heuristics (a plateau detector decides
 "holds" for sup-type quantities) and report ``inconclusive`` whenever the
-truncated computation cannot separate the outcomes.
+truncated computation cannot separate the outcomes.  Each check walks
+``log W`` down from its horizon ``_CHUNK`` entries at a time and keeps only
+what its verdict reads (sums, sups, and remainders at a few points), so no
+array as long as the horizon is built.
 
 Sequences are immutable after construction and safe for concurrent reads.
 """
@@ -365,10 +368,21 @@ _SUFFIX_BLOCK = 64
 # A block is summed this way only while every suffix sum stays above
 # exp(-_SUFFIX_SPAN) ~ 7e-218 of its max, well clear of the subnormal range.
 _SUFFIX_SPAN = 500.0
+# check-w walks log W down from the horizon _CHUNK entries at a time (a
+# multiple of _SUFFIX_BLOCK), so that no array as long as the horizon is
+# built and a chunk's arrays stay in cache.  On a 2-core x86 machine (2 MB L2
+# a core) with numpy 2.4 and glibc's malloc, chunks of 2^15 and 2^16 entries
+# page-faulted on every chunk once the heap top was trimmed between chunks
+# (about 2400 faults per check at 10^6 in a fresh check-w process); 2^14 did
+# not.  check-w --horizon 1000000 on (n+1)^3 took 0.089-0.103 s in process
+# at 2^14 against 0.100-0.124 s at 2^15, and the checks of the monopoly-p1
+# benchmark took the same time at both.
+_CHUNK = 1 << 14
 
 
-def _log_suffix_sums(x: np.ndarray, log_init: float = -math.inf) -> np.ndarray:
-    """``log(sum_{j >= i} exp(x_j) + exp(log_init))`` for every ``i``.
+def _log_suffix_sums(x: np.ndarray, log_init: float = -math.inf) -> tuple[np.ndarray, float]:
+    """``log(sum_{j >= i} exp(x_j) + exp(log_init))`` for every ``i``, and the
+    carry: the log of the whole sum as the chain over the blocks leaves it.
 
     ``x`` is cut into blocks of ``_SUFFIX_BLOCK`` entries aligned with its
     end.  Each block is shifted by its max, and one reversed cumsum of the
@@ -381,11 +395,15 @@ def _log_suffix_sums(x: np.ndarray, log_init: float = -math.inf) -> np.ndarray:
     seeded with the sum after it.  So do the ``len(x) % _SUFFIX_BLOCK``
     leading entries.  The cumsum adds at most ``_SUFFIX_BLOCK`` terms in a
     row, so the error stays below that of one logaddexp per entry.
+
+    Seeded with the carry, a call on the entries before ``x`` continues the
+    chain: where ``x`` holds whole blocks, the two calls give the bits of
+    one call over both.
     """
     x = np.asarray(x, dtype=float)
     head, n_blocks = x.size % _SUFFIX_BLOCK, x.size // _SUFFIX_BLOCK
     out = np.empty(x.size)
-    after_head = log_init
+    carry = log_init
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n_blocks:
             body = x[head:].reshape(n_blocks, _SUFFIX_BLOCK)
@@ -397,7 +415,7 @@ def _log_suffix_sums(x: np.ndarray, log_init: float = -math.inf) -> np.ndarray:
             np.cumsum(sums[:, ::-1], axis=1, out=sums[:, ::-1])
             totals = shift[:, 0] + np.log(sums[:, 0])
             chain = np.logaddexp.accumulate(np.concatenate(([log_init], totals[::-1])))
-            after, after_head = chain[-2::-1], chain[-1]  # the sum after each block, and after the head
+            after, carry = chain[-2::-1], chain[-1]  # the sum after each block, and after them all
             ref = np.maximum(top, after)
             sums *= np.exp(top - ref)[:, None]
             sums += np.exp(after - ref)[:, None]
@@ -412,9 +430,10 @@ def _log_suffix_sums(x: np.ndarray, log_init: float = -math.inf) -> np.ndarray:
                 np.logaddexp.accumulate(rows, axis=1, out=rows)
                 sums[exact] = rows[:, :0:-1]
         if head:
-            row = np.concatenate(([after_head], x[head - 1 :: -1]))
-            out[:head] = np.logaddexp.accumulate(row)[:0:-1]
-    return out
+            row = np.logaddexp.accumulate(np.concatenate(([carry], x[head - 1 :: -1])))
+            out[:head] = row[:0:-1]
+            carry = row[-1]
+    return out, float(carry)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +723,8 @@ def remainder_detail(seq: ReinforcementSeq, n: int, horizon: int = DEFAULT_HORIZ
     summable = seq.reciprocal_summable()
     if summable is False:
         raise ConditionViolation("reciprocal sum diverges for this sequence")
-    _, logw = _log_w_scan(seq, horizon, first=n)
-    return _linear_rem(seq, logw, horizon, summable is True), summable is True
+    partials = (_recip_sum(logw) for _, logw in _log_w_chunks(seq, n, horizon + 1))
+    return _linear_rem(seq, partials, horizon, summable is True), summable is True
 
 
 def _exp(x: float) -> float:
@@ -716,60 +735,69 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_w_scan(seq: ReinforcementSeq, stop: int, first: int = 1) -> tuple[int, np.ndarray]:
-    """The first index ``max(first, domain_start)`` of a scan to ``stop``, and
-    ``log W`` from it to ``stop``."""
-    start = max(first, seq.domain_start)
-    return start, seq.log_values(range(start, stop + 1))
+def _log_w_chunks(seq: ReinforcementSeq, start: int, stop: int, overlap: int = 0):
+    """``(lo, log W[lo : hi + overlap])`` for chunks ``[lo, hi)`` that cover
+    ``[start, stop)`` from ``stop`` down, each ``_CHUNK`` entries long but the
+    last.  They are aligned to ``stop``, so a scan that ends there is cut into
+    ``_log_suffix_sums``'s blocks at the same indices chunk by chunk as whole."""
+    for hi in range(stop, start, -_CHUNK):
+        lo = max(hi - _CHUNK, start)
+        yield lo, seq.log_values(range(lo, hi + overlap))
 
 
-def _scan_to(seq: ReinforcementSeq, scan: tuple[int, np.ndarray] | None, stop: int) -> tuple[int, np.ndarray]:
-    """``_log_w_scan(seq, stop)``, read through a slice of ``scan``, an
-    earlier scan from index 1, where that reaches ``stop``.  The private
-    forms of the checks take such a scan, so that ``check-w`` scans once."""
-    if scan is not None and scan[0] + scan[1].size > stop:
-        return scan[0], scan[1][: max(stop + 1 - scan[0], 0)]
-    return _log_w_scan(seq, stop)
-
-
-def _log_rem_scan(seq: ReinforcementSeq, logw: np.ndarray, stop: int, power: int = 1) -> tuple[np.ndarray, bool]:
-    """``log sum_{k >= n} W(k)^-power`` at each ``n`` of a scan ending at ``stop``,
-    and whether the analytic tail beyond ``stop`` (known convergent) is in it."""
-    tail_known = seq.reciprocal_summable(power) is True
-    log_tail = seq.log_recip_tail(stop + 1, power) if tail_known else -math.inf
-    return _log_suffix_sums(-power * logw, log_tail), tail_known
-
-
-def _linear_rem(seq: ReinforcementSeq, logw: np.ndarray, stop: int, tail_known: bool) -> float:
-    """``sum 1/W`` over a scan that ends at ``stop``, plus the analytic tail
-    beyond it when that is known; ``inf`` beyond float range."""
+def _recip_sum(logw: np.ndarray) -> float:
+    """``sum 1/W`` over a chunk of ``log W``; ``inf`` beyond float range."""
+    recip = np.negative(logw)
     with np.errstate(over="ignore"):
-        partial = float(np.sum(np.exp(-logw)))
+        return float(np.sum(np.exp(recip, out=recip)))
+
+
+def _linear_rem(seq: ReinforcementSeq, partials, stop: int, tail_known: bool) -> float:
+    """The sum of ``partials``, the chunk sums of ``1/W`` over a scan that
+    ends at ``stop``, plus the analytic tail beyond it when that is known."""
+    partial = sum(partials, 0.0)
     return (partial + _exp(seq.log_recip_tail(stop + 1))) if tail_known else partial
 
 
-def _sup_growth(log_values: np.ndarray) -> tuple[float, float]:
-    """The sup of ``log_values`` and the relative growth of the running sup of
-    ``exp(log_values)`` after the first tenth (``nan`` for an infinite sup)."""
-    sup_all = float(np.max(log_values))
-    sup_early = float(np.max(log_values[: max(1, log_values.size // 10)]))
-    if not (math.isfinite(sup_all) and math.isfinite(sup_early)):
-        return sup_all, math.nan
-    return sup_all, _exp(sup_all - sup_early) - 1.0
+class _RunningSup:
+    """The sup of values over ``[start, horizon]`` fed a chunk at a time, and
+    the sup over the first tenth of that range."""
+
+    def __init__(self, start: int, horizon: int):
+        if horizon < start:
+            raise ValueError(f"horizon must be at least {start} for this sequence, got {horizon}")
+        self.size = horizon - start + 1
+        self.early_stop = start + max(1, self.size // 10)
+        self.tops: list[float] = []
+        self.early_tops: list[float] = []
+
+    def add(self, lo: int, values: np.ndarray) -> None:
+        """Take ``values`` at the indices from ``lo`` on."""
+        self.tops.append(values.max())
+        if lo < self.early_stop:
+            self.early_tops.append(values[: self.early_stop - lo].max())
+
+    def growth(self) -> tuple[float, float]:
+        """The sup, and the relative growth of the running sup of
+        ``exp(values)`` after the first tenth (``nan`` for an infinite sup)."""
+        sup_all, sup_early = float(np.max(self.tops)), float(np.max(self.early_tops))
+        if not (math.isfinite(sup_all) and math.isfinite(sup_early)):
+            return sup_all, math.nan
+        return sup_all, _exp(sup_all - sup_early) - 1.0
 
 
 def _verdict(holds: bool, fails: bool) -> str:
     return "holds" if holds else "fails" if fails else "inconclusive"
 
 
-def _sup_verdict(condition: str, horizon: int, log_estimates: np.ndarray, tail_known: bool) -> ConditionVerdict:
-    """Sup-type verdict: the estimate is the sup of ``exp(log_estimates)``;
-    holds when the running sup stopped moving over the final decade of the
-    scan, fails when it is still clearly growing."""
-    sup, growth = _sup_growth(log_estimates)
+def _sup_verdict(condition: str, horizon: int, running: _RunningSup, tail_known: bool) -> ConditionVerdict:
+    """Sup-type verdict: the estimate is the sup of ``exp(values)``; holds
+    when the running sup stopped moving over the final decade of the scan,
+    fails when it is still clearly growing."""
+    sup, growth = running.growth()
     with np.errstate(over="ignore"):  # numpy's exp, not math's: they can differ in the last bit
         estimate = float(np.exp(sup))
-    long_enough = log_estimates.size >= 10
+    long_enough = running.size >= 10
     verdict = _verdict(long_enough and growth < _PLATEAU_RTOL and tail_known, long_enough and growth > 0.5)
     return ConditionVerdict(condition, horizon, estimate, verdict)
 
@@ -781,19 +809,22 @@ def check_strong(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON, tol: flo
     still be certified divergent when ``W(n) <= c n`` along the horizon
     (the running sup of ``W(n)/n`` plateaus within ``tol`` relative change
     over the final decade); otherwise the truncated sum is reported as
-    inconclusive rather than guessed.
+    inconclusive rather than guessed.  The estimate adds up ``1/W`` a chunk
+    of ``_CHUNK`` entries at a time from the horizon down, and the
+    certificate keeps a running sup over the same chunks.
     """
-    return _check_strong(seq, None, horizon, tol)
-
-
-def _check_strong(seq: ReinforcementSeq, scan, horizon: int, tol: float = 1e-9) -> ConditionVerdict:
     if horizon < 10:
         raise ValueError("horizon must be at least 10")
-    start, logw = _scan_to(seq, scan, horizon)
-    summable = seq.reciprocal_summable()
-    certified = summable is None and _sup_growth(logw - np.log(np.arange(start, horizon + 1)))[1] < max(tol, 1e-12)
+    start, summable = max(1, seq.domain_start), seq.reciprocal_summable()
+    w_over_n = _RunningSup(start, horizon) if summable is None else None  # log(W(n)/n), a finite table's certificate
+    partials = []
+    for lo, logw in _log_w_chunks(seq, start, horizon + 1):
+        partials.append(_recip_sum(logw))
+        if w_over_n is not None:
+            w_over_n.add(lo, logw - np.log(np.arange(lo, lo + logw.size)))
+    certified = w_over_n is not None and w_over_n.growth()[1] < max(tol, 1e-12)
     verdict = _verdict(summable is True, summable is False or certified)
-    return ConditionVerdict("summable", horizon, _linear_rem(seq, logw, horizon, summable is True), verdict)
+    return ConditionVerdict("summable", horizon, _linear_rem(seq, partials, horizon, summable is True), verdict)
 
 
 def _log_sub(hi: float, lo: float) -> float:
@@ -803,29 +834,37 @@ def _log_sub(hi: float, lo: float) -> float:
     return hi + math.log1p(-math.exp(lo - hi))
 
 
-def _log_variation_tail(seq: ReinforcementSeq, from_n: int, logw: np.ndarray) -> float | None:
+def _tail_settled(seq: ReinforcementSeq, start: int, stop: int) -> bool:
+    """Whether ``1/W(k) - 1/W(k+1)`` keeps its sign on each residue class of
+    the tail's period over the final tenth (at least 16 steps) of the scan
+    ``[start, stop)``, read a chunk at a time."""
+    width = min(stop - start - 1, max(16, (stop - start - 1) // 10))
+    period = len(seq._branches)
+    first = [None] * period  # each class's sign, from the first chunk that has one
+    for lo, logw in _log_w_chunks(seq, stop - 1 - width, stop - 1, overlap=1):
+        signs = np.sign(np.diff(logw))  # at k = lo, lo + 1, ...
+        for r in range(period):
+            lane = signs[(r - lo) % period :: period]
+            if lane.size and first[r] is None:
+                first[r] = lane[0]
+            if not np.all(lane == first[r]):
+                return False
+    return True
+
+
+def _log_variation_tail(seq: ReinforcementSeq, from_n: int) -> float:
     """log of ``sum_{k >= from_n} |1/W(k) - 1/W(k+1)|`` for a sequence whose
     reciprocal sum converges.
 
     For the built-in monotone kinds the sum telescopes exactly.  For table
     tails it is assembled per residue class: beyond the branches' sign-settling
     range each pairwise difference series has constant sign, so the sum of
-    absolute differences equals the absolute difference of the two tail sums.
-    ``logw`` is ``log W`` over the numeric scan; a sign flip of
-    ``1/W(k) - 1/W(k+1)`` over its final tenth (at least 16 steps) means the
-    series has not settled and the tail cannot be trusted (returns None).
+    absolute differences equals the absolute difference of the two tail sums
+    (``_tail_settled`` tests that range).
     """
     if seq.kind in ("polynomial", "exponential"):
         return float(-seq.log_values(np.array([from_n]))[0])
-    width = min(logw.size - 1, max(16, (logw.size - 1) // 10))
-    window = np.sign(logw[-width:] - logw[-width - 1 : -1])
     period = len(seq._branches)
-    lanes_settled = all(
-        lane.size == 0 or np.all(lane == lane[0])
-        for lane in (window[off::period] for off in range(period))
-    )
-    if not lanes_settled:
-        return None
     parts = []
     for r in range(period):
         # smallest k >= from_n with k % period == r, then its branch index j0
@@ -840,40 +879,74 @@ def _log_variation_tail(seq: ReinforcementSeq, from_n: int, logw: np.ndarray) ->
 
 
 def check_variation_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
-    """sup_n W(n) * sum_{k>=n} |1/W(k) - 1/W(k+1)| over the scanned range."""
-    return _check_variation_bound(seq, None, horizon)
+    """sup_n W(n) * sum_{k>=n} |1/W(k) - 1/W(k+1)| over the scanned range.
 
-
-def _check_variation_bound(seq: ReinforcementSeq, scan, horizon: int) -> ConditionVerdict:
-    _, logw = _scan_to(seq, scan, horizon + 1)
-    # log |1/W(k) - 1/W(k+1)| = hi + log1p(-exp(lo - hi)) with hi >= lo the two logs of 1/W, built in place
-    logdiff = np.minimum(logw[:-1], logw[1:])
-    lo = np.maximum(logw[:-1], logw[1:])
-    np.subtract(logdiff, lo, out=lo)  # lo - hi
-    np.negative(logdiff, out=logdiff)  # hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.exp(lo, out=lo)
-        np.negative(lo, out=lo)
-        np.log1p(lo, out=lo)
-        logdiff += lo
-    del lo
-    logdiff[np.isnan(logdiff)] = -np.inf
-    log_tail = _log_variation_tail(seq, horizon + 2, logw) if seq.reciprocal_summable() is True else None
-    logv = _log_suffix_sums(logdiff, -math.inf if log_tail is None else log_tail)
-    logv += logw[:-1]  # times W(n)
-    return _sup_verdict("variation_bound", horizon, logv, log_tail is not None)
+    A table's tail settles first, in a walk over the final tenth.  The main
+    walk then goes down from the horizon a chunk at a time, each chunk one
+    entry longer than it steps, and carries the suffix sum across chunks."""
+    start = max(1, seq.domain_start)
+    running = _RunningSup(start, horizon)
+    log_tail = None
+    if seq.reciprocal_summable() is True and (seq.kind != "table" or _tail_settled(seq, start, horizon + 2)):
+        log_tail = _log_variation_tail(seq, horizon + 2)
+    carry = -math.inf if log_tail is None else log_tail
+    for lo, logw in _log_w_chunks(seq, start, horizon + 1, overlap=1):
+        # log |1/W(k) - 1/W(k+1)| = hi + log1p(-exp(lo - hi)) with hi >= lo the two logs of 1/W, built in place
+        logdiff = np.minimum(logw[:-1], logw[1:])
+        gap = np.maximum(logw[:-1], logw[1:])
+        np.subtract(logdiff, gap, out=gap)  # lo - hi
+        np.negative(logdiff, out=logdiff)  # hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.exp(gap, out=gap)
+            np.negative(gap, out=gap)
+            np.log1p(gap, out=gap)
+            logdiff += gap
+        logdiff[np.isnan(logdiff)] = -np.inf
+        logv, carry = _log_suffix_sums(logdiff, carry)
+        logv += logw[:-1]  # times W(n)
+        running.add(lo, logv)
+    return _sup_verdict("variation_bound", horizon, running, log_tail is not None)
 
 
 def check_remainder_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
-    """sup_n W(n) * Rem(n) over the scanned range."""
-    return _check_remainder_bound(seq, None, horizon)
+    """sup_n W(n) * Rem(n) over the scanned range, a chunk at a time from the
+    horizon down, the suffix sum carried across chunks."""
+    start = max(1, seq.domain_start)
+    running = _RunningSup(start, horizon)
+    tail_known = seq.reciprocal_summable() is True
+    carry = seq.log_recip_tail(horizon + 1) if tail_known else -math.inf
+    for lo, logw in _log_w_chunks(seq, start, horizon + 1):
+        recip = np.negative(logw, out=logw)  # log 1/W
+        log_rem, carry = _log_suffix_sums(recip, carry)
+        log_rem -= recip  # times W(n)
+        running.add(lo, log_rem)
+    return _sup_verdict("remainder_bound", horizon, running, tail_known)
 
 
-def _check_remainder_bound(seq: ReinforcementSeq, scan, horizon: int) -> ConditionVerdict:
-    _, logw = _scan_to(seq, scan, horizon)
-    log_rem, tail_known = _log_rem_scan(seq, logw, horizon)
-    log_rem += logw
-    return _sup_verdict("remainder_bound", horizon, log_rem, tail_known)
+def _log_rems_at(seq: ReinforcementSeq, start: int, horizon: int, points) -> dict[int, np.ndarray]:
+    """``log sum_{k >= n} W(k)^-power`` for power 1 and 2 at each ``n`` of
+    ``points`` (in ``[start, horizon]``), with the analytic tails beyond the
+    horizon when the sum is known to converge.  One walk down adds the chunks
+    up, each cut at the points in it and each piece summed under its own max."""
+    tail_known = seq.reciprocal_summable() is True
+    carry = np.array([seq.log_recip_tail(horizon + 1, p) if tail_known else -math.inf for p in (1, 2)])
+    rems = {}
+    for lo, logw in _log_w_chunks(seq, start, horizon + 1):
+        hi = logw.size
+        for n in sorted({lo, *(n for n in points if lo <= n < lo + hi)}, reverse=True):
+            piece = np.negative(logw[n - lo : hi])
+            top = piece.max()
+            if math.isfinite(top):
+                piece -= top
+                np.exp(piece, out=piece)
+                total = np.sum(piece)
+                piece *= piece  # not np.dot: BLAS threads cost more than the sum
+                logs = np.log([total, np.sum(piece)]) + [top, 2.0 * top]
+            else:
+                logs = np.array([top, 2.0 * top])
+            carry = np.logaddexp(carry, logs)
+            rems[n], hi = carry, n - lo
+    return {n: rems[n] for n in points}
 
 
 def check_mdrem_conditions(
@@ -883,13 +956,10 @@ def check_mdrem_conditions(
     horizon: int = DEFAULT_HORIZON,
 ) -> tuple[ConditionVerdict, ConditionVerdict]:
     """Remainder decay checks: ``Rem(K n)/Rem(n)`` shrinking as K grows, and
-    ``(sum_{i>=n} W(i)^-2) / Rem(n)^2`` vanishing along ``horizons``."""
-    return _check_mdrem_conditions(seq, None, horizons, K_list, horizon)
+    ``(sum_{i>=n} W(i)^-2) / Rem(n)^2`` vanishing along ``horizons``.
 
-
-def _check_mdrem_conditions(
-    seq: ReinforcementSeq, scan, horizons=(100, 1_000, 10_000), K_list=(2, 4, 8, 16), horizon: int = DEFAULT_HORIZON
-) -> tuple[ConditionVerdict, ConditionVerdict]:
+    Both remainders are read at the ``n`` and ``K n`` these need and nowhere
+    else, from one walk down from the horizon (at least 4 ``K n``)."""
     horizons = sorted(int(h) for h in horizons)
     K_list = sorted(int(k) for k in K_list)
     if not horizons or not K_list:
@@ -899,25 +969,25 @@ def _check_mdrem_conditions(
         horizon = 4 * need
     if seq.reciprocal_summable() is False:
         raise ConditionViolation("remainder conditions are undefined for a divergent tail")
-    start, logw = _scan_to(seq, scan, horizon)
-    log_rem, tail_known = _log_rem_scan(seq, logw, horizon)
-    log_rem2, _ = _log_rem_scan(seq, logw, horizon, power=2)
+    start = max(1, seq.domain_start)
+    rems = _log_rems_at(seq, start, horizon, {max(k * n, start) for k in (1, *K_list) for n in horizons})
 
-    def lrem(n, arr):
-        return float(arr[max(n - start, 0)])
+    def lrem(n, power):
+        return float(rems[max(n, start)][power - 1])
 
     # condition (i): worst Rem(Kn)/Rem(n) over the n grid, per K
     ratios_by_k = [
-        max(_exp(lrem(k * n, log_rem) - lrem(n, log_rem)) for n in horizons)
+        max(_exp(lrem(k * n, 1) - lrem(n, 1)) for n in horizons)
         for k in K_list
     ]
     last = ratios_by_k[-1]
     decreasing = all(b <= a * (1 + 1e-9) for a, b in zip(ratios_by_k, ratios_by_k[1:]))
+    tail_known = seq.reciprocal_summable() is True
     verdict1 = _verdict(last < 0.05 and decreasing and tail_known, last >= 0.2)
     rem_ratio = ConditionVerdict("rem_ratio", horizons[-1], last, verdict1)
 
     # condition (ii): squared-reciprocal tail over Rem^2 along the n grid
-    r2 = [_exp(lrem(n, log_rem2) - 2.0 * lrem(n, log_rem)) for n in horizons]
+    r2 = [_exp(lrem(n, 2) - 2.0 * lrem(n, 1)) for n in horizons]
     decr2 = all(b < a for a, b in zip(r2, r2[1:]))
     verdict2 = _verdict(decr2 and r2[-1] <= 0.25 * r2[0] and tail_known, r2[-1] >= 0.8 * r2[0])
     sq_ratio = ConditionVerdict("squared_rem_ratio", horizons[-1], r2[-1], verdict2)

@@ -610,13 +610,13 @@ class TestCheckWFloatRange:
     def test_remainder_decay_checks_follow_a_horizon_above_the_default(
         self, tmp_path, capsys, monkeypatch, horizon, scanned
     ):
-        seen, checks = [], rf._check_mdrem_conditions
+        seen, checks = [], rf.check_mdrem_conditions
 
-        def spy(seq, scan, **kwargs):
+        def spy(seq, **kwargs):
             seen.append(kwargs["horizon"])
-            return checks(seq, scan, **kwargs)
+            return checks(seq, **kwargs)
 
-        monkeypatch.setattr(rf, "_check_mdrem_conditions", spy)
+        monkeypatch.setattr(rf, "check_mdrem_conditions", spy)
         rc, out, _ = self.run(tmp_path, capsys, N2_JSON, horizon)
         assert rc == 0
         assert seen == [scanned]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -360,6 +361,130 @@ class TestMdremConditions:
         assert r1.verdict == "fails"
 
 
+@pytest.mark.parametrize("check", [rf.check_variation_bound, rf.check_remainder_bound])
+@pytest.mark.parametrize("seq, horizon", [
+    (rf.make_polynomial([0, 0, 1]), 0),
+    (rf.make_table([0, 0, 0, 5, 1, 9], rf.TailRule((rf.PolyBranch((1, 0, 2)),))), 2),
+], ids=["below-1", "below-domain-start"])
+def test_horizon_below_the_scan_is_named(check, seq, horizon):
+    # these once raised numpy's error for a reduction over an empty array
+    with pytest.raises(ValueError, match=f"horizon must be at least .*, got {horizon}"):
+        check(seq, horizon)
+
+
+_CHUNKED_SEQS = {
+    "(n+1)^3": rf.make_polynomial([1, 3, 3, 1]),
+    "example-I": example_i(),
+    "1.5^n": rf.make_exponential(1.5),
+    "3000^n": rf.make_exponential(3000.0),  # every block on the exact path
+    "zeros+table+poly": rf.make_table([0, 0, 0, 5, 1, 9], rf.TailRule((rf.PolyBranch((1, 0, 2)), rf.PolyBranch((3, 1, 1))))),
+    "1e300+n^2": rf.make_polynomial([1e300, 0, 1]),
+    "n": rf.make_polynomial([0, 1]),
+}
+_C = rf._CHUNK
+_CHUNKED_HORIZONS = [10, 63, 64, 65, _C - 1, _C, _C + 1, 1_000_000]
+
+
+class TestChunkedWalk:
+    """Each check walks log W down from the horizon a chunk at a time.  It is
+    compared here with a reference over arrays as long as the horizon: one
+    ``_log_suffix_sums`` over the whole scan and one ``np.sum``.  The
+    remainder and variation sups must agree bit for bit, wherever the horizon
+    falls against the chunks and the suffix-sum blocks."""
+
+    @staticmethod
+    def sup_verdict(condition, horizon, start, values, tail_known):
+        running = rf._RunningSup(start, horizon)
+        running.add(start, values)
+        return rf._sup_verdict(condition, horizon, running, tail_known)
+
+    @staticmethod
+    def log_tail(seq, horizon, power=1):
+        return seq.log_recip_tail(horizon + 1, power) if seq.reciprocal_summable() is True else -math.inf
+
+    @pytest.mark.parametrize("horizon", _CHUNKED_HORIZONS)
+    @pytest.mark.parametrize("name", _CHUNKED_SEQS)
+    def test_remainder_bound(self, name, horizon):
+        seq = _CHUNKED_SEQS[name]
+        start = max(1, seq.domain_start)
+        logw = seq.log_values(range(start, horizon + 1))
+        log_rem, _ = rf._log_suffix_sums(-logw, self.log_tail(seq, horizon))
+        want = self.sup_verdict("remainder_bound", horizon, start, log_rem + logw, seq.reciprocal_summable() is True)
+        assert rf.check_remainder_bound(seq, horizon) == want
+
+    @pytest.mark.parametrize("horizon", _CHUNKED_HORIZONS)
+    @pytest.mark.parametrize("name", _CHUNKED_SEQS)
+    def test_variation_bound(self, name, horizon):
+        seq = _CHUNKED_SEQS[name]
+        start = max(1, seq.domain_start)
+        logw = seq.log_values(range(start, horizon + 2))
+        low, high = np.minimum(logw[:-1], logw[1:]), np.maximum(logw[:-1], logw[1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logdiff = -low + np.log1p(-np.exp(low - high))
+        logdiff[np.isnan(logdiff)] = -np.inf
+        log_tail = None
+        if seq.reciprocal_summable() is True:
+            # a table's tail counts once each residue class keeps its sign over the final tenth
+            width = min(logw.size - 1, max(16, (logw.size - 1) // 10))
+            signs = np.sign(np.diff(logw[-width - 1 :]))
+            period = len(seq._branches)
+            if seq.kind != "table" or all(np.all(signs[r::period] == signs[r]) for r in range(min(period, width))):
+                log_tail = rf._log_variation_tail(seq, horizon + 2)
+        logv, _ = rf._log_suffix_sums(logdiff, -math.inf if log_tail is None else log_tail)
+        want = self.sup_verdict("variation_bound", horizon, start, logv + logw[:-1], log_tail is not None)
+        assert rf.check_variation_bound(seq, horizon) == want
+
+    @pytest.mark.parametrize("horizon", _CHUNKED_HORIZONS)
+    @pytest.mark.parametrize("name", _CHUNKED_SEQS)
+    def test_strong(self, name, horizon):
+        seq = _CHUNKED_SEQS[name]
+        logw = seq.log_values(range(max(1, seq.domain_start), horizon + 1))
+        summable = seq.reciprocal_summable()
+        want = float(np.sum(np.exp(-logw))) + (math.exp(self.log_tail(seq, horizon)) if summable else 0.0)
+        got = rf.check_strong(seq, horizon)
+        assert got.verdict == ("holds" if summable else "fails")
+        assert got.estimate == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def rems_from_suffix_sums(seq, start, horizon, points):
+        logw = seq.log_values(range(start, horizon + 1))
+        rems = [rf._log_suffix_sums(-p * logw, TestChunkedWalk.log_tail(seq, horizon, p))[0] for p in (1, 2)]
+        return {n: np.array([rems[0][n - start], rems[1][n - start]]) for n in points}
+
+    # the remainders are read at n and K n, for n on the grid: spread over the
+    # scan, and around the 30th chunk boundary below 10^6
+    @pytest.mark.parametrize("horizon, grid", [
+        *[(h, dict(horizons=(1, 2, max(2, h // 64)), K_list=(2, 4, 16))) for h in _CHUNKED_HORIZONS],
+        (1_000_000, {}),
+        (1_000_000, dict(horizons=(1_000_001 - 30 * _C - 1, 1_000_001 - 30 * _C, 1_000_001 - 30 * _C + 1), K_list=(2, 4))),
+    ])
+    @pytest.mark.parametrize("name", [name for name in _CHUNKED_SEQS if name != "n"])
+    def test_mdrem_conditions(self, name, horizon, grid, monkeypatch):
+        seq = _CHUNKED_SEQS[name]
+        got = rf.check_mdrem_conditions(seq, horizon=horizon, **grid)
+        monkeypatch.setattr(rf, "_log_rems_at", self.rems_from_suffix_sums)
+        want = rf.check_mdrem_conditions(seq, horizon=horizon, **grid)
+        assert [v.verdict for v in got] == [v.verdict for v in want]
+        assert [v.estimate for v in got] == pytest.approx([v.estimate for v in want], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("check", [
+    rf.check_strong, rf.check_variation_bound, rf.check_remainder_bound, rf.check_mdrem_conditions,
+])
+@pytest.mark.parametrize("seq", [rf.make_polynomial([1, 3, 3, 1]), example_i()], ids=["(n+1)^3", "example-I"])
+def test_checks_build_no_array_as_long_as_the_horizon(seq, check):
+    # at the default horizon of 10^6 one float array as long as the horizon
+    # takes 8 MB; whole-horizon scans peaked at 24-33 MB
+    check(seq)  # fills the sequence's cached properties
+    tracemalloc.start()
+    try:
+        check(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rf.DEFAULT_HORIZON
+
+
 @pytest.mark.parametrize("seq", [
     rf.make_table([3, 1, 4, 1, 5], example_i().tail),
     rf.make_table([2, 7, 1], rf.TailRule((rf.PolyBranch((1, 0, 2)),))),
@@ -402,7 +527,7 @@ class TestLogSuffixSums:
 
     @staticmethod
     def worst_errors(x, log_init, idx):
-        got = rf._log_suffix_sums(x, log_init)
+        got, _ = rf._log_suffix_sums(x, log_init)
         accumulated = np.logaddexp.accumulate(np.concatenate(([log_init], x[::-1])))[:0:-1]
         assert got.shape == x.shape
         worst = [0.0, 0.0]
@@ -466,6 +591,19 @@ class TestLogSuffixSums:
         # steps of up to -1000 leave exp(x - block max) far below the subnormal range
         x = np.cumsum(np.random.default_rng(9).uniform(-1000.0, 0.0, 10**4 + 3))
         self.check(x, n_sampled=300)
+
+    def test_calls_seeded_with_the_carry_continue_one_call(self):
+        # chunks of whole blocks, cut from the end, over -3 log k (the
+        # remainder of k^3) with a steep stretch on the exact path
+        x = -3.0 * np.log(np.arange(1.0, 40 * self.B + 8))
+        x[5 * self.B : 9 * self.B] -= 900.0 * np.arange(4 * self.B)
+        whole, carry = rf._log_suffix_sums(x, 1.0)
+        parts, chunk = [], 3 * self.B
+        for hi in range(x.size, 0, -chunk):
+            part, carry_part = rf._log_suffix_sums(x[max(hi - chunk, 0) : hi], carry_part if parts else 1.0)
+            parts.append(part)
+        assert np.array_equal(np.concatenate(parts[::-1]), whole)
+        assert carry_part == carry
 
     def test_steep_and_mild_blocks_mixed(self):
         rng = np.random.default_rng(10)
