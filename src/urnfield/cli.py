@@ -180,11 +180,10 @@ def cmd_simulate(args) -> int:
     else:
         raise ValueError(f"unknown model {args.model}")
     traj = urns.run(state, args.steps, args.record_every, record_counts=args.counts)
-    if args.steps > 0:
-        _, names, label = urns.monopoly_labels(traj.last_change[None], args.steps)
-        traj.events["monopoly"] = names[label[0]]
+    _, names, label = urns.monopoly_labels(traj.last_change[None], args.steps)
+    events = {"monopoly": names[label[0]]} if args.steps > 0 else {}
     blob = traj.csv_bytes("counts" if args.counts else "proportions")
-    return _emit(args, {"": blob}, {**_echo(args), "events": traj.events, **_counters(traj)})
+    return _emit(args, {"": blob}, {**_echo(args), "events": events, **_counters(traj)})
 
 
 def _counters(traj) -> dict:

@@ -297,6 +297,10 @@ def scan_p(m: int, p_grid, per_point: EnsembleConfig, threshold: float = 0.99) -
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("empty p grid")
+    if not all(0.0 <= p <= 1.0 for p in p_grid):
+        raise ValueError(f"every p of the grid must be in [0, 1], got {p_grid}")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if per_point.model != "ium":
         raise ValueError(f"scan_p scans the two-urn ium model, got model {per_point.model!r}")
     seq = per_point.seq

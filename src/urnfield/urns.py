@@ -21,18 +21,20 @@ lockstep ensemble runners consume per-run streams in the identical order,
 so run ``i`` of an ensemble reproduces a standalone simulation seeded with
 ``derive_seed(master, i)``.
 
-Each mechanism is implemented twice: a lockstep kernel (``_ium_step``,
-``_multicolor_step``, ``_sequential_step``) that ensembles drive, and a
-block stepper (``_ium_steps``, ``_multicolor_steps``,
-``_sequential_steps``) that ``run`` and ``run_coupled`` step whole
-sub-blocks of one run through, and the public ``step_*`` one step at a
-time.  A block stepper keeps the counts in Python ints and reads log
-weights as Python floats for a whole block, with its kernel's arithmetic on
-one run, so a single run costs about as much per step whether or not it
-ever settles.  The kernels, checked against exact laws, are the reference
-the block steppers are tested against.  One loop, ``_drive``, draws and
-records for ensembles, ``run`` and ``run_coupled`` alike; it walks each
-block of draws in sub-blocks that end at every record step.
+Each mechanism is wired up once, in a frozen ``_Mechanism`` record:
+``_ium(d, p)``, ``_multicolor(d)`` and ``_SEQUENTIAL``.  ``_dispatch``
+gives a state's record and count arrays, and ``run``, ``run_coupled`` and
+the one ensemble driver, ``_ensemble``, read nothing else.  A record pairs
+a lockstep kernel (``_ium_step``, ``_multicolor_step``,
+``_sequential_step``), which steps an ensemble's rows, with a block stepper
+(``_ium_steps``, ``_multicolor_steps``, ``_sequential_steps``), which steps
+whole sub-blocks of one state, as the public ``step_*`` step it once.  A
+block stepper keeps the counts in Python ints and reads log weights as
+Python floats, with its kernel's arithmetic on one run, so a single run
+costs about as much per step whether or not it ever settles.  The kernels,
+checked against exact laws, are the reference the block steppers are
+tested against.  One loop, ``_drive``, draws and records for every driver;
+it walks each block of draws in sub-blocks that end at every record step.
 
 Ensembles, ``run`` and ``run_coupled`` screen each sub-block against the
 leader path.  Under strong reinforcement almost every step adds the
@@ -68,7 +70,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -162,9 +165,7 @@ class Trajectory:
     proportions: np.ndarray
     color_totals: np.ndarray
     counts: np.ndarray | None = None
-    events: dict = dc_field(default_factory=dict)
     seed: int | None = None
-    meta: dict = dc_field(default_factory=dict)
     last_change: np.ndarray | None = None
     run_steps_screened: int = 0
     run_steps_exact: int = 0
@@ -373,20 +374,20 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     Sub-blocks are screened against the leader path at ``_paced``'s
     cadence, as in the ensembles, and a state that passes advances in bulk;
     other sub-blocks go through the block stepper."""
-    per_step, steps_of, _, leap, props_of, totals_of, counts_of, meta = _dispatch(state)
-    last_change = [0] * len(totals_of(state))
+    mech, arrays = _dispatch(state)
+    last_change = [0] * len(mech.totals(state))
 
     def sample(step):
-        return props_of(state), totals_of(state), counts_of(state) if record_counts else None
+        return mech.shares(*arrays, step), mech.totals(state), np.concatenate(arrays) if record_counts else None
 
     def exact(start, u):
-        steps_of(state, u[0].tolist(), start, last_change)  # Python floats compare faster than numpy scalars
+        mech.steps(state, u[0].tolist(), start, last_change)  # Python floats compare faster than numpy scalars
 
-    def leap_state(ok, leader, end, length):
-        last_change[leap(state, leader[0], length)] = end
+    def leap(ok, leader, end, length):
+        last_change[mech.leap_state(state, leader[0], length)] = end
 
-    advance, counters = _paced(state.logw.wait, _screen_of(state), leap_state, exact)
-    steps, samples = _drive([state.rng], per_step, n_steps, record_every, advance, sample)
+    advance, counters = _paced(state.logw.wait, _screen_of(state), leap, exact)
+    steps, samples = _drive([state.rng], mech.per_step, n_steps, record_every, advance, sample)
     props, totals, counts = zip(*samples)
     return Trajectory(
         steps=steps,
@@ -394,65 +395,24 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
         color_totals=np.array(totals, dtype=np.int64),
         counts=np.array(counts, dtype=np.int64) if record_counts else None,
         seed=state.seed,
-        meta=meta(state),
         last_change=np.array(last_change, dtype=np.int64),
         run_steps_screened=counters[0],
         run_steps_exact=n_steps - counters[0],
     )
 
 
-def _dispatch(state):
-    """Uniforms per step, the block stepper of one run (it sets
-    each color's last-change step), the leader-path screen of a sub-block
-    on the state as one run, the bulk advance of a state that passes it (it
-    returns the color that grew), and what a trajectory records."""
-    if isinstance(state, UrnState):
-        return (
-            2 * state.d,
-            _ium_steps,
-            lambda s, u: _ium_screen(s.black[None], s.red[None], s.logw.table, s.logw.wins, u),
-            _leap_ium,
-            proportions,
-            lambda s: (s.total_black, s.total_red),
-            lambda s: np.concatenate([s.black, s.red]),
-            lambda s: {"model": "ium", "d": s.d, "p": s.p, "seq": s.seq.to_json()},
-        )
-    if isinstance(state, MultiColorState):
-        return (
-            state.d,
-            _multicolor_steps,
-            lambda s, u: _multicolor_screen(s.counts[None], s.logw.table, s.logw.wins[s.d], u),
-            _leap_multicolor,
-            lambda s: _color_shares(s.counts, s.n),
-            lambda s: tuple(s.counts),
-            lambda s: s.counts.copy(),
-            lambda s: {"model": "multicolor", "nc": s.nc, "d": s.d, "seq": s.seq.to_json()},
-        )
-    if isinstance(state, SequentialState):
-        return (
-            2,
-            _sequential_steps,
-            lambda s, u: _sequential_screen(s.black[None], s.red[None], s.logw.table, s.logw.wins, u, s.substep % 2),
-            _leap_sequential,
-            sequential_proportions,
-            lambda s: (int(s.black.sum()), int(s.red.sum())),
-            lambda s: np.concatenate([s.black, s.red]),
-            lambda s: {"model": "sequential", "seq": s.seq.to_json()},
-        )
-    raise TypeError(f"unknown state type: {type(state)!r}")
-
-
 def _screen_of(state):
     """The leader-path screen of a sub-block of uniforms ``u`` on ``state``
     as an ensemble of one; it first covers every count the sub-block can
     reach."""
-    per_step, _, screen, _, _, totals_of, _, _ = _dispatch(state)
+    mech, arrays = _dispatch(state)
+    rows = [a[None] for a in arrays]
 
-    def screen_state(u):
-        state.logw.cover(max(totals_of(state)) + per_step * u.shape[1])
-        return screen(state, u)
+    def screen(u):
+        state.logw.cover(max(mech.totals(state)) + mech.per_step * u.shape[1])
+        return mech.screen(*rows, state.logw.table, state.logw.wins, u)
 
-    return screen_state
+    return screen
 
 
 def _paced(wait, screen, leap, exact):
@@ -669,6 +629,7 @@ def run_coupled(
         raise ValueError("the coupling requires a non-decreasing weight sequence")
     ium = init_ium(2, black0, red0, p, seq, seed)
     seqp = init_sequential(black0, red0, seq, seed)
+    (mech_i, arrays_i), (mech_s, arrays_s) = _dispatch(ium), _dispatch(seqp)
     last_i, last_s = [0, 0], [0, 0]
     violations = 0
     screen_i, screen_s = _screen_of(ium), _screen_of(seqp)
@@ -676,8 +637,8 @@ def run_coupled(
     def exact(start, u):
         nonlocal violations
         path_i, path_s = [], []
-        _ium_steps(ium, u[0].tolist(), start, last_i, path_i)
-        _sequential_steps(seqp, u[0, :, 1::2].tolist(), start, last_s, path_s)
+        mech_i.steps(ium, u[0].tolist(), start, last_i, path_i)
+        mech_s.steps(seqp, u[0, :, 1::2].tolist(), start, last_s, path_s)
         violations += _violations(path_i, path_s)
 
     def screen(u):
@@ -689,33 +650,31 @@ def run_coupled(
 
     def leap(ok, to_red, end, length):
         nonlocal violations
-        path_i = _leap_path(np.concatenate([ium.black, ium.red]), to_red[0], length)
-        path_s = _leap_path(np.concatenate([seqp.black, seqp.red]), to_red[1], length)
-        last_i[_leap_ium(ium, to_red[0], length)] = end
-        last_s[_leap_sequential(seqp, to_red[1], length)] = end
+        path_i = _leap_path(np.concatenate(arrays_i), to_red[0], length)
+        path_s = _leap_path(np.concatenate(arrays_s), to_red[1], length)
+        last_i[mech_i.leap_state(ium, to_red[0], length)] = end
+        last_s[mech_s.leap_state(seqp, to_red[1], length)] = end
         violations += _violations(path_i, path_s)
 
     def sample(step):
-        seq_totals = (int(seqp.black.sum()), int(seqp.red.sum()))
-        return proportions(ium), sequential_proportions(seqp), (ium.total_black, ium.total_red), seq_totals
+        return mech_i.shares(*arrays_i, step), mech_s.shares(*arrays_s, step), mech_i.totals(ium), mech_s.totals(seqp)
 
     advance, counters = _paced([0, _SUB_BLOCK], screen, leap, exact)
-    steps, samples = _drive([stream(seed)], 4, n_steps, record_every, advance, sample)
+    steps, samples = _drive([stream(seed)], mech_i.per_step, n_steps, record_every, advance, sample)
     props_i, props_s, totals_i, totals_s = zip(*samples)
 
-    def mk(props, totals, last_change, model):
+    def mk(props, totals, last_change):
         return Trajectory(
             steps=steps.copy(),
             proportions=np.array(props, dtype=float),
             color_totals=np.array(totals, dtype=np.int64),
             seed=seed,
-            meta={"model": model, "p": p, "seq": seq.to_json()},
             last_change=np.array(last_change, dtype=np.int64),
             run_steps_screened=counters[0],
             run_steps_exact=n_steps - counters[0],
         )
 
-    return mk(props_i, totals_i, last_i, "ium"), mk(props_s, totals_s, last_s, "sequential"), violations
+    return mk(props_i, totals_i, last_i), mk(props_s, totals_s, last_s), violations
 
 
 def _leap_path(counts: np.ndarray, to_red: bool, length: int) -> np.ndarray:
@@ -944,15 +903,15 @@ def _sequential_screen(black, red, logw, win, u, first: int = 0):
 def _multicolor_screen(counts, logw, win, u):
     """Screen of ``_multicolor_step``.  The leader, the color of largest
     weight, takes all d balls of every step, so the windowed minimum of its
-    log weight bounds its cut-point interval from within: along the path
-    the cut point below it only falls and the one above it only rises.  The
-    first color has no lower cut point and the last no upper one.  Returns
-    the passing runs and their leaders."""
+    log weight at stride d bounds its cut-point interval from within: along
+    the path the cut point below it only falls and the one above it only
+    rises.  The first color has no lower cut point and the last no upper
+    one.  Returns the passing runs and their leaders."""
     nc = counts.shape[1]
     rows = np.arange(len(counts))
     lw = logw[counts]
     leader = lw.argmax(axis=1)
-    lw[rows, leader] = win[counts[rows, leader]]
+    lw[rows, leader] = win[u.shape[2]][counts[rows, leader]]
     w = np.exp(lw - lw.max(axis=1, keepdims=True))
     cw = np.cumsum(w, axis=1)
     lo = np.where(leader > 0, cw[rows, leader - 1] / cw[:, -1] * (1.0 + _MARGIN), -np.inf)
@@ -1110,105 +1069,150 @@ def _set_last_add(last_add: np.ndarray, grew: np.ndarray, start: int) -> None:
     np.copyto(last_add, start + grew.shape[1] - grew[:, ::-1].argmax(axis=1), where=grew.any(axis=1))
 
 
-def _black_red_ensemble(kernel, screen, per_step, seq, black0, red0, n_steps, n_runs, master_seed, run_offset,
-                        record_every, resolver=None):
-    """Screened lockstep driver of a black/red mechanism whose ``kernel(black,
-    red, logw, u)`` advances every run one step, each urn gaining one ball,
-    and returns the black increments.  ``screen(black, red, logw, win, u)``
-    reads the window minima ``win`` by stride.  The runs a screen flags go
-    through ``resolver(logw)(black, red, u)``, as ``_ium_resolve``, if
-    there is a resolver and it takes the sub-block, and through the kernel
-    otherwise."""
-    black = np.tile(np.asarray(black0, dtype=np.int64), (n_runs, 1))
-    red = np.tile(np.asarray(red0, dtype=np.int64), (n_runs, 1))
-    logw = log_weight_table(seq, black.shape[1] * n_steps + int(np.sum(black0) + np.sum(red0)) + 1)
-    win = _Windows(logw)
-    resolve = resolver and resolver(logw)
-    seeds, gens = _streams(master_seed, run_offset, n_runs)
-    last_add = np.zeros((n_runs, 2), dtype=np.int64)
+@dataclass(frozen=True)
+class _Mechanism:
+    """One urn mechanism, as ``run``, ``run_coupled`` and ``_ensemble``
+    read it.  ``arrays`` are the counts ``_dispatch`` gives: rows are runs
+    in an ensemble, and a single state's arrays are 1-D."""
 
-    def step(black, red, last_add, start, u):
-        resolved = resolve and resolve(black, red, u)
-        if resolved:
-            n_black, exact = resolved
-        else:
-            n_black = np.stack([kernel(black, red, logw, us) for us in u.swapaxes(0, 1)], axis=1).sum(axis=2)
-            exact = None
-        _set_last_add(last_add, np.stack([n_black > 0, n_black < black.shape[1]], axis=2), start)
-        return exact
-
-    def leap(ok, to_red, end, length):
-        for grows, color, path in ((black, 0, ok & ~to_red), (red, 1, ok & to_red)):
-            grows[path] += length
-            last_add[path, color] = end
-
-    advance, counters = _screened((black, red, last_add), lambda u: screen(black, red, logw, win, u), leap, step)
-    steps, props = _drive(
-        gens, per_step, n_steps, record_every, advance, lambda step: _black_shares(black, red, step)
-    )
-    return EnsembleRaw(
-        steps, np.stack(props, axis=1), last_add, np.concatenate([black, red], axis=1), seeds, *counters
-    )
+    per_step: int  # uniforms per step
+    balls: int  # balls per step
+    block: Callable  # (logw) -> (*arrays, u) -> (grew, exact): steps an ensemble's flagged rows
+    screen: Callable  # (*arrays, logw, win, u) -> (ok, leader), ``win`` the window minima by stride
+    leap: Callable  # (*arrays, last_add, ok, leader, end, length): the passing rows' bulk advance
+    shares: Callable  # (*arrays, step): the recorded proportions
+    steps: Callable  # (state, rows, start, last_change): a single state's block stepper
+    leap_state: Callable  # (state, leader, length) -> the color that grew
+    totals: Callable  # (state) -> each color's total
 
 
-def run_ium_ensemble(
-    seq: ReinforcementSeq,
-    p: float,
-    d: int,
-    black0,
-    red0,
-    n_steps: int,
-    n_runs: int,
-    master_seed: int,
-    run_offset: int = 0,
-    record_every: int = 100,
-) -> EnsembleRaw:
-    """All runs advanced in lockstep; run ``i`` consumes the same stream a
-    standalone ``init_ium(..., seed=derive_seed(master, offset+i))`` would."""
-    init_ium(d, black0, red0, p, seq, seed=0)  # validates arguments
+def _black_red_grew(n_black: np.ndarray, d: int) -> np.ndarray:
+    """Whether black and red grew at each step of a black/red mechanism of
+    ``d`` urns (runs, length, 2), from the black balls of each step."""
+    return np.stack([n_black > 0, n_black < d], axis=2)
 
-    def resolver(logw):
+
+def _kernel_steps(kernel, logw, black, red, u):
+    """``block``'s stepper of a black/red mechanism: every flagged row
+    through ``kernel(black, red, logw, us)``, which gives black increments."""
+    n_black = np.stack([kernel(black, red, logw, us) for us in u.swapaxes(0, 1)], axis=1).sum(axis=2)
+    return _black_red_grew(n_black, black.shape[1]), None
+
+
+def _black_red_leap(black, red, last_add, ok, to_red, end, length) -> None:
+    for grows, color, path in ((black, 0, ok & ~to_red), (red, 1, ok & to_red)):
+        grows[path] += length
+        last_add[path, color] = end
+
+
+def _black_red_totals(state) -> tuple[int, int]:
+    return int(state.black.sum()), int(state.red.sum())
+
+
+def _ium(d: int, p: float) -> _Mechanism:
+    """The interacting urns at ``p``.  Flagged rows go through
+    ``_ium_resolve``, or through ``_ium_step`` where it gives up."""
+
+    def kernel(black, red, logw, us):
+        return _ium_step(black, red, logw, p, us)
+
+    def block(logw):
         reach = _Reach(logw, d)
-        return lambda black, red, u: _ium_resolve(black, red, logw, reach, p, u)
 
-    return _black_red_ensemble(
-        lambda black, red, logw, u: _ium_step(black, red, logw, p, u), _ium_screen, 2 * d,
-        seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every, resolver,
+        def step(black, red, u):
+            resolved = _ium_resolve(black, red, logw, reach, p, u)
+            if resolved is None:
+                return _kernel_steps(kernel, logw, black, red, u)
+            return _black_red_grew(resolved[0], d), resolved[1]
+
+        return step
+
+    return _Mechanism(
+        per_step=2 * d, balls=d, block=block, screen=_ium_screen, leap=_black_red_leap, shares=_black_shares,
+        steps=_ium_steps, leap_state=_leap_ium, totals=_black_red_totals,
     )
 
 
-def run_multicolor_ensemble(
-    seq: ReinforcementSeq,
-    nc: int,
-    a,
-    d: int,
-    n_steps: int,
-    n_runs: int,
-    master_seed: int,
-    run_offset: int = 0,
-    record_every: int = 100,
-) -> EnsembleRaw:
-    init_multicolor(nc, a, d, seq, seed=0)  # validates arguments
-    counts = np.tile(np.asarray(a, dtype=np.int64), (n_runs, 1))
-    logw = log_weight_table(seq, int(np.sum(a)) + d * n_steps + 1)
-    win = _window_min(logw, d)
-    seeds, gens = _streams(master_seed, run_offset, n_runs)
-    last_add = np.zeros((n_runs, nc), dtype=np.int64)
+def _multicolor(d: int) -> _Mechanism:
+    """The single urn of ``d`` balls a step."""
 
-    def step(counts, last_add, start, u):
-        added = np.stack([_multicolor_step(counts, logw, us) for us in u.swapaxes(0, 1)], axis=1)
-        _set_last_add(last_add, added > 0, start)
+    def block(logw):
+        def step(counts, u):
+            return np.stack([_multicolor_step(counts, logw, us) for us in u.swapaxes(0, 1)], axis=1) > 0, None
 
-    def leap(ok, leader, end, length):
+        return step
+
+    def leap(counts, last_add, ok, leader, end, length):
         rows = np.flatnonzero(ok)
         counts[rows, leader[rows]] += d * length
         last_add[rows, leader[rows]] = end
 
-    advance, counters = _screened((counts, last_add), lambda u: _multicolor_screen(counts, logw, win, u), leap, step)
-    steps, props = _drive(
-        gens, d, n_steps, record_every, advance, lambda step: _color_shares(counts, step)
+    return _Mechanism(
+        per_step=d, balls=d, block=block, screen=_multicolor_screen, leap=leap, shares=_color_shares,
+        steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda s: tuple(s.counts),
     )
-    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, counts, seeds, *counters)
+
+
+_SEQUENTIAL = _Mechanism(
+    per_step=2, balls=2, block=lambda logw: functools.partial(_kernel_steps, _sequential_step, logw),
+    screen=_sequential_screen, leap=_black_red_leap, shares=_black_shares,
+    steps=_sequential_steps, leap_state=_leap_sequential, totals=_black_red_totals,
+)
+
+
+def _dispatch(state):
+    """The mechanism of a simulator state and its count arrays."""
+    if isinstance(state, UrnState):
+        return _ium(state.d, state.p), (state.black, state.red)
+    if isinstance(state, MultiColorState):
+        return _multicolor(state.d), (state.counts,)
+    if isinstance(state, SequentialState):
+        # urn 1 draws first in a state left mid-step by ``step_sequential``
+        screen = functools.partial(_sequential_screen, first=state.substep % 2)
+        return replace(_SEQUENTIAL, screen=screen), (state.black, state.red)
+    raise TypeError(f"unknown state type: {type(state)!r}")
+
+
+def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: int, record_every: int) -> EnsembleRaw:
+    """Screened lockstep ensemble of ``n_runs`` runs from ``state``'s
+    counts: run ``i`` consumes the stream ``derive_seed(master, offset +
+    i)``, as a standalone run of the state at that seed would."""
+    mech, arrays = _dispatch(state)
+    arrays = [np.tile(a, (n_runs, 1)) for a in arrays]
+    logw = log_weight_table(state.seq, mech.balls * n_steps + int(sum(mech.totals(state))) + 1)
+    win = _Windows(logw)
+    block = mech.block(logw)
+    seeds, gens = _streams(master_seed, run_offset, n_runs)
+    last_add = np.zeros((n_runs, len(mech.totals(state))), dtype=np.int64)
+
+    def step(*rows):
+        *counts, last, start, u = rows
+        grew, exact = block(*counts, u)
+        _set_last_add(last, grew, start)
+        return exact
+
+    leap = functools.partial(mech.leap, *arrays, last_add)
+    advance, counters = _screened((*arrays, last_add), lambda u: mech.screen(*arrays, logw, win, u), leap, step)
+    steps, props = _drive(gens, mech.per_step, n_steps, record_every, advance, lambda step: mech.shares(*arrays, step))
+    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, np.concatenate(arrays, axis=1), seeds, *counters)
+
+
+def run_ium_ensemble(
+    seq: ReinforcementSeq, p: float, d: int, black0, red0, n_steps: int, n_runs: int,
+    master_seed: int, run_offset: int = 0, record_every: int = 100,
+) -> EnsembleRaw:
+    """All runs advanced in lockstep; run ``i`` consumes the same stream a
+    standalone ``init_ium(..., seed=derive_seed(master, offset+i))`` would."""
+    return _ensemble(init_ium(d, black0, red0, p, seq, seed=0), n_steps, n_runs, master_seed, run_offset, record_every)
+
+
+def run_multicolor_ensemble(
+    seq: ReinforcementSeq, nc: int, a, d: int, n_steps: int, n_runs: int,
+    master_seed: int, run_offset: int = 0, record_every: int = 100,
+) -> EnsembleRaw:
+    """All runs advanced in lockstep, run ``i`` as a standalone
+    ``init_multicolor(..., seed=derive_seed(master, offset+i))``."""
+    return _ensemble(init_multicolor(nc, a, d, seq, seed=0), n_steps, n_runs, master_seed, run_offset, record_every)
 
 
 def run_sequential_ensemble(
@@ -1218,8 +1222,4 @@ def run_sequential_ensemble(
     """All runs of the sequential process advanced in lockstep; run ``i``
     consumes the same two uniforms per macro step a standalone
     ``init_sequential(..., seed=derive_seed(master, offset+i))`` would."""
-    init_sequential(black0, red0, seq, seed=0)  # validates arguments
-    return _black_red_ensemble(
-        _sequential_step, _sequential_screen, 2,
-        seq, black0, red0, n_steps, n_runs, master_seed, run_offset, record_every,
-    )
+    return _ensemble(init_sequential(black0, red0, seq, seed=0), n_steps, n_runs, master_seed, run_offset, record_every)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import urnfield
-from urnfield import cli, reinforcement as rf, urns
+from urnfield import cli, ensembles, reinforcement as rf, urns
 from urnfield.cli import main
 from urnfield.reinforcement import make_polynomial
 
@@ -276,6 +276,25 @@ class TestMcAndScan:
         path.write_text(json.dumps(scan))
         assert main(["scan", "--config", str(path)]) == 2
         assert "degree-3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("threshold", 7, "threshold must be in (0, 1]"), ("p_grid", [0.3, 1.7], "must be in [0, 1]"),
+    ])
+    def test_scan_rejects_values_out_of_range_before_any_ensemble(self, tmp_path, capsys, monkeypatch, key, value,
+                                                                   message):
+        scan = {
+            "schema": 1, "m": 2, "p_grid": [0.3], key: value,
+            "per_point": {"schema": 1, "model": "ium", "seq": N2_JSON, "n_steps": 50, "n_runs": 2, "seed": 3},
+        }
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(scan))
+
+        def no_ensemble(config):
+            raise AssertionError(f"an ensemble ran at p = {config.p}")
+
+        monkeypatch.setattr(ensembles, "run_ensemble", no_ensemble)
+        assert main(["scan", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCheckW:

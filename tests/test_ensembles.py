@@ -242,6 +242,16 @@ class TestScan:
             with pytest.raises(ValueError, match="degree-3"):
                 ens.scan_p(3, [0.2], per_point)
 
+    @pytest.mark.parametrize("grid, threshold", [
+        ([0.3, 1.7], 0.9), ([0.3, -0.1], 0.9), ([0.3], 7.0), ([0.3], 0.0), ([0.3], math.nan),
+    ])
+    def test_rejects_a_grid_or_threshold_out_of_range_before_any_ensemble(self, monkeypatch, grid, threshold):
+        ran = []
+        monkeypatch.setattr(ens, "run_ensemble", lambda config: ran.append(config.p))
+        with pytest.raises(ValueError, match=r"grid must be in \[0, 1\]|threshold must be in \(0, 1\]"):
+            ens.scan_p(2, grid, small_config(), threshold)
+        assert ran == []
+
     def test_rejects_models_other_than_ium(self):
         for model in ("multicolor", "sequential", "embedding"):
             per_point = small_config(model=model, nc=3, a=(1, 1, 1), n_runs=5, n_steps=100)

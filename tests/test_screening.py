@@ -187,7 +187,7 @@ class TestMargin:
     @pytest.mark.parametrize("edge", ["lower", "upper"])
     def test_multicolor_middle_color(self, edge):
         logw = rf.log_weight_table(N2, 200)
-        win = urns._window_min(logw, 2)
+        win = {2: urns._window_min(logw, 2)}
         counts = np.array([[2, 9, 3]])
         w = np.exp(logw[counts[0]] - logw[counts[0]].max())
         cut = np.cumsum(w / w.sum())
@@ -292,15 +292,26 @@ class TestCounters:
         assert manifest["run_steps_screened"] > 0 and manifest_exact["run_steps_screened"] == 0
 
 
-def test_screened_runs_reproduce_standalone_runs():
-    # run i of a screened ensemble is still the scalar run at its derived seed
-    raw = urns.run_ium_ensemble(WEIGHTS["(n+1)^3"], 0.5, 2, (1, 1), (1, 1), 600, 8, 31, record_every=200)
+W3 = WEIGHTS["(n+1)^3"]
+
+
+# at p = 0.8 every ium run settles, so every standalone run leaps as well
+@pytest.mark.parametrize("engine, args, init", [
+    (urns.run_ium_ensemble, (W3, 0.8, 2, (1, 1), (1, 1)), lambda seed: urns.init_ium(2, (1, 1), (1, 1), 0.8, W3, seed)),
+    (urns.run_multicolor_ensemble, (W3, 3, (1, 1, 1), 2), lambda seed: urns.init_multicolor(3, (1, 1, 1), 2, W3, seed)),
+    (urns.run_sequential_ensemble, (W3, (1, 1), (1, 1)), lambda seed: urns.init_sequential((1, 1), (1, 1), W3, seed)),
+], ids=["ium", "multicolor", "sequential"])
+def test_screened_runs_reproduce_standalone_runs(engine, args, init):
+    # run i of a screened ensemble is still the scalar run at its derived
+    # seed, with the ensemble's leap and the state's leap both taken
+    raw = engine(*args, 600, 8, 31, record_every=200)
     assert raw.run_steps_screened > 0
     for i in range(8):
-        state = urns.init_ium(2, (1, 1), (1, 1), 0.5, WEIGHTS["(n+1)^3"], seed=derive_seed(31, i))
-        tr = urns.run(state, 600, 200)
+        tr = urns.run(init(derive_seed(31, i)), 600, 200, record_counts=True)
+        assert tr.run_steps_screened > 0
         assert np.array_equal(raw.proportions[i], tr.proportions)
         assert raw.last_add[i].tolist() == tr.last_change.tolist()
+        assert raw.final_counts[i].tolist() == tr.counts[-1].tolist()
 
 
 # ---------------------------------------------------------------------------
