@@ -21,9 +21,10 @@ ill-conditioned.
 :func:`advance_to_next_jump` is the per-jump reference, which also keeps
 the jump log and the holding-time decompositions.  The lockstep paths, the
 shared-stream sampler and the per-run-stream embedding ensemble, drive one
-array step, ``_jump``.  Every rate comes from ``_rate_table``: the timers
-hold linear-scale rates, so a weight beyond float range (or one that
-underflows to 0) at a reachable count is a ConditionViolation.
+array step, ``_jump``.  Every rate comes from ``_rate_table``, ``np.exp``
+of the checked log-weight table the urn simulators read: the timers hold
+linear-scale rates, so a weight beyond float range (or one that underflows
+to 0) at a reachable count is a ConditionViolation.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from scipy import special
 
 from .errors import ConditionViolation, InternalConsistencyError
 from .formats import csv_bytes, json_fields
-from .reinforcement import ReinforcementSeq, log_weight_table, weight_table
+from .reinforcement import ReinforcementSeq, log_weight_table
 from .seeds import stream
-from .urns import EnsembleRaw, _color_shares, _drive, _multicolor_step, _streams, init_multicolor
+from .urns import EnsembleRaw, _check_steps, _color_shares, _drive, _multicolor_step, _streams, init_multicolor
 
 _MASS_TOL = 1e-12
 
@@ -74,13 +75,14 @@ class EmbeddingState:
 
 
 def _rate_table(seq: ReinforcementSeq, nmax: int, need: int) -> np.ndarray:
-    """Timer rates W(n) for n = 0..nmax, cut before the first rate from
-    ``domain_start`` on that is not finite or not positive.  The timers hold
-    linear-scale rates, so a weight beyond float range (or one that
-    underflows to 0) at or below the count ``need`` is a ConditionViolation.
-    Every rate a timer reads is therefore positive and finite."""
+    """Timer rates W(n) for n = 0..nmax, ``np.exp`` of the checked
+    ``log_weight_table``, cut before the first rate from ``domain_start`` on
+    that is not finite or not positive.  The timers hold linear-scale rates,
+    so a weight beyond float range (or one that underflows to 0) at or below
+    the count ``need`` is a ConditionViolation.  Every rate a timer reads is
+    therefore positive and finite."""
     with np.errstate(over="ignore"):
-        table = weight_table(seq, nmax)
+        table = np.exp(log_weight_table(seq, nmax))
     ds = seq.domain_start
     bad = ds + np.flatnonzero(~((table[ds:] > 0.0) & (table[ds:] < np.inf)))
     if bad.size and bad[0] <= need:
@@ -102,7 +104,7 @@ def init_embedding(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Embe
         raise ValueError(f"initial counts must have length nc={nc}")
     if min(a) < 0:
         raise ValueError("initial counts must be nonnegative")
-    rates = _rate_table(seq, max(256, max(a)), max(a))
+    rates = _rate_table(seq, max(min(256, seq.last_index), max(a)), max(a))
     for i, ai in enumerate(a):
         if rates[ai] <= 0.0:
             raise ValueError(f"edge {i + 1}: W({ai}) must be positive")
@@ -122,7 +124,7 @@ def init_embedding(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Embe
 
 def _rate_of(state: EmbeddingState, count: int) -> float:
     if count >= state.rates.size:
-        state.rates = _rate_table(state.seq, max(count, 2 * state.rates.size), count)
+        state.rates = _rate_table(state.seq, max(count, min(2 * state.rates.size, state.seq.last_index)), count)
     return float(state.rates[count])
 
 
@@ -302,10 +304,11 @@ def run_embedding_ensemble(
     initial masses, then one per jump."""
     a = tuple(int(v) for v in a)
     init_embedding(nc, a, d, seq, seed=0)  # validates arguments
+    _check_steps(n_steps, record_every)
     rates = _rate_table(seq, max(a) + d * n_steps, max(a) + d * n_steps)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     z = np.tile(np.array(a, dtype=np.int64), (n_runs, 1))
-    mass = np.stack([g.exponential(size=nc) for g in gens])
+    mass = np.array([g.exponential(size=nc) for g in gens]).reshape(n_runs, nc)
     rate = rates[z]
     base = np.arange(0, n_runs * nc, nc)
     last_add = np.zeros((n_runs, nc), dtype=np.int64)

@@ -479,14 +479,23 @@ class ReinforcementSeq:
                 return n
         raise ValueError("no positive weight found in the first 10000 indices")
 
+    @property
+    def last_index(self) -> float:
+        """The largest n with a weight: the table's last index when no tail
+        rule extends it, ``inf`` otherwise."""
+        return len(self._explicit) - 1 if self._branches is None else math.inf
+
     def _value_raw(self, n: int) -> float:
         if n < len(self._explicit):
             return float(self._explicit[n])
         if self._branches is None:
-            raise ValueError(f"W({n}) is outside the table and no tail rule is set")
+            raise self._past_table(n)
         period = len(self._branches)
         k, r = divmod(n, period)
         return float(self._branches[r].values(k))
+
+    def _past_table(self, n: int) -> ValueError:
+        return ValueError(f"W({n}) is outside the table of {len(self._explicit)} values and no tail rule is set")
 
     # -- evaluation -----------------------------------------------------------
 
@@ -500,66 +509,33 @@ class ReinforcementSeq:
     def log_value(self, n: int) -> float:
         if n < self.domain_start:
             raise ValueError(f"W({n}) requested below domain_start={self.domain_start}")
-        return float(self.log_values(np.array([n]))[0])
+        return float(self.log_values(range(n, n + 1))[0])
 
-    def log_values(self, ns) -> np.ndarray:
-        """log W(n) elementwise; ``-inf`` where W(n) == 0.  ``ns`` is an
-        index array or a ``range``; a step-1 range is read through slices."""
-        return self._values_dispatch(ns, log=True)
-
-    def values(self, ns) -> np.ndarray:
-        """W(n) elementwise in linear scale (``inf`` beyond float range)."""
-        return self._values_dispatch(ns, log=False)
-
-    def _values_dispatch(self, ns, log: bool) -> np.ndarray:
-        if isinstance(ns, range) and ns.step == 1 and ns.start >= 0:
-            return self._values_range(ns.start, ns.stop, log)
-        ns = np.asarray(ns)
-        if ns.min(initial=0) < 0:
-            raise ValueError(f"W(n) is defined for n >= 0, got n = {ns.min()}")
-        branches = self._branches
-        out = np.empty(ns.shape, dtype=float)
-        exp_mask = ns < len(self._explicit)
-        if exp_mask.any():
-            vals = np.asarray(self._explicit, dtype=float)[ns[exp_mask]]
-            if log:
-                with np.errstate(divide="ignore"):
-                    vals = np.log(vals)
-            out[exp_mask] = vals
-        rest = ns[~exp_mask]
-        if rest.size:
-            if branches is None:
-                raise ValueError("evaluation beyond the table requires a tail rule")
-            ks, rs = np.divmod(rest, len(branches))
-            sub = np.empty(rest.shape, dtype=float)
-            for r, branch in enumerate(branches):
-                sel = rs == r
-                if sel.any():
-                    sub[sel] = branch.log_values(ks[sel]) if log else branch.values(ks[sel])
-            out[~exp_mask] = sub
-        return out
-
-    def _values_range(self, start: int, stop: int, log: bool) -> np.ndarray:
-        """W or log W on the indices ``0 <= start <= n < stop``: the table
-        through a slice, then each branch on its residue class."""
+    def log_values(self, ns: range) -> np.ndarray:
+        """log W(n) on the step-1 range ``ns`` of indices ``n >= 0``; ``-inf``
+        where W(n) == 0.  The table is read through a slice, then each branch
+        on its residue class."""
+        if not isinstance(ns, range) or ns.step != 1:
+            raise ValueError(f"log W is read over a step-1 range, got {ns!r}")
+        start, stop = ns.start, ns.stop
+        if start < 0:
+            raise ValueError(f"W(n) is defined for n >= 0, got n = {start}")
         explicit_len = len(self._explicit)
         branches = self._branches
         cut = min(max(start, explicit_len), stop)  # the first index past the table
         if cut < stop and branches is None:
-            raise ValueError("evaluation beyond the table requires a tail rule")
+            raise self._past_table(cut)
         if cut == start and cut < stop and len(branches) == 1:
-            ks = np.arange(start, stop, dtype=float)
-            return branches[0].log_values(ks) if log else branches[0].values(ks)
+            return branches[0].log_values(np.arange(start, stop, dtype=float))
         out = np.empty(max(stop - start, 0), dtype=float)
         out[: cut - start] = self._explicit[start:cut]
-        if log:
-            with np.errstate(divide="ignore"):
-                np.log(out[: cut - start], out=out[: cut - start])
+        with np.errstate(divide="ignore"):
+            np.log(out[: cut - start], out=out[: cut - start])
         period = len(branches) if cut < stop else 0
         for r in range(period):
             first = cut + (r - cut) % period  # the first index in branch r's class
             ks = np.arange(first // period, (stop - 1 - r) // period + 1, dtype=float)
-            out[first - start :: period] = branches[r].log_values(ks) if log else branches[r].values(ks)
+            out[first - start :: period] = branches[r].log_values(ks)
         return out
 
     # -- tail analysis --------------------------------------------------------
@@ -863,7 +839,7 @@ def _log_variation_tail(seq: ReinforcementSeq, from_n: int) -> float:
     (``_tail_settled`` tests that range).
     """
     if seq.kind in ("polynomial", "exponential"):
-        return float(-seq.log_values(np.array([from_n]))[0])
+        return -seq.log_value(from_n)
     period = len(seq._branches)
     parts = []
     for r in range(period):
@@ -1008,11 +984,3 @@ def log_weight_table(seq: ReinforcementSeq, nmax: int) -> np.ndarray:
             raise ConditionViolation(f"log W(n) is not finite at n = {ds + np.isfinite(table[ds:]).argmin()}")
     return table
 
-
-def weight_table(seq: ReinforcementSeq, nmax: int) -> np.ndarray:
-    """Linear weights for n = 0..nmax (``inf`` where the value overflows)."""
-    table = np.zeros(nmax + 1)
-    ds = seq.domain_start
-    if ds <= nmax:
-        table[ds:] = seq.values(range(ds, nmax + 1))
-    return table

@@ -90,9 +90,9 @@ class _LogW:
     and the wait after the next failed screen, which carry over from one
     call of ``run`` to the next."""
 
-    def __init__(self, seq: ReinforcementSeq, initial: int = 256):
+    def __init__(self, seq: ReinforcementSeq):
         self.seq = seq
-        self.table = log_weight_table(seq, initial)
+        self.table = log_weight_table(seq, min(256, seq.last_index))
         self.wins = _Windows(self.table)
         self.wait = [0, _SUB_BLOCK]
 
@@ -102,9 +102,10 @@ class _LogW:
         return float(self.table[n])
 
     def cover(self, n: int) -> None:
-        """Grow the table, at least doubling it, until it holds log W(n)."""
+        """Grow the table, at least doubling it (up to a finite table's last
+        index), until it holds log W(n)."""
         if n >= self.table.size:
-            self.table = log_weight_table(self.seq, max(n, 2 * self.table.size))
+            self.table = log_weight_table(self.seq, max(n, min(2 * self.table.size, self.seq.last_index)))
             self.wins = _Windows(self.table)
 
 
@@ -409,7 +410,7 @@ def _screen_of(state):
     rows = [a[None] for a in arrays]
 
     def screen(u):
-        state.logw.cover(max(mech.totals(state)) + mech.per_step * u.shape[1])
+        state.logw.cover(max(mech.totals(state)) + mech.balls * u.shape[1])
         return mech.screen(*rows, state.logw.table, state.logw.wins, u)
 
     return screen
@@ -728,6 +729,11 @@ def _streams(master_seed: int, run_offset: int, n_runs: int):
     return seeds, [stream(int(s)) for s in seeds]
 
 
+def _check_steps(n_steps: int, record_every: int) -> None:
+    if n_steps < 0 or record_every < 1:
+        raise ValueError("n_steps must be >= 0 and record_every >= 1")
+
+
 def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample, draw: str = "random"):
     """Advance all runs in lockstep.  Each step's ``per_step`` draws from
     every run's stream are taken in bounded blocks in step order; each block
@@ -737,8 +743,7 @@ def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample
     length``.  Returns the recorded steps and the list of ``sample(step)``
     values, taken at step 0, every ``record_every`` steps and at
     ``n_steps``."""
-    if n_steps < 0 or record_every < 1:
-        raise ValueError("n_steps must be >= 0 and record_every >= 1")
+    _check_steps(n_steps, record_every)
     steps, samples = [0], [sample(0)]
     chunk = max(1, min(4096, (1 << 23) // max(1, len(gens) * per_step)))
     for start in range(0, n_steps, chunk):

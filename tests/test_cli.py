@@ -673,3 +673,32 @@ class TestCheckWFloatRange:
         if coeffs[:2] == [0, 0]:
             estimate = json.loads(out)["checks"]["strong"]["estimate"]
             assert estimate == pytest.approx(math.pi**2 / 6 / coeffs[2], rel=1e-12, abs=0.0)
+
+
+class TestTableWithoutTail:
+    """``{(n+1)^2 : n < 12}``: every command runs as far as its entries reach."""
+
+    T3 = {"kind": "table", "table": [1, 4, 9, 16, 25, 36, 49, 64, 81, 100, 121, 144]}
+
+    def test_simulate_equals_run_0_of_the_ensemble(self, tmp_path):
+        seq = TestNoTraceback.write(tmp_path, "t3.json", self.T3)
+        cfg = mc_config(tmp_path, seq=self.T3, n_steps=3, n_runs=2, record_every=1, seed=1)
+        assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "rep.json"), "--runs-csv"]) == 0
+        run_0 = (tmp_path / "rep.runs.csv").read_text().splitlines()[1].split(",")
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--model", "ium", "--seq", seq, "--p", "0.2", "--steps", "3",
+                     "--seed", run_0[1], "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].split(",")[1:] == run_0[3:]
+
+    def test_embed_test(self, tmp_path):
+        seq = TestNoTraceback.write(tmp_path, "t3.json", self.T3)
+        assert main(["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--seq", seq, "--k", "3",
+                     "--samples", "200", "--seed", "1", "--out", str(tmp_path / "e.json")]) == 0
+
+    def test_check_w_names_the_index_past_the_table(self, tmp_path, capsys):
+        # the variation check reads W(horizon + 1), so 10 is the largest horizon that runs
+        seq = TestNoTraceback.write(tmp_path, "t3.json", self.T3)
+        assert main(["check-w", "--seq", seq, "--horizon", "10"]) == 0
+        capsys.readouterr()
+        assert main(["check-w", "--seq", seq, "--horizon", "11"]) == 2
+        assert "W(12) is outside the table of 12 values" in capsys.readouterr().err

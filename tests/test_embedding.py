@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from urnfield import embedding as emb, reinforcement as rf
+from urnfield import embedding as emb, reinforcement as rf, urns
 from urnfield.errors import ConditionViolation, InternalConsistencyError
 from urnfield.seeds import derive_seed
 
@@ -244,6 +244,30 @@ class TestEnsembleEngine:
         # some color could reach 1 + 2 * 600 balls, and W(1201) = 2^1201
         with pytest.raises(ConditionViolation):
             emb.run_embedding_ensemble(rf.make_exponential(2.0), 2, (1, 1), 2, 600, 3, master_seed=1)
+
+    def test_edge_arguments_as_in_the_urn_ensembles(self):
+        # no runs give an empty result shaped as the multi-color ensemble's
+        raw = emb.run_embedding_ensemble(N2, 3, (1, 2, 1), 2, 30, 0, master_seed=5, record_every=10)
+        ref = urns.run_multicolor_ensemble(N2, 3, (1, 2, 1), 2, 30, 0, master_seed=5, record_every=10)
+        assert np.array_equal(raw.steps, ref.steps)
+        for field in ("proportions", "last_add", "final_counts", "seeds"):
+            assert getattr(raw, field).shape == getattr(ref, field).shape
+        for n_steps, record_every in ((-1, 10), (30, 0)):
+            for run_ensemble in (emb.run_embedding_ensemble, urns.run_multicolor_ensemble):
+                with pytest.raises(ValueError, match="n_steps must be >= 0 and record_every >= 1"):
+                    run_ensemble(N2, 2, (1, 1), 2, n_steps, 3, master_seed=5, record_every=record_every)
+
+    def test_table_without_tail_runs_as_far_as_it_reaches(self):
+        # 12 entries: counts up to 1 + 2 * 5 = 11 stay on the table, 1 + 2 * 6 do not
+        t3 = rf.make_table([float((n + 1) ** 2) for n in range(12)])
+        raw = emb.run_embedding_ensemble(t3, 2, (1, 1), 2, 5, 3, master_seed=7, record_every=1)
+        for i in range(3):
+            st = emb.init_embedding(2, (1, 1), 2, t3, seed=derive_seed(7, i))
+            for _ in range(10):
+                emb.advance_to_next_jump(st)
+            assert np.array_equal(raw.final_counts[i], st.z)
+        with pytest.raises(ValueError, match=r"W\(12\) is outside the table of 12 values"):
+            emb.run_embedding_ensemble(t3, 2, (1, 1), 2, 6, 3, master_seed=7)
 
 
 class TestMulticolorReference:

@@ -554,6 +554,50 @@ class TestCoupled:
             assert tr.last_change.tolist() == [int(tr.steps[1:][g].max(initial=0)) for g in grew.T]
 
 
+class TestTableWithoutTail:
+    """A table with no tail rule runs as far as its entries reach."""
+
+    T3 = rf.make_table([float((n + 1) ** 2) for n in range(12)])
+    T60 = rf.make_table([float((n + 1) ** 2) for n in range(60)])
+    INITS = {
+        "ium": (lambda seq, seed: urns.init_ium(2, (1, 1), (1, 1), 0.3, seq, seed),
+                lambda seq, n_steps, **kw: urns.run_ium_ensemble(seq, 0.3, 2, (1, 1), (1, 1), n_steps, **kw)),
+        "multicolor": (lambda seq, seed: urns.init_multicolor(2, (1, 1), 2, seq, seed),
+                       lambda seq, n_steps, **kw: urns.run_multicolor_ensemble(seq, 2, (1, 1), 2, n_steps, **kw)),
+        "sequential": (lambda seq, seed: urns.init_sequential((1, 1), (1, 1), seq, seed),
+                       lambda seq, n_steps, **kw: urns.run_sequential_ensemble(seq, (1, 1), (1, 1), n_steps, **kw)),
+    }
+
+    @pytest.mark.parametrize("model", INITS)
+    def test_single_run_equals_ensemble_run(self, model):
+        init, ensemble = self.INITS[model]
+        raw = ensemble(self.T3, 3, n_runs=2, master_seed=1, record_every=1)
+        for i in range(2):
+            st = init(self.T3, derive_seed(1, i))
+            tr = urns.run(st, 3)
+            assert np.array_equal(raw.proportions[i], tr.proportions)
+            assert np.array_equal(raw.last_add[i], tr.last_change)
+
+    @pytest.mark.parametrize("model", INITS)
+    def test_runs_of_20_steps_stay_on_60_entries(self, model):
+        init, ensemble = self.INITS[model]
+        for record_every in (1, 20):
+            tr = urns.run(init(self.T60, 3), 20, record_every)
+            assert tr.color_totals[-1].max() < 60
+        ensemble(self.T60, 20, n_runs=4, master_seed=3)
+
+    def test_coupled_run_of_20_steps_stays_on_60_entries(self):
+        urns.run_coupled((1, 1), (1, 1), 0.3, self.T60, 3, 20)
+
+    def test_reach_past_the_table_is_an_error(self):
+        init, ensemble = self.INITS["ium"]
+        # a 40-step stretch is screened, and the pooled totals can reach 2 + 2 * 40
+        with pytest.raises(ValueError, match=r"W\(\d+\) is outside the table of 60 values"):
+            urns.run(init(self.T60, 3), 40, 40)
+        with pytest.raises(ValueError, match=r"W\(60\) is outside the table of 60 values"):
+            ensemble(self.T60, 40, n_runs=4, master_seed=3)
+
+
 class TestEnsembleEngines:
     @pytest.mark.parametrize("p", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("d", [1, 2, 3])
