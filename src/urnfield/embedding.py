@@ -313,8 +313,8 @@ def run_embedding_ensemble(
     base = np.arange(0, n_runs * nc, nc)
     last_add = np.zeros((n_runs, nc), dtype=np.int64)
 
-    def advance(start, fresh):
-        for step, draws in enumerate(fresh.swapaxes(0, 1), start + 1):
+    def advance(start, block, cuts, i):
+        for step, draws in enumerate(block[:, cuts[i]:cuts[i + 1]].swapaxes(0, 1), start + cuts[i] + 1):
             for j in range(d):
                 win = _jump(z, mass, rate, rates, draws[:, j], base, j == d - 1)
                 last_add.ravel()[win] = step

@@ -50,8 +50,13 @@ def _horner(coeffs, x):
     m = len(coeffs)
     while m > 1 and coeffs[m - 1] == 0:
         m -= 1
-    result = np.full_like(np.asarray(x, dtype=float), coeffs[m - 1])
-    for c in reversed(coeffs[: m - 1]):
+    x = np.asarray(x, dtype=float)
+    if m == 1:
+        return np.full_like(x, coeffs[0])
+    # x a_m gives the bits of a fill of a_m times x: IEEE products commute
+    result = np.multiply(x, coeffs[m - 1], out=np.empty_like(x))
+    result += coeffs[m - 2]
+    for c in reversed(coeffs[: m - 2]):
         result *= x
         result += c
     return result

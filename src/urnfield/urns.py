@@ -34,7 +34,7 @@ Python floats, with its kernel's arithmetic on one run, so a single run
 costs about as much per step whether or not it ever settles.  The kernels,
 checked against exact laws, are the reference the block steppers are
 tested against.  One loop, ``_drive``, draws and records for every driver;
-it walks each block of draws in sub-blocks that end at every record step.
+it cuts each block of draws into sub-blocks that end at every record step.
 
 Ensembles, ``run`` and ``run_coupled`` screen each sub-block against the
 leader path.  Under strong reinforcement almost every step adds the
@@ -45,8 +45,11 @@ bound, shrunk by a relative margin.  Ensembles and single runs read the
 same table of window minima, built by ``_window_min``, and end their
 screens in the same interval test, ``_inside``.  Runs that pass advance
 along the leader path in bulk; the others step through the kernel, or, in
-``run`` and ``run_coupled``, which screen their states as ensembles of one,
-through the block stepper.  The interacting-urn ensemble first decides the
+``run`` and ``run_coupled``, through the block stepper.  A single run has
+one row to screen, and a screen of 16 rows costs about as much as one; so
+once a run passes, it screens the sub-blocks ahead of it in one call, a
+row each at the state the leader path reaches, and leaps through the rows
+that pass (``_paced``).  The interacting-urn ensemble first decides the
 draws of the runs that fail from bounds on each urn's black share over
 every state the run can reach within the sub-block, a mixed limit's
 minority draws included, and steps only the steps left open through the
@@ -84,11 +87,12 @@ _LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above t
 
 class _LogW:
     """Growable lookup of log W(n) for one state; ``-inf`` marks zero
-    weight.  It also holds what ``run`` screens that state with: ``wins``,
-    the window minima of the table as an ensemble holds them, made anew
-    when the table grows, and ``wait``, the steps left to step unscreened
-    and the wait after the next failed screen, which carry over from one
-    call of ``run`` to the next."""
+    weight.  ``run`` covers every count it can reach before its first step.
+    It also holds what ``run`` screens that state with: ``wins``, the
+    window minima of the table as an ensemble holds them, made anew when
+    the table grows, and ``wait``, the steps left to step unscreened and
+    the wait after the next failed screen, which carry over from one call
+    of ``run`` to the next."""
 
     def __init__(self, seq: ReinforcementSeq):
         self.seq = seq
@@ -372,10 +376,14 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     at the given cadence (step 0 and the final step are always recorded).
     Consecutive runs of a state continue its one stream.
 
-    Sub-blocks are screened against the leader path at ``_paced``'s
-    cadence, as in the ensembles, and a state that passes advances in bulk;
-    other sub-blocks go through the block stepper."""
+    The weight table is first sized to every count the run can reach, as
+    ``_ensemble`` sizes its table, so a table with no tail rule that the
+    run could pass fails before the first step.  Sub-blocks are screened
+    against the leader path at ``_paced``'s cadence, and a state that
+    passes advances in bulk; other sub-blocks go through the block
+    stepper."""
     mech, arrays = _dispatch(state)
+    state.logw.cover(mech.balls * n_steps + int(sum(mech.totals(state))) + 1)
     last_change = [0] * len(mech.totals(state))
 
     def sample(step):
@@ -384,8 +392,8 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     def exact(start, u):
         mech.steps(state, u[0].tolist(), start, last_change)  # Python floats compare faster than numpy scalars
 
-    def leap(ok, leader, end, length):
-        last_change[mech.leap_state(state, leader[0], length)] = end
+    def leap(leader, end, length):
+        last_change[mech.leap_state(state, leader, length)] = end
 
     advance, counters = _paced(state.logw.wait, _screen_of(state), leap, exact)
     steps, samples = _drive([state.rng], mech.per_step, n_steps, record_every, advance, sample)
@@ -403,47 +411,50 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
 
 
 def _screen_of(state):
-    """The leader-path screen of a sub-block of uniforms ``u`` on ``state``
-    as an ensemble of one; it first covers every count the sub-block can
-    reach."""
+    """The leader-path screen of ``state``: ``screen(u, leader, cuts)``
+    screens row ``j`` of ``u`` (rows, steps, uniforms), steps ``cuts[j] + 1
+    .. cuts[j + 1]`` from now, at the state the run reaches by step
+    ``cuts[j]`` if every step adds the ``leader``'s balls.  It reads the
+    table as it stands: ``run`` and ``run_coupled`` cover their reach
+    first."""
     mech, arrays = _dispatch(state)
-    rows = [a[None] for a in arrays]
-
-    def screen(u):
-        state.logw.cover(max(mech.totals(state)) + mech.balls * u.shape[1])
-        return mech.screen(*rows, state.logw.table, state.logw.wins, u)
-
-    return screen
+    return lambda u, leader, cuts: mech.screen(
+        *mech.path(*arrays, leader, cuts[:-1]), state.logw.table, state.logw.wins, u
+    )
 
 
 def _paced(wait, screen, leap, exact):
-    """``_drive``'s ``advance`` for a single run, screened as ``_screened``
-    screens an ensemble of one, but not at every sub-block.  A failed
-    screen costs about as much as 30 to 45 steps of the black/red steppers
-    at ``d = 2``, and 9 (``nc = 9``) to 15 (``nc = 3``) steps of the
-    multi-color one.  So sub-blocks shorter than ``_MIN_SCREEN`` step
-    exactly, and after a failed screen the next ``_SUB_BLOCK`` steps go
-    unscreened, twice as many after each further failure, at most
-    ``_MAX_WAIT``: a run that does not settle pays for few screens.
-    ``wait`` holds the steps left to go unscreened and the wait after the
-    next failure.  Returns the advance and its [screened, exact] counters
-    (``exact`` counts the steps of failed screens only)."""
+    """``_drive``'s ``advance`` for a single run.  Sub-blocks shorter than
+    ``_MIN_SCREEN`` step exactly.  After a pass, the next sub-blocks of the
+    drawn block, up to ``_STACK`` and up to a short one, are screened in
+    one call as rows padded with copies of their last step, each at the
+    state the run reaches if the rows before it pass with the same leader.
+    The run leaps the rows that do, so each decides as it would alone.  A
+    call costs about as much at 16 rows as at one, 32-46 µs or 15-37 steps
+    of a block stepper, so after a failed screen the next ``_SUB_BLOCK``
+    steps go unscreened, twice as many after each further one, at most
+    ``_MAX_WAIT``.  ``wait`` holds the steps left and the next wait."""
+    counters, ahead, lead = [0], [], [None]  # the stack's rows to come, last first; the last pass's leader
 
-    def paced_screen(u):
-        ok, leader = screen(u)
-        wait[:] = [0, _SUB_BLOCK] if ok[0] else [wait[1], min(2 * wait[1], _MAX_WAIT)]
-        return ok, leader
-
-    screened, counters = _screened((), paced_screen, leap, exact)
-
-    def advance(start, u):
-        if u.shape[1] < _MIN_SCREEN:
-            exact(start, u)
-        elif wait[0] > 0:
-            wait[0] -= u.shape[1]
-            exact(start, u)
-        else:
-            screened(start, u)
+    def advance(start, block, cuts, i):
+        a, b = cuts[i], cuts[i + 1]
+        if b - a < _MIN_SCREEN or wait[0] > 0:
+            wait[0] -= b - a if b - a >= _MIN_SCREEN else 0
+            return exact(start + a, block[:, a:b])
+        if not ahead:
+            c = np.array(cuts[i:i + (_STACK if lead[0] is not None else 1) + 1])
+            c = c[:np.argmin(np.append(np.diff(c) >= _MIN_SCREEN, False)) + 1]  # up to the first short sub-block
+            rows = np.take(block[0], np.minimum(c[:-1, None] + _STEPS, c[1:, None] - 1), axis=0)
+            ok, leaders = screen(rows, lead[0], c - a)
+            ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
+        ok, leader = ahead.pop()
+        if not ok or leader != lead[0]:
+            ahead.clear()  # the rows ahead lie on a path the run left
+        lead[0], wait[:] = (leader, [0, _SUB_BLOCK]) if ok else (None, [wait[1], min(2 * wait[1], _MAX_WAIT)])
+        if not ok:
+            return exact(start + a, block[:, a:b])
+        counters[0] += b - a
+        leap(leader, start + b, b - a)
 
     return advance, counters
 
@@ -619,17 +630,21 @@ def run_coupled(
     ``seq_red >= ium_red`` and ``seq_black <= ium_black`` (surely 0).
 
     The pair is screened as ``run`` screens one state, at ``_paced``'s
-    cadence: a sub-block in which both sides pass their screens advances
-    both along their leader paths in bulk, and the violations are counted
-    along those paths.  Otherwise each side steps the sub-block through
-    its block stepper.  Both trajectories carry the pair's counters.
+    cadence, on one weight table sized to the pair's reach: a sub-block in
+    which both sides pass their screens advances both along their leader
+    paths in bulk, and the violations are counted along those paths.  A
+    stacked screen builds each side's rows along its own leader.
+    Otherwise each side steps the sub-block through its block stepper.
+    Both trajectories carry the pair's counters.
     """
     total0 = int(np.sum(black0) + np.sum(red0))
-    bound = 2 * n_steps + total0 + 2
+    bound = 2 * n_steps + total0 + 1  # every count the pair can reach, as _ensemble sizes its table
     if not seq.non_decreasing_up_to(bound):
         raise ValueError("the coupling requires a non-decreasing weight sequence")
     ium = init_ium(2, black0, red0, p, seq, seed)
     seqp = init_sequential(black0, red0, seq, seed)
+    seqp.logw = ium.logw  # one table, sized to the pair's reach
+    ium.logw.cover(bound)
     (mech_i, arrays_i), (mech_s, arrays_s) = _dispatch(ium), _dispatch(seqp)
     last_i, last_s = [0, 0], [0, 0]
     violations = 0
@@ -642,14 +657,14 @@ def run_coupled(
         mech_s.steps(seqp, u[0, :, 1::2].tolist(), start, last_s, path_s)
         violations += _violations(path_i, path_s)
 
-    def screen(u):
-        ok, to_red_i = screen_i(u)
+    def screen(u, leader, cuts):
+        ok, to_red_i = screen_i(u, leader and leader[0], cuts)
         if not ok[0]:
-            return ok, None
-        ok, to_red_s = screen_s(u[:, :, 1::2])
-        return ok, (bool(to_red_i[0]), bool(to_red_s[0]))
+            return ok, to_red_i
+        ok_s, to_red_s = screen_s(u[:, :, 1::2], leader and leader[1], cuts)
+        return ok & ok_s, np.stack([to_red_i, to_red_s], axis=1)
 
-    def leap(ok, to_red, end, length):
+    def leap(to_red, end, length):
         nonlocal violations
         path_i = _leap_path(np.concatenate(arrays_i), to_red[0], length)
         path_s = _leap_path(np.concatenate(arrays_s), to_red[1], length)
@@ -704,6 +719,8 @@ _SUB_BLOCK = 64  # most steps an ensemble screens at once; measured faster than 
 _MARGIN = 1e-12  # relative shrink of a screened interval; the kernels round far finer
 _MIN_SCREEN = 16  # fewest steps a single run screens at once; shorter sub-blocks step
 _MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screens
+_STACK = _MAX_WAIT // _SUB_BLOCK  # most sub-blocks a single run screens at once, a wait's worth
+_STEPS = np.arange(_SUB_BLOCK)  # the steps of a stacked row, padded to a full sub-block
 
 
 @dataclass
@@ -736,31 +753,29 @@ def _check_steps(n_steps: int, record_every: int) -> None:
 
 def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample, draw: str = "random"):
     """Advance all runs in lockstep.  Each step's ``per_step`` draws from
-    every run's stream are taken in bounded blocks in step order; each block
-    is walked in sub-blocks that end at every record step and hold at most
-    ``_SUB_BLOCK`` steps.  ``advance(start, draws)`` gets a sub-block as an
-    (n_runs, length, per_step) array for steps ``start + 1 .. start +
-    length``.  Returns the recorded steps and the list of ``sample(step)``
-    values, taken at step 0, every ``record_every`` steps and at
-    ``n_steps``."""
+    every run's stream are taken in bounded blocks in step order, each cut
+    into sub-blocks that end at every record step and hold at most
+    ``_SUB_BLOCK`` steps.  ``advance(start, block, cuts, i)`` advances
+    sub-block ``i``, ``block[:, cuts[i]:cuts[i + 1]]`` of the (n_runs,
+    length, per_step) block of steps ``start + 1 ..``; it may read the
+    sub-blocks after it.  Returns the recorded steps (0, every
+    ``record_every`` and ``n_steps``) and their ``sample(step)`` values."""
     _check_steps(n_steps, record_every)
-    steps, samples = [0], [sample(0)]
+    record = {0: sample(0)}
     chunk = max(1, min(4096, (1 << 23) // max(1, len(gens) * per_step)))
     for start in range(0, n_steps, chunk):
         length = min(chunk, n_steps - start)
-        block = np.empty((len(gens), length * per_step))
+        block = np.empty((len(gens), length, per_step))
         for g, row in zip(gens, block):
-            getattr(g, draw)(out=row)
-        block = block.reshape(len(gens), length, per_step)
-        at = start
-        while at < start + length:
-            end = min(start + length, at + _SUB_BLOCK, at - at % record_every + record_every)
-            advance(at, block[:, at - start:end - start])
-            at = end
-            if end % record_every == 0 or end == n_steps:
-                steps.append(end)
-                samples.append(sample(end))
-    return np.array(steps, dtype=np.int64), samples
+            getattr(g, draw)(out=row.reshape(-1))
+        cuts = [0]
+        while cuts[-1] < length:
+            cuts.append(min(length, cuts[-1] + min(_SUB_BLOCK, record_every - (start + cuts[-1]) % record_every)))
+        for i, end in enumerate(cuts[1:]):
+            advance(start, block, cuts, i)
+            if (start + end) % record_every == 0 or start + end == n_steps:
+                record[start + end] = sample(start + end)
+    return np.fromiter(record, dtype=np.int64), list(record.values())
 
 
 def _ium_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
@@ -827,11 +842,11 @@ def _window_min(logw: np.ndarray, stride: int) -> np.ndarray:
     _SUB_BLOCK``, a lower bound on log W along a path that gains ``stride``
     balls per step, over any sub-block starting at count ``n``.  For
     non-decreasing W it is ``logw[n]``.  Counts past the table count as
-    ``+inf``: ensembles size their tables to the horizon, and ``run`` covers
-    every count a sub-block can reach before it screens, so no path reaches
-    them.  Each pass doubles the window and drops as many entries off the
-    padded end (``_SUB_BLOCK`` is a power of two); a minimum does not
-    round, so any grouping gives the same table."""
+    ``+inf``: ensembles, ``run`` and ``run_coupled`` size their tables to
+    every count their horizon can reach, so no path reaches them.  Each
+    pass doubles the window and drops as many entries off the padded end
+    (``_SUB_BLOCK`` is a power of two); a minimum does not round, so any
+    grouping gives the same table."""
     out = np.concatenate([logw, np.full(stride * (_SUB_BLOCK - 1), np.inf)])
     span = stride
     while span < stride * _SUB_BLOCK:
@@ -1043,27 +1058,25 @@ def _screened(arrays, screen, leap, step):
     steps the others on their row subset; when fewer than half pass, every
     row steps in place instead.  ``step`` returns the run-steps it stepped
     through the kernel, or None for all of them.  Returns the advance and
-    its [screened, exact] run-step counters: run-steps decided by a bound,
-    leaped or not, and run-steps stepped through the kernel."""
-    counters = [0, 0]
+    its [screened] counter, the run-steps decided by a bound, leaped or
+    not; the others are stepped through the kernel."""
+    counters = [0]
 
-    def advance(start, u):
+    def advance(start, block, cuts, i):
+        u = block[:, cuts[i]:cuts[i + 1]]
+        start, (n_runs, length) = start + cuts[i], u.shape[:2]
         ok, leader = screen(u)
-        n_runs, length = u.shape[:2]
         if 2 * np.count_nonzero(ok) < n_runs:
-            n_stepped, exact = n_runs, step(*arrays, start, u)
+            ok, exact = np.zeros_like(ok), step(*arrays, start, u)  # every row steps
         else:
             leap(ok, leader, start + length, length)
-            flagged = np.flatnonzero(~ok)
-            n_stepped, exact = flagged.size, 0
+            flagged, exact = np.flatnonzero(~ok), 0
             if flagged.size:
                 part = [a[flagged] for a in arrays]
                 exact = step(*part, start, u[flagged])
                 for a, rows in zip(arrays, part):
                     a[flagged] = rows
-        exact = n_stepped * length if exact is None else exact
-        counters[0] += n_runs * length - exact
-        counters[1] += exact
+        counters[0] += np.count_nonzero(ok) * length if exact is None else n_runs * length - exact
 
     return advance, counters
 
@@ -1085,6 +1098,7 @@ class _Mechanism:
     block: Callable  # (logw) -> (*arrays, u) -> (grew, exact): steps an ensemble's flagged rows
     screen: Callable  # (*arrays, logw, win, u) -> (ok, leader), ``win`` the window minima by stride
     leap: Callable  # (*arrays, last_add, ok, leader, end, length): the passing rows' bulk advance
+    path: Callable  # (*arrays, leader, offsets) -> one state's arrays after each of ``offsets`` steps along the path
     shares: Callable  # (*arrays, step): the recorded proportions
     steps: Callable  # (state, rows, start, last_change): a single state's block stepper
     leap_state: Callable  # (state, leader, length) -> the color that grew
@@ -1110,6 +1124,13 @@ def _black_red_leap(black, red, last_add, ok, to_red, end, length) -> None:
         last_add[path, color] = end
 
 
+def _black_red_path(black, red, to_red, offsets):
+    """The counts after each of ``offsets`` steps along the all-black or
+    all-red path, one row per offset."""
+    t = offsets[:, None]
+    return black + t * (not to_red), red + t * bool(to_red)
+
+
 def _black_red_totals(state) -> tuple[int, int]:
     return int(state.black.sum()), int(state.red.sum())
 
@@ -1133,8 +1154,8 @@ def _ium(d: int, p: float) -> _Mechanism:
         return step
 
     return _Mechanism(
-        per_step=2 * d, balls=d, block=block, screen=_ium_screen, leap=_black_red_leap, shares=_black_shares,
-        steps=_ium_steps, leap_state=_leap_ium, totals=_black_red_totals,
+        per_step=2 * d, balls=d, block=block, screen=_ium_screen, leap=_black_red_leap, path=_black_red_path,
+        shares=_black_shares, steps=_ium_steps, leap_state=_leap_ium, totals=_black_red_totals,
     )
 
 
@@ -1152,15 +1173,18 @@ def _multicolor(d: int) -> _Mechanism:
         counts[rows, leader[rows]] += d * length
         last_add[rows, leader[rows]] = end
 
+    def path(counts, leader, offsets):
+        return (counts + np.outer(d * offsets, np.arange(counts.size) == leader),)
+
     return _Mechanism(
-        per_step=d, balls=d, block=block, screen=_multicolor_screen, leap=leap, shares=_color_shares,
+        per_step=d, balls=d, block=block, screen=_multicolor_screen, leap=leap, path=path, shares=_color_shares,
         steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda s: tuple(s.counts),
     )
 
 
 _SEQUENTIAL = _Mechanism(
     per_step=2, balls=2, block=lambda logw: functools.partial(_kernel_steps, _sequential_step, logw),
-    screen=_sequential_screen, leap=_black_red_leap, shares=_black_shares,
+    screen=_sequential_screen, leap=_black_red_leap, path=_black_red_path, shares=_black_shares,
     steps=_sequential_steps, leap_state=_leap_sequential, totals=_black_red_totals,
 )
 
@@ -1199,7 +1223,9 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
     leap = functools.partial(mech.leap, *arrays, last_add)
     advance, counters = _screened((*arrays, last_add), lambda u: mech.screen(*arrays, logw, win, u), leap, step)
     steps, props = _drive(gens, mech.per_step, n_steps, record_every, advance, lambda step: mech.shares(*arrays, step))
-    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, np.concatenate(arrays, axis=1), seeds, *counters)
+    screened = counters[0]
+    return EnsembleRaw(steps, np.stack(props, axis=1), last_add, np.concatenate(arrays, axis=1), seeds, screened,
+                       n_runs * n_steps - screened)
 
 
 def run_ium_ensemble(

@@ -690,6 +690,18 @@ class TestTableWithoutTail:
                      "--seed", run_0[1], "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-1].split(",")[1:] == run_0[3:]
 
+    def test_simulate_and_mc_exit_alike_at_every_seed(self, tmp_path, capsys):
+        # on {(n+1)^2 : n < 60} the pooled totals of 27 steps reach W(58), those of 40 steps W(84)
+        t60 = {"kind": "table", "table": [(n + 1) ** 2 for n in range(60)]}
+        seq = TestNoTraceback.write(tmp_path, "t60.json", t60)
+        for steps, code in ((27, 0), (40, 2)):
+            cfg = mc_config(tmp_path, seq=t60, p=0.0, n_steps=steps, n_runs=2, record_every=1, seed=1)
+            assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "rep.json")]) == code
+            for seed in range(12):
+                assert main(["simulate", "--model", "ium", "--seq", seq, "--p", "0", "--steps", str(steps),
+                             "--record-every", "1", "--seed", str(seed), "--out", str(tmp_path / "traj.csv")]) == code
+        assert "W(60) is outside the table of 60 values" in capsys.readouterr().err
+
     def test_embed_test(self, tmp_path):
         seq = TestNoTraceback.write(tmp_path, "t3.json", self.T3)
         assert main(["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--seq", seq, "--k", "3",

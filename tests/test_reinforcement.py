@@ -517,6 +517,22 @@ def test_vector_evaluation_matches_per_index(seq):
         assert np.array_equal(scan[1:], seq.log_values(range(start + 1, 2999)))
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_horner_equals_the_filled_form_bit_for_bit(degree):
+    # the filled form: a_m everywhere, then multiply by x and add each lower coefficient
+    rng = np.random.default_rng(degree)
+    for _ in range(20):
+        coeffs = tuple(rng.normal(size=degree + 1) * 10.0 ** rng.integers(-3, 4, degree + 1))
+        x = rng.normal(size=200) * 10.0 ** rng.integers(-5, 6, 200)
+        filled = np.full_like(x, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            filled *= x
+            filled += c
+        got = rf._horner(coeffs, x)
+        assert got.tobytes() == filled.tobytes()
+        assert rf._horner(coeffs, x[0]).shape == ()
+
+
 class TestLogSuffixSums:
     """``_log_suffix_sums`` against 40-digit sums at sampled indices: its worst
     error is no larger than that of ``np.logaddexp.accumulate``."""

@@ -3,7 +3,9 @@ ensemble stepped exactly through its kernel, and a screened single run the
 same run stepped exactly through the block stepper, bit for bit."""
 
 import contextlib
+import functools
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -35,8 +37,9 @@ N2 = WEIGHTS["n^2"]
 
 @contextlib.contextmanager
 def failed_screens():
-    """Every run fails the screen, so every sub-block steps every row in
-    place."""
+    """Every ensemble run fails the screen, so every sub-block steps every
+    row in place, and ``run`` and ``run_coupled`` screen no sub-block, so
+    they step every sub-block through the block stepper."""
     screened = urns._screened
 
     def none_pass(arrays, screen, leap, step):
@@ -46,7 +49,7 @@ def failed_screens():
 
         return screened(arrays, fail_all, leap, step)
 
-    with mock.patch.object(urns, "_screened", none_pass):
+    with mock.patch.object(urns, "_screened", none_pass), mock.patch.object(urns, "_MIN_SCREEN", math.inf):
         yield
 
 
@@ -233,14 +236,14 @@ def test_reach_bounds_every_reachable_count(d):
 
 
 def test_single_run_whose_window_passes_the_table_end():
-    # the first sub-block reaches count 240 of a 257-entry table; its
-    # 64-step window reads past the end
+    # the table is sized to the run's reach, count 622; the 64-step windows
+    # of the last sub-blocks, from counts up to 600, read past its end
     states = [urns.init_multicolor(2, (220, 1), 1, WEIGHTS["example I"], seed=9) for _ in range(2)]
-    assert 240 < states[0].logw.table.size < 220 + urns._SUB_BLOCK
     screened = urns.run(states[0], 400, 20)
     with exact_stepping():
         exact = urns.run(states[1], 400, 20)
-    assert screened.run_steps_screened > 0
+    assert states[0].logw.table.size == 623
+    assert screened.run_steps_screened == 400
     assert_same_trajectory(screened, exact)
     assert_same_state(states[0], states[1])
 
@@ -315,7 +318,8 @@ def test_screened_runs_reproduce_standalone_runs(engine, args, init):
 
 
 # ---------------------------------------------------------------------------
-# single runs: ``run`` screens each sub-block of a state as an ensemble of one
+# single runs: ``run`` screens a state's sub-blocks against the leader path
+# and steps the others through the block stepper
 
 
 def assert_same_trajectory(a, b):
@@ -421,6 +425,203 @@ class TestRunCounters:
             for _ in range(200):
                 urns.run(state, 20, 20)
         assert built.call_count <= 1  # the table at most doubles once over 4000 steps
+
+
+# ---------------------------------------------------------------------------
+# stacked screens: after a pass, ``run`` and ``run_coupled`` screen the
+# sub-blocks ahead in one call, each row along the leader path
+
+
+@contextlib.contextmanager
+def one_row_screens():
+    """``run`` and ``run_coupled`` screen one sub-block a call: the cadence
+    and the counters the stacked screen must keep."""
+    with mock.patch.object(urns, "_STACK", 1):
+        yield
+
+
+@contextlib.contextmanager
+def screen_log():
+    """Logs each call of the screen that ``_paced`` is given: the steps that
+    bound its rows, the leader they were built along, and what each row
+    decided."""
+    log, paced = [], urns._paced
+
+    def logged_paced(wait, screen, leap, exact):
+        now = [0]
+
+        def logged(u, leader, cuts):
+            ok, leaders = screen(u, leader, cuts)
+            log.append(((now[0] + cuts).tolist(), leader, ok.tolist(), leaders.tolist()))
+            return ok, leaders
+
+        advance, counters = paced(wait, logged, leap, exact)
+
+        def tracked(start, block, cuts, i):
+            now[0] = start + cuts[i]
+            advance(start, block, cuts, i)
+
+        return tracked, counters
+
+    with mock.patch.object(urns, "_paced", logged_paced):
+        yield log
+
+
+STACK_INITS = {
+    "ium": lambda seq, seed: urns.init_ium(2, (1, 2), (2, 1), 0.5, seq, seed),
+    "multicolor": lambda seq, seed: urns.init_multicolor(3, (5, 6, 6), 2, seq, seed),
+    "sequential": lambda seq, seed: urns.init_sequential((1, 2), (2, 1), seq, seed),
+}
+
+
+@pytest.mark.parametrize("record_every", [17, 70, 100, 140])
+@pytest.mark.parametrize("seq", ["(n+1)^3", "example I"])
+@pytest.mark.parametrize("model", STACK_INITS)
+def test_stacked_run_equals_exact_stepping(model, seq, record_every):
+    # rows of unequal length (64 and 36 steps at 100), stacks cut short by a
+    # sub-block under _MIN_SCREEN (6 steps at 70, 12 at 140), a drawn block
+    # that ends at step 4096, and, under example I from nearly tied counts,
+    # runs that change leader before they settle
+    init = functools.partial(STACK_INITS[model], WEIGHTS[seq], 11)
+    runs = []
+    for ctx in (screen_log(), one_row_screens(), exact_stepping()):
+        state = init()
+        with ctx as log:
+            runs.append((urns.run(state, 4500, record_every, record_counts=True), state, log))
+    (stacked, state, log), (one_row, state_1, _), (exact, state_x, _) = runs
+    for tr, st in ((one_row, state_1), (exact, state_x)):
+        assert_same_trajectory(stacked, tr)
+        assert_same_state(state, st)
+    for name in ("run_steps_screened", "run_steps_exact"):
+        assert getattr(stacked, name) == getattr(one_row, name), name
+    assert exact.run_steps_screened == 0 and stacked.run_steps_screened > 0.5 * 4500
+    # at 70 and 140 a sub-block of 6 or 12 steps ends each stack, short of _STACK rows
+    rows = max(len(ok) for _, _, ok, _ in log)
+    assert (rows == urns._STACK) if record_every in (17, 100) else (1 < rows < urns._STACK)
+    if record_every == 100:  # a stack that meets the end of the first drawn block
+        assert any(cuts[-1] == 4096 and len(cuts) > 2 for cuts, _, _, _ in log)
+
+
+class Replay:
+    """A stream that hands out given uniforms in order."""
+
+    def __init__(self, values):
+        self.values, self.at = np.asarray(values, dtype=float), 0
+
+    def random(self, out):
+        out[:] = self.values[self.at:self.at + out.size]
+        self.at += out.size
+
+
+def test_a_row_that_passes_with_another_leader_ends_the_stack():
+    # W falls from 10 to 1 at count 40, below the 5 of color 1 at count 100.
+    # Color 0 takes the first 40 balls, in two sub-blocks; the stack along
+    # its path then holds a row at counts (40, 100), where color 1 leads
+    # and passes, and the rows after it lie on color 0's path
+    seq = rf.make_table([10.0] * 40 + [1.0] * 60 + [5.0] * 300)
+    uniforms = [1e-9] * 40 + [1 - 1e-9] * 160
+    runs = []
+    for ctx in (screen_log(), one_row_screens(), exact_stepping()):
+        state = urns.init_multicolor(2, (0, 100), 1, seq, seed=0)
+        state.rng = Replay(uniforms)
+        with ctx as log:
+            runs.append((urns.run(state, 200, 20, record_counts=True), state, log))
+    (stacked, state, log), (one_row, state_1, _), (exact, state_x, _) = runs
+    assert exact.counts[-1].tolist() == [40, 260]
+    for tr, st in ((one_row, state_1), (exact, state_x)):
+        assert_same_trajectory(stacked, tr)
+        assert st.counts.tolist() == state.counts.tolist() and st.rng.at == state.rng.at == 200
+    assert stacked.run_steps_screened == one_row.run_steps_screened == 200
+    cuts, leader, ok, leaders = log[1]
+    assert cuts[:3] == [20, 40, 60] and leader == 0 and ok[:2] == [True, True] and leaders[:2] == [0, 1]
+    assert log[2][:2] == ([60, 80, 100, 120, 140, 160, 180, 200], 1)  # a new stack, along color 1's path
+    assert len(log) == 3
+
+
+def test_a_failed_row_drops_the_rows_after_it():
+    # equal weights: color 0 leads, and a uniform above 1/2 fails a screen.
+    # Sub-blocks of 20 steps; the stack from sub-block 1 fails at sub-block
+    # 2, the back-off steps 3 to 6, and sub-block 7, which also holds a red
+    # draw, is screened anew, not read off the stack's stale row 3
+    seq = rf.make_table([1.0] * 400)
+    uniforms = np.full(200, 1e-9)
+    uniforms[[45, 150]] = 0.7
+    runs = []
+    for ctx in (screen_log(), one_row_screens(), exact_stepping()):
+        state = urns.init_multicolor(2, (1, 1), 1, seq, seed=0)
+        state.rng = Replay(uniforms)
+        with ctx as log:
+            runs.append((urns.run(state, 200, 20, record_counts=True), state, log))
+    (stacked, state, log), (one_row, _, _), (exact, _, _) = runs
+    assert exact.counts[-1].tolist() == [199, 3]
+    for tr in (one_row, exact):
+        assert_same_trajectory(stacked, tr)
+    assert stacked.run_steps_screened == one_row.run_steps_screened == 40
+    stack = [True, False, True, True, True, True, False, True, True]  # sub-blocks 1 to 9
+    assert [(cuts[0], ok) for cuts, _, ok, _ in log] == [(0, [True]), (20, stack), (140, [False])]
+
+
+def test_coupled_run_with_one_side_failing_inside_a_stack():
+    # stacks in which both sides pass rows 0 .. j - 1 and one side fails row
+    # j > 0: the interacting side at the first start, the sequential side,
+    # while the interacting one passes, at the second
+    sides, screen_of = [], urns._screen_of
+
+    def logged_screen_of(state):
+        screen = screen_of(state)
+
+        def logged(u, leader, cuts):
+            ok, leaders = screen(u, leader, cuts)
+            sides.append((isinstance(state, urns.UrnState), ok.tolist()))
+            return ok, leaders
+
+        return logged
+
+    found = set()
+    for black0, seed in (((1, 1), 0), ((3, 1), 11)):
+        runs = []
+        for ctx in (contextlib.nullcontext(), one_row_screens(), exact_stepping()):
+            with ctx:
+                runs.append(urns.run_coupled(black0, (1, 1), 0.8, N2, seed, 5000, 100))
+        with mock.patch.object(urns, "_screen_of", logged_screen_of):
+            urns.run_coupled(black0, (1, 1), 0.8, N2, seed, 5000, 100)
+        (ti, ts, v), (ti_1, ts_1, v_1), (ti_x, ts_x, v_x) = runs
+        assert v == v_1 == v_x == 0
+        for a, b in ((ti, ti_1), (ti, ti_x), (ts, ts_1), (ts, ts_x)):
+            assert_same_trajectory(a, b)
+        assert (ti.run_steps_screened, ts.run_steps_screened) == (ti_1.run_steps_screened,) * 2
+        for (ium, ok_i), (seq_side, ok_s) in zip(sides, sides[1:]):
+            if ium and not seq_side:
+                j = next((j for j in range(1, len(ok_i)) if not (ok_i[j] and ok_s[j])), None)
+                if j is not None and all(ok_i[:j]) and all(ok_s[:j]):
+                    found.add((ok_i[j], ok_s[j]))
+        sides.clear()
+    assert found == {(False, True), (True, False)}
+
+
+def test_settled_run_screens_in_few_calls(tmp_path):
+    # one call per stack of up to 16 sub-blocks, where a call per sub-block made 399
+    with screen_log() as log:
+        _, args = TestRunCounters().simulate(tmp_path, 20_000, 100)
+    assert args["run_steps_screened"] > 0.9 * 20_000
+    assert len(log) <= 40
+
+
+@pytest.mark.parametrize("call", [
+    lambda: urns.run(urns.init_ium(2, (1, 1), (1, 1), 0.8, W3, 1), 3000, 100),
+    lambda: urns.run(urns.init_multicolor(3, (1, 1, 1), 2, W3, 1), 3000, 100),
+    lambda: urns.run(urns.init_sequential((1, 1), (1, 1), W3, 1), 3000, 100),
+    lambda: urns.run_coupled((1, 1), (1, 1), 0.8, N2, 1, 3000, 100),
+], ids=["ium", "multicolor", "sequential", "coupled"])
+def test_exact_stepping_makes_no_screen_call(call):
+    # every screen ends in _inside
+    with mock.patch.object(urns, "_inside", wraps=urns._inside) as inside:
+        call()
+        assert inside.call_count > 0
+        inside.reset_mock()
+        with exact_stepping():
+            call()
+        assert inside.call_count == 0
 
 
 def test_screened_ensembles_from_empty_urns_equal_exact_stepping():

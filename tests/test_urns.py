@@ -566,6 +566,8 @@ class TestTableWithoutTail:
                        lambda seq, n_steps, **kw: urns.run_multicolor_ensemble(seq, 2, (1, 1), 2, n_steps, **kw)),
         "sequential": (lambda seq, seed: urns.init_sequential((1, 1), (1, 1), seq, seed),
                        lambda seq, n_steps, **kw: urns.run_sequential_ensemble(seq, (1, 1), (1, 1), n_steps, **kw)),
+        "ium at p = 0": (lambda seq, seed: urns.init_ium(2, (1, 1), (1, 1), 0.0, seq, seed),
+                         lambda seq, n_steps, **kw: urns.run_ium_ensemble(seq, 0.0, 2, (1, 1), (1, 1), n_steps, **kw)),
     }
 
     @pytest.mark.parametrize("model", INITS)
@@ -591,11 +593,33 @@ class TestTableWithoutTail:
 
     def test_reach_past_the_table_is_an_error(self):
         init, ensemble = self.INITS["ium"]
-        # a 40-step stretch is screened, and the pooled totals can reach 2 + 2 * 40
-        with pytest.raises(ValueError, match=r"W\(\d+\) is outside the table of 60 values"):
+        # the pooled totals can reach 2 + 2 * 40
+        with pytest.raises(ValueError, match=r"W\(60\) is outside the table of 60 values"):
             urns.run(init(self.T60, 3), 40, 40)
         with pytest.raises(ValueError, match=r"W\(60\) is outside the table of 60 values"):
             ensemble(self.T60, 40, n_runs=4, master_seed=3)
+
+    @pytest.mark.parametrize("model", [*INITS, "coupled"])
+    def test_single_run_and_ensemble_decide_alike(self, model):
+        # whether a run passes the table's end is decided from its state and
+        # horizon alone: not from its path, nor from its record cadence
+        init, ensemble = self.INITS["ium" if model == "coupled" else model]
+        for n_steps in (20, 27, 28, 40):
+            try:
+                ensemble(self.T60, n_steps, n_runs=1, master_seed=0)
+                runs = True
+            except ValueError:
+                runs = False
+            for seed in range(12):
+                for record_every in (1, 7, n_steps):
+                    try:
+                        if model == "coupled":
+                            urns.run_coupled((1, 1), (1, 1), 0.3, self.T60, seed, n_steps, record_every)
+                        else:
+                            urns.run(init(self.T60, seed), n_steps, record_every)
+                        assert runs, (n_steps, seed, record_every)
+                    except ValueError as exc:
+                        assert not runs and "W(60) is outside the table of 60 values" in str(exc)
 
 
 class TestEnsembleEngines:
