@@ -30,8 +30,7 @@ a lockstep kernel (``_ium_step``, ``_multicolor_step``,
 (``_ium_steps``, ``_multicolor_steps``, ``_sequential_steps``), which steps
 whole sub-blocks of one state, as the public ``step_*`` step it once.  A
 block stepper keeps the counts in Python ints and reads log weights as
-Python floats, with its kernel's arithmetic on one run, so a single run
-costs about as much per step whether or not it ever settles.  The kernels,
+Python floats, with its kernel's arithmetic on one run.  The kernels,
 checked against exact laws, are the reference the block steppers are
 tested against.  One loop, ``_drive``, draws and records for every driver;
 it cuts each block of draws into sub-blocks that end at every record step.
@@ -49,13 +48,18 @@ along the leader path in bulk; the others step through the kernel, or, in
 one row to screen, and a screen of 16 rows costs about as much as one; so
 once a run passes, it screens the sub-blocks ahead of it in one call, a
 row each at the state the leader path reaches, and leaps through the rows
-that pass (``_paced``).  The interacting-urn ensemble first decides the
+that pass (``_paced``).  A stretch that a single black/red run leaves
+unscreened is planned instead (``_plan``): each urn gains one ball a step,
+so the draws decided before a step bound every count there, and the run
+steps through the block stepper only the steps whose draws those bounds
+leave open.  The interacting-urn ensemble first decides the
 draws of the runs that fail from bounds on each urn's black share over
 every state the run can reach within the sub-block, a mixed limit's
 minority draws included, and steps only the steps left open through the
 kernel (``_ium_resolve``).  A run-step is counted as screened when a bound
 decides it, leaped or resolved, and as exact when it goes through the
-kernel or the block stepper.  Screening changes neither the RNG contract
+kernel or the block stepper; a single run counts its planned steps as
+exact, as the steps of its failed screens.  Screening changes neither the RNG contract
 nor any output: every uniform is still drawn in the same order, and
 counts, last-change steps and recorded proportions are bit for bit those
 of stepping every run.
@@ -380,17 +384,17 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     ``_ensemble`` sizes its table, so a table with no tail rule that the
     run could pass fails before the first step.  Sub-blocks are screened
     against the leader path at ``_paced``'s cadence, and a state that
-    passes advances in bulk; other sub-blocks go through the block
-    stepper."""
+    passes advances in bulk; other sub-blocks step exactly (``_stepper``)."""
     mech, arrays = _dispatch(state)
     state.logw.cover(mech.balls * n_steps + int(sum(mech.totals(state))) + 1)
     last_change = [0] * len(mech.totals(state))
+    steps_exactly = _stepper(state, mech)
 
     def sample(step):
         return mech.shares(*arrays, step), mech.totals(state), np.concatenate(arrays) if record_counts else None
 
-    def exact(start, u):
-        mech.steps(state, u[0].tolist(), start, last_change)  # Python floats compare faster than numpy scalars
+    def exact(start, u, ahead):
+        steps_exactly(start, u, ahead, last_change)
 
     def leap(leader, end, length):
         last_change[mech.leap_state(state, leader, length)] = end
@@ -423,6 +427,96 @@ def _screen_of(state):
     )
 
 
+def _stepper(state, mech):
+    """The exact stepper of ``state`` in ``run`` and ``run_coupled``:
+    ``steps(start, u, ahead, last_change, path=False)`` steps the sub-block
+    ``u`` (steps, uniforms) as the block stepper does, ``ahead`` running
+    from the same step through the steps known to go unscreened, and with
+    ``path`` returns the counts after each step, black per urn then red
+    per urn.  On a non-decreasing table, a black/red state plans a stretch
+    of at least ``_MIN_PLAN`` steps in one call of ``_plan`` and reads each
+    sub-block off the plan while the run follows it; it reads its covered
+    table as it stands."""
+    plan, monotone = None, None
+
+    def steps(start, u, ahead, last_change, path=False):
+        nonlocal plan, monotone
+        if plan is None or plan[0] != start or start + len(u) > plan[1]:
+            if monotone is None:
+                table = state.logw.table
+                monotone = mech.decide is not None and bool((table[1:] >= table[:-1]).all())
+            plan = monotone and len(ahead) >= _MIN_PLAN and _plan(state, mech, ahead, start)
+            plan = plan or [start, start + len(ahead), None, None]  # no plan: the stretch steps one by one
+        at, end, counts, last = plan
+        plan[0] = start + len(u)
+        if counts is None:
+            rows = [[]] if path else []  # Python floats compare faster than numpy scalars
+            mech.steps(state, u.tolist(), start, last_change, *rows)
+            return rows[0] if path else None
+        j, d = start + len(u) - end + len(counts), state.black.size  # past the sub-block's last row
+        mech.leap_state(state, False, len(u))  # the step count; the counts are set next
+        state.black[:], state.red[:] = counts[j - 1, :d], counts[j - 1, d:]
+        last_change[:] = (max(c, int(at_j[j - 1])) for c, at_j in zip(last_change, last))
+        return counts[j - len(u):j]
+
+    return steps
+
+
+def _plan(state, mech, u, start):
+    """The steps ``start + 1 ..`` of a black/red state over the uniforms
+    ``u`` (steps, uniforms), worked out as the block stepper steps them:
+    ``[start, end, counts, last]``, the counts after each step, black per
+    urn then red per urn, and each step's ``last_change`` values.
+
+    Each urn gains one ball a step, so the draws of each urn decided before
+    a step bound its counts and the pooled counts there; the first pass
+    knows none.  On a non-decreasing table the black share of a draw lies
+    between the shares at the counts ``mech.decide`` bounds it by, so a
+    color uniform below the lower one, shrunk by ``_MARGIN``, is black and
+    one above the upper one red.  Each further pass bounds the draws still
+    open with the draws decided so far, up to ``_PASSES`` passes or until a
+    pass decides none.  The steps with a draw left open then go through
+    the block stepper, on a copy of the state at its exact counts, one
+    open step costing about ``_OPEN_COST`` steps of the block stepper; a
+    plan that would cost more than stepping every step is not made and
+    None is returned."""
+    black, red, logw = state.black, state.red, state.logw.table
+    n, d = len(u), black.size
+    color, bounds = mech.decide(black, red, u)  # draw i * n + t is urn i's at step t
+    is_black, open_, c = np.empty(d * n, dtype=bool), slice(None), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_PASSES):
+            x, y = bounds(c, open_)  # (bound, draws): from below, then from above
+            share = _SHARE_MARGIN / (1.0 + np.exp(logw[y] - logw[x]))  # as _share, shrunk by _MARGIN
+            u_open = color[open_]
+            is_black[open_] = black_now = u_open < share[0]
+            keep = ~(black_now | (u_open > share[1]))  # a NaN bound decides nothing
+            left = np.flatnonzero(keep) if c is None else open_[keep]
+            if left.size in (0, keep.size):
+                open_ = left
+                break
+            won = np.stack([is_black, ~is_black])
+            won[:, left] = False
+            won = won.reshape(2, d, n)  # each urn's decided black, then red, draws at each step
+            open_, c = left, np.cumsum(won, axis=2) - won
+    open_steps = np.unique(open_ % n)
+    if _OPEN_COST * open_steps.size > n:
+        return None
+    is_black[open_] = False
+    inc = is_black.reshape(d, n).astype(np.int64)  # each urn's black ball at each step
+    if open_steps.size:
+        scratch, now, done = replace(state, black=black.copy(), red=red.copy()), black.copy(), 0
+        for s in open_steps.tolist():
+            now += inc[:, done:s].sum(axis=1)
+            scratch.black[:], scratch.red[:] = now, black + red + s - now
+            mech.steps(scratch, u[s:s + 1].tolist(), 0, [0, 0])
+            inc[:, s], now, done = scratch.black - now, scratch.black.copy(), s + 1
+    cum, steps, n_black = np.cumsum(inc, axis=1), np.arange(start + 1, start + n + 1), inc.sum(axis=0)
+    counts = np.concatenate([black[:, None] + cum, red[:, None] + (steps - start) - cum]).T
+    last = [np.maximum.accumulate(np.where(grew, steps, 0)) for grew in (n_black > 0, n_black < d)]
+    return [start, start + n, counts, last]
+
+
 def _paced(wait, screen, leap, exact):
     """``_drive``'s ``advance`` for a single run.  Sub-blocks shorter than
     ``_MIN_SCREEN`` step exactly.  After a pass, the next sub-blocks of the
@@ -433,28 +527,28 @@ def _paced(wait, screen, leap, exact):
     call costs about as much at 16 rows as at one, 32-46 µs or 15-37 steps
     of a block stepper, so after a failed screen the next ``_SUB_BLOCK``
     steps go unscreened, twice as many after each further one, at most
-    ``_MAX_WAIT``.  ``wait`` holds the steps left and the next wait."""
+    ``_MAX_WAIT``; ``wait`` holds the steps left and the next wait, and
+    ``exact(start, u, ahead)`` also gets the draws the wait covers."""
     counters, ahead, lead = [0], [], [None]  # the stack's rows to come, last first; the last pass's leader
 
     def advance(start, block, cuts, i):
         a, b = cuts[i], cuts[i + 1]
         if b - a < _MIN_SCREEN or wait[0] > 0:
             wait[0] -= b - a if b - a >= _MIN_SCREEN else 0
-            return exact(start + a, block[:, a:b])
-        if not ahead:
-            c = np.array(cuts[i:i + (_STACK if lead[0] is not None else 1) + 1])
-            c = c[:np.argmin(np.append(np.diff(c) >= _MIN_SCREEN, False)) + 1]  # up to the first short sub-block
-            rows = np.take(block[0], np.minimum(c[:-1, None] + _STEPS, c[1:, None] - 1), axis=0)
-            ok, leaders = screen(rows, lead[0], c - a)
-            ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
-        ok, leader = ahead.pop()
-        if not ok or leader != lead[0]:
-            ahead.clear()  # the rows ahead lie on a path the run left
-        lead[0], wait[:] = (leader, [0, _SUB_BLOCK]) if ok else (None, [wait[1], min(2 * wait[1], _MAX_WAIT)])
-        if not ok:
-            return exact(start + a, block[:, a:b])
-        counters[0] += b - a
-        leap(leader, start + b, b - a)
+        else:
+            if not ahead:
+                c = np.array(cuts[i:i + (_STACK if lead[0] is not None else 1) + 1])
+                c = c[:np.argmin(np.append(np.diff(c) >= _MIN_SCREEN, False)) + 1]  # up to the first short sub-block
+                rows = np.take(block[0], np.minimum(c[:-1, None] + _STEPS, c[1:, None] - 1), axis=0)
+                ok, leaders = screen(rows, lead[0], c - a)
+                ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
+            ok, leader = ahead.pop()
+            ahead[:] = ahead if ok and leader == lead[0] else []  # else the rows ahead lie on a path the run left
+            lead[0], wait[:] = (leader, [0, _SUB_BLOCK]) if ok else (None, [wait[1], min(2 * wait[1], _MAX_WAIT)])
+            if ok:
+                counters[0] += b - a
+                return leap(leader, start + b, b - a)
+        exact(start + a, block[0, a:b], block[0, a:b + wait[0] + _SUB_BLOCK if wait[0] > 0 else b])
 
     return advance, counters
 
@@ -634,8 +728,8 @@ def run_coupled(
     which both sides pass their screens advances both along their leader
     paths in bulk, and the violations are counted along those paths.  A
     stacked screen builds each side's rows along its own leader.
-    Otherwise each side steps the sub-block through its block stepper.
-    Both trajectories carry the pair's counters.
+    Otherwise each side steps the sub-block exactly (``_stepper``).  Both
+    trajectories carry the pair's counters.
     """
     total0 = int(np.sum(black0) + np.sum(red0))
     bound = 2 * n_steps + total0 + 1  # every count the pair can reach, as _ensemble sizes its table
@@ -649,13 +743,12 @@ def run_coupled(
     last_i, last_s = [0, 0], [0, 0]
     violations = 0
     screen_i, screen_s = _screen_of(ium), _screen_of(seqp)
+    steps_i, steps_s = _stepper(ium, mech_i), _stepper(seqp, mech_s)
 
-    def exact(start, u):
+    def exact(start, u, ahead):
         nonlocal violations
-        path_i, path_s = [], []
-        mech_i.steps(ium, u[0].tolist(), start, last_i, path_i)
-        mech_s.steps(seqp, u[0, :, 1::2].tolist(), start, last_s, path_s)
-        violations += _violations(path_i, path_s)
+        path_i = steps_i(start, u, ahead, last_i, True)
+        violations += _violations(path_i, steps_s(start, u[:, 1::2], ahead[:, 1::2], last_s, True))
 
     def screen(u, leader, cuts):
         ok, to_red_i = screen_i(u, leader and leader[0], cuts)
@@ -721,6 +814,11 @@ _MIN_SCREEN = 16  # fewest steps a single run screens at once; shorter sub-block
 _MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screens
 _STACK = _MAX_WAIT // _SUB_BLOCK  # most sub-blocks a single run screens at once, a wait's worth
 _STEPS = np.arange(_SUB_BLOCK)  # the steps of a stacked row, padded to a full sub-block
+_SIGN = np.array([[1], [-1]])  # a plan's bound from below, then from above
+_SHARE_MARGIN = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
+_MIN_PLAN = 4 * _SUB_BLOCK  # fewest steps a single run plans at once; the shorter stretches come early, mostly open
+_PASSES = 4  # most passes of _plan's bounds; later runs need two or three
+_OPEN_COST = 8  # steps of a block stepper that one open step of a plan costs, about 14 µs against 1.8
 
 
 @dataclass
@@ -939,6 +1037,49 @@ def _multicolor_screen(counts, logw, win, u):
     return _inside(u, lo, hi), leader
 
 
+def _ium_decide(black, red, u, p):
+    """``_plan``'s bounds for ``_ium_step`` from ``black`` and ``red``: the
+    color uniforms, urn by urn, and ``bounds(c, at)``, the black and red
+    counts the draws ``at`` weigh at their bounds, given ``c``, each urn's
+    black and red draws decided before each step (none where ``c`` is
+    None).  Before step ``t`` urn ``i`` holds ``black[i] + red[i] + t``
+    balls, at least ``c`` of them added black and red, and the pooled
+    counts hold ``d t`` added balls, bounded by the sums over the urns."""
+    d, n = black.size, len(u)
+    pooled, t = (u[:, 0::2].T < p).ravel(), np.tile(np.arange(n), d)
+    base = np.where(pooled, black.sum(), np.repeat(black, n))  # the black count drawn from, at step 0
+    grow = np.where(pooled, d, 1) * t
+    x0 = np.stack([base, base + grow])
+    total = np.where(pooled, black.sum() + red.sum(), np.repeat(black + red, n)) + grow
+
+    def bounds(c, at):
+        x = x0[:, at]
+        if c is not None:
+            x = x + _SIGN * np.where(pooled[at], c.sum(axis=1)[:, t[at]], c.reshape(2, -1)[:, at])
+        return x, total[at] - x
+
+    return u[:, 1::2].T.ravel(), bounds
+
+
+def _sequential_decide(black, red, u, first=0):
+    """``_plan``'s bounds for ``_sequential_step``, as ``_ium_decide``
+    gives them: urn ``k`` weighs its black count, bounded as an
+    interacting urn's, against the pooled red count, which has gained at
+    least the decided red draws before step ``t`` and at most ``2 t``
+    balls less the decided black ones, plus the first draw of step ``t``
+    at the second."""
+    n, k = len(u), [first, 1 - first]  # the draw of each urn in a step, and so whether it draws second
+    t, own = np.tile(np.arange(n), 2), np.repeat(black, n)
+    x0, y0 = np.stack([own, own + t]), np.stack([red.sum() + 2 * t + np.repeat(k, n), np.full(2 * n, red.sum())])
+
+    def bounds(c, at):
+        if c is None:
+            return x0[:, at], y0[:, at]
+        return x0[:, at] + _SIGN * c.reshape(2, -1)[:, at], y0[:, at] - _SIGN * c.sum(axis=1)[:, t[at]]
+
+    return u[:, k].T.ravel(), bounds
+
+
 class _Reach:
     """Bounds on log W over the counts that a state of ``d`` black/red urns
     can reach within a sub-block.  By step ``t`` each urn's counts lie
@@ -1103,6 +1244,7 @@ class _Mechanism:
     steps: Callable  # (state, rows, start, last_change): a single state's block stepper
     leap_state: Callable  # (state, leader, length) -> the color that grew
     totals: Callable  # (state) -> each color's total
+    decide: Callable | None  # (black, red, u) -> (color uniforms, bounds): ``_plan``'s bounds
 
 
 def _black_red_grew(n_black: np.ndarray, d: int) -> np.ndarray:
@@ -1156,6 +1298,7 @@ def _ium(d: int, p: float) -> _Mechanism:
     return _Mechanism(
         per_step=2 * d, balls=d, block=block, screen=_ium_screen, leap=_black_red_leap, path=_black_red_path,
         shares=_black_shares, steps=_ium_steps, leap_state=_leap_ium, totals=_black_red_totals,
+        decide=functools.partial(_ium_decide, p=p),
     )
 
 
@@ -1178,14 +1321,14 @@ def _multicolor(d: int) -> _Mechanism:
 
     return _Mechanism(
         per_step=d, balls=d, block=block, screen=_multicolor_screen, leap=leap, path=path, shares=_color_shares,
-        steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda s: tuple(s.counts),
+        steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda s: tuple(s.counts), decide=None,
     )
 
 
 _SEQUENTIAL = _Mechanism(
     per_step=2, balls=2, block=lambda logw: functools.partial(_kernel_steps, _sequential_step, logw),
     screen=_sequential_screen, leap=_black_red_leap, path=_black_red_path, shares=_black_shares,
-    steps=_sequential_steps, leap_state=_leap_sequential, totals=_black_red_totals,
+    steps=_sequential_steps, leap_state=_leap_sequential, totals=_black_red_totals, decide=None,
 )
 
 
@@ -1197,8 +1340,9 @@ def _dispatch(state):
         return _multicolor(state.d), (state.counts,)
     if isinstance(state, SequentialState):
         # urn 1 draws first in a state left mid-step by ``step_sequential``
-        screen = functools.partial(_sequential_screen, first=state.substep % 2)
-        return replace(_SEQUENTIAL, screen=screen), (state.black, state.red)
+        first = state.substep % 2
+        return replace(_SEQUENTIAL, screen=functools.partial(_sequential_screen, first=first),
+                       decide=functools.partial(_sequential_decide, first=first)), (state.black, state.red)
     raise TypeError(f"unknown state type: {type(state)!r}")
 
 

@@ -55,10 +55,12 @@ def failed_screens():
 
 @contextlib.contextmanager
 def exact_stepping():
-    """Every run fails the screen and the ium ensemble's resolver decides
-    no draw, so every sub-block steps every row through the kernel in
-    place: the reference the screen and the resolver must match."""
-    with failed_screens(), mock.patch.object(urns, "_ium_resolve", lambda *args: None):
+    """Every run fails the screen, the ium ensemble's resolver decides no
+    draw and no single run plans, so every sub-block steps every row
+    through the kernel in place, or through the block stepper: the
+    reference the screen, the resolver and the plans must match."""
+    with failed_screens(), mock.patch.object(urns, "_ium_resolve", lambda *args: None), \
+            mock.patch.object(urns, "_plan", lambda *args: None):
         yield
 
 
@@ -640,6 +642,102 @@ def test_screened_ensembles_from_empty_urns_equal_exact_stepping():
         assert not np.isnan(screened.proportions[:, 1:]).any()
         for name in ("steps", "proportions", "last_add", "final_counts"):
             assert np.array_equal(getattr(screened, name), getattr(exact, name), equal_nan=True), name
+
+
+# ---------------------------------------------------------------------------
+# plans: ``run`` and ``run_coupled`` decide the draws of a stretch that goes
+# unscreened from count bounds, and step only the draws left open
+
+
+@contextlib.contextmanager
+def planned_stepping(passes=urns._PASSES, open_cost=urns._OPEN_COST):
+    """Every screen of ``run`` and ``run_coupled`` fails, so the waits grow
+    to ``_MAX_WAIT``, and every stretch of a black/red state on a
+    non-decreasing table is planned, with at most ``passes`` passes and
+    ``open_cost`` as the cost of an open step.  Yields the plans made."""
+    plans, plan = [], urns._plan
+
+    def fail_all(state):
+        return lambda u, leader, cuts: (np.zeros(len(u), dtype=bool), np.zeros(len(u), dtype=np.int64))
+
+    def logged(state, mech, u, start):
+        plans.append(plan(state, mech, u, start))
+        return plans[-1]
+
+    with mock.patch.object(urns, "_screen_of", fail_all), mock.patch.object(urns, "_plan", logged), \
+            mock.patch.object(urns, "_MIN_PLAN", 1), mock.patch.object(urns, "_PASSES", passes), \
+            mock.patch.object(urns, "_OPEN_COST", open_cost):
+        yield plans
+
+
+@settings(max_examples=150)
+@given(call=ensemble_calls(models=("ium", "sequential")), n=st.integers(0, 2500), record_counts=st.booleans(),
+       odd=st.booleans(), walk=st.booleans())
+def test_planned_run_equals_exact_stepping(call, n, record_counts, odd, walk):
+    # with walk, plans stop after one pass and step every open step they leave
+    init, init_args, _, _, tail = call
+    try:
+        states = [init(*init_args, seed=tail["master_seed"]) for _ in range(2)]
+    except ValueError:
+        assume(False)  # an initial state the model rejects
+    if odd and init is urns.init_sequential:
+        for state in states:
+            urns.step_sequential(state)  # urn 1 draws first from here on
+    with planned_stepping(*((1, 1) if walk else ())):
+        planned = urns.run(states[0], n, tail["record_every"], record_counts)
+    with exact_stepping():
+        exact = urns.run(states[1], n, tail["record_every"], record_counts)
+    assert_same_trajectory(planned, exact)
+    assert_same_state(states[0], states[1])
+
+
+W3_EXACT = rf.make_polynomial([0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("record_every", [17, 100, 1000])
+def test_mixed_limit_run_is_planned(seed, record_every):
+    # at p = 0.2 these runs go to a mixed limit and never pass a screen; the
+    # plans leave the block stepper under a tenth of the steps
+    stepped, ium_steps = [], urns._ium_steps
+
+    def counted(state, rows, *args):
+        stepped.append(len(rows))
+        return ium_steps(state, rows, *args)
+
+    runs = []
+    for ctx in (mock.patch.object(urns, "_ium_steps", counted), exact_stepping()):
+        state = urns.init_ium(2, (1, 1), (1, 1), 0.2, W3_EXACT, seed)
+        with ctx:
+            runs.append((urns.run(state, 6000, record_every, record_counts=True), state))
+    (planned, state), (exact, state_x) = runs
+    assert_same_trajectory(planned, exact)
+    assert_same_state(state, state_x)
+    assert planned.run_steps_screened == 0 and 0.05 < planned.proportions[-1].min() < 0.2
+    assert sum(stepped) < 0.1 * 6000
+
+
+def test_plans_need_a_non_decreasing_table():
+    for seq, planned in ((WEIGHTS["example I"], False), (W3, True)):
+        with planned_stepping() as plans:
+            urns.run(urns.init_ium(2, (1, 2), (2, 1), 0.2, seq, 1), 500, 100)
+        assert bool(plans) == planned
+
+
+@pytest.mark.parametrize("walk", [False, True])
+@pytest.mark.parametrize("p, seed", [(0.8, 1), (0.2, 3)], ids=["settles", "mixed"])
+def test_planned_coupled_run_equals_the_step_loop(p, seed, walk):
+    black0, red0 = (2, 1), (1, 2)
+    with planned_stepping(*((1, 1) if walk else ())) as plans:
+        ti, ts, violations = urns.run_coupled(black0, red0, p, N2, seed, 3000, 100)
+    steps, (props_i, props_s, totals_i, totals_s), (last_i, last_s), want = coupled_by_step(
+        black0, red0, p, N2, seed, 3000, 100)
+    assert violations == want == 0
+    for tr, props, totals, last in ((ti, props_i, totals_i, last_i), (ts, props_s, totals_s, last_s)):
+        assert np.array_equal(tr.proportions, props)
+        assert np.array_equal(tr.color_totals, totals)
+        assert tr.last_change.tolist() == last
+    assert any(plans)
 
 
 # ---------------------------------------------------------------------------
