@@ -39,7 +39,9 @@ from .errors import ConditionViolation, InternalConsistencyError
 from .formats import csv_bytes, json_fields
 from .reinforcement import ReinforcementSeq, log_weight_table
 from .seeds import stream
-from .urns import EnsembleRaw, _check_steps, _color_shares, _drive, _multicolor_step, _streams, init_multicolor
+from .urns import (
+    EnsembleRaw, _check_steps, _color_shares, _drive, _multicolor_step, _streams, _whole_counts, init_multicolor,
+)
 
 _MASS_TOL = 1e-12
 
@@ -99,7 +101,7 @@ def init_embedding(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Embe
         raise ValueError("need at least two edges")
     if d < 1:
         raise ValueError("refresh block size d must be >= 1")
-    a = tuple(int(v) for v in a)
+    a = tuple(_whole_counts(a).tolist())
     if len(a) != nc:
         raise ValueError(f"initial counts must have length nc={nc}")
     if min(a) < 0:

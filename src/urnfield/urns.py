@@ -48,15 +48,17 @@ along the leader path in bulk; the others step through the kernel, or, in
 one row to screen, and a screen of 16 rows costs about as much as one; so
 once a run passes, it screens the sub-blocks ahead of it in one call, a
 row each at the state the leader path reaches, and leaps through the rows
-that pass (``_paced``).  A stretch that a single black/red run leaves
-unscreened is planned instead (``_plan``): each urn gains one ball a step,
-so the draws decided before a step bound every count there, and the run
-steps through the block stepper only the steps whose draws those bounds
-leave open.  The interacting-urn ensemble first decides the
-draws of the runs that fail from bounds on each urn's black share over
-every state the run can reach within the sub-block, a mixed limit's
-minority draws included, and steps only the steps left open through the
-kernel (``_ium_resolve``).  A run-step is counted as screened when a bound
+that pass (``_paced``).  The first such stack holds 16 sub-blocks and each
+stack that passes whole doubles the next, up to the end of the drawn
+block, so a settled run screens a block in a call or two.  A stretch that
+a single black/red run leaves unscreened is planned instead (``_plan``):
+each urn gains one ball a step, so the draws decided before a step bound
+every count there, and the run steps through the block stepper only the
+steps whose draws those bounds leave open.  The interacting-urn ensemble
+first decides the draws of the runs that fail from bounds on each urn's
+black share over every state the run can reach within the sub-block, a
+mixed limit's minority draws included, and steps only the steps left open
+through the kernel (``_ium_resolve``).  A run-step is counted as screened when a bound
 decides it, leaped or resolved, and as exact when it goes through the
 kernel or the block stepper; a single run counts its planned steps as
 exact, as the steps of its failed screens.  Screening changes neither the RNG contract
@@ -282,6 +284,17 @@ class UrnState:
         return int(self.red.sum())
 
 
+def _whole_counts(values) -> np.ndarray:
+    """Initial counts as an int64 array; a ValueError names the first that
+    is not a whole number."""
+    counts = np.asarray(values)
+    if counts.dtype.kind not in "biu":
+        for v in counts.ravel().tolist():
+            if not isinstance(v, (int, float)) or not float(v).is_integer():
+                raise ValueError(f"initial counts must be whole numbers, got {v!r}")
+    return counts.astype(np.int64)
+
+
 def _check_composition(seq: ReinforcementSeq, black, red, logw: _LogW) -> None:
     black = np.asarray(black)
     red = np.asarray(red)
@@ -303,8 +316,7 @@ def init_ium(d: int, black0, red0, p: float, seq: ReinforcementSeq, seed: int) -
         raise ValueError("need at least one urn")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    black = np.asarray(black0, dtype=np.int64).copy()
-    red = np.asarray(red0, dtype=np.int64).copy()
+    black, red = _whole_counts(black0), _whole_counts(red0)
     if black.shape != (d,) or red.shape != (d,):
         raise ValueError(f"initial compositions must have length d={d}")
     logw = _LogW(seq)
@@ -520,16 +532,20 @@ def _plan(state, mech, u, start):
 def _paced(wait, screen, leap, exact):
     """``_drive``'s ``advance`` for a single run.  Sub-blocks shorter than
     ``_MIN_SCREEN`` step exactly.  After a pass, the next sub-blocks of the
-    drawn block, up to ``_STACK`` and up to a short one, are screened in
-    one call as rows padded with copies of their last step, each at the
-    state the run reaches if the rows before it pass with the same leader.
-    The run leaps the rows that do, so each decides as it would alone.  A
-    call costs about as much at 16 rows as at one, 32-46 µs or 15-37 steps
-    of a block stepper, so after a failed screen the next ``_SUB_BLOCK``
-    steps go unscreened, twice as many after each further one, at most
-    ``_MAX_WAIT``; ``wait`` holds the steps left and the next wait, and
-    ``exact(start, u, ahead)`` also gets the draws the wait covers."""
-    counters, ahead, lead = [0], [], [None]  # the stack's rows to come, last first; the last pass's leader
+    drawn block, up to a short one, are screened in one call as rows padded
+    with copies of their last step, each at the state the run reaches if
+    the rows before it pass with the same leader.  The run leaps the rows
+    that do, so each decides as it would alone.  The first such stack holds
+    up to ``_STACK`` sub-blocks, and each stack whose rows all pass with
+    the same leader doubles the next, so a settled run screens a drawn
+    block in a call or two.  A call costs about as much at 16 rows as at
+    one, 32-46 µs or 15-37 steps of a block stepper, so after a failed
+    screen the next ``_SUB_BLOCK`` steps go unscreened, twice as many after
+    each further one, at most ``_MAX_WAIT``; ``wait`` holds the steps left
+    and the next wait, and ``exact(start, u, ahead)`` also gets the draws
+    the wait covers."""
+    # the stack's rows to come, last first; the last pass's leader; the next stack's most rows
+    counters, ahead, lead, size = [0], [], [None], [1]
 
     def advance(start, block, cuts, i):
         a, b = cuts[i], cuts[i + 1]
@@ -537,13 +553,18 @@ def _paced(wait, screen, leap, exact):
             wait[0] -= b - a if b - a >= _MIN_SCREEN else 0
         else:
             if not ahead:
-                c = np.array(cuts[i:i + (_STACK if lead[0] is not None else 1) + 1])
+                c = np.array(cuts[i:i + size[0] + 1])
                 c = c[:np.argmin(np.append(np.diff(c) >= _MIN_SCREEN, False)) + 1]  # up to the first short sub-block
                 rows = np.take(block[0], np.minimum(c[:-1, None] + _STEPS, c[1:, None] - 1), axis=0)
                 ok, leaders = screen(rows, lead[0], c - a)
                 ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
             ok, leader = ahead.pop()
-            ahead[:] = ahead if ok and leader == lead[0] else []  # else the rows ahead lie on a path the run left
+            if ok and leader == lead[0]:
+                if not ahead:  # the whole stack passed
+                    size[0] *= 2
+            else:
+                ahead.clear()  # the rows ahead lie on a path the run left
+                size[0] = _STACK if ok else 1
             lead[0], wait[:] = (leader, [0, _SUB_BLOCK]) if ok else (None, [wait[1], min(2 * wait[1], _MAX_WAIT)])
             if ok:
                 counters[0] += b - a
@@ -575,7 +596,7 @@ def init_multicolor(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Mul
         raise ValueError("need at least two colors")
     if d < 1:
         raise ValueError("d (balls per step) must be >= 1")
-    a = tuple(int(v) for v in a)
+    a = tuple(_whole_counts(a).tolist())
     if len(a) != nc:
         raise ValueError(f"initial counts must have length nc={nc}")
     if any(v < 0 for v in a):
@@ -643,8 +664,7 @@ class SequentialState:
 
 
 def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> SequentialState:
-    black = np.asarray(black0, dtype=np.int64).copy()
-    red = np.asarray(red0, dtype=np.int64).copy()
+    black, red = _whole_counts(black0), _whole_counts(red0)
     if black.shape != (2,) or red.shape != (2,):
         raise ValueError("the sequential process runs on exactly two urns")
     logw = _LogW(seq)
@@ -726,17 +746,17 @@ def run_coupled(
     The pair is screened as ``run`` screens one state, at ``_paced``'s
     cadence, on one weight table sized to the pair's reach: a sub-block in
     which both sides pass their screens advances both along their leader
-    paths in bulk, and the violations are counted along those paths.  A
-    stacked screen builds each side's rows along its own leader.
-    Otherwise each side steps the sub-block exactly (``_stepper``).  Both
-    trajectories carry the pair's counters.
+    paths in bulk, and the violations along those paths are counted in
+    closed form (``_leap_violations``).  A stacked screen builds each
+    side's rows along its own leader.  Otherwise each side steps the
+    sub-block exactly (``_stepper``), and the violations are counted along
+    the stepped counts.  Both trajectories carry the pair's counters.
     """
-    total0 = int(np.sum(black0) + np.sum(red0))
-    bound = 2 * n_steps + total0 + 1  # every count the pair can reach, as _ensemble sizes its table
-    if not seq.non_decreasing_up_to(bound):
-        raise ValueError("the coupling requires a non-decreasing weight sequence")
     ium = init_ium(2, black0, red0, p, seq, seed)
     seqp = init_sequential(black0, red0, seq, seed)
+    bound = 2 * n_steps + sum(_black_red_totals(ium)) + 1  # every count the pair can reach, as _ensemble sizes its table
+    if not seq.non_decreasing_up_to(bound):
+        raise ValueError("the coupling requires a non-decreasing weight sequence")
     seqp.logw = ium.logw  # one table, sized to the pair's reach
     ium.logw.cover(bound)
     (mech_i, arrays_i), (mech_s, arrays_s) = _dispatch(ium), _dispatch(seqp)
@@ -759,11 +779,10 @@ def run_coupled(
 
     def leap(to_red, end, length):
         nonlocal violations
-        path_i = _leap_path(np.concatenate(arrays_i), to_red[0], length)
-        path_s = _leap_path(np.concatenate(arrays_s), to_red[1], length)
+        gaps = (ium.black - seqp.black).tolist() + (seqp.red - ium.red).tolist()
+        violations += _leap_violations(gaps, to_red, length)
         last_i[mech_i.leap_state(ium, to_red[0], length)] = end
         last_s[mech_s.leap_state(seqp, to_red[1], length)] = end
-        violations += _violations(path_i, path_s)
 
     def sample(step):
         return mech_i.shares(*arrays_i, step), mech_s.shares(*arrays_s, step), mech_i.totals(ium), mech_s.totals(seqp)
@@ -786,20 +805,28 @@ def run_coupled(
     return mk(props_i, totals_i, last_i), mk(props_s, totals_s, last_s), violations
 
 
-def _leap_path(counts: np.ndarray, to_red: bool, length: int) -> np.ndarray:
-    """The counts, black per urn then red per urn, after each of ``length``
-    steps along the all-black or all-red path from ``counts``: one row per
-    step, each urn gaining one ball a step."""
-    d = len(counts) // 2
-    return counts + np.arange(1, length + 1)[:, None] * np.repeat([1 - to_red, int(to_red)], d)
+def _leap_violations(gaps: list, to_red, length: int) -> int:
+    """``_violations`` along a leap of ``length`` steps with each side on
+    its leader path, ``to_red`` per side.  ``gaps`` holds by how much each
+    inequality holds at the start: each interacting black count less the
+    sequential one, then each sequential red count less the interacting
+    one.  Each urn gains one ball a step on both sides, so a gap ``h``
+    moves by ``k = to_red[1] - to_red[0]`` a step, and the steps ``s = 1 ..
+    length`` with ``h + k s < 0`` are a clamp of ``h``."""
+    k = int(to_red[1]) - int(to_red[0])
+    if k > 0:
+        return sum(min(max(-h - 1, 0), length) for h in gaps)
+    if k < 0:
+        return sum(length - min(max(h, 0), length) for h in gaps)
+    return length * sum(h < 0 for h in gaps)
 
 
 def _violations(ium, seq) -> int:
     """Violations of the coupling's dominance inequalities over a stretch of
-    steps: ``ium`` and ``seq`` hold each side's counts after each step, one
-    row per step, black per urn then red per urn.  Each sequential black
-    count above its interacting one, and each sequential red count below
-    it, is one violation."""
+    exactly stepped steps: ``ium`` and ``seq`` hold each side's counts after
+    each step, one row per step, black per urn then red per urn.  Each
+    sequential black count above its interacting one, and each sequential
+    red count below it, is one violation."""
     ium, seq = np.asarray(ium), np.asarray(seq)
     d = ium.shape[1] // 2
     return int(np.count_nonzero(seq[:, :d] > ium[:, :d]) + np.count_nonzero(seq[:, d:] < ium[:, d:]))
@@ -812,7 +839,7 @@ _SUB_BLOCK = 64  # most steps an ensemble screens at once; measured faster than 
 _MARGIN = 1e-12  # relative shrink of a screened interval; the kernels round far finer
 _MIN_SCREEN = 16  # fewest steps a single run screens at once; shorter sub-blocks step
 _MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screens
-_STACK = _MAX_WAIT // _SUB_BLOCK  # most sub-blocks a single run screens at once, a wait's worth
+_STACK = _MAX_WAIT // _SUB_BLOCK  # sub-blocks of a single run's first stacked screen after a pass, a wait's worth
 _STEPS = np.arange(_SUB_BLOCK)  # the steps of a stacked row, padded to a full sub-block
 _SIGN = np.array([[1], [-1]])  # a plan's bound from below, then from above
 _SHARE_MARGIN = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])

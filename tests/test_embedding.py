@@ -61,6 +61,11 @@ class TestInit:
         with pytest.raises(ValueError):
             emb.init_embedding(2, (1, 1), 0, N2, seed=1)
 
+    def test_counts_must_be_whole_numbers(self):
+        # ``int`` would have started this state at (2, 1)
+        with pytest.raises(ValueError, match=r"whole numbers, got 2\.5"):
+            emb.init_embedding(2, (2.5, 1), 1, N2, seed=1)
+
 
 class TestAdvance:
     def test_deterministic_race(self):

@@ -4,6 +4,7 @@ same run stepped exactly through the block stepper, bit for bit."""
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 from unittest import mock
@@ -436,9 +437,16 @@ class TestRunCounters:
 
 @contextlib.contextmanager
 def one_row_screens():
-    """``run`` and ``run_coupled`` screen one sub-block a call: the cadence
-    and the counters the stacked screen must keep."""
-    with mock.patch.object(urns, "_STACK", 1):
+    """``run`` and ``run_coupled`` screen one sub-block a call, at the state
+    the run has reached: the cadence and the counters the stacked screen
+    must keep.  The screen ``_paced`` is given screens only the first row
+    of each stack, so every row after it is screened anew."""
+    paced = urns._paced
+
+    def one_row_paced(wait, screen, leap, exact):
+        return paced(wait, lambda u, leader, cuts: screen(u[:1], leader, cuts[:2]), leap, exact)
+
+    with mock.patch.object(urns, "_paced", one_row_paced):
         yield
 
 
@@ -476,6 +484,25 @@ STACK_INITS = {
 }
 
 
+def assert_stacked_run_equals_exact_stepping(model, seq, record_every, n_steps):
+    """Runs ``model`` stacked, with one-row screens and stepping exactly;
+    checks they agree and returns the stacked run's screen log."""
+    init = functools.partial(STACK_INITS[model], WEIGHTS[seq], 11)
+    runs = []
+    for ctx in (screen_log(), one_row_screens(), exact_stepping()):
+        state = init()
+        with ctx as log:
+            runs.append((urns.run(state, n_steps, record_every, record_counts=True), state, log))
+    (stacked, state, log), (one_row, state_1, _), (exact, state_x, _) = runs
+    for tr, st in ((one_row, state_1), (exact, state_x)):
+        assert_same_trajectory(stacked, tr)
+        assert_same_state(state, st)
+    for name in ("run_steps_screened", "run_steps_exact"):
+        assert getattr(stacked, name) == getattr(one_row, name), name
+    assert exact.run_steps_screened == 0 and stacked.run_steps_screened > 0.5 * n_steps
+    return log
+
+
 @pytest.mark.parametrize("record_every", [17, 70, 100, 140])
 @pytest.mark.parametrize("seq", ["(n+1)^3", "example I"])
 @pytest.mark.parametrize("model", STACK_INITS)
@@ -484,24 +511,35 @@ def test_stacked_run_equals_exact_stepping(model, seq, record_every):
     # sub-block under _MIN_SCREEN (6 steps at 70, 12 at 140), a drawn block
     # that ends at step 4096, and, under example I from nearly tied counts,
     # runs that change leader before they settle
-    init = functools.partial(STACK_INITS[model], WEIGHTS[seq], 11)
-    runs = []
-    for ctx in (screen_log(), one_row_screens(), exact_stepping()):
-        state = init()
-        with ctx as log:
-            runs.append((urns.run(state, 4500, record_every, record_counts=True), state, log))
-    (stacked, state, log), (one_row, state_1, _), (exact, state_x, _) = runs
-    for tr, st in ((one_row, state_1), (exact, state_x)):
-        assert_same_trajectory(stacked, tr)
-        assert_same_state(state, st)
-    for name in ("run_steps_screened", "run_steps_exact"):
-        assert getattr(stacked, name) == getattr(one_row, name), name
-    assert exact.run_steps_screened == 0 and stacked.run_steps_screened > 0.5 * 4500
-    # at 70 and 140 a sub-block of 6 or 12 steps ends each stack, short of _STACK rows
+    log = assert_stacked_run_equals_exact_stepping(model, seq, record_every, 4500)
+    # stacks that pass whole double the next past the first stack's _STACK
+    # rows; at 70 and 140 a sub-block of 6 or 12 steps ends each stack first
     rows = max(len(ok) for _, _, ok, _ in log)
-    assert (rows == urns._STACK) if record_every in (17, 100) else (1 < rows < urns._STACK)
+    assert (rows > urns._STACK) if record_every in (17, 100) else (1 < rows < urns._STACK)
     if record_every == 100:  # a stack that meets the end of the first drawn block
         assert any(cuts[-1] == 4096 and len(cuts) > 2 for cuts, _, _, _ in log)
+
+
+@pytest.mark.parametrize("record_every", [17, 100])
+@pytest.mark.parametrize("seq", ["(n+1)^3", "example I"])
+@pytest.mark.parametrize("model", STACK_INITS)
+def test_grown_stack_meets_a_drawn_blocks_end(model, seq, record_every):
+    # stacks that pass whole grow past _STACK rows until the end of a drawn
+    # block, at step 4096 or 8192, cuts one short (at 100 the first block
+    # ends a stack of 20-30 rows and the second one of 82)
+    log = assert_stacked_run_equals_exact_stepping(model, seq, record_every, 9000)
+    assert max(len(ok) for cuts, _, ok, _ in log if cuts[-1] in (4096, 8192)) > urns._STACK
+
+
+def test_one_row_screens_screen_one_row_a_call():
+    for call in (lambda: urns.run(STACK_INITS["ium"](W3, 11), 9000, 100),
+                 lambda: urns.run_coupled((1, 1), (1, 1), 0.8, N2, 1, 9000, 100)):
+        with screen_log() as log:
+            call()
+        assert max(len(ok) for _, _, ok, _ in log) > urns._STACK
+        with one_row_screens(), screen_log() as log:
+            call()
+        assert len(log) > 100 and all(len(ok) == 1 for _, _, ok, _ in log)
 
 
 class Replay:
@@ -602,11 +640,14 @@ def test_coupled_run_with_one_side_failing_inside_a_stack():
 
 
 def test_settled_run_screens_in_few_calls(tmp_path):
-    # one call per stack of up to 16 sub-blocks, where a call per sub-block made 399
+    # one call per stack, each stack that passes whole doubling the next up
+    # to a drawn block's end: stacks of 1, 1, 16, 32, 30 sub-blocks, then
+    # one per drawn block.  A call per sub-block made 399, stacks of at most
+    # 16 sub-blocks 30
     with screen_log() as log:
         _, args = TestRunCounters().simulate(tmp_path, 20_000, 100)
     assert args["run_steps_screened"] > 0.9 * 20_000
-    assert len(log) <= 40
+    assert len(log) <= 9
 
 
 @pytest.mark.parametrize("call", [
@@ -805,24 +846,38 @@ def test_coupled_cases_settle_and_mix():
 
 
 def test_violations_along_leaped_paths():
-    # synthetic starts that break the dominance inequalities, counted along
-    # both leader paths against a step-by-step tally
+    # starts that break the dominance inequalities, under all four leader
+    # pairs, over leaps from one step to a whole drawn block: the closed
+    # form against a step-by-step tally
     rng = np.random.default_rng(11)
-    total = 0
-    for _ in range(300):
-        start_i, start_s = rng.integers(0, 40, 4), rng.integers(0, 40, 4)
-        red_i, red_s = (bool(r) for r in rng.integers(0, 2, 2))
-        length = int(rng.integers(1, urns._SUB_BLOCK + 1))
-        got = urns._violations(urns._leap_path(start_i, red_i, length), urns._leap_path(start_s, red_s, length))
-        ci, cs, want = start_i.tolist(), start_s.tolist(), 0
-        for _ in range(length):
-            for c, red in ((ci, red_i), (cs, red_s)):
-                for k in (0, 1):
-                    c[2 * red + k] += 1
-            want += sum(cs[k] > ci[k] for k in (0, 1)) + sum(cs[k] < ci[k] for k in (2, 3))
-        assert got == want
-        total += want
-    assert total > 0
+    broken = set()
+    for to_red in itertools.product((False, True), repeat=2):
+        for case in range(120):
+            start_i, start_s = rng.integers(0, 60, 4), rng.integers(0, 60, 4)
+            length = [int(rng.integers(1, urns._SUB_BLOCK + 1)), int(rng.integers(urns._SUB_BLOCK, 4097)), 4096][case % 3]
+            s = np.arange(1, length + 1)[:, None]
+            ci = start_i + s * np.repeat([1 - to_red[0], to_red[0]], 2)
+            cs = start_s + s * np.repeat([1 - to_red[1], to_red[1]], 2)
+            want = np.count_nonzero(cs[:, :2] > ci[:, :2]) + np.count_nonzero(cs[:, 2:] < ci[:, 2:])
+            gaps = np.concatenate([start_i[:2] - start_s[:2], start_s[2:] - start_i[2:]]).tolist()
+            assert urns._leap_violations(gaps, to_red, length) == want
+            broken |= {(to_red, "black") for k in (0, 1) if start_s[k] > start_i[k]}
+            broken |= {(to_red, "red") for k in (2, 3) if start_s[k] < start_i[k]}
+    assert len(broken) == 8
+
+
+def test_violations_along_block_stepper_paths():
+    # the sequential side starts with the interacting side's black and red
+    # counts swapped, so both inequalities break on some stepped rows
+    ium = urns.init_ium(2, (5, 1), (1, 5), 0.5, N2, seed=3)
+    seqp = urns.init_sequential((1, 5), (5, 1), N2, seed=3)
+    u = np.random.default_rng(5).random((50, 4))
+    path_i, path_s = [], []
+    urns._ium_steps(ium, u.tolist(), 0, [0, 0], path_i)
+    urns._sequential_steps(seqp, u[:, 1::2].tolist(), 0, [0, 0], path_s)
+    want = sum(sum(s > i for i, s in zip(ri[:2], rs[:2])) + sum(s < i for i, s in zip(ri[2:], rs[2:]))
+               for ri, rs in zip(path_i, path_s))
+    assert urns._violations(path_i, path_s) == want > 0
 
 
 @pytest.mark.parametrize("init, stepper, width", [

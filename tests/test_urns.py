@@ -46,6 +46,36 @@ class TestInit:
             urns.init_ium(2, (1,), (1, 1), 0.3, N2, seed=1)
 
 
+class TestWholeCounts:
+    """Every initial count must be a whole number; the first that is not is
+    named, where ``int`` would have truncated it."""
+
+    def test_ium(self):
+        with pytest.raises(ValueError, match=r"whole numbers, got 1\.5"):
+            urns.init_ium(2, (1.5, 1), (1, 1), 0.5, N2, seed=1)
+        with pytest.raises(ValueError, match=r"got 0\.25"):
+            urns.init_ium(2, (1, 1), (2, np.float64(0.25)), 0.5, N2, seed=1)
+        assert urns.init_ium(2, (2.0, 1), (1, np.int32(1)), 0.5, N2, seed=1).black.tolist() == [2, 1]
+
+    def test_sequential(self):
+        with pytest.raises(ValueError, match=r"got 2\.9"):
+            urns.init_sequential((2.9, 1), (1, 1), N2, seed=1)
+
+    def test_multicolor(self):
+        with pytest.raises(ValueError, match=r"got 1\.5"):
+            urns.init_multicolor(3, (1, 1.5, 2.5), 2, N2, seed=1)
+        with pytest.raises(ValueError, match="got 'a'"):
+            urns.init_multicolor(2, ("a", 1), 2, N2, seed=1)
+
+    def test_coupled(self):
+        with pytest.raises(ValueError, match=r"got 1\.5"):
+            urns.run_coupled((1.5, 1), (1, 1), 0.5, N2, 1, 10)
+
+    def test_ensemble(self):
+        with pytest.raises(ValueError, match=r"got 1\.5"):
+            urns.run_ium_ensemble(N2, 0.5, 2, (1.5, 1), (1, 1), 10, 2, 1)
+
+
 class TestEmptyStart:
     """An urn, or the multi-color urn, may start without balls when W(0) > 0;
     its step-0 proportion is undefined and recorded as NaN, without a
