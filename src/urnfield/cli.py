@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -269,6 +270,7 @@ def cmd_embed_test(args) -> int:
 # parser
 
 
+@functools.cache  # one parser a process: a build takes about 1.7 ms, a settled simulate about 10
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urnfield",

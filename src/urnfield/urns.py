@@ -50,21 +50,23 @@ once a run passes, it screens the sub-blocks ahead of it in one call, a
 row each at the state the leader path reaches, and leaps through the rows
 that pass (``_paced``).  The first such stack holds 16 sub-blocks and each
 stack that passes whole doubles the next, up to the end of the drawn
-block, so a settled run screens a block in a call or two.  A stretch that
-a single black/red run leaves unscreened is planned instead (``_plan``):
-each urn gains one ball a step, so the draws decided before a step bound
-every count there, and the run steps through the block stepper only the
-steps whose draws those bounds leave open.  The interacting-urn ensemble
-first decides the draws of the runs that fail from bounds on each urn's
-black share over every state the run can reach within the sub-block, a
-mixed limit's minority draws included, and steps only the steps left open
-through the kernel (``_ium_resolve``).  A run-step is counted as screened when a bound
-decides it, leaped or resolved, and as exact when it goes through the
-kernel or the block stepper; a single run counts its planned steps as
-exact, as the steps of its failed screens.  Screening changes neither the RNG contract
-nor any output: every uniform is still drawn in the same order, and
-counts, last-change steps and recorded proportions are bit for bit those
-of stepping every run.
+block, so a settled run screens a block in a call or two.
+
+One resolver, ``_resolve``, decides the draws of the black/red runs that
+a screen leaves, a mixed limit's minority draws included: each urn gains
+one ball a step, so the draws decided before a step bound every count
+there, and on a non-decreasing table a color uniform outside the black
+share bounded that way has its color whatever the other draws do.  Only
+the steps with a draw left open go through the kernel, in rounds over
+row subsets.  An ensemble resolves the runs that fail a screen in one
+pass; a single run or coupled pair resolves a stretch it leaves
+unscreened in up to four, and reads it off that plan as it goes.  A
+run-step is counted as screened when a bound decides it, leaped or
+resolved, in ensembles, ``run`` and ``run_coupled`` alike, and as exact
+when it goes through the kernel or the block stepper.  Screening changes
+neither the RNG contract nor any output: every uniform is still drawn in
+the same order, and counts, last-change steps and recorded proportions
+are bit for bit those of stepping every run.
 
 Counts and probabilities are handled through log weights, so exponential
 reinforcement never overflows.  ``log_weight_table`` checks each table once,
@@ -79,7 +81,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -167,9 +169,10 @@ class Trajectory:
     same sample steps.  Sample steps are strictly increasing.  ``last_change``
     holds, per color, the last step at which its total grew (0 if it never
     did); ``run`` and ``run_coupled`` record it exactly, whatever the
-    cadence.  The steps split into those advanced in bulk along a leader
-    path and those stepped one by one; both sides of ``run_coupled`` carry
-    the pair's split.
+    cadence.  The steps split into those a bound decided, advanced in bulk
+    along a leader path or resolved, and those stepped exactly; both sides
+    of ``run_coupled`` carry the pair's split, in which a step is decided
+    when it is on both sides.
     """
 
     steps: np.ndarray
@@ -406,7 +409,8 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
         return mech.shares(*arrays, step), mech.totals(state), np.concatenate(arrays) if record_counts else None
 
     def exact(start, u, ahead):
-        steps_exactly(start, u, ahead, last_change)
+        decided = steps_exactly(start, u, ahead, last_change)[1]
+        return 0 if decided is None else np.count_nonzero(decided)
 
     def leap(leader, end, length):
         last_change[mech.leap_state(state, leader, length)] = end
@@ -443,90 +447,47 @@ def _stepper(state, mech):
     """The exact stepper of ``state`` in ``run`` and ``run_coupled``:
     ``steps(start, u, ahead, last_change, path=False)`` steps the sub-block
     ``u`` (steps, uniforms) as the block stepper does, ``ahead`` running
-    from the same step through the steps known to go unscreened, and with
-    ``path`` returns the counts after each step, black per urn then red
-    per urn.  On a non-decreasing table, a black/red state plans a stretch
-    of at least ``_MIN_PLAN`` steps in one call of ``_plan`` and reads each
-    sub-block off the plan while the run follows it; it reads its covered
-    table as it stands."""
-    plan, monotone = None, None
+    from the same step through the steps known to go unscreened.  It
+    returns, with ``path``, the counts after each step, black per urn then
+    red per urn, and which steps a bound decided, or None for none.
+
+    On a non-decreasing table, a black/red state plans a stretch of at
+    least ``_MIN_PLAN`` steps in one call of ``_resolve`` on one row, with
+    up to ``_PASSES`` passes and one open step costing about
+    ``_OPEN_COST`` steps of the block stepper.  The plan holds the counts
+    after each step, each step's ``last_change`` values and which steps a
+    bound decided, and the run reads each sub-block off it while it follows
+    the plan; it reads its covered table as it stands."""
+    plan, resolvable = None, None
 
     def steps(start, u, ahead, last_change, path=False):
-        nonlocal plan, monotone
+        nonlocal plan, resolvable
         if plan is None or plan[0] != start or start + len(u) > plan[1]:
-            if monotone is None:
-                table = state.logw.table
-                monotone = mech.decide is not None and bool((table[1:] >= table[:-1]).all())
-            plan = monotone and len(ahead) >= _MIN_PLAN and _plan(state, mech, ahead, start)
-            plan = plan or [start, start + len(ahead), None, None]  # no plan: the stretch steps one by one
-        at, end, counts, last = plan
+            if resolvable is None:
+                resolvable = mech.decide is not None and _non_decreasing(state.logw.table)
+            plan = [start, start + len(ahead), None, None, None]  # unresolved, the stretch steps one by one
+            resolved = resolvable and len(ahead) >= _MIN_PLAN and _resolve(
+                mech, state.black[None].copy(), state.red[None].copy(), state.logw.table, ahead[None], _PASSES,
+                _OPEN_COST)
+            if resolved:
+                inc, d = resolved[0][0].T, state.black.size  # each urn's black ball at each step
+                cum, at, n_black = np.cumsum(inc, axis=1), np.arange(start + 1, start + len(ahead) + 1), inc.sum(axis=0)
+                plan[2] = np.concatenate([state.black[:, None] + cum, state.red[:, None] + (at - start) - cum]).T
+                plan[3] = [np.maximum.accumulate(np.where(grew, at, 0)) for grew in (n_black > 0, n_black < d)]
+                plan[4] = ~resolved[1][0]
+        at, end, counts, last, decided = plan
         plan[0] = start + len(u)
         if counts is None:
             rows = [[]] if path else []  # Python floats compare faster than numpy scalars
             mech.steps(state, u.tolist(), start, last_change, *rows)
-            return rows[0] if path else None
+            return rows[0] if path else None, None
         j, d = start + len(u) - end + len(counts), state.black.size  # past the sub-block's last row
         mech.leap_state(state, False, len(u))  # the step count; the counts are set next
         state.black[:], state.red[:] = counts[j - 1, :d], counts[j - 1, d:]
         last_change[:] = (max(c, int(at_j[j - 1])) for c, at_j in zip(last_change, last))
-        return counts[j - len(u):j]
+        return counts[j - len(u):j], decided[j - len(u):j]
 
     return steps
-
-
-def _plan(state, mech, u, start):
-    """The steps ``start + 1 ..`` of a black/red state over the uniforms
-    ``u`` (steps, uniforms), worked out as the block stepper steps them:
-    ``[start, end, counts, last]``, the counts after each step, black per
-    urn then red per urn, and each step's ``last_change`` values.
-
-    Each urn gains one ball a step, so the draws of each urn decided before
-    a step bound its counts and the pooled counts there; the first pass
-    knows none.  On a non-decreasing table the black share of a draw lies
-    between the shares at the counts ``mech.decide`` bounds it by, so a
-    color uniform below the lower one, shrunk by ``_MARGIN``, is black and
-    one above the upper one red.  Each further pass bounds the draws still
-    open with the draws decided so far, up to ``_PASSES`` passes or until a
-    pass decides none.  The steps with a draw left open then go through
-    the block stepper, on a copy of the state at its exact counts, one
-    open step costing about ``_OPEN_COST`` steps of the block stepper; a
-    plan that would cost more than stepping every step is not made and
-    None is returned."""
-    black, red, logw = state.black, state.red, state.logw.table
-    n, d = len(u), black.size
-    color, bounds = mech.decide(black, red, u)  # draw i * n + t is urn i's at step t
-    is_black, open_, c = np.empty(d * n, dtype=bool), slice(None), None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_PASSES):
-            x, y = bounds(c, open_)  # (bound, draws): from below, then from above
-            share = _SHARE_MARGIN / (1.0 + np.exp(logw[y] - logw[x]))  # as _share, shrunk by _MARGIN
-            u_open = color[open_]
-            is_black[open_] = black_now = u_open < share[0]
-            keep = ~(black_now | (u_open > share[1]))  # a NaN bound decides nothing
-            left = np.flatnonzero(keep) if c is None else open_[keep]
-            if left.size in (0, keep.size):
-                open_ = left
-                break
-            won = np.stack([is_black, ~is_black])
-            won[:, left] = False
-            won = won.reshape(2, d, n)  # each urn's decided black, then red, draws at each step
-            open_, c = left, np.cumsum(won, axis=2) - won
-    open_steps = np.unique(open_ % n)
-    if _OPEN_COST * open_steps.size > n:
-        return None
-    is_black[open_] = False
-    inc = is_black.reshape(d, n).astype(np.int64)  # each urn's black ball at each step
-    if open_steps.size:
-        scratch, now, done = replace(state, black=black.copy(), red=red.copy()), black.copy(), 0
-        for s in open_steps.tolist():
-            now += inc[:, done:s].sum(axis=1)
-            scratch.black[:], scratch.red[:] = now, black + red + s - now
-            mech.steps(scratch, u[s:s + 1].tolist(), 0, [0, 0])
-            inc[:, s], now, done = scratch.black - now, scratch.black.copy(), s + 1
-    cum, steps, n_black = np.cumsum(inc, axis=1), np.arange(start + 1, start + n + 1), inc.sum(axis=0)
-    counts = np.concatenate([black[:, None] + cum, red[:, None] + (steps - start) - cum]).T
-    last = [np.maximum.accumulate(np.where(grew, steps, 0)) for grew in (n_black > 0, n_black < d)]
-    return [start, start + n, counts, last]
 
 
 def _paced(wait, screen, leap, exact):
@@ -542,8 +503,9 @@ def _paced(wait, screen, leap, exact):
     one, 32-46 µs or 15-37 steps of a block stepper, so after a failed
     screen the next ``_SUB_BLOCK`` steps go unscreened, twice as many after
     each further one, at most ``_MAX_WAIT``; ``wait`` holds the steps left
-    and the next wait, and ``exact(start, u, ahead)`` also gets the draws
-    the wait covers."""
+    and the next wait.  ``exact(start, u, ahead)`` also gets the draws the
+    wait covers, and returns the steps of ``u`` that a bound decided, which
+    count as screened."""
     # the stack's rows to come, last first; the last pass's leader; the next stack's most rows
     counters, ahead, lead, size = [0], [], [None], [1]
 
@@ -569,7 +531,7 @@ def _paced(wait, screen, leap, exact):
             if ok:
                 counters[0] += b - a
                 return leap(leader, start + b, b - a)
-        exact(start + a, block[0, a:b], block[0, a:b + wait[0] + _SUB_BLOCK if wait[0] > 0 else b])
+        counters[0] += exact(start + a, block[0, a:b], block[0, a:b + wait[0] + _SUB_BLOCK if wait[0] > 0 else b])
 
     return advance, counters
 
@@ -767,8 +729,10 @@ def run_coupled(
 
     def exact(start, u, ahead):
         nonlocal violations
-        path_i = steps_i(start, u, ahead, last_i, True)
-        violations += _violations(path_i, steps_s(start, u[:, 1::2], ahead[:, 1::2], last_s, True))
+        (path_i, decided_i), (path_s, decided_s) = (
+            steps_i(start, u, ahead, last_i, True), steps_s(start, u[:, 1::2], ahead[:, 1::2], last_s, True))
+        violations += _violations(path_i, path_s)
+        return 0 if decided_i is None or decided_s is None else np.count_nonzero(decided_i & decided_s)
 
     def screen(u, leader, cuts):
         ok, to_red_i = screen_i(u, leader and leader[0], cuts)
@@ -841,11 +805,11 @@ _MIN_SCREEN = 16  # fewest steps a single run screens at once; shorter sub-block
 _MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screens
 _STACK = _MAX_WAIT // _SUB_BLOCK  # sub-blocks of a single run's first stacked screen after a pass, a wait's worth
 _STEPS = np.arange(_SUB_BLOCK)  # the steps of a stacked row, padded to a full sub-block
-_SIGN = np.array([[1], [-1]])  # a plan's bound from below, then from above
+_SIGN = np.array([[1], [-1]])  # a resolver's bound from below, then from above
 _SHARE_MARGIN = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
 _MIN_PLAN = 4 * _SUB_BLOCK  # fewest steps a single run plans at once; the shorter stretches come early, mostly open
-_PASSES = 4  # most passes of _plan's bounds; later runs need two or three
-_OPEN_COST = 8  # steps of a block stepper that one open step of a plan costs, about 14 µs against 1.8
+_PASSES = 4  # most passes of a single run's plan; later runs need two or three
+_OPEN_COST = 8  # block-stepper steps (1.9 µs) an open step of a plan counts as; a one-row kernel takes ~30 µs
 
 
 @dataclass
@@ -853,8 +817,8 @@ class EnsembleRaw:
     """Raw per-run output of a vectorized ensemble: recorded proportion
     samples, per-color last-change steps, and final counts.  The run-steps
     split into those a bound decided, advanced in bulk along a leader path
-    or resolved by ``_ium_resolve``, and those stepped through the
-    kernel."""
+    or resolved by ``_resolve`` (black/red runs on a non-decreasing table),
+    and those stepped through the kernel."""
 
     steps: np.ndarray  # (k,)
     proportions: np.ndarray  # (n_runs, k, d_or_nc)
@@ -942,15 +906,16 @@ def _multicolor_step(counts: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.
     return added
 
 
-def _sequential_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sequential_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, u: np.ndarray, first: int = 0) -> np.ndarray:
     """One macro step of every run of the sequential process: ``black`` and
-    ``red`` are (n_runs, 2), ``u`` holds each run's two uniforms.  Urn 0's
-    sub-step comes first, and urn 1's sees its pooled red count.  Returns
-    the black increments, one column per urn."""
+    ``red`` are (n_runs, 2), ``u`` holds each run's two uniforms in draw
+    order.  Urn ``first``'s sub-step comes first, and the other urn's sees
+    its pooled red count.  Returns the black increments, one column per
+    urn."""
     add = np.empty_like(black)
-    for urn in (0, 1):
+    for urn in (first, 1 - first):
         q = _share(logw[black[:, urn]], logw[red[:, 0] + red[:, 1]])
-        add[:, urn] = u[:, urn] < q
+        add[:, urn] = u[:, urn ^ first] < q
         black[:, urn] += add[:, urn]
         red[:, urn] += 1 - add[:, urn]
     return add
@@ -1064,158 +1029,128 @@ def _multicolor_screen(counts, logw, win, u):
     return _inside(u, lo, hi), leader
 
 
+def _summed(c: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The sums over the urns of ``c`` (2, rows, urns, steps) at the step
+    of each draw ``at``, draws being numbered as in ``_resolve``."""
+    _, _, d, n = c.shape
+    return c.sum(axis=2).reshape(2, -1)[:, at // (d * n) * n + at % n]
+
+
 def _ium_decide(black, red, u, p):
-    """``_plan``'s bounds for ``_ium_step`` from ``black`` and ``red``: the
-    color uniforms, urn by urn, and ``bounds(c, at)``, the black and red
-    counts the draws ``at`` weigh at their bounds, given ``c``, each urn's
+    """``_resolve``'s bounds for ``_ium_step`` from ``black`` and ``red``
+    (rows, d) over ``u`` (rows, steps, 2d): the color uniforms, one per
+    draw, and ``bounds(c, at)``, the black and red counts the draws ``at``
+    weigh at their bounds, given ``c`` (2, rows, d, steps), each urn's
     black and red draws decided before each step (none where ``c`` is
     None).  Before step ``t`` urn ``i`` holds ``black[i] + red[i] + t``
     balls, at least ``c`` of them added black and red, and the pooled
     counts hold ``d t`` added balls, bounded by the sums over the urns."""
-    d, n = black.size, len(u)
-    pooled, t = (u[:, 0::2].T < p).ravel(), np.tile(np.arange(n), d)
-    base = np.where(pooled, black.sum(), np.repeat(black, n))  # the black count drawn from, at step 0
-    grow = np.where(pooled, d, 1) * t
+    rows, n, _ = u.shape
+    d = black.shape[1]
+    pooled = (u[:, :, 0::2] < p).transpose(0, 2, 1).ravel()
+    base = np.where(pooled, black.sum(axis=1).repeat(d * n), black.repeat(n))  # the black count drawn from, at step 0
+    grow = np.where(pooled, d, 1) * np.tile(np.arange(n), rows * d)
     x0 = np.stack([base, base + grow])
-    total = np.where(pooled, black.sum() + red.sum(), np.repeat(black + red, n)) + grow
+    size = np.where(pooled, (black.sum(axis=1) + red.sum(axis=1)).repeat(d * n), (black + red).repeat(n)) + grow
 
     def bounds(c, at):
         x = x0[:, at]
         if c is not None:
-            x = x + _SIGN * np.where(pooled[at], c.sum(axis=1)[:, t[at]], c.reshape(2, -1)[:, at])
-        return x, total[at] - x
+            x = x + _SIGN * np.where(pooled[at], _summed(c, at), c.reshape(2, -1)[:, at])
+        return x, size[at] - x
 
-    return u[:, 1::2].T.ravel(), bounds
+    return u[:, :, 1::2].transpose(0, 2, 1).ravel(), bounds
 
 
 def _sequential_decide(black, red, u, first=0):
-    """``_plan``'s bounds for ``_sequential_step``, as ``_ium_decide``
+    """``_resolve``'s bounds for ``_sequential_step``, as ``_ium_decide``
     gives them: urn ``k`` weighs its black count, bounded as an
     interacting urn's, against the pooled red count, which has gained at
     least the decided red draws before step ``t`` and at most ``2 t``
     balls less the decided black ones, plus the first draw of step ``t``
     at the second."""
-    n, k = len(u), [first, 1 - first]  # the draw of each urn in a step, and so whether it draws second
-    t, own = np.tile(np.arange(n), 2), np.repeat(black, n)
-    x0, y0 = np.stack([own, own + t]), np.stack([red.sum() + 2 * t + np.repeat(k, n), np.full(2 * n, red.sum())])
+    rows, n, _ = u.shape
+    k = [first, 1 - first]  # the draw of each urn in a step, and so whether it draws second
+    t, own, total_r = np.tile(np.arange(n), 2 * rows), black.repeat(n), red.sum(axis=1).repeat(2 * n)
+    x0, y0 = np.stack([own, own + t]), np.stack([total_r + 2 * t + np.tile(np.repeat(k, n), rows), total_r])
 
     def bounds(c, at):
         if c is None:
             return x0[:, at], y0[:, at]
-        return x0[:, at] + _SIGN * c.reshape(2, -1)[:, at], y0[:, at] - _SIGN * c.sum(axis=1)[:, t[at]]
+        return x0[:, at] + _SIGN * c.reshape(2, -1)[:, at], y0[:, at] - _SIGN * _summed(c, at)
 
-    return u[:, k].T.ravel(), bounds
-
-
-class _Reach:
-    """Bounds on log W over the counts that a state of ``d`` black/red urns
-    can reach within a sub-block.  By step ``t`` each urn's counts lie
-    within ``t`` balls of their start and each pooled total within ``d t``.
-    The steps fall into groups ``g = t.bit_length()``, so ``t < 2^g``: over
-    group ``g`` an urn's count stays in the span of ``2^g`` counts from its
-    start, and a pooled total in the span of ``2^k`` counts, ``2^k`` the
-    first power of two above ``d (2^g - 1)``.  ``lo`` and ``hi`` hold the
-    least and the greatest log W over such spans, read at the offsets
-    ``first`` and ``last`` from a count.  For non-decreasing W they are the
-    table itself, padded with its last entry, read at a span's first and
-    last count.  Otherwise they are flat tables of every level ``k``, at
-    ``k * logw.size``, built by doubling as in ``_window_min``, 16 times the
-    size of the log-weight table at ``d = 2``; a span that passes the
-    table's end is bounded over the counts in it, since no run reaches past
-    the end.  One read per count and group costs less than the two that
-    bound each step's exact window: at 300 flagged runs those reads took
-    longer than stepping every step through the kernel."""
-
-    def __init__(self, logw: np.ndarray, d: int):
-        size = logw.size
-        self.group = np.array([t.bit_length() for t in range(_SUB_BLOCK)])
-        # each urn's span level, then the pooled total's, for black then red
-        levels = np.tile([[g] * d + [(d * (2**g - 1)).bit_length()] for g in range(self.group[-1] + 1)], 2)
-        if (logw[1:] >= logw[:-1]).all():
-            self.lo = self.hi = np.concatenate([logw, np.full(1 << levels.max(), logw[-1])])
-            self.first, self.last = np.zeros_like(levels), (1 << levels) - 1
-            return
-        lo, hi = [logw], [logw]
-        for span in (1 << k for k in range(levels.max())):
-            pad = min(span, size)
-            lo.append(np.minimum(lo[-1], np.concatenate([lo[-1][span:], np.full(pad, np.inf)])))
-            hi.append(np.maximum(hi[-1], np.concatenate([hi[-1][span:], np.full(pad, -np.inf)])))
-        self.lo, self.hi = np.concatenate(lo), np.concatenate(hi)
-        self.first = self.last = levels * size
-
-    def __call__(self, counts: np.ndarray, length: int):
-        """The least and the greatest log W over each group of the steps of
-        a sub-block of ``length`` steps from ``counts`` (rows, 2d + 2): each
-        urn's black count, the pooled black total, then the same for red.
-        Both are (rows, groups, 2d + 2)."""
-        groups = self.group[length - 1] + 1
-        return self.lo[counts[:, None, :] + self.first[:groups]], self.hi[counts[:, None, :] + self.last[:groups]]
+    return u[:, :, k].transpose(0, 2, 1).ravel(), bounds
 
 
-def _ium_resolve(black: np.ndarray, red: np.ndarray, logw: np.ndarray, reach: _Reach, p: float, u: np.ndarray):
-    """``_ium_step`` over a sub-block ``u`` (n_runs, length, 2d), with only
-    the steps that a bound leaves open stepped through the kernel.
+def _resolve(mech, black, red, logw, u, passes: int, cost: int):
+    """The steps of a black/red mechanism over ``u`` (rows, steps,
+    uniforms) from ``black`` and ``red`` (rows, urns), with only the steps
+    whose draws bounds leave open stepped through the kernel.
 
-    ``reach`` bounds log W over every state a run can reach by each step,
-    and so each urn's black share: the pooled one where the interaction
-    draw is below ``p``, the urn's own otherwise.  A color uniform below the
-    lower bound, shrunk by ``_MARGIN``, is black and one above the upper
-    bound red, whatever the sub-block's other draws do.  A step with an urn
-    left open goes through the kernel on its exact state: the start
-    counts, plus the decided balls before it, plus the kernel's balls at
-    the run's earlier open steps.  Round ``k`` steps the ``k``-th open step
-    of every run that has one; runs sorted by their open steps make each
-    round's runs a prefix.  Urns are taken one column at a time, which
-    costs less than reducing over a short last axis.
+    Each urn gains one ball a step, so the draws of each urn decided before
+    a step bound its counts and the pooled counts there; the first pass
+    knows none.  On a non-decreasing table, which the callers check, the
+    black share of a draw lies between the shares at the counts
+    ``mech.decide`` bounds it by, so a color uniform below the lower one,
+    shrunk by ``_MARGIN``, is black and one above the upper one red.  Each
+    further pass bounds the draws still open with the draws decided so
+    far, up to ``passes`` passes or until a pass decides none.  A step with
+    a draw left open goes through ``mech.kernel`` on its exact state: the
+    start counts, plus the decided balls before it, plus the kernel's balls
+    at the row's earlier open steps.  Round ``k`` steps the ``k``-th open
+    step of every row that has one; rows sorted by their open steps make
+    each round's rows a prefix.
 
-    Advances ``black`` and ``red`` to the sub-block's end and returns each
-    step's black balls (n_runs, length) and the run-steps stepped through
-    the kernel.  Where the rounds would outnumber half the steps it
-    advances nothing and returns None."""
-    n_runs, length, _ = u.shape
+    Advances ``black`` and ``red`` to the end and returns each step's black
+    balls per urn (rows, steps, urns) and which steps were open (rows,
+    steps).  Where one round costs ``cost`` steps of the fallback and the
+    rounds would cost more than stepping every step, it advances nothing
+    and returns None."""
+    rows, n, _ = u.shape
     d = black.shape[1]
-    counts = [black, black.sum(axis=1, keepdims=True), red, red.sum(axis=1, keepdims=True)]
-    lo, hi = reach(np.concatenate(counts, axis=1), length)
-    group = reach.group[:length]
-    below = _share(lo[:, :, :d + 1], hi[:, :, d + 1:]) * (1.0 - _MARGIN)
-    above = _share(hi[:, :, :d + 1], lo[:, :, d + 1:]) * (1.0 + _MARGIN)
-    below_pooled, above_pooled = below[:, group, d], above[:, group, d]
-    open_ = np.zeros((n_runs, length), dtype=bool)
-    blacks = []
-    for i in range(d):
-        pooled = u[:, :, 2 * i] < p
-        color = u[:, :, 2 * i + 1]
-        is_black = color < np.where(pooled, below_pooled, below[:, group, i])
-        open_ |= ~(is_black | (color > np.where(pooled, above_pooled, above[:, group, i])))
-        blacks.append(is_black)
-    n_open = np.count_nonzero(open_, axis=1)
+    color, bounds = mech.decide(black, red, u)  # draw (r * d + i) * n + t is urn i's at step t of row r
+    is_black, open_, c = np.empty(color.size, dtype=bool), slice(None), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(passes):
+            x, y = bounds(c, open_)  # (bound, draws): from below, then from above
+            share = _SHARE_MARGIN / (1.0 + np.exp(logw[y] - logw[x]))  # as _share, shrunk by _MARGIN
+            u_open = color[open_]
+            is_black[open_] = black_now = u_open < share[0]
+            keep = ~(black_now | (u_open > share[1]))  # a NaN bound decides nothing
+            left = np.flatnonzero(keep) if c is None else open_[keep]
+            if k + 1 == passes or left.size in (0, keep.size):
+                open_ = left
+                break
+            won = np.stack([is_black, ~is_black])
+            won[:, left] = False
+            won = won.reshape(2, rows, d, n)  # each urn's decided black, then red, draws at each step
+            open_, c = left, np.cumsum(won, axis=3) - won
+    open_steps = np.zeros((rows, n), dtype=bool)
+    open_steps.reshape(-1)[open_ // (d * n) * n + open_ % n] = True
+    n_open = np.count_nonzero(open_steps, axis=1)
     rounds = int(n_open.max(initial=0))
-    if 2 * rounds > length:
+    if cost * rounds > n:
         return None
-    closed = ~open_
-    decided = [np.cumsum(is_black & closed, axis=1) for is_black in blacks]  # each urn's decided black balls
-    n_black = np.diff(sum(decided), axis=1, prepend=0)
-    at = np.flatnonzero(open_)  # the open steps, run by run, as flat indices
-    run, t = np.divmod(at, length)
-    before = np.stack([c.reshape(-1)[at] for c in decided], axis=1)  # an open step adds none
-    u_at, t_at, n_black_at = u[run, t], t[:, None], np.empty(at.size, dtype=np.int64)
-    order = np.argsort(-n_open, kind="stable")
-    first = (np.cumsum(n_open) - n_open)[order]  # where each run's open steps start in ``at``
-    live = np.count_nonzero(n_open > np.arange(rounds)[:, None], axis=1)
-    now, total = black[order], (black + red)[order]  # black counts with the kernel's balls so far
-    for k in range(rounds):
-        n = live[k]
-        pos = first[:n] + k
-        b = now[:n] + before[pos]
-        grew = _ium_step(b, total[:n] + t_at[pos] - b, logw, p, u_at[pos])
-        now[:n] += grew
-        n_black_at[pos] = grew.sum(axis=1)
-    n_black.reshape(-1)[at] = n_black_at
-    grown = np.stack([c[:, -1] for c in decided], axis=1)
-    grown[order] += now - black[order]
+    inc = is_black.reshape(rows, d, n).astype(np.int64)  # each urn's black ball at each step
+    if rounds:
+        row, t = np.divmod(np.flatnonzero(open_steps), n)  # the open steps, row by row
+        inc[row, :, t] = 0  # an open step's balls are the kernel's
+        before = np.cumsum(inc, axis=2)[row, :, t]
+        order = np.argsort(-n_open, kind="stable")
+        first = (np.cumsum(n_open) - n_open)[order]  # where each row's open steps start in ``row``
+        live = np.count_nonzero(n_open > np.arange(rounds)[:, None], axis=1)
+        now, size = black[order], (black + red)[order]  # black counts with the kernel's balls so far
+        for k in range(rounds):
+            m = live[k]
+            pos = first[:m] + k
+            b = now[:m] + before[pos]
+            grew = mech.kernel(b, size[:m] + t[pos, None] - b, logw, u[row[pos], t[pos]])
+            now[:m] += grew
+            inc[row[pos], :, t[pos]] = grew
+    grown = inc.sum(axis=2)
     black += grown
-    red += length - grown
-    return n_black, at.size
+    red += n - grown
+    return inc.transpose(0, 2, 1), open_steps
 
 
 def _screened(arrays, screen, leap, step):
@@ -1263,7 +1198,8 @@ class _Mechanism:
 
     per_step: int  # uniforms per step
     balls: int  # balls per step
-    block: Callable  # (logw) -> (*arrays, u) -> (grew, exact): steps an ensemble's flagged rows
+    kernel: Callable  # (*arrays, logw, u) -> balls added: the lockstep step of an ensemble's rows
+    grew: Callable  # (balls added (runs, length, k)) -> whether each color grew (runs, length, colors)
     screen: Callable  # (*arrays, logw, win, u) -> (ok, leader), ``win`` the window minima by stride
     leap: Callable  # (*arrays, last_add, ok, leader, end, length): the passing rows' bulk advance
     path: Callable  # (*arrays, leader, offsets) -> one state's arrays after each of ``offsets`` steps along the path
@@ -1271,20 +1207,18 @@ class _Mechanism:
     steps: Callable  # (state, rows, start, last_change): a single state's block stepper
     leap_state: Callable  # (state, leader, length) -> the color that grew
     totals: Callable  # (state) -> each color's total
-    decide: Callable | None  # (black, red, u) -> (color uniforms, bounds): ``_plan``'s bounds
+    decide: Callable | None  # (black, red, u) -> (color uniforms, bounds): ``_resolve``'s bounds
 
 
-def _black_red_grew(n_black: np.ndarray, d: int) -> np.ndarray:
-    """Whether black and red grew at each step of a black/red mechanism of
-    ``d`` urns (runs, length, 2), from the black balls of each step."""
-    return np.stack([n_black > 0, n_black < d], axis=2)
+def _non_decreasing(logw: np.ndarray) -> bool:
+    return bool((logw[1:] >= logw[:-1]).all())
 
 
-def _kernel_steps(kernel, logw, black, red, u):
-    """``block``'s stepper of a black/red mechanism: every flagged row
-    through ``kernel(black, red, logw, us)``, which gives black increments."""
-    n_black = np.stack([kernel(black, red, logw, us) for us in u.swapaxes(0, 1)], axis=1).sum(axis=2)
-    return _black_red_grew(n_black, black.shape[1]), None
+def _black_red_grew(n_black: np.ndarray) -> np.ndarray:
+    """Whether black and red grew at each step of a black/red mechanism
+    (runs, length, 2), from each urn's black balls (runs, length, urns)."""
+    n = n_black.sum(axis=2)
+    return np.stack([n > 0, n < n_black.shape[2]], axis=2)
 
 
 def _black_red_leap(black, red, last_add, ok, to_red, end, length) -> None:
@@ -1305,38 +1239,20 @@ def _black_red_totals(state) -> tuple[int, int]:
 
 
 def _ium(d: int, p: float) -> _Mechanism:
-    """The interacting urns at ``p``.  Flagged rows go through
-    ``_ium_resolve``, or through ``_ium_step`` where it gives up."""
+    """The interacting urns at ``p``."""
 
-    def kernel(black, red, logw, us):
-        return _ium_step(black, red, logw, p, us)
-
-    def block(logw):
-        reach = _Reach(logw, d)
-
-        def step(black, red, u):
-            resolved = _ium_resolve(black, red, logw, reach, p, u)
-            if resolved is None:
-                return _kernel_steps(kernel, logw, black, red, u)
-            return _black_red_grew(resolved[0], d), resolved[1]
-
-        return step
+    def kernel(black, red, logw, u):
+        return _ium_step(black, red, logw, p, u)
 
     return _Mechanism(
-        per_step=2 * d, balls=d, block=block, screen=_ium_screen, leap=_black_red_leap, path=_black_red_path,
-        shares=_black_shares, steps=_ium_steps, leap_state=_leap_ium, totals=_black_red_totals,
-        decide=functools.partial(_ium_decide, p=p),
+        per_step=2 * d, balls=d, kernel=kernel, grew=_black_red_grew, screen=_ium_screen, leap=_black_red_leap,
+        path=_black_red_path, shares=_black_shares, steps=_ium_steps, leap_state=_leap_ium,
+        totals=_black_red_totals, decide=functools.partial(_ium_decide, p=p),
     )
 
 
 def _multicolor(d: int) -> _Mechanism:
     """The single urn of ``d`` balls a step."""
-
-    def block(logw):
-        def step(counts, u):
-            return np.stack([_multicolor_step(counts, logw, us) for us in u.swapaxes(0, 1)], axis=1) > 0, None
-
-        return step
 
     def leap(counts, last_add, ok, leader, end, length):
         rows = np.flatnonzero(ok)
@@ -1347,16 +1263,25 @@ def _multicolor(d: int) -> _Mechanism:
         return (counts + np.outer(d * offsets, np.arange(counts.size) == leader),)
 
     return _Mechanism(
-        per_step=d, balls=d, block=block, screen=_multicolor_screen, leap=leap, path=path, shares=_color_shares,
+        per_step=d, balls=d, kernel=lambda counts, logw, u: _multicolor_step(counts, logw, u),
+        grew=lambda added: added > 0, screen=_multicolor_screen, leap=leap, path=path, shares=_color_shares,
         steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda s: tuple(s.counts), decide=None,
     )
 
 
-_SEQUENTIAL = _Mechanism(
-    per_step=2, balls=2, block=lambda logw: functools.partial(_kernel_steps, _sequential_step, logw),
-    screen=_sequential_screen, leap=_black_red_leap, path=_black_red_path, shares=_black_shares,
-    steps=_sequential_steps, leap_state=_leap_sequential, totals=_black_red_totals, decide=None,
-)
+def _sequential(first: int) -> _Mechanism:
+    """The sequential process, urn ``first`` drawing first in each step: 1
+    in a state left mid-step by ``step_sequential``, 0 otherwise."""
+
+    def kernel(black, red, logw, u):
+        return _sequential_step(black, red, logw, u, first)
+
+    return _Mechanism(
+        per_step=2, balls=2, kernel=kernel, grew=_black_red_grew,
+        screen=functools.partial(_sequential_screen, first=first), leap=_black_red_leap, path=_black_red_path,
+        shares=_black_shares, steps=_sequential_steps, leap_state=_leap_sequential, totals=_black_red_totals,
+        decide=functools.partial(_sequential_decide, first=first),
+    )
 
 
 def _dispatch(state):
@@ -1366,29 +1291,34 @@ def _dispatch(state):
     if isinstance(state, MultiColorState):
         return _multicolor(state.d), (state.counts,)
     if isinstance(state, SequentialState):
-        # urn 1 draws first in a state left mid-step by ``step_sequential``
-        first = state.substep % 2
-        return replace(_SEQUENTIAL, screen=functools.partial(_sequential_screen, first=first),
-                       decide=functools.partial(_sequential_decide, first=first)), (state.black, state.red)
+        return _sequential(state.substep % 2), (state.black, state.red)
     raise TypeError(f"unknown state type: {type(state)!r}")
 
 
 def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: int, record_every: int) -> EnsembleRaw:
     """Screened lockstep ensemble of ``n_runs`` runs from ``state``'s
     counts: run ``i`` consumes the stream ``derive_seed(master, offset +
-    i)``, as a standalone run of the state at that seed would."""
+    i)``, as a standalone run of the state at that seed would.  On a
+    non-decreasing table, a black/red ensemble resolves the runs that fail
+    a screen in one pass of ``_resolve``, falling back to the kernel where
+    the rounds would outnumber half the sub-block's steps; other runs step
+    through the kernel."""
     mech, arrays = _dispatch(state)
     arrays = [np.tile(a, (n_runs, 1)) for a in arrays]
     logw = log_weight_table(state.seq, mech.balls * n_steps + int(sum(mech.totals(state))) + 1)
     win = _Windows(logw)
-    block = mech.block(logw)
+    resolvable = mech.decide is not None and _non_decreasing(logw)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, len(mech.totals(state))), dtype=np.int64)
 
     def step(*rows):
         *counts, last, start, u = rows
-        grew, exact = block(*counts, u)
-        _set_last_add(last, grew, start)
+        resolved = _resolve(mech, *counts, logw, u, 1, 2) if resolvable else None
+        if resolved is None:
+            added, exact = np.stack([mech.kernel(*counts, logw, us) for us in u.swapaxes(0, 1)], axis=1), None
+        else:
+            added, exact = resolved[0], np.count_nonzero(resolved[1])
+        _set_last_add(last, mech.grew(added), start)
         return exact
 
     leap = functools.partial(mech.leap, *arrays, last_add)

@@ -143,6 +143,17 @@ class TestSimulate:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_parser_is_built_once(self, tmp_path):
+        # main reuses one parser, and its runs write the same bytes
+        args = ["simulate", "--model", "coupled", "--m", "3", "--p", "0.2", "--steps", "500", "--seed", "7",
+                "--record-every", "100"]
+        cli.build_parser.cache_clear()
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main(args + ["--out", str(out)]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_multicolor_counts(self, tmp_path):
         out = tmp_path / "m.csv"
         rc = main(["simulate", "--model", "multicolor", "--m", "3", "--nc", "3",

@@ -56,12 +56,11 @@ def failed_screens():
 
 @contextlib.contextmanager
 def exact_stepping():
-    """Every run fails the screen, the ium ensemble's resolver decides no
-    draw and no single run plans, so every sub-block steps every row
-    through the kernel in place, or through the block stepper: the
-    reference the screen, the resolver and the plans must match."""
-    with failed_screens(), mock.patch.object(urns, "_ium_resolve", lambda *args: None), \
-            mock.patch.object(urns, "_plan", lambda *args: None):
+    """Every run fails the screen and the resolver decides no draw, so no
+    single run plans, and every sub-block steps every row through the
+    kernel in place, or through the block stepper: the reference the
+    screen, the resolver and the plans must match."""
+    with failed_screens(), mock.patch.object(urns, "_resolve", lambda *args: None):
         yield
 
 
@@ -128,7 +127,7 @@ def test_screened_ensemble_equals_exact_stepping(call):
 
 
 @settings(max_examples=200)
-@given(call=ensemble_calls(models=("ium",)))
+@given(call=ensemble_calls(models=("ium", "sequential")))
 def test_resolved_ium_ensemble_equals_exact_stepping(call):
     # every run fails the screen, so every sub-block goes to the resolver
     init, init_args, engine, args, tail = call
@@ -171,11 +170,29 @@ class TestMargin:
             u = np.tile([0.9, 0.0], (1, 3, 2))  # urns draw from themselves, and draw black
             u[0, 1, 3] = q * (1 - rel) if edge == "lower" else q * (1 + rel)
             b, r = black.copy(), red.copy()
-            n_black, exact = urns._ium_resolve(b, r, logw, urns._Reach(logw, 2), 0.5, u)
-            assert exact == (0 if decided else 1)
+            added, open_ = urns._resolve(urns._ium(2, 0.5), b, r, logw, u, 1, 2)
+            assert open_.tolist() == [[False, not decided, False]]
             kernel_b, kernel_r = black.copy(), red.copy()
-            by_kernel = [int(urns._ium_step(kernel_b, kernel_r, logw, 0.5, u[:, t]).sum()) for t in range(3)]
-            assert n_black[0].tolist() == by_kernel
+            by_kernel = [urns._ium_step(kernel_b, kernel_r, logw, 0.5, u[:, t])[0].tolist() for t in range(3)]
+            assert added[0].tolist() == by_kernel
+            assert np.array_equal(b, kernel_b) and np.array_equal(r, kernel_r)
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_sequential_resolved_draw(self, edge):
+        # urn 1's uniform at the second step, against its black count 2..3
+        # and the pooled red count 11..14 (the three draws before it)
+        logw = rf.log_weight_table(N2, 200)
+        black, red = np.array([[2, 2]]), np.array([[6, 5]])
+        q = urns._share(logw[2], logw[14]) if edge == "lower" else urns._share(logw[3], logw[11])
+        for rel, decided in ((self.INSIDE, False), (self.BEYOND, True)):
+            u = np.zeros((1, 3, 2))  # every other draw is black
+            u[0, 1, 1] = q * (1 - rel) if edge == "lower" else q * (1 + rel)
+            b, r = black.copy(), red.copy()
+            added, open_ = urns._resolve(urns._sequential(0), b, r, logw, u, 1, 2)
+            assert open_.tolist() == [[False, not decided, False]]
+            kernel_b, kernel_r = black.copy(), red.copy()
+            by_kernel = [urns._sequential_step(kernel_b, kernel_r, logw, u[:, t])[0].tolist() for t in range(3)]
+            assert added[0].tolist() == by_kernel
             assert np.array_equal(b, kernel_b) and np.array_equal(r, kernel_r)
 
     def test_sequential(self):
@@ -219,23 +236,66 @@ def test_window_min_of_a_non_monotone_table():
             assert np.array_equal(urns._window_min(logw, stride), brute), (seq.to_json(), stride)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_reach_bounds_every_reachable_count(d):
-    # by step t an urn's count lies within t balls of its start and a pooled
-    # total within d t; the bounds of t's group hold over all of them
-    drawn = rf.make_table(np.random.default_rng(d).uniform(0.5, 2.0, 400).tolist())
-    rng = np.random.default_rng(7)
-    for seq in (N2, WEIGHTS["example I"], WEIGHTS["2^n"], WEIGHTS["table W(0)=0"], drawn):
+def reachable_shares(model, k, logw, black, red, t, urn):
+    """The black shares urn ``urn`` of a run from ``black`` and ``red`` can
+    draw with at step ``t``, over every state the run can reach by then:
+    its own, then the pooled ones (None for the sequential process).  ``k``
+    is d for the interacting urns and urn ``first`` for the sequential
+    process."""
+    if model == "ium":
+        d = k
+        own = [urns._share(logw[black[urn] + j], logw[red[urn] + t - j]) for j in range(t + 1)]
+        pooled = [urns._share(logw[black.sum() + j], logw[red.sum() + d * t - j]) for j in range(d * t + 1)]
+        return own, pooled
+    other = t + (urn != k)  # the other urn's draws before this one
+    return [urns._share(logw[black[urn] + j], logw[red.sum() + t - j + r])
+            for j in range(t + 1) for r in range(other + 1)], None
+
+
+@pytest.mark.parametrize("model, k", [("ium", 1), ("ium", 2), ("ium", 3), ("sequential", 0), ("sequential", 1)])
+def test_decide_bounds_enclose_every_reachable_share(model, k):
+    # on a non-decreasing table, a draw's black share at every count its
+    # run can reach by that step lies between the shares at the counts the
+    # unrefined bounds give; refined with any subset of the draws of a path,
+    # the bounds hold the counts that path weighs, and with every draw they
+    # give an urn's own black count, or the pooled one, exactly
+    rng = np.random.default_rng(k + 10 * (model == "ium"))
+    drawn = rf.make_table(np.sort(rng.uniform(0.5, 50.0, 400)).tolist())
+    d, n, rows = (k if model == "ium" else 2), 9, 3
+    mech = urns._ium(d, 0.5) if model == "ium" else urns._sequential(k)
+    for seq in (N2, W3, WEIGHTS["2^n"], drawn):
         logw = rf.log_weight_table(seq, 399)
-        reach = urns._Reach(logw, d)
-        counts = rng.integers(0, 400 - d * urns._SUB_BLOCK, (30, 2 * d + 2))
-        for length in (1, 17, urns._SUB_BLOCK):
-            lo, hi = reach(counts, length)
-            for t in range(length):
-                g = t.bit_length()
-                for col in range(2 * d + 2):
-                    span = logw[counts[:, col, None] + np.arange((d if col % (d + 1) == d else 1) * t + 1)]
-                    assert (lo[:, g, col] <= span.min(axis=1)).all() and (hi[:, g, col] >= span.max(axis=1)).all()
+        black, red = rng.integers(1, 30, (rows, d)), rng.integers(1, 30, (rows, d))
+        u = rng.random((rows, n, mech.per_step))
+        color, bounds = mech.decide(black, red, u)
+        x, y = bounds(None, slice(None))
+        lo, hi = urns._share(logw[x[0]], logw[y[0]]), urns._share(logw[x[1]], logw[y[1]])
+        for r, i, t in itertools.product(range(rows), range(d), range(n)):
+            f = (r * d + i) * n + t
+            own, pooled = reachable_shares(model, k, logw, black[r], red[r], t, i)
+            shares = pooled if model == "ium" and u[r, t, 2 * i] < 0.5 else own
+            assert lo[f] <= min(shares) and max(shares) <= hi[f], (seq.to_json(), r, i, t)
+        # a path through the kernel, and its draws' colors decided at random
+        b, rd, added = black.copy(), red.copy(), []
+        for t in range(n):
+            added.append(mech.kernel(b, rd, logw, u[:, t]))
+        added = np.stack(added, axis=2)  # (rows, d, n): each urn's black ball at each step
+        own = black[:, :, None] + np.cumsum(added, axis=2) - added  # each urn's black count before each step
+        if model == "ium":
+            pooled = (u[:, :, 0::2] < 0.5).transpose(0, 2, 1)
+            weighed = np.where(pooled, own.sum(axis=1, keepdims=True), own).ravel()
+        else:
+            weighed, reds = own.ravel(), 1 - added
+            red_before = red.sum(axis=1)[:, None, None] + (np.cumsum(reds, axis=2) - reds).sum(axis=1, keepdims=True)
+            second = np.arange(d) != k  # the urn drawing second also sees the first one's draw of the step
+            red_before = (red_before + reds[:, k:k + 1] * second[:, None]).ravel()
+        for decided in (rng.random((rows, d, n)) < 0.5, True):
+            won = np.stack([added, 1 - added]) * decided
+            x, y = bounds(np.cumsum(won, axis=3) - won, np.arange(color.size))
+            assert (x[0] <= weighed).all() and (weighed <= x[1]).all()
+            if model == "sequential":
+                assert (y[1] <= red_before).all() and (red_before <= y[0]).all()
+        assert (x[0] == x[1]).all()
 
 
 def test_single_run_whose_window_passes_the_table_end():
@@ -260,18 +320,21 @@ class TestCounters:
         assert (rep.run_steps_screened > 0) == (model != "embedding")
 
     def test_exact_run_steps_are_the_kernel_steps(self):
-        # runs headed for the mixed cells fail the screen; the resolver
-        # decides most of their draws and steps the rest through the kernel
-        kernel, stepped = urns._ium_step, []
+        # ium runs headed for the mixed cells, and sequential runs before
+        # they settle, fail the screen; the resolver decides most of their
+        # draws and steps the rest through the kernel
+        for name, engine, args in (("_ium_step", urns.run_ium_ensemble, (N2, 0.2, 2, (1, 1), (1, 1))),
+                                   ("_sequential_step", urns.run_sequential_ensemble, (N2, (1, 1), (1, 1)))):
+            kernel, stepped = getattr(urns, name), []
 
-        def counting(black, *args):
-            stepped.append(len(black))
-            return kernel(black, *args)
+            def counting(black, *args):
+                stepped.append(len(black))
+                return kernel(black, *args)
 
-        with mock.patch.object(urns, "_ium_step", counting):
-            raw = urns.run_ium_ensemble(N2, 0.2, 2, (1, 1), (1, 1), 3000, 40, 2025, record_every=100)
-        assert raw.run_steps_exact == sum(stepped)
-        assert raw.run_steps_screened + raw.run_steps_exact == 40 * 3000
+            with mock.patch.object(urns, name, counting):
+                raw = engine(*args, 3000, 40, 2025, record_every=100)
+            assert raw.run_steps_exact == sum(stepped) > 0
+            assert raw.run_steps_screened + raw.run_steps_exact == 40 * 3000
 
     def test_strong_multicolor_is_mostly_screened(self):
         raw = urns.run_multicolor_ensemble(WEIGHTS["(n+1)^3"], 3, (1, 1, 1), 2, 4000, 200, 4040, record_every=1000)
@@ -696,16 +759,16 @@ def planned_stepping(passes=urns._PASSES, open_cost=urns._OPEN_COST):
     to ``_MAX_WAIT``, and every stretch of a black/red state on a
     non-decreasing table is planned, with at most ``passes`` passes and
     ``open_cost`` as the cost of an open step.  Yields the plans made."""
-    plans, plan = [], urns._plan
+    plans, resolve = [], urns._resolve
 
     def fail_all(state):
         return lambda u, leader, cuts: (np.zeros(len(u), dtype=bool), np.zeros(len(u), dtype=np.int64))
 
-    def logged(state, mech, u, start):
-        plans.append(plan(state, mech, u, start))
+    def logged(*args):
+        plans.append(resolve(*args))
         return plans[-1]
 
-    with mock.patch.object(urns, "_screen_of", fail_all), mock.patch.object(urns, "_plan", logged), \
+    with mock.patch.object(urns, "_screen_of", fail_all), mock.patch.object(urns, "_resolve", logged), \
             mock.patch.object(urns, "_MIN_PLAN", 1), mock.patch.object(urns, "_PASSES", passes), \
             mock.patch.object(urns, "_OPEN_COST", open_cost):
         yield plans
@@ -739,23 +802,28 @@ W3_EXACT = rf.make_polynomial([0, 0, 0, 1])
 @pytest.mark.parametrize("record_every", [17, 100, 1000])
 def test_mixed_limit_run_is_planned(seed, record_every):
     # at p = 0.2 these runs go to a mixed limit and never pass a screen; the
-    # plans leave the block stepper under a tenth of the steps
-    stepped, ium_steps = [], urns._ium_steps
+    # plans leave the block stepper and the kernel under a tenth of the
+    # steps, and the steps they decide count as screened
+    stepped, ium_steps, ium_step = [], urns._ium_steps, urns._ium_step
 
     def counted(state, rows, *args):
         stepped.append(len(rows))
         return ium_steps(state, rows, *args)
 
-    runs = []
-    for ctx in (mock.patch.object(urns, "_ium_steps", counted), exact_stepping()):
-        state = urns.init_ium(2, (1, 1), (1, 1), 0.2, W3_EXACT, seed)
-        with ctx:
-            runs.append((urns.run(state, 6000, record_every, record_counts=True), state))
-    (planned, state), (exact, state_x) = runs
+    def counted_kernel(black, *args):
+        stepped.append(len(black))
+        return ium_step(black, *args)
+
+    state, state_x = (urns.init_ium(2, (1, 1), (1, 1), 0.2, W3_EXACT, seed) for _ in range(2))
+    with screen_log() as log, mock.patch.object(urns, "_ium_steps", counted), \
+            mock.patch.object(urns, "_ium_step", counted_kernel):
+        planned = urns.run(state, 6000, record_every, record_counts=True)
+    with exact_stepping():
+        exact = urns.run(state_x, 6000, record_every, record_counts=True)
     assert_same_trajectory(planned, exact)
     assert_same_state(state, state_x)
-    assert planned.run_steps_screened == 0 and 0.05 < planned.proportions[-1].min() < 0.2
-    assert sum(stepped) < 0.1 * 6000
+    assert not any(any(ok) for _, _, ok, _ in log) and 0.05 < planned.proportions[-1].min() < 0.2
+    assert planned.run_steps_exact == sum(stepped) < 0.1 * 6000
 
 
 def test_plans_need_a_non_decreasing_table():
@@ -837,11 +905,14 @@ def test_coupled_run_equals_the_step_loop(seq, p, seed, n_steps, record_every):
 
 def test_coupled_cases_settle_and_mix():
     # the cases above cover a pair that leaps most of its steps and one whose
-    # interacting side goes to a mixed limit and never passes a screen
+    # interacting side goes to a mixed limit and never passes a screen; its
+    # plans decide most of its steps, and those count as screened
     ti, _, _ = urns.run_coupled((2, 1), (1, 2), 0.8, N2, 1, 3000, 100)
     assert ti.run_steps_screened > 0.8 * 3000
-    ti, _, _ = urns.run_coupled((2, 1), (1, 2), 0.2, N2, 3, 3000, 100)
-    assert ti.run_steps_screened == 0
+    with screen_log() as log:
+        ti, _, _ = urns.run_coupled((2, 1), (1, 2), 0.2, N2, 3, 3000, 100)
+    assert log and not any(any(ok) for _, _, ok, _ in log)
+    assert ti.run_steps_screened > 0.8 * 3000
     assert 0.05 < ti.proportions[-1].min() and ti.proportions[-1].max() < 0.95
 
 
