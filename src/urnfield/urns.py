@@ -22,7 +22,7 @@ so run ``i`` of an ensemble reproduces a standalone simulation seeded with
 ``derive_seed(master, i)``.
 
 Each mechanism is wired up once, in a frozen ``_Mechanism`` record:
-``_ium(d, p)``, ``_multicolor(d)`` and ``_SEQUENTIAL``.  ``_dispatch``
+``_ium(d, p)``, ``_multicolor(d)`` and ``_sequential(first)``.  ``_dispatch``
 gives a state's record and count arrays, and ``run``, ``run_coupled`` and
 the one ensemble driver, ``_ensemble``, read nothing else.  A record pairs
 a lockstep kernel (``_ium_step``, ``_multicolor_step``,
@@ -34,6 +34,8 @@ Python floats, with its kernel's arithmetic on one run.  The kernels,
 checked against exact laws, are the reference the block steppers are
 tested against.  One loop, ``_drive``, draws and records for every driver;
 it cuts each block of draws into sub-blocks that end at every record step.
+An advance may cover several sub-blocks at once and hand back the samples
+at the record steps inside them.
 
 Ensembles, ``run`` and ``run_coupled`` screen each sub-block against the
 leader path.  Under strong reinforcement almost every step adds the
@@ -48,9 +50,12 @@ along the leader path in bulk; the others step through the kernel, or, in
 one row to screen, and a screen of 16 rows costs about as much as one; so
 once a run passes, it screens the sub-blocks ahead of it in one call, a
 row each at the state the leader path reaches, and leaps through the rows
-that pass (``_paced``).  The first such stack holds 16 sub-blocks and each
-stack that passes whole doubles the next, up to the end of the drawn
-block, so a settled run screens a block in a call or two.
+that pass (``_paced``), the rows that pass with one leader in one leap.
+The first such stack holds 16 sub-blocks and each stack that passes whole
+doubles the next, up to the end of the drawn block, so a settled run
+screens and leaps a block in a call or two.  A leap's record samples are
+read off the leader path in one pass (``_along``), not sampled a step at
+a time.
 
 One resolver, ``_resolve``, decides the draws of the black/red runs that
 a screen leaves, a mixed limit's minority draws included: each urn gains
@@ -87,6 +92,7 @@ from typing import Callable
 import numpy as np
 
 from . import formats
+from .errors import InternalConsistencyError
 from .reinforcement import ReinforcementSeq, log_weight_table
 from .seeds import derive_seed, stream
 
@@ -399,21 +405,25 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     ``_ensemble`` sizes its table, so a table with no tail rule that the
     run could pass fails before the first step.  Sub-blocks are screened
     against the leader path at ``_paced``'s cadence, and a state that
-    passes advances in bulk; other sub-blocks step exactly (``_stepper``)."""
+    passes advances in bulk, over as many sub-blocks as pass with one
+    leader, with the record steps inside a leap sampled off the leader path
+    (``_along``); other sub-blocks step exactly (``_stepper``)."""
     mech, arrays = _dispatch(state)
-    state.logw.cover(mech.balls * n_steps + int(sum(mech.totals(state))) + 1)
-    last_change = [0] * len(mech.totals(state))
+    state.logw.cover(mech.balls * n_steps + sum(mech.totals(*arrays)) + 1)
+    last_change = [0] * len(mech.totals(*arrays))
     steps_exactly = _stepper(state, mech)
 
     def sample(step):
-        return mech.shares(*arrays, step), mech.totals(state), np.concatenate(arrays) if record_counts else None
+        return mech.shares(*arrays, step), mech.totals(*arrays), np.concatenate(arrays) if record_counts else None
 
     def exact(start, u, ahead):
         decided = steps_exactly(start, u, ahead, last_change)[1]
         return 0 if decided is None else np.count_nonzero(decided)
 
     def leap(leader, end, length):
+        inner = _along(mech, arrays, leader, end - length, length, record_every)
         last_change[mech.leap_state(state, leader, length)] = end
+        return [(shares, totals, counts if record_counts else None) for shares, totals, counts in inner]
 
     advance, counters = _paced(state.logw.wait, _screen_of(state), leap, exact)
     steps, samples = _drive([state.rng], mech.per_step, n_steps, record_every, advance, sample)
@@ -496,9 +506,13 @@ def _paced(wait, screen, leap, exact):
     drawn block, up to a short one, are screened in one call as rows padded
     with copies of their last step, each at the state the run reaches if
     the rows before it pass with the same leader.  The run leaps the rows
-    that do, so each decides as it would alone.  The first such stack holds
-    up to ``_STACK`` sub-blocks, and each stack whose rows all pass with
-    the same leader doubles the next, so a settled run screens a drawn
+    that do, so each decides as it would alone: the rows that pass with
+    the run's leader, up to the first that does not, in one call of
+    ``leap(leader, end, length)``, which returns the samples at the record
+    steps inside the leap, and ``advance`` returns them to ``_drive`` with
+    the sub-blocks it covered.  The first such stack holds up to
+    ``_STACK`` sub-blocks, and each stack whose rows all pass with the same
+    leader doubles the next, so a settled run screens and leaps a drawn
     block in a call or two.  A call costs about as much at 16 rows as at
     one, 32-46 µs or 15-37 steps of a block stepper, so after a failed
     screen the next ``_SUB_BLOCK`` steps go unscreened, twice as many after
@@ -521,7 +535,11 @@ def _paced(wait, screen, leap, exact):
                 ok, leaders = screen(rows, lead[0], c - a)
                 ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
             ok, leader = ahead.pop()
+            k = 1
             if ok and leader == lead[0]:
+                while ahead and ahead[-1] == (True, leader):  # the rows that pass with it, leapt with it
+                    ahead.pop()
+                    k += 1
                 if not ahead:  # the whole stack passed
                     size[0] *= 2
             else:
@@ -529,8 +547,9 @@ def _paced(wait, screen, leap, exact):
                 size[0] = _STACK if ok else 1
             lead[0], wait[:] = (leader, [0, _SUB_BLOCK]) if ok else (None, [wait[1], min(2 * wait[1], _MAX_WAIT)])
             if ok:
+                b = cuts[i + k]
                 counters[0] += b - a
-                return leap(leader, start + b, b - a)
+                return k, leap(leader, start + b, b - a)
         counters[0] += exact(start + a, block[0, a:b], block[0, a:b + wait[0] + _SUB_BLOCK if wait[0] > 0 else b])
 
     return advance, counters
@@ -706,22 +725,24 @@ def run_coupled(
     ``seq_red >= ium_red`` and ``seq_black <= ium_black`` (surely 0).
 
     The pair is screened as ``run`` screens one state, at ``_paced``'s
-    cadence, on one weight table sized to the pair's reach: a sub-block in
-    which both sides pass their screens advances both along their leader
-    paths in bulk, and the violations along those paths are counted in
-    closed form (``_leap_violations``).  A stacked screen builds each
+    cadence, on one weight table sized to the pair's reach: the sub-blocks
+    in which both sides pass their screens, each with the leader it passed
+    the last with, advance both along their leader paths in one leap, the
+    violations along those paths are counted in closed form over its whole
+    length (``_leap_violations``), and both sides' record samples inside it
+    are read off the paths (``_along``).  A stacked screen builds each
     side's rows along its own leader.  Otherwise each side steps the
     sub-block exactly (``_stepper``), and the violations are counted along
     the stepped counts.  Both trajectories carry the pair's counters.
     """
     ium = init_ium(2, black0, red0, p, seq, seed)
     seqp = init_sequential(black0, red0, seq, seed)
-    bound = 2 * n_steps + sum(_black_red_totals(ium)) + 1  # every count the pair can reach, as _ensemble sizes its table
+    (mech_i, arrays_i), (mech_s, arrays_s) = _dispatch(ium), _dispatch(seqp)
+    bound = 2 * n_steps + sum(mech_i.totals(*arrays_i)) + 1  # every count the pair can reach, as _ensemble sizes it
     if not seq.non_decreasing_up_to(bound):
         raise ValueError("the coupling requires a non-decreasing weight sequence")
     seqp.logw = ium.logw  # one table, sized to the pair's reach
     ium.logw.cover(bound)
-    (mech_i, arrays_i), (mech_s, arrays_s) = _dispatch(ium), _dispatch(seqp)
     last_i, last_s = [0, 0], [0, 0]
     violations = 0
     screen_i, screen_s = _screen_of(ium), _screen_of(seqp)
@@ -745,11 +766,15 @@ def run_coupled(
         nonlocal violations
         gaps = (ium.black - seqp.black).tolist() + (seqp.red - ium.red).tolist()
         violations += _leap_violations(gaps, to_red, length)
+        inner = zip(_along(mech_i, arrays_i, to_red[0], end - length, length, record_every),
+                    _along(mech_s, arrays_s, to_red[1], end - length, length, record_every))
         last_i[mech_i.leap_state(ium, to_red[0], length)] = end
         last_s[mech_s.leap_state(seqp, to_red[1], length)] = end
+        return [(shares_i, shares_s, totals_i, totals_s) for (shares_i, totals_i, _), (shares_s, totals_s, _) in inner]
 
     def sample(step):
-        return mech_i.shares(*arrays_i, step), mech_s.shares(*arrays_s, step), mech_i.totals(ium), mech_s.totals(seqp)
+        return (mech_i.shares(*arrays_i, step), mech_s.shares(*arrays_s, step), mech_i.totals(*arrays_i),
+                mech_s.totals(*arrays_s))
 
     advance, counters = _paced([0, _SUB_BLOCK], screen, leap, exact)
     steps, samples = _drive([stream(seed)], mech_i.per_step, n_steps, record_every, advance, sample)
@@ -767,6 +792,19 @@ def run_coupled(
         )
 
     return mk(props_i, totals_i, last_i), mk(props_s, totals_s, last_s), violations
+
+
+def _along(mech, arrays, leader, begin: int, length: int, record_every: int):
+    """The record samples of a leap of ``length`` steps from step ``begin``
+    with every step adding the ``leader``'s balls, at the record steps
+    strictly inside it: per record step, the shares, each color's total and
+    the counts (``arrays`` joined), which sampling the state there gives,
+    read off ``mech.path`` in one pass."""
+    offsets = np.arange(record_every - begin % record_every, length, record_every)
+    if not offsets.size:
+        return []
+    path = mech.path(*arrays, leader, offsets)
+    return list(zip(mech.shares(*path, begin + 1), mech.totals(*path), np.concatenate(path, axis=1)))
 
 
 def _leap_violations(gaps: list, to_red, length: int) -> int:
@@ -847,8 +885,12 @@ def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample
     ``_SUB_BLOCK`` steps.  ``advance(start, block, cuts, i)`` advances
     sub-block ``i``, ``block[:, cuts[i]:cuts[i + 1]]`` of the (n_runs,
     length, per_step) block of steps ``start + 1 ..``; it may read the
-    sub-blocks after it.  Returns the recorded steps (0, every
-    ``record_every`` and ``n_steps``) and their ``sample(step)`` values."""
+    sub-blocks after it.  It returns None, or ``(k, inner)`` when it covers
+    ``k >= 1`` sub-blocks from ``i`` on, with ``inner`` the samples at the
+    record steps strictly inside them, in order.  The step that ends the
+    covered sub-blocks is sampled from the state.  Returns the recorded
+    steps (0, every ``record_every`` and ``n_steps``) and their
+    ``sample(step)`` values."""
     _check_steps(n_steps, record_every)
     record = {0: sample(0)}
     chunk = max(1, min(4096, (1 << 23) // max(1, len(gens) * per_step)))
@@ -858,12 +900,26 @@ def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample
         for g, row in zip(gens, block):
             getattr(g, draw)(out=row.reshape(-1))
         cuts = [0]
-        while cuts[-1] < length:
-            cuts.append(min(length, cuts[-1] + min(_SUB_BLOCK, record_every - (start + cuts[-1]) % record_every)))
-        for i, end in enumerate(cuts[1:]):
-            advance(start, block, cuts, i)
-            if (start + end) % record_every == 0 or start + end == n_steps:
-                record[start + end] = sample(start + end)
+        for mark in [*range((-start) % record_every or record_every, length, record_every), length]:
+            cuts += range(cuts[-1] + _SUB_BLOCK, mark, _SUB_BLOCK)
+            cuts.append(mark)
+        i = 0
+        while i < len(cuts) - 1:
+            covered = advance(start, block, cuts, i)
+            if covered is None:
+                i += 1
+            else:
+                k, inner = covered
+                marks = [start + e for e in cuts[i + 1:i + k] if (start + e) % record_every == 0]
+                if not 1 <= k < len(cuts) - i or len(inner) != len(marks):
+                    raise InternalConsistencyError(
+                        f"an advance from sub-block {i} of {len(cuts) - 1} covered {k} with {len(inner)} inner "
+                        f"samples, for {len(marks)} record steps")
+                record.update(zip(marks, inner))
+                i += k
+            end = start + cuts[i]
+            if end % record_every == 0 or end == n_steps:
+                record[end] = sample(end)
     return np.fromiter(record, dtype=np.int64), list(record.values())
 
 
@@ -1206,7 +1262,7 @@ class _Mechanism:
     shares: Callable  # (*arrays, step): the recorded proportions
     steps: Callable  # (state, rows, start, last_change): a single state's block stepper
     leap_state: Callable  # (state, leader, length) -> the color that grew
-    totals: Callable  # (state) -> each color's total
+    totals: Callable  # (*arrays) -> each color's total, of one state or of each row of a path
     decide: Callable | None  # (black, red, u) -> (color uniforms, bounds): ``_resolve``'s bounds
 
 
@@ -1234,8 +1290,13 @@ def _black_red_path(black, red, to_red, offsets):
     return black + t * (not to_red), red + t * bool(to_red)
 
 
-def _black_red_totals(state) -> tuple[int, int]:
-    return int(state.black.sum()), int(state.red.sum())
+def _black_red_totals(black, red):
+    """Each color's total: two ints for one state's counts, a row per step
+    for a path's.  One state's are summed as Python ints, ten times faster
+    than a numpy reduction."""
+    if black.ndim == 1:
+        return sum(black.tolist()), sum(red.tolist())
+    return np.stack([black.sum(axis=1), red.sum(axis=1)], axis=1)
 
 
 def _ium(d: int, p: float) -> _Mechanism:
@@ -1265,7 +1326,7 @@ def _multicolor(d: int) -> _Mechanism:
     return _Mechanism(
         per_step=d, balls=d, kernel=lambda counts, logw, u: _multicolor_step(counts, logw, u),
         grew=lambda added: added > 0, screen=_multicolor_screen, leap=leap, path=path, shares=_color_shares,
-        steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda s: tuple(s.counts), decide=None,
+        steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda counts: counts.tolist(), decide=None,
     )
 
 
@@ -1304,12 +1365,13 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
     the rounds would outnumber half the sub-block's steps; other runs step
     through the kernel."""
     mech, arrays = _dispatch(state)
+    totals = mech.totals(*arrays)
     arrays = [np.tile(a, (n_runs, 1)) for a in arrays]
-    logw = log_weight_table(state.seq, mech.balls * n_steps + int(sum(mech.totals(state))) + 1)
+    logw = log_weight_table(state.seq, mech.balls * n_steps + sum(totals) + 1)
     win = _Windows(logw)
     resolvable = mech.decide is not None and _non_decreasing(logw)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
-    last_add = np.zeros((n_runs, len(mech.totals(state))), dtype=np.int64)
+    last_add = np.zeros((n_runs, len(totals)), dtype=np.int64)
 
     def step(*rows):
         *counts, last, start, u = rows

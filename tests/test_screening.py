@@ -532,7 +532,7 @@ def screen_log():
 
         def tracked(start, block, cuts, i):
             now[0] = start + cuts[i]
-            advance(start, block, cuts, i)
+            return advance(start, block, cuts, i)
 
         return tracked, counters
 
@@ -711,6 +711,105 @@ def test_settled_run_screens_in_few_calls(tmp_path):
         _, args = TestRunCounters().simulate(tmp_path, 20_000, 100)
     assert args["run_steps_screened"] > 0.9 * 20_000
     assert len(log) <= 9
+
+
+@contextlib.contextmanager
+def leap_log():
+    """Logs each leap of ``run`` and ``run_coupled``: its end step and length."""
+    log, paced = [], urns._paced
+
+    def logged_paced(wait, screen, leap, exact):
+        def logged(leader, end, length):
+            log.append((end, length))
+            return leap(leader, end, length)
+
+        return paced(wait, screen, logged, exact)
+
+    with mock.patch.object(urns, "_paced", logged_paced):
+        yield log
+
+
+def test_settled_run_leaps_no_more_often_than_it_screens(tmp_path):
+    # each stack leaps the rows that pass with one leader in one call; a
+    # call per sub-block made 398
+    with screen_log() as screens, leap_log() as leaps:
+        TestRunCounters().simulate(tmp_path, 20_000, 100)
+    assert len(leaps) <= len(screens) <= 9
+
+
+def inner_record_steps(leaps, record_every):
+    """The most record steps strictly inside one leap."""
+    return max((end - 1) // record_every - (end - length) // record_every for end, length in leaps)
+
+
+def assert_same_bytes(a, b):
+    assert_same_trajectory(a, b)
+    for what in ("proportions", "counts") if a.counts is not None else ("proportions",):
+        assert a.csv_bytes(what) == b.csv_bytes(what), what
+
+
+@pytest.mark.parametrize("record_every", [17, 36, 100, 333])
+@pytest.mark.parametrize("model", STACK_INITS)
+def test_leap_over_record_steps_equals_exact_stepping(model, record_every):
+    # a leap covers many sub-blocks and takes the record steps inside it off
+    # the leader path; one call of 9000 steps, and two consecutive calls on
+    # one state split at a record step, which carry the wait over
+    split = record_every * (4500 // record_every)
+    runs = []
+    for ctx in (leap_log(), one_row_screens(), exact_stepping()):
+        whole, halves = STACK_INITS[model](W3, 11), STACK_INITS[model](W3, 11)
+        with ctx as log:
+            trs = [urns.run(whole, 9000, record_every, record_counts=True),
+                   urns.run(halves, split, record_every, record_counts=True),
+                   urns.run(halves, 9000 - split, record_every, record_counts=True)]
+        runs.append((trs, (whole, halves), log))
+    (stacked, states, leaps), (one_row, states_1, _), (exact, states_x, _) = runs
+    # at 333 each stretch between record steps ends in a 13-step sub-block,
+    # which ends a stack; only a drawn block's end shifts a record step inside
+    assert inner_record_steps(leaps, record_every) >= (1 if record_every == 333 else 2)
+    for trs, sts in ((one_row, states_1), (exact, states_x)):
+        for a, b in zip(stacked + list(states), trs + list(sts)):
+            (assert_same_bytes if isinstance(a, urns.Trajectory) else assert_same_state)(a, b)
+    for a, b, x in zip(stacked, one_row, exact):
+        assert (a.run_steps_screened, a.run_steps_exact) == (b.run_steps_screened, b.run_steps_exact)
+        assert x.run_steps_screened == 0 and a.run_steps_screened > 0
+
+
+@pytest.mark.parametrize("record_every", [17, 36, 100, 333])
+@pytest.mark.parametrize("p, seed", [(0.2, 2), (0.8, 3)])
+def test_coupled_leap_over_record_steps_equals_exact_stepping(p, seed, record_every):
+    # at p = 0.2, seed 2, the interacting side settles on black and the
+    # sequential side on red, so the violations' gaps move along each leap
+    runs = []
+    for ctx in (leap_log(), one_row_screens(), exact_stepping()):
+        with ctx as log:
+            runs.append((urns.run_coupled((1, 1), (1, 1), p, N2, seed, 9000, record_every), log))
+    ((ti, ts, v), leaps), ((ti_1, ts_1, v_1), _), ((ti_x, ts_x, v_x), _) = runs
+    assert inner_record_steps(leaps, record_every) >= (1 if record_every == 333 else 2)
+    assert v == v_1 == v_x == 0
+    for a, b in ((ti, ti_1), (ti, ti_x), (ts, ts_1), (ts, ts_x)):
+        assert_same_bytes(a, b)
+    assert (ti.run_steps_screened, ti.run_steps_exact) == (ti_1.run_steps_screened, ti_1.run_steps_exact)
+    assert ts.run_steps_screened == ti.run_steps_screened > 0 == ti_x.run_steps_screened
+
+
+@pytest.mark.parametrize("covered", [(0, []), (5, [None] * 3), (2, []), (1, [None])],
+                         ids=["none", "past-the-block", "missing-sample", "extra-sample"])
+def test_drive_rejects_an_advance_that_misreports(covered):
+    # 10 steps recorded every 3 are cut at 3, 6, 9 and 10, each cut a
+    # record step; an advance from sub-block 0 covers at most 4, and each
+    # one it covers before its last holds one inner sample
+    def sample(step):
+        return step
+
+    with pytest.raises(urns.InternalConsistencyError):
+        urns._drive([np.random.default_rng(0)], 1, 10, 3, lambda *args: covered, sample)
+
+    def two(start, block, cuts, i):
+        return 2, [f"inner {start + cuts[i + 1]}"]
+
+    steps, samples = urns._drive([np.random.default_rng(0)], 1, 10, 3, two, sample)
+    assert steps.tolist() == [0, 3, 6, 9, 10] and samples == [0, "inner 3", 6, "inner 9", 10]
 
 
 @pytest.mark.parametrize("call", [
