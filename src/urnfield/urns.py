@@ -63,9 +63,11 @@ one ball a step, so the draws decided before a step bound every count
 there, and on a non-decreasing table a color uniform outside the black
 share bounded that way has its color whatever the other draws do.  Only
 the steps with a draw left open go through the kernel, in rounds over
-row subsets.  An ensemble resolves the runs that fail a screen in one
-pass; a single run or coupled pair resolves a stretch it leaves
-unscreened in up to four, and reads it off that plan as it goes.  A
+row subsets.  Each pass after the first bounds the open draws with the
+draws decided so far, and a pass follows only one that decided at least
+half of its draws, up to ``_PASSES``.  An ensemble resolves the runs that
+fail a screen this way, and a single run or coupled pair a stretch it
+leaves unscreened, which it reads off that plan as it goes.  A
 run-step is counted as screened when a bound decides it, leaped or
 resolved, in ensembles, ``run`` and ``run_coupled`` alike, and as exact
 when it goes through the kernel or the block stepper.  Screening changes
@@ -462,12 +464,12 @@ def _stepper(state, mech):
     red per urn, and which steps a bound decided, or None for none.
 
     On a non-decreasing table, a black/red state plans a stretch of at
-    least ``_MIN_PLAN`` steps in one call of ``_resolve`` on one row, with
-    up to ``_PASSES`` passes and one open step costing about
-    ``_OPEN_COST`` steps of the block stepper.  The plan holds the counts
-    after each step, each step's ``last_change`` values and which steps a
-    bound decided, and the run reads each sub-block off it while it follows
-    the plan; it reads its covered table as it stands."""
+    least ``_MIN_PLAN`` steps in one call of ``_resolve`` on one row, one
+    open step costing about ``_OPEN_COST`` steps of the block stepper.  The
+    plan holds the counts after each step, each step's ``last_change``
+    values and which steps a bound decided, and the run reads each
+    sub-block off it while it follows the plan; it reads its covered table
+    as it stands."""
     plan, resolvable = None, None
 
     def steps(start, u, ahead, last_change, path=False):
@@ -846,8 +848,8 @@ _STEPS = np.arange(_SUB_BLOCK)  # the steps of a stacked row, padded to a full s
 _SIGN = np.array([[1], [-1]])  # a resolver's bound from below, then from above
 _SHARE_MARGIN = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
 _MIN_PLAN = 4 * _SUB_BLOCK  # fewest steps a single run plans at once; the shorter stretches come early, mostly open
-_PASSES = 4  # most passes of a single run's plan; later runs need two or three
-_OPEN_COST = 8  # block-stepper steps (1.9 µs) an open step of a plan counts as; a one-row kernel takes ~30 µs
+_PASSES = 4  # most passes of ``_resolve``; a mixed-limit run's minority draws take two or three
+_OPEN_COST = 14  # block-stepper steps (1.9 µs) an open step of a plan counts as; a one-row kernel takes ~26 µs
 
 
 @dataclass
@@ -1150,10 +1152,13 @@ def _resolve(mech, black, red, logw, u, passes: int, cost: int):
     ``mech.decide`` bounds it by, so a color uniform below the lower one,
     shrunk by ``_MARGIN``, is black and one above the upper one red.  Each
     further pass bounds the draws still open with the draws decided so
-    far, up to ``passes`` passes or until a pass decides none.  A step with
-    a draw left open goes through ``mech.kernel`` on its exact state: the
-    start counts, plus the decided balls before it, plus the kernel's balls
-    at the row's earlier open steps.  Round ``k`` steps the ``k``-th open
+    far.  A pass follows only one that decided at least half of the draws
+    it bounded, up to ``passes`` passes: at counts of a few balls the
+    bounds span most shares, a pass decides under half, and more passes
+    would cost more than the kernel rounds they save.  A step with a draw
+    left open goes through ``mech.kernel`` on its exact state: the start
+    counts, plus the decided balls before it, plus the kernel's balls at
+    the row's earlier open steps.  Round ``k`` steps the ``k``-th open
     step of every row that has one; rows sorted by their open steps make
     each round's rows a prefix.
 
@@ -1174,7 +1179,7 @@ def _resolve(mech, black, red, logw, u, passes: int, cost: int):
             is_black[open_] = black_now = u_open < share[0]
             keep = ~(black_now | (u_open > share[1]))  # a NaN bound decides nothing
             left = np.flatnonzero(keep) if c is None else open_[keep]
-            if k + 1 == passes or left.size in (0, keep.size):
+            if k + 1 == passes or not left.size or 2 * left.size > keep.size:
                 open_ = left
                 break
             won = np.stack([is_black, ~is_black])
@@ -1361,9 +1366,9 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
     counts: run ``i`` consumes the stream ``derive_seed(master, offset +
     i)``, as a standalone run of the state at that seed would.  On a
     non-decreasing table, a black/red ensemble resolves the runs that fail
-    a screen in one pass of ``_resolve``, falling back to the kernel where
-    the rounds would outnumber half the sub-block's steps; other runs step
-    through the kernel."""
+    a screen in ``_resolve``, in up to ``_PASSES`` passes, falling back to
+    the kernel where the rounds would outnumber half the sub-block's steps;
+    other runs step through the kernel."""
     mech, arrays = _dispatch(state)
     totals = mech.totals(*arrays)
     arrays = [np.tile(a, (n_runs, 1)) for a in arrays]
@@ -1375,7 +1380,7 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
 
     def step(*rows):
         *counts, last, start, u = rows
-        resolved = _resolve(mech, *counts, logw, u, 1, 2) if resolvable else None
+        resolved = _resolve(mech, *counts, logw, u, _PASSES, 2) if resolvable else None
         if resolved is None:
             added, exact = np.stack([mech.kernel(*counts, logw, us) for us in u.swapaxes(0, 1)], axis=1), None
         else:

@@ -3,6 +3,7 @@ ensemble stepped exactly through its kernel, and a screened single run the
 same run stepped exactly through the block stepper, bit for bit."""
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -129,7 +130,8 @@ def test_screened_ensemble_equals_exact_stepping(call):
 @settings(max_examples=200)
 @given(call=ensemble_calls(models=("ium", "sequential")))
 def test_resolved_ium_ensemble_equals_exact_stepping(call):
-    # every run fails the screen, so every sub-block goes to the resolver
+    # every run fails the screen, so every sub-block goes to the resolver,
+    # whose later passes the runs at counts near 1024 reach
     init, init_args, engine, args, tail = call
     assume_valid(init, init_args)
     with failed_screens():
@@ -223,6 +225,80 @@ class TestMargin:
             state = urns.init_multicolor(3, counts[0], 2, N2, seed=1)
             urns._multicolor_steps(state, u[0].tolist(), 0, [0] * 3)
             assert state.counts.tolist() == [2, 13, 3]
+
+
+def counted_passes(mech):
+    """``mech`` with a ``decide`` whose ``bounds`` log the draws each call
+    bounds: one call a pass of ``_resolve``."""
+    passes = []
+
+    def decide(*args):
+        color, bounds = mech.decide(*args)
+
+        def counted(c, at):
+            passes.append(color[at].size)
+            return bounds(c, at)
+
+        return color, counted
+
+    return dataclasses.replace(mech, decide=decide), passes
+
+
+def kernel_increments(mech, black, red, logw, u):
+    """Each step's black balls per urn (rows, steps, urns), stepping every
+    step of ``u`` through the kernel from copies of ``black`` and ``red``."""
+    b, r = black.copy(), red.copy()
+    return np.stack([mech.kernel(b, r, logw, u[:, t]) for t in range(u.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("mech, d", [(urns._ium(1, 0.2), 1), (urns._ium(2, 0.2), 2), (urns._ium(3, 0.5), 3),
+                                     (urns._sequential(0), 2), (urns._sequential(1), 2)])
+def test_resolve_stops_after_a_pass_that_decides_under_half(mech, d):
+    # at one or two balls per urn the share bounds over a sub-block span
+    # most of [0, 1]: the first pass decides under half of its draws, so it
+    # is the only one
+    rng = np.random.default_rng(d)
+    logw = rf.log_weight_table(N2, 400)
+    black, red = rng.integers(1, 3, (20, d)), rng.integers(1, 3, (20, d))
+    u = rng.random((20, urns._SUB_BLOCK, mech.per_step))
+    counted, passes = counted_passes(mech)
+    b, r, b1, r1 = black.copy(), red.copy(), black.copy(), red.copy()
+    added, open_ = urns._resolve(counted, b, r, logw, u, urns._PASSES, 0)
+    added_1, open_1 = urns._resolve(mech, b1, r1, logw, u, 1, 0)
+    assert len(passes) == 1
+    assert np.array_equal(added, added_1) and np.array_equal(open_, open_1)
+    assert np.array_equal(b, b1) and np.array_equal(r, r1)
+    assert np.array_equal(added, kernel_increments(mech, black, red, logw, u))
+
+
+def test_later_passes_decide_mixed_limit_draws():
+    # runs at W = n^2, p = 0.2 after 1000 steps, near 1000 balls per urn,
+    # each urn holding both colors: the first pass leaves the minority
+    # draws open, and the passes after it decide most of them
+    raw = urns.run_ium_ensemble(N2, 0.2, 2, (1, 1), (1, 1), 1000, 40, 7, record_every=1000)
+    mixed = ((raw.proportions[:, -1] > 0.02) & (raw.proportions[:, -1] < 0.98)).all(axis=1)
+    black, red = raw.final_counts[mixed, :2], raw.final_counts[mixed, 2:]
+    assert len(black) >= 5
+    logw = rf.log_weight_table(N2, 5000)
+    u = np.random.default_rng(3).random((len(black), urns._SUB_BLOCK, 4))
+    mech = urns._ium(2, 0.2)
+    counted, passes = counted_passes(mech)
+    added, open_ = urns._resolve(counted, black.copy(), red.copy(), logw, u, urns._PASSES, 0)
+    _, open_1 = urns._resolve(mech, black.copy(), red.copy(), logw, u, 1, 0)
+    assert 2 <= len(passes) <= urns._PASSES and all(2 * b <= a for a, b in zip(passes, passes[1:]))
+    assert np.count_nonzero(open_) < np.count_nonzero(open_1)
+    assert np.array_equal(added, kernel_increments(mech, black, red, logw, u))
+
+
+def test_later_passes_leave_a_phase_scan_point_unchanged():
+    # a phase-scan point in the mixed-limit regime: the passes after the
+    # first change nothing but the counters, and decide no fewer run-steps
+    args = (N2, 0.2, 2, (1, 1), (1, 1), 1000, 50, 2025)
+    passes = urns.run_ium_ensemble(*args, record_every=50)
+    with mock.patch.object(urns, "_PASSES", 1):
+        one = urns.run_ium_ensemble(*args, record_every=50)
+    assert_same_raw(passes, one)
+    assert passes.run_steps_screened >= one.run_steps_screened
 
 
 def test_window_min_of_a_non_monotone_table():
