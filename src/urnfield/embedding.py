@@ -280,8 +280,7 @@ def sample_embedding_counts(
     re-rating all timers after every jump (negative control for the law
     tests; with d = 1 it coincides with the correct dynamics).
     """
-    a = tuple(int(v) for v in a)
-    init_embedding(nc, a, d, seq, seed=0)  # validates arguments
+    a = init_embedding(nc, a, d, seq, seed=0).a  # the validated counts
     if k < 0 or n_samples < 1:
         raise ValueError(f"k must be >= 0 and n_samples >= 1, got k = {k}, n_samples = {n_samples}")
     rng = stream(seed)
@@ -304,8 +303,7 @@ def run_embedding_ensemble(
     jumps.  Run ``i`` consumes the stream a standalone
     ``init_embedding(..., seed=derive_seed(master, offset+i))`` would: nc
     initial masses, then one per jump."""
-    a = tuple(int(v) for v in a)
-    init_embedding(nc, a, d, seq, seed=0)  # validates arguments
+    a = init_embedding(nc, a, d, seq, seed=0).a  # the validated counts
     _check_steps(n_steps, record_every)
     rates = _rate_table(seq, max(a) + d * n_steps, max(a) + d * n_steps)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
@@ -333,8 +331,7 @@ def sample_multicolor_counts(
     """Counts after k steps of the discrete multi-color urn (d balls per
     step), for ``n_samples`` independent copies in lockstep on one shared
     stream."""
-    a = tuple(int(v) for v in a)
-    init_multicolor(nc, a, d, seq, seed=0)  # validates arguments
+    a = init_multicolor(nc, a, d, seq, seed=0).a  # the validated counts
     if k < 0 or n_samples < 1:
         raise ValueError(f"k must be >= 0 and n_samples >= 1, got k = {k}, n_samples = {n_samples}")
     rng = stream(seed)
@@ -423,6 +420,10 @@ def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     Categories come back in lexicographic row order."""
     samples_a = np.asarray(samples_a)
     samples_b = np.asarray(samples_b)
+    if any(s.ndim != 2 or s.dtype.kind not in "iu" for s in (samples_a, samples_b)) or \
+            samples_a.shape[1] != samples_b.shape[1]:
+        raise ValueError(f"need two 2-D integer arrays of equal width, got shapes {samples_a.shape} "
+                         f"({samples_a.dtype}) and {samples_b.shape} ({samples_b.dtype})")
     n_a, n_b = len(samples_a), len(samples_b)
     if n_a < 100 or n_b < 100:
         raise ValueError("need at least 100 samples on each side")

@@ -53,9 +53,11 @@ row each at the state the leader path reaches, and leaps through the rows
 that pass (``_paced``), the rows that pass with one leader in one leap.
 The first such stack holds 16 sub-blocks and each stack that passes whole
 doubles the next, up to the end of the drawn block, so a settled run
-screens and leaps a block in a call or two.  A leap's record samples are
-read off the leader path in one pass (``_along``), not sampled a step at
-a time.
+screens and leaps a block in a call or two.  A run that fails a screen
+goes unscreened for a wait after it, and steps that sub-block and its
+wait as one stretch, in one call.  The record samples inside a leap or a
+stretch are read off its count path in one pass (``_along``), not
+sampled a step at a time.
 
 One resolver, ``_resolve``, decides the draws of the black/red runs that
 a screen leaves, a mixed limit's minority draws included: each urn gains
@@ -66,11 +68,11 @@ the steps with a draw left open go through the kernel, in rounds over
 row subsets.  Each pass after the first bounds the open draws with the
 draws decided so far, and a pass follows only one that decided at least
 half of its draws, up to ``_PASSES``.  An ensemble resolves the runs that
-fail a screen this way, and a single run or coupled pair a stretch it
-leaves unscreened, which it reads off that plan as it goes.  A
-run-step is counted as screened when a bound decides it, leaped or
-resolved, in ensembles, ``run`` and ``run_coupled`` alike, and as exact
-when it goes through the kernel or the block stepper.  Screening changes
+fail a screen this way, and a single run or coupled pair each stretch it
+leaves unscreened, in one call.  A run-step is counted as screened when
+a bound decides it, leaped or resolved, in ensembles, ``run`` and
+``run_coupled`` alike, and as exact when it goes through the kernel or
+the block stepper.  Screening changes
 neither the RNG contract nor any output: every uniform is still drawn in
 the same order, and counts, last-change steps and recorded proportions
 are bit for bit those of stepping every run.
@@ -104,17 +106,14 @@ _LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above t
 class _LogW:
     """Growable lookup of log W(n) for one state; ``-inf`` marks zero
     weight.  ``run`` covers every count it can reach before its first step.
-    It also holds what ``run`` screens that state with: ``wins``, the
-    window minima of the table as an ensemble holds them, made anew when
-    the table grows, and ``wait``, the steps left to step unscreened and
-    the wait after the next failed screen, which carry over from one call
-    of ``run`` to the next."""
+    It also holds ``wins``, the window minima of the table as an ensemble
+    holds them, which ``run`` screens that state with, made anew when the
+    table grows."""
 
     def __init__(self, seq: ReinforcementSeq):
         self.seq = seq
         self.table = log_weight_table(seq, min(256, seq.last_index))
         self.wins = _Windows(self.table)
-        self.wait = [0, _SUB_BLOCK]
 
     def __call__(self, n: int) -> float:
         if n >= self.table.size:
@@ -390,14 +389,6 @@ def proportions(state: UrnState) -> np.ndarray:
     return _black_shares(state.black, state.red, state.n)
 
 
-def _leap_ium(state: UrnState, to_red: bool, length: int) -> int:
-    """Advance ``length`` steps along the all-black or all-red path; returns
-    the color that grew."""
-    (state.red if to_red else state.black)[:] += length
-    state.n += length
-    return int(to_red)
-
-
 def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False) -> Trajectory:
     """Advance any simulator state ``n_steps`` steps, recording proportions
     at the given cadence (step 0 and the final step are always recorded).
@@ -408,28 +399,31 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     run could pass fails before the first step.  Sub-blocks are screened
     against the leader path at ``_paced``'s cadence, and a state that
     passes advances in bulk, over as many sub-blocks as pass with one
-    leader, with the record steps inside a leap sampled off the leader path
-    (``_along``); other sub-blocks step exactly (``_stepper``)."""
+    leader; other stretches step exactly (``_stepper``).  The record steps
+    inside either are sampled off its count path (``_along``)."""
     mech, arrays = _dispatch(state)
     state.logw.cover(mech.balls * n_steps + sum(mech.totals(*arrays)) + 1)
     last_change = [0] * len(mech.totals(*arrays))
-    steps_exactly = _stepper(state, mech)
+    steps_exactly = _stepper(state)
 
     def sample(step):
         return mech.shares(*arrays, step), mech.totals(*arrays), np.concatenate(arrays) if record_counts else None
 
-    def exact(start, u, ahead):
-        decided = steps_exactly(start, u, ahead, last_change)[1]
-        return 0 if decided is None else np.count_nonzero(decided)
+    def exact(start, u):
+        counts, decided = steps_exactly(start, u, last_change)
+        inner = _along(mech, _rows_of(counts, len(arrays)), start, len(u), record_every)
+        return 0 if decided is None else np.count_nonzero(decided), inner
 
     def leap(leader, end, length):
-        inner = _along(mech, arrays, leader, end - length, length, record_every)
-        last_change[mech.leap_state(state, leader, length)] = end
-        return [(shares, totals, counts if record_counts else None) for shares, totals, counts in inner]
+        path = functools.partial(mech.path, *arrays, leader)
+        inner = _along(mech, path, end - length, length, record_every)
+        _advance_state(state, arrays, path, length)
+        last_change[int(leader)] = end
+        return inner
 
-    advance, counters = _paced(state.logw.wait, _screen_of(state), leap, exact)
-    steps, samples = _drive([state.rng], mech.per_step, n_steps, record_every, advance, sample)
-    props, totals, counts = zip(*samples)
+    advance, counters = _paced(_screen_of(state), leap, exact)
+    steps, recorded = _drive([state.rng], mech.per_step, n_steps, record_every, advance, sample)
+    props, totals, counts = zip(*recorded)
     return Trajectory(
         steps=steps,
         proportions=np.array(props, dtype=float),
@@ -455,89 +449,84 @@ def _screen_of(state):
     )
 
 
-def _stepper(state, mech):
+def _stepper(state):
     """The exact stepper of ``state`` in ``run`` and ``run_coupled``:
-    ``steps(start, u, ahead, last_change, path=False)`` steps the sub-block
-    ``u`` (steps, uniforms) as the block stepper does, ``ahead`` running
-    from the same step through the steps known to go unscreened.  It
-    returns, with ``path``, the counts after each step, black per urn then
-    red per urn, and which steps a bound decided, or None for none.
+    ``steps(start, u, last_change)`` steps the stretch ``u`` (steps,
+    uniforms) from step ``start`` as the block stepper does.  It returns the
+    counts after each step, one row per step, ``_dispatch``'s arrays
+    joined, and which steps a bound decided, or None for none.
 
     On a non-decreasing table, a black/red state plans a stretch of at
     least ``_MIN_PLAN`` steps in one call of ``_resolve`` on one row, one
-    open step costing about ``_OPEN_COST`` steps of the block stepper.  The
-    plan holds the counts after each step, each step's ``last_change``
-    values and which steps a bound decided, and the run reads each
-    sub-block off it while it follows the plan; it reads its covered table
-    as it stands."""
-    plan, resolvable = None, None
+    open step costing about ``_OPEN_COST`` steps of the block stepper; a
+    stretch it does not plan goes through the block stepper.  It reads its
+    covered table as it stands."""
+    mech, arrays = _dispatch(state)
+    resolvable = mech.decide is not None and _non_decreasing(state.logw.table)
 
-    def steps(start, u, ahead, last_change, path=False):
-        nonlocal plan, resolvable
-        if plan is None or plan[0] != start or start + len(u) > plan[1]:
-            if resolvable is None:
-                resolvable = mech.decide is not None and _non_decreasing(state.logw.table)
-            plan = [start, start + len(ahead), None, None, None]  # unresolved, the stretch steps one by one
-            resolved = resolvable and len(ahead) >= _MIN_PLAN and _resolve(
-                mech, state.black[None].copy(), state.red[None].copy(), state.logw.table, ahead[None], _PASSES,
-                _OPEN_COST)
-            if resolved:
-                inc, d = resolved[0][0].T, state.black.size  # each urn's black ball at each step
-                cum, at, n_black = np.cumsum(inc, axis=1), np.arange(start + 1, start + len(ahead) + 1), inc.sum(axis=0)
-                plan[2] = np.concatenate([state.black[:, None] + cum, state.red[:, None] + (at - start) - cum]).T
-                plan[3] = [np.maximum.accumulate(np.where(grew, at, 0)) for grew in (n_black > 0, n_black < d)]
-                plan[4] = ~resolved[1][0]
-        at, end, counts, last, decided = plan
-        plan[0] = start + len(u)
-        if counts is None:
-            rows = [[]] if path else []  # Python floats compare faster than numpy scalars
-            mech.steps(state, u.tolist(), start, last_change, *rows)
-            return rows[0] if path else None, None
-        j, d = start + len(u) - end + len(counts), state.black.size  # past the sub-block's last row
-        mech.leap_state(state, False, len(u))  # the step count; the counts are set next
-        state.black[:], state.red[:] = counts[j - 1, :d], counts[j - 1, d:]
-        last_change[:] = (max(c, int(at_j[j - 1])) for c, at_j in zip(last_change, last))
-        return counts[j - len(u):j], decided[j - len(u):j]
+    def steps(start, u, last_change):
+        resolved = resolvable and len(u) >= _MIN_PLAN and _resolve(
+            mech, state.black[None].copy(), state.red[None].copy(), state.logw.table, u[None], _PASSES, _OPEN_COST)
+        if not resolved:
+            path = []
+            mech.steps(state, u.tolist(), start, last_change, path)  # Python floats compare faster than numpy scalars
+            return path, None
+        cum = np.cumsum(resolved[0][0], axis=0)  # each urn's black balls by each step
+        counts = np.concatenate(arrays) + np.concatenate([cum, np.arange(1, len(u) + 1)[:, None] - cum], axis=1)
+        last = np.array([last_change])
+        _set_last_add(last, mech.grew(resolved[0]), start)
+        last_change[:] = last[0].tolist()
+        _advance_state(state, arrays, _rows_of(counts, 2), len(u))
+        return counts, ~resolved[1][0]
 
     return steps
 
 
-def _paced(wait, screen, leap, exact):
-    """``_drive``'s ``advance`` for a single run.  Sub-blocks shorter than
-    ``_MIN_SCREEN`` step exactly.  After a pass, the next sub-blocks of the
-    drawn block, up to a short one, are screened in one call as rows padded
+def _advance_state(state, arrays, path, length: int) -> None:
+    """Move a single state ``length`` steps on along ``path`` (as
+    ``_along`` reads it): its ``arrays`` to the counts there, and its step
+    count."""
+    for array, now in zip(arrays, path(np.array([length]))):
+        array[:] = now[0]
+    if isinstance(state, SequentialState):
+        state.substep += 2 * length
+    else:
+        state.n += length
+
+
+def _paced(screen, leap, exact):
+    """``_drive``'s ``advance`` for a single run.  Until a run passes a
+    screen, and after a failed one, a sub-block shorter than
+    ``_MIN_SCREEN`` steps exactly on its own.  Otherwise the next
+    sub-blocks of the drawn block are screened in one call as rows padded
     with copies of their last step, each at the state the run reaches if
     the rows before it pass with the same leader.  The run leaps the rows
     that do, so each decides as it would alone: the rows that pass with
     the run's leader, up to the first that does not, in one call of
-    ``leap(leader, end, length)``, which returns the samples at the record
-    steps inside the leap, and ``advance`` returns them to ``_drive`` with
-    the sub-blocks it covered.  The first such stack holds up to
+    ``leap(leader, end, length)``.  The first such stack holds up to
     ``_STACK`` sub-blocks, and each stack whose rows all pass with the same
     leader doubles the next, so a settled run screens and leaps a drawn
     block in a call or two.  A call costs about as much at 16 rows as at
-    one, 32-46 µs or 15-37 steps of a block stepper, so after a failed
-    screen the next ``_SUB_BLOCK`` steps go unscreened, twice as many after
-    each further one, at most ``_MAX_WAIT``; ``wait`` holds the steps left
-    and the next wait.  ``exact(start, u, ahead)`` also gets the draws the
-    wait covers, and returns the steps of ``u`` that a bound decided, which
-    count as screened."""
-    # the stack's rows to come, last first; the last pass's leader; the next stack's most rows
-    counters, ahead, lead, size = [0], [], [None], [1]
+    one, 32-46 µs or 15-37 steps of a block stepper, so a failed screen's
+    sub-block goes unscreened with the wait after it, up to the first cut
+    at least ``_SUB_BLOCK`` steps on, twice as many after each further
+    failed screen, at most ``_MAX_WAIT``, or up to the drawn block's end.
+    ``exact(start, u)`` steps such a stretch ``u`` and returns the steps of
+    it that a bound decided, which count as screened.  ``leap`` and
+    ``exact`` return the samples at the record steps inside what they
+    cover, for ``_drive``."""
+    # the stack's rows to come, last first; the last pass's leader; the next stack's most rows; the next wait
+    counters, ahead, lead, size, wait = [0], [], [None], [1], [_SUB_BLOCK]
 
     def advance(start, block, cuts, i):
-        a, b = cuts[i], cuts[i + 1]
-        if b - a < _MIN_SCREEN or wait[0] > 0:
-            wait[0] -= b - a if b - a >= _MIN_SCREEN else 0
-        else:
+        a, k = cuts[i], 1
+        if lead[0] is not None or cuts[i + 1] - a >= _MIN_SCREEN:
             if not ahead:
                 c = np.array(cuts[i:i + size[0] + 1])
-                c = c[:np.argmin(np.append(np.diff(c) >= _MIN_SCREEN, False)) + 1]  # up to the first short sub-block
                 rows = np.take(block[0], np.minimum(c[:-1, None] + _STEPS, c[1:, None] - 1), axis=0)
                 ok, leaders = screen(rows, lead[0], c - a)
                 ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
             ok, leader = ahead.pop()
-            k = 1
             if ok and leader == lead[0]:
                 while ahead and ahead[-1] == (True, leader):  # the rows that pass with it, leapt with it
                     ahead.pop()
@@ -547,12 +536,18 @@ def _paced(wait, screen, leap, exact):
             else:
                 ahead.clear()  # the rows ahead lie on a path the run left
                 size[0] = _STACK if ok else 1
-            lead[0], wait[:] = (leader, [0, _SUB_BLOCK]) if ok else (None, [wait[1], min(2 * wait[1], _MAX_WAIT)])
+            lead[0] = leader if ok else None
             if ok:
+                wait[0] = _SUB_BLOCK
                 b = cuts[i + k]
                 counters[0] += b - a
                 return k, leap(leader, start + b, b - a)
-        counters[0] += exact(start + a, block[0, a:b], block[0, a:b + wait[0] + _SUB_BLOCK if wait[0] > 0 else b])
+            k = min(bisect.bisect_left(cuts, cuts[i + 1] + wait[0], i + 1), len(cuts) - 1) - i
+            wait[0] = min(2 * wait[0], _MAX_WAIT)
+        b = cuts[i + k]
+        decided, inner = exact(start + a, block[0, a:b])
+        counters[0] += decided
+        return (k, inner) if k > 1 else None  # one sub-block holds no inner sample; None costs _drive less
 
     return advance, counters
 
@@ -595,11 +590,12 @@ def init_multicolor(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Mul
     )
 
 
-def _multicolor_steps(state: MultiColorState, rows, start: int, last_change: list) -> None:
+def _multicolor_steps(state: MultiColorState, rows, start: int, last_change: list, path: list | None = None) -> None:
     """``_multicolor_step`` on the state as one run, over a block as in
     ``_ium_steps``: one step per row of ``rows``, each the step's d
-    uniforms.  The weights are summed, and the cut points accumulated, left
-    to right, as in the kernel."""
+    uniforms, and a ``path`` list gets each color's count after each step.
+    The weights are summed, and the cut points accumulated, left to right,
+    as in the kernel."""
     counts = state.counts.tolist()
     state.logw.cover(max(counts) + state.d * len(rows))  # every count the block can reach
     logw = state.logw.table.item
@@ -613,15 +609,10 @@ def _multicolor_steps(state: MultiColorState, rows, start: int, last_change: lis
             c = bisect.bisect_left(cuts, u)  # the cut points below u
             counts[c] += 1
             last_change[c] = step
+        if path is not None:
+            path.append(counts.copy())
     state.counts[:] = counts
     state.n += len(rows)
-
-
-def _leap_multicolor(state: MultiColorState, leader: int, length: int) -> int:
-    """Advance ``length`` steps giving every ball to ``leader``; returns it."""
-    state.counts[leader] += state.d * length
-    state.n += length
-    return int(leader)
 
 
 def step_multicolor(state: MultiColorState) -> MultiColorState:
@@ -692,14 +683,6 @@ def step_sequential(state: SequentialState) -> SequentialState:
     return state
 
 
-def _leap_sequential(state: SequentialState, to_red: bool, length: int) -> int:
-    """Advance ``length`` macro steps along the all-black or all-red path;
-    returns the color that grew."""
-    (state.red if to_red else state.black)[:] += length
-    state.substep += 2 * length
-    return int(to_red)
-
-
 def sequential_proportions(state: SequentialState) -> np.ndarray:
     """Black-ball proportion per urn of its current balls, at any sub-step."""
     return _black_shares(state.black, state.red, state.substep // 2)
@@ -748,14 +731,19 @@ def run_coupled(
     last_i, last_s = [0, 0], [0, 0]
     violations = 0
     screen_i, screen_s = _screen_of(ium), _screen_of(seqp)
-    steps_i, steps_s = _stepper(ium, mech_i), _stepper(seqp, mech_s)
+    steps_i, steps_s = _stepper(ium), _stepper(seqp)
 
-    def exact(start, u, ahead):
+    def samples(path_i, path_s, begin, length):
+        inner = zip(_along(mech_i, path_i, begin, length, record_every),
+                    _along(mech_s, path_s, begin, length, record_every))
+        return [(shares_i, shares_s, totals_i, totals_s) for (shares_i, totals_i, _), (shares_s, totals_s, _) in inner]
+
+    def exact(start, u):
         nonlocal violations
-        (path_i, decided_i), (path_s, decided_s) = (
-            steps_i(start, u, ahead, last_i, True), steps_s(start, u[:, 1::2], ahead[:, 1::2], last_s, True))
-        violations += _violations(path_i, path_s)
-        return 0 if decided_i is None or decided_s is None else np.count_nonzero(decided_i & decided_s)
+        (counts_i, decided_i), (counts_s, decided_s) = steps_i(start, u, last_i), steps_s(start, u[:, 1::2], last_s)
+        violations += _violations(counts_i, counts_s)
+        decided = 0 if decided_i is None or decided_s is None else np.count_nonzero(decided_i & decided_s)
+        return decided, samples(_rows_of(counts_i, 2), _rows_of(counts_s, 2), start, len(u))
 
     def screen(u, leader, cuts):
         ok, to_red_i = screen_i(u, leader and leader[0], cuts)
@@ -768,17 +756,19 @@ def run_coupled(
         nonlocal violations
         gaps = (ium.black - seqp.black).tolist() + (seqp.red - ium.red).tolist()
         violations += _leap_violations(gaps, to_red, length)
-        inner = zip(_along(mech_i, arrays_i, to_red[0], end - length, length, record_every),
-                    _along(mech_s, arrays_s, to_red[1], end - length, length, record_every))
-        last_i[mech_i.leap_state(ium, to_red[0], length)] = end
-        last_s[mech_s.leap_state(seqp, to_red[1], length)] = end
-        return [(shares_i, shares_s, totals_i, totals_s) for (shares_i, totals_i, _), (shares_s, totals_s, _) in inner]
+        path_i = functools.partial(mech_i.path, *arrays_i, to_red[0])
+        path_s = functools.partial(mech_s.path, *arrays_s, to_red[1])
+        inner = samples(path_i, path_s, end - length, length)
+        _advance_state(ium, arrays_i, path_i, length)
+        _advance_state(seqp, arrays_s, path_s, length)
+        last_i[int(to_red[0])] = last_s[int(to_red[1])] = end
+        return inner
 
     def sample(step):
         return (mech_i.shares(*arrays_i, step), mech_s.shares(*arrays_s, step), mech_i.totals(*arrays_i),
                 mech_s.totals(*arrays_s))
 
-    advance, counters = _paced([0, _SUB_BLOCK], screen, leap, exact)
+    advance, counters = _paced(screen, leap, exact)
     steps, samples = _drive([stream(seed)], mech_i.per_step, n_steps, record_every, advance, sample)
     props_i, props_s, totals_i, totals_s = zip(*samples)
 
@@ -796,17 +786,24 @@ def run_coupled(
     return mk(props_i, totals_i, last_i), mk(props_s, totals_s, last_s), violations
 
 
-def _along(mech, arrays, leader, begin: int, length: int, record_every: int):
-    """The record samples of a leap of ``length`` steps from step ``begin``
-    with every step adding the ``leader``'s balls, at the record steps
-    strictly inside it: per record step, the shares, each color's total and
-    the counts (``arrays`` joined), which sampling the state there gives,
-    read off ``mech.path`` in one pass."""
-    offsets = np.arange(record_every - begin % record_every, length, record_every)
-    if not offsets.size:
+def _along(mech, path, begin: int, length: int, record_every: int):
+    """The record samples of a leap or a stretch of ``length`` steps from
+    step ``begin``, at the record steps strictly inside it: per record
+    step, the shares, each color's total and the counts (the arrays
+    joined), which sampling the state there gives, read in one pass off
+    ``path(offsets)``, the state's arrays after each of ``offsets`` steps,
+    one row per offset."""
+    offsets = range(record_every - begin % record_every, length, record_every)
+    if not offsets:
         return []
-    path = mech.path(*arrays, leader, offsets)
-    return list(zip(mech.shares(*path, begin + 1), mech.totals(*path), np.concatenate(path, axis=1)))
+    arrays = path(np.array(offsets))
+    return list(zip(mech.shares(*arrays, begin + 1), mech.totals(*arrays), np.concatenate(arrays, axis=1)))
+
+
+def _rows_of(counts: np.ndarray, n: int):
+    """``path(offsets)``, as ``_along`` reads it, of a stretch whose counts
+    after each step are the rows of ``counts``, ``n`` arrays joined."""
+    return lambda offsets: np.split(np.asarray(counts)[offsets - 1], n, axis=1)
 
 
 def _leap_violations(gaps: list, to_red, length: int) -> int:
@@ -841,13 +838,13 @@ def _violations(ium, seq) -> int:
 
 _SUB_BLOCK = 64  # most steps an ensemble screens at once; measured faster than 32 or 48
 _MARGIN = 1e-12  # relative shrink of a screened interval; the kernels round far finer
-_MIN_SCREEN = 16  # fewest steps a single run screens at once; shorter sub-blocks step
+_MIN_SCREEN = 16  # fewest steps a single run screens alone; shorter sub-blocks step unless they ride in a stack
 _MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screens
 _STACK = _MAX_WAIT // _SUB_BLOCK  # sub-blocks of a single run's first stacked screen after a pass, a wait's worth
 _STEPS = np.arange(_SUB_BLOCK)  # the steps of a stacked row, padded to a full sub-block
 _SIGN = np.array([[1], [-1]])  # a resolver's bound from below, then from above
 _SHARE_MARGIN = np.array([[1.0 - _MARGIN], [1.0 + _MARGIN]])
-_MIN_PLAN = 4 * _SUB_BLOCK  # fewest steps a single run plans at once; the shorter stretches come early, mostly open
+_MIN_PLAN = 4 * _SUB_BLOCK  # fewest steps a single run plans at once; 2 or 3 sub-blocks timed no faster (2-core x86)
 _PASSES = 4  # most passes of ``_resolve``; a mixed-limit run's minority draws take two or three
 _OPEN_COST = 14  # block-stepper steps (1.9 µs) an open step of a plan counts as; a one-row kernel takes ~26 µs
 
@@ -1255,7 +1252,8 @@ def _set_last_add(last_add: np.ndarray, grew: np.ndarray, start: int) -> None:
 class _Mechanism:
     """One urn mechanism, as ``run``, ``run_coupled`` and ``_ensemble``
     read it.  ``arrays`` are the counts ``_dispatch`` gives: rows are runs
-    in an ensemble, and a single state's arrays are 1-D."""
+    in an ensemble, and a single state's arrays are 1-D; one leaps along
+    ``path`` (``_advance_state``)."""
 
     per_step: int  # uniforms per step
     balls: int  # balls per step
@@ -1265,8 +1263,7 @@ class _Mechanism:
     leap: Callable  # (*arrays, last_add, ok, leader, end, length): the passing rows' bulk advance
     path: Callable  # (*arrays, leader, offsets) -> one state's arrays after each of ``offsets`` steps along the path
     shares: Callable  # (*arrays, step): the recorded proportions
-    steps: Callable  # (state, rows, start, last_change): a single state's block stepper
-    leap_state: Callable  # (state, leader, length) -> the color that grew
+    steps: Callable  # (state, rows, start, last_change, path): a single state's block stepper
     totals: Callable  # (*arrays) -> each color's total, of one state or of each row of a path
     decide: Callable | None  # (black, red, u) -> (color uniforms, bounds): ``_resolve``'s bounds
 
@@ -1312,8 +1309,8 @@ def _ium(d: int, p: float) -> _Mechanism:
 
     return _Mechanism(
         per_step=2 * d, balls=d, kernel=kernel, grew=_black_red_grew, screen=_ium_screen, leap=_black_red_leap,
-        path=_black_red_path, shares=_black_shares, steps=_ium_steps, leap_state=_leap_ium,
-        totals=_black_red_totals, decide=functools.partial(_ium_decide, p=p),
+        path=_black_red_path, shares=_black_shares, steps=_ium_steps, totals=_black_red_totals,
+        decide=functools.partial(_ium_decide, p=p),
     )
 
 
@@ -1331,7 +1328,7 @@ def _multicolor(d: int) -> _Mechanism:
     return _Mechanism(
         per_step=d, balls=d, kernel=lambda counts, logw, u: _multicolor_step(counts, logw, u),
         grew=lambda added: added > 0, screen=_multicolor_screen, leap=leap, path=path, shares=_color_shares,
-        steps=_multicolor_steps, leap_state=_leap_multicolor, totals=lambda counts: counts.tolist(), decide=None,
+        steps=_multicolor_steps, totals=lambda counts: counts.tolist(), decide=None,
     )
 
 
@@ -1345,7 +1342,7 @@ def _sequential(first: int) -> _Mechanism:
     return _Mechanism(
         per_step=2, balls=2, kernel=kernel, grew=_black_red_grew,
         screen=functools.partial(_sequential_screen, first=first), leap=_black_red_leap, path=_black_red_path,
-        shares=_black_shares, steps=_sequential_steps, leap_state=_leap_sequential, totals=_black_red_totals,
+        shares=_black_shares, steps=_sequential_steps, totals=_black_red_totals,
         decide=functools.partial(_sequential_decide, first=first),
     )
 

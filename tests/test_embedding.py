@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -62,9 +63,13 @@ class TestInit:
             emb.init_embedding(2, (1, 1), 0, N2, seed=1)
 
     def test_counts_must_be_whole_numbers(self):
-        # ``int`` would have started this state at (2, 1)
-        with pytest.raises(ValueError, match=r"whole numbers, got 2\.5"):
-            emb.init_embedding(2, (2.5, 1), 1, N2, seed=1)
+        # ``int`` would have started these at (2, 1)
+        for call in (lambda a: emb.init_embedding(2, a, 1, N2, seed=1),
+                     lambda a: emb.sample_embedding_counts(N2, 2, a, 1, 3, 100, seed=1),
+                     lambda a: emb.sample_multicolor_counts(N2, 2, a, 1, 3, 100, seed=1),
+                     lambda a: emb.run_embedding_ensemble(N2, 2, a, 1, 3, 2, 1)):
+            with pytest.raises(ValueError, match=r"whole numbers, got 2\.5"):
+                call((2.5, 1))
 
 
 class TestAdvance:
@@ -326,6 +331,16 @@ class TestCompareLaws:
         za = np.ones((50, 2), dtype=np.int64)
         with pytest.raises(ValueError):
             emb.compare_laws(za, za)
+
+    @pytest.mark.parametrize("za, zb", [
+        (np.ones((200, 2), dtype=np.int64), np.ones((200, 3), dtype=np.int64)),  # a column would be dropped
+        (np.ones((200, 2), dtype=np.int64), np.ones(200, dtype=np.int64)),
+        (np.ones(200, dtype=np.int64), np.ones(200, dtype=np.int64)),
+        (np.ones((200, 2)), np.ones((200, 2), dtype=np.int64)),
+    ], ids=["widths", "2-D and 1-D", "1-D", "float"])
+    def test_samples_must_be_integer_rows_of_one_width(self, za, zb):
+        with pytest.raises(ValueError, match=f"shapes {re.escape(str(za.shape))}.* and {re.escape(str(zb.shape))}"):
+            emb.compare_laws(za, zb)
 
     def test_identical_single_outcome(self):
         za = np.ones((200, 2), dtype=np.int64)

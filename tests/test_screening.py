@@ -582,8 +582,8 @@ def one_row_screens():
     of each stack, so every row after it is screened anew."""
     paced = urns._paced
 
-    def one_row_paced(wait, screen, leap, exact):
-        return paced(wait, lambda u, leader, cuts: screen(u[:1], leader, cuts[:2]), leap, exact)
+    def one_row_paced(screen, leap, exact):
+        return paced(lambda u, leader, cuts: screen(u[:1], leader, cuts[:2]), leap, exact)
 
     with mock.patch.object(urns, "_paced", one_row_paced):
         yield
@@ -596,7 +596,7 @@ def screen_log():
     decided."""
     log, paced = [], urns._paced
 
-    def logged_paced(wait, screen, leap, exact):
+    def logged_paced(screen, leap, exact):
         now = [0]
 
         def logged(u, leader, cuts):
@@ -604,7 +604,7 @@ def screen_log():
             log.append(((now[0] + cuts).tolist(), leader, ok.tolist(), leaders.tolist()))
             return ok, leaders
 
-        advance, counters = paced(wait, logged, leap, exact)
+        advance, counters = paced(logged, leap, exact)
 
         def tracked(start, block, cuts, i):
             now[0] = start + cuts[i]
@@ -646,15 +646,14 @@ def assert_stacked_run_equals_exact_stepping(model, seq, record_every, n_steps):
 @pytest.mark.parametrize("seq", ["(n+1)^3", "example I"])
 @pytest.mark.parametrize("model", STACK_INITS)
 def test_stacked_run_equals_exact_stepping(model, seq, record_every):
-    # rows of unequal length (64 and 36 steps at 100), stacks cut short by a
-    # sub-block under _MIN_SCREEN (6 steps at 70, 12 at 140), a drawn block
+    # rows of unequal length (64 and 36 steps at 100), rows under
+    # _MIN_SCREEN inside a stack (6 steps at 70, 12 at 140), a drawn block
     # that ends at step 4096, and, under example I from nearly tied counts,
     # runs that change leader before they settle
     log = assert_stacked_run_equals_exact_stepping(model, seq, record_every, 4500)
     # stacks that pass whole double the next past the first stack's _STACK
-    # rows; at 70 and 140 a sub-block of 6 or 12 steps ends each stack first
-    rows = max(len(ok) for _, _, ok, _ in log)
-    assert (rows > urns._STACK) if record_every in (17, 100) else (1 < rows < urns._STACK)
+    # rows, short rows and all
+    assert max(len(ok) for _, _, ok, _ in log) > urns._STACK
     if record_every == 100:  # a stack that meets the end of the first drawn block
         assert any(cuts[-1] == 4096 and len(cuts) > 2 for cuts, _, _, _ in log)
 
@@ -789,17 +788,28 @@ def test_settled_run_screens_in_few_calls(tmp_path):
     assert len(log) <= 9
 
 
+@pytest.mark.parametrize("record_every", [70, 333])
+def test_short_rows_ride_in_a_settled_runs_stacks(tmp_path, record_every):
+    # each record interval ends in a row under _MIN_SCREEN, of 6 steps at 70
+    # and 13 at 333; such a row ends no stack, so the run screens in as few
+    # calls as at 100.  When it ended each stack, 285 and 65 calls were made
+    with screen_log() as log:
+        _, args = TestRunCounters().simulate(tmp_path, 20_000, record_every)
+    assert args["run_steps_screened"] > 0.9 * 20_000
+    assert len(log) <= 9
+
+
 @contextlib.contextmanager
 def leap_log():
     """Logs each leap of ``run`` and ``run_coupled``: its end step and length."""
     log, paced = [], urns._paced
 
-    def logged_paced(wait, screen, leap, exact):
+    def logged_paced(screen, leap, exact):
         def logged(leader, end, length):
             log.append((end, length))
             return leap(leader, end, length)
 
-        return paced(wait, screen, logged, exact)
+        return paced(screen, logged, exact)
 
     with mock.patch.object(urns, "_paced", logged_paced):
         yield log
@@ -829,7 +839,7 @@ def assert_same_bytes(a, b):
 def test_leap_over_record_steps_equals_exact_stepping(model, record_every):
     # a leap covers many sub-blocks and takes the record steps inside it off
     # the leader path; one call of 9000 steps, and two consecutive calls on
-    # one state split at a record step, which carry the wait over
+    # one state split at a record step
     split = record_every * (4500 // record_every)
     runs = []
     for ctx in (leap_log(), one_row_screens(), exact_stepping()):
@@ -841,8 +851,8 @@ def test_leap_over_record_steps_equals_exact_stepping(model, record_every):
         runs.append((trs, (whole, halves), log))
     (stacked, states, leaps), (one_row, states_1, _), (exact, states_x, _) = runs
     # at 333 each stretch between record steps ends in a 13-step sub-block,
-    # which ends a stack; only a drawn block's end shifts a record step inside
-    assert inner_record_steps(leaps, record_every) >= (1 if record_every == 333 else 2)
+    # which rides in the stack
+    assert inner_record_steps(leaps, record_every) >= 2
     for trs, sts in ((one_row, states_1), (exact, states_x)):
         for a, b in zip(stacked + list(states), trs + list(sts)):
             (assert_same_bytes if isinstance(a, urns.Trajectory) else assert_same_state)(a, b)
@@ -861,7 +871,7 @@ def test_coupled_leap_over_record_steps_equals_exact_stepping(p, seed, record_ev
         with ctx as log:
             runs.append((urns.run_coupled((1, 1), (1, 1), p, N2, seed, 9000, record_every), log))
     ((ti, ts, v), leaps), ((ti_1, ts_1, v_1), _), ((ti_x, ts_x, v_x), _) = runs
-    assert inner_record_steps(leaps, record_every) >= (1 if record_every == 333 else 2)
+    assert inner_record_steps(leaps, record_every) >= 2
     assert v == v_1 == v_x == 0
     for a, b in ((ti, ti_1), (ti, ti_x), (ts, ts_1), (ts, ts_x)):
         assert_same_bytes(a, b)
@@ -973,12 +983,46 @@ def test_planned_run_equals_exact_stepping(call, n, record_counts, odd, walk):
 W3_EXACT = rf.make_polynomial([0, 0, 0, 1])
 
 
+@contextlib.contextmanager
+def stretch_log():
+    """Logs each call of the ``exact`` that ``_paced`` is given: whether the
+    advance that made it screened, the cuts and sub-block it advanced from,
+    and the steps the call covered."""
+    log, paced = [], urns._paced
+
+    def logged_paced(screen, leap, exact):
+        now = {}
+
+        def logged_screen(u, leader, cuts):
+            now["screened"] = True
+            return screen(u, leader, cuts)
+
+        def logged_exact(start, u):
+            log.append((now.pop("screened", False), now["cuts"], now["i"], start - now["start"], len(u)))
+            return exact(start, u)
+
+        advance, counters = paced(logged_screen, leap, logged_exact)
+
+        def tracked(start, block, cuts, i):
+            now.update(start=start, cuts=cuts, i=i)
+            return advance(start, block, cuts, i)
+
+        return tracked, counters
+
+    with mock.patch.object(urns, "_paced", logged_paced):
+        yield log
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
 @pytest.mark.parametrize("record_every", [17, 100, 1000])
 def test_mixed_limit_run_is_planned(seed, record_every):
     # at p = 0.2 these runs go to a mixed limit and never pass a screen; the
     # plans leave the block stepper and the kernel under a tenth of the
-    # steps, and the steps they decide count as screened
+    # steps, and the steps they decide count as screened.  Each call of
+    # ``exact`` after a failed screen covers its sub-block and the wait
+    # after it, which doubles from _SUB_BLOCK to _MAX_WAIT, up to the first
+    # cut past the wait or the drawn block's end; a short sub-block that is
+    # not screened steps on its own
     stepped, ium_steps, ium_step = [], urns._ium_steps, urns._ium_step
 
     def counted(state, rows, *args):
@@ -990,7 +1034,7 @@ def test_mixed_limit_run_is_planned(seed, record_every):
         return ium_step(black, *args)
 
     state, state_x = (urns.init_ium(2, (1, 1), (1, 1), 0.2, W3_EXACT, seed) for _ in range(2))
-    with screen_log() as log, mock.patch.object(urns, "_ium_steps", counted), \
+    with screen_log() as log, stretch_log() as stretches, mock.patch.object(urns, "_ium_steps", counted), \
             mock.patch.object(urns, "_ium_step", counted_kernel):
         planned = urns.run(state, 6000, record_every, record_counts=True)
     with exact_stepping():
@@ -999,6 +1043,16 @@ def test_mixed_limit_run_is_planned(seed, record_every):
     assert_same_state(state, state_x)
     assert not any(any(ok) for _, _, ok, _ in log) and 0.05 < planned.proportions[-1].min() < 0.2
     assert planned.run_steps_exact == sum(stepped) < 0.1 * 6000
+    wait = urns._SUB_BLOCK
+    for screened, cuts, i, offset, length in stretches:
+        if screened:
+            end = next((c for c in cuts[i + 1:] if c >= cuts[i + 1] + wait), cuts[-1])
+            wait = min(2 * wait, urns._MAX_WAIT)
+        else:
+            assert cuts[i + 1] - cuts[i] < urns._MIN_SCREEN
+            end = cuts[i + 1]
+        assert (offset, length) == (cuts[i], end - cuts[i])
+    assert wait == urns._MAX_WAIT and sum(length for *_, length in stretches) == 6000
 
 
 def test_plans_need_a_non_decreasing_table():
@@ -1129,12 +1183,13 @@ def test_violations_along_block_stepper_paths():
 @pytest.mark.parametrize("init, stepper, width", [
     (lambda: urns.init_ium(2, (1, 2), (2, 1), 0.5, N2, seed=3), urns._ium_steps, 4),
     (lambda: urns.init_sequential((1, 2), (2, 1), N2, seed=3), urns._sequential_steps, 2),
+    (lambda: urns.init_multicolor(3, (1, 2, 2), 2, N2, seed=3), urns._multicolor_steps, 2),
 ])
 def test_block_steppers_report_the_counts_after_each_step(init, stepper, width):
     block, single = init(), init()
     rows = np.random.default_rng(5).random((50, width)).tolist()
     path = []
-    stepper(block, rows, 0, [0, 0], path)
+    stepper(block, rows, 0, [0] * 3, path)
     for step, row in enumerate(rows):
-        stepper(single, (row,), step, [0, 0])
-        assert path[step] == single.black.tolist() + single.red.tolist()
+        stepper(single, (row,), step, [0] * 3)
+        assert path[step] == np.concatenate(urns._dispatch(single)[1]).tolist()
