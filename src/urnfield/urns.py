@@ -40,11 +40,13 @@ at the record steps inside them.
 Ensembles, ``run`` and ``run_coupled`` screen each sub-block against the
 leader path.  Under strong reinforcement almost every step adds the
 leader's balls, so each kernel has a screen beside it that bounds the
-leader's probability over the whole sub-block from a windowed minimum of
-the log-weight table and tests every uniform of the sub-block against that
-bound, shrunk by a relative margin.  Ensembles and single runs read the
-same table of window minima, built by ``_window_min``, and end their
-screens in the same interval test, ``_inside``.  Runs that pass advance
+leader's probability over the whole sub-block from the floor of the
+log-weight table, the least log W at any count from a count on
+(``_floor``), and tests every uniform of the sub-block against that
+bound, shrunk by a relative margin.  The floor bounds log W along any
+path that gains balls, monotone table or not; on a non-decreasing table
+it is the table.  Ensembles and single runs read the same floor and end
+their screens in the same interval test, ``_inside``.  Runs that pass advance
 along the leader path in bulk; the others step through the kernel, or, in
 ``run`` and ``run_coupled``, through the block stepper.  A single run has
 one row to screen, and a screen of 16 rows costs about as much as one; so
@@ -53,9 +55,10 @@ row each at the state the leader path reaches, and leaps through the rows
 that pass (``_paced``), the rows that pass with one leader in one leap.
 The first such stack holds 16 sub-blocks and each stack that passes whole
 doubles the next, up to the end of the drawn block, so a settled run
-screens and leaps a block in a call or two.  A run that fails a screen
-goes unscreened for a wait after it, and steps that sub-block and its
-wait as one stretch, in one call.  The record samples inside a leap or a
+screens and leaps a block in a call or two.  Every sub-block outside a
+wait is screened, however short.  A run that fails a screen goes
+unscreened for a wait after it, and steps that sub-block and its wait as
+one stretch, in one call.  The record samples inside a leap or a
 stretch are read off its count path in one pass (``_along``), not
 sampled a step at a time.
 
@@ -106,14 +109,13 @@ _LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above t
 class _LogW:
     """Growable lookup of log W(n) for one state; ``-inf`` marks zero
     weight.  ``run`` covers every count it can reach before its first step.
-    It also holds ``wins``, the window minima of the table as an ensemble
-    holds them, which ``run`` screens that state with, made anew when the
-    table grows."""
+    It also holds the table's ``floor`` (``_floor``), which ``run`` screens
+    that state with, made anew when the table grows."""
 
     def __init__(self, seq: ReinforcementSeq):
         self.seq = seq
         self.table = log_weight_table(seq, min(256, seq.last_index))
-        self.wins = _Windows(self.table)
+        self.floor = _floor(self.table)
 
     def __call__(self, n: int) -> float:
         if n >= self.table.size:
@@ -125,7 +127,7 @@ class _LogW:
         index), until it holds log W(n)."""
         if n >= self.table.size:
             self.table = log_weight_table(self.seq, max(n, min(2 * self.table.size, self.seq.last_index)))
-            self.wins = _Windows(self.table)
+            self.floor = _floor(self.table)
 
 
 def _prob_first(log_a: float, log_b: float) -> float:
@@ -445,7 +447,7 @@ def _screen_of(state):
     first."""
     mech, arrays = _dispatch(state)
     return lambda u, leader, cuts: mech.screen(
-        *mech.path(*arrays, leader, cuts[:-1]), state.logw.table, state.logw.wins, u
+        *mech.path(*arrays, leader, cuts[:-1]), state.logw.table, state.logw.floor, u
     )
 
 
@@ -495,58 +497,55 @@ def _advance_state(state, arrays, path, length: int) -> None:
 
 
 def _paced(screen, leap, exact):
-    """``_drive``'s ``advance`` for a single run.  Until a run passes a
-    screen, and after a failed one, a sub-block shorter than
-    ``_MIN_SCREEN`` steps exactly on its own.  Otherwise the next
-    sub-blocks of the drawn block are screened in one call as rows padded
-    with copies of their last step, each at the state the run reaches if
-    the rows before it pass with the same leader.  The run leaps the rows
-    that do, so each decides as it would alone: the rows that pass with
-    the run's leader, up to the first that does not, in one call of
-    ``leap(leader, end, length)``.  The first such stack holds up to
-    ``_STACK`` sub-blocks, and each stack whose rows all pass with the same
-    leader doubles the next, so a settled run screens and leaps a drawn
-    block in a call or two.  A call costs about as much at 16 rows as at
-    one, 32-46 µs or 15-37 steps of a block stepper, so a failed screen's
-    sub-block goes unscreened with the wait after it, up to the first cut
-    at least ``_SUB_BLOCK`` steps on, twice as many after each further
-    failed screen, at most ``_MAX_WAIT``, or up to the drawn block's end.
-    ``exact(start, u)`` steps such a stretch ``u`` and returns the steps of
-    it that a bound decided, which count as screened.  ``leap`` and
-    ``exact`` return the samples at the record steps inside what they
-    cover, for ``_drive``."""
+    """``_drive``'s ``advance`` for a single run.  Every sub-block outside
+    a wait is screened: the next sub-blocks of the drawn block in one call,
+    as rows padded with copies of their last step, each at the state the
+    run reaches if the rows before it pass with the same leader.  The run
+    leaps the rows that do, so each decides as it would alone: the rows
+    that pass with the run's leader, up to the first that does not, in one
+    call of ``leap(leader, end, length)``.  A stack holds one sub-block
+    until a pass, up to ``_STACK`` after it, and each stack whose rows all
+    pass with the same leader doubles the next, so a settled run screens
+    and leaps a drawn block in a call or two.  A call costs about as much
+    at 16 rows as at one, 32-46 µs or 15-37 steps of a block stepper, so a
+    failed screen's sub-block goes unscreened with the wait after it, up
+    to the first cut at least ``_SUB_BLOCK`` steps on, twice as many after
+    each further failed screen, at most ``_MAX_WAIT``, or up to the drawn
+    block's end.  ``exact(start, u)`` steps such a stretch ``u`` and
+    returns the steps of it that a bound decided, which count as screened.
+    ``leap`` and ``exact`` return the samples at the record steps inside
+    what they cover, for ``_drive``."""
     # the stack's rows to come, last first; the last pass's leader; the next stack's most rows; the next wait
     counters, ahead, lead, size, wait = [0], [], [None], [1], [_SUB_BLOCK]
 
     def advance(start, block, cuts, i):
         a, k = cuts[i], 1
-        if lead[0] is not None or cuts[i + 1] - a >= _MIN_SCREEN:
-            if not ahead:
-                c = np.array(cuts[i:i + size[0] + 1])
-                rows = np.take(block[0], np.minimum(c[:-1, None] + _STEPS, c[1:, None] - 1), axis=0)
-                ok, leaders = screen(rows, lead[0], c - a)
-                ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
-            ok, leader = ahead.pop()
-            if ok and leader == lead[0]:
-                while ahead and ahead[-1] == (True, leader):  # the rows that pass with it, leapt with it
-                    ahead.pop()
-                    k += 1
-                if not ahead:  # the whole stack passed
-                    size[0] *= 2
-            else:
-                ahead.clear()  # the rows ahead lie on a path the run left
-                size[0] = _STACK if ok else 1
-            lead[0] = leader if ok else None
-            if ok:
-                wait[0] = _SUB_BLOCK
-                b = cuts[i + k]
-                counters[0] += b - a
-                return k, leap(leader, start + b, b - a)
-            k = min(bisect.bisect_left(cuts, cuts[i + 1] + wait[0], i + 1), len(cuts) - 1) - i
-            wait[0] = min(2 * wait[0], _MAX_WAIT)
+        if not ahead:
+            c = np.array(cuts[i:i + size[0] + 1])
+            rows = np.take(block[0], np.minimum(c[:-1, None] + _STEPS, c[1:, None] - 1), axis=0)
+            ok, leaders = screen(rows, lead[0], c - a)
+            ahead[:] = zip(ok.tolist()[::-1], leaders.tolist()[::-1])
+        ok, leader = ahead.pop()
+        if ok and leader == lead[0]:
+            while ahead and ahead[-1] == (True, leader):  # the rows that pass with it, leapt with it
+                ahead.pop()
+                k += 1
+            if not ahead:  # the whole stack passed
+                size[0] *= 2
+        else:
+            ahead.clear()  # the rows ahead lie on a path the run left
+            size[0] = _STACK if ok else 1
+        lead[0] = leader if ok else None
+        if ok:
+            wait[0] = _SUB_BLOCK
+            b = cuts[i + k]
+            counters[0] += b - a
+            return k, leap(leader, start + b, b - a)
+        k = min(bisect.bisect_left(cuts, cuts[i + 1] + wait[0], i + 1), len(cuts) - 1) - i
+        wait[0] = min(2 * wait[0], _MAX_WAIT)
         b = cuts[i + k]
         decided, inner = exact(start + a, block[0, a:b])
-        counters[0] += decided
+        counters[0] += int(decided)
         return (k, inner) if k > 1 else None  # one sub-block holds no inner sample; None costs _drive less
 
     return advance, counters
@@ -838,7 +837,6 @@ def _violations(ium, seq) -> int:
 
 _SUB_BLOCK = 64  # most steps an ensemble screens at once; measured faster than 32 or 48
 _MARGIN = 1e-12  # relative shrink of a screened interval; the kernels round far finer
-_MIN_SCREEN = 16  # fewest steps a single run screens alone; shorter sub-blocks step unless they ride in a stack
 _MAX_WAIT = 1024  # most steps a single run steps unscreened after failed screens
 _STACK = _MAX_WAIT // _SUB_BLOCK  # sub-blocks of a single run's first stacked screen after a pass, a wait's worth
 _STEPS = np.arange(_SUB_BLOCK)  # the steps of a stacked row, padded to a full sub-block
@@ -982,36 +980,15 @@ def _sequential_step(black: np.ndarray, red: np.ndarray, logw: np.ndarray, u: np
 # whatever its rounding.
 
 
-def _window_min(logw: np.ndarray, stride: int) -> np.ndarray:
-    """``out[n]``: the least of ``logw[n + stride * t]`` over ``t <
-    _SUB_BLOCK``, a lower bound on log W along a path that gains ``stride``
-    balls per step, over any sub-block starting at count ``n``.  For
-    non-decreasing W it is ``logw[n]``.  Counts past the table count as
-    ``+inf``: ensembles, ``run`` and ``run_coupled`` size their tables to
-    every count their horizon can reach, so no path reaches them.  Each
-    pass doubles the window and drops as many entries off the padded end
-    (``_SUB_BLOCK`` is a power of two); a minimum does not round, so any
-    grouping gives the same table."""
-    out = np.concatenate([logw, np.full(stride * (_SUB_BLOCK - 1), np.inf)])
-    span = stride
-    while span < stride * _SUB_BLOCK:
-        out = np.minimum(out[:-span], out[span:])
-        span *= 2
-    return out
-
-
-class _Windows(dict):
-    """The window minima of one log-weight table by stride, each built in
-    full on first use.  Ensembles and single runs read them alike; a single
-    run's ``_LogW`` builds a new one whenever its table grows."""
-
-    def __init__(self, logw: np.ndarray):
-        super().__init__()
-        self.logw = logw
-
-    def __missing__(self, stride: int):
-        self[stride] = win = _window_min(self.logw, stride)
-        return win
+def _floor(logw: np.ndarray) -> np.ndarray:
+    """``out[n]``: the least log W at any count from ``n`` to the table's
+    end, a lower bound on log W along any path from count ``n`` that stays
+    in the table, whatever the balls it gains per step.  Ensembles,
+    ``run`` and ``run_coupled`` size their tables to every count their
+    horizon can reach.  A non-decreasing table is its own floor and is
+    returned as it is, with no second array to build (about 5 ns an
+    entry) or hold."""
+    return logw if _non_decreasing(logw) else np.minimum.accumulate(logw[::-1])[::-1]
 
 
 def _inside(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -1040,43 +1017,43 @@ def _black_red_screen(qb: np.ndarray, qr: np.ndarray, uc: np.ndarray):
     return _inside(uc, np.where(to_red, qr, -np.inf), np.where(to_red, np.inf, qb)), to_red
 
 
-def _ium_screen(black, red, logw, win, u):
-    """Screen of ``_ium_step``.  On the black path each urn's black count
-    grows by one per step and the pooled black total by d, so the windowed
-    minima bound both black shares from below, and a color uniform under
-    both is black whatever the interaction draw.  The red path mirrors it."""
-    d = black.shape[1]
+def _ium_screen(black, red, logw, floor, u):
+    """Screen of ``_ium_step``.  On the black path the black counts only
+    grow and the red ones stay, so the floor at each urn's black count and
+    at the pooled black total bounds both black shares from below, and a
+    color uniform under both is black whatever the interaction draw.  The
+    red path mirrors it."""
     total_b, total_r = black.sum(axis=1), red.sum(axis=1)
-    qb = np.minimum(_share(win[d][total_b], logw[total_r])[:, None], _share(win[1][black], logw[red]))
-    qr = np.maximum(_share(logw[total_b], win[d][total_r])[:, None], _share(logw[black], win[1][red]))
+    qb = np.minimum(_share(floor[total_b], logw[total_r])[:, None], _share(floor[black], logw[red]))
+    qr = np.maximum(_share(logw[total_b], floor[total_r])[:, None], _share(logw[black], floor[red]))
     return _black_red_screen(qb, qr, u[:, :, 1::2])
 
 
-def _sequential_screen(black, red, logw, win, u, first: int = 0):
+def _sequential_screen(black, red, logw, floor, u, first: int = 0):
     """Screen of ``_sequential_step``.  On the black path each urn's own
     black count grows by one per step against the fixed pooled red count.
     On the red path the pooled red count grows by one per sub-step, so urn
-    k sees it at offset k with stride 2, or at offset 1 - k when urn
-    ``first`` = 1 draws first (a state left mid-step by
-    ``step_sequential``)."""
+    k first sees it at offset k, or at offset 1 - k when urn ``first`` = 1
+    draws first (a state left mid-step by ``step_sequential``), and the
+    floor there bounds it from below."""
     total_r = red.sum(axis=1)[:, None]
-    qb = _share(win[1][black], logw[total_r])
-    qr = _share(logw[black], win[2][total_r + [first, 1 - first]])
+    qb = _share(floor[black], logw[total_r])
+    qr = _share(logw[black], floor[total_r + [first, 1 - first]])
     return _black_red_screen(qb, qr, u)
 
 
-def _multicolor_screen(counts, logw, win, u):
+def _multicolor_screen(counts, logw, floor, u):
     """Screen of ``_multicolor_step``.  The leader, the color of largest
-    weight, takes all d balls of every step, so the windowed minimum of its
-    log weight at stride d bounds its cut-point interval from within: along
-    the path the cut point below it only falls and the one above it only
-    rises.  The first color has no lower cut point and the last no upper
-    one.  Returns the passing runs and their leaders."""
+    weight, takes all d balls of every step and the other weights stay,
+    so the floor of its log weight bounds its cut-point interval from
+    within: the cut point below it falls, and the one above it rises, as
+    its weight grows.  The first color has no lower cut point and the last
+    no upper one.  Returns the passing runs and their leaders."""
     nc = counts.shape[1]
     rows = np.arange(len(counts))
     lw = logw[counts]
     leader = lw.argmax(axis=1)
-    lw[rows, leader] = win[u.shape[2]][counts[rows, leader]]
+    lw[rows, leader] = floor[counts[rows, leader]]
     w = np.exp(lw - lw.max(axis=1, keepdims=True))
     cw = np.cumsum(w, axis=1)
     lo = np.where(leader > 0, cw[rows, leader - 1] / cw[:, -1] * (1.0 + _MARGIN), -np.inf)
@@ -1237,7 +1214,7 @@ def _screened(arrays, screen, leap, step):
                 exact = step(*part, start, u[flagged])
                 for a, rows in zip(arrays, part):
                     a[flagged] = rows
-        counters[0] += np.count_nonzero(ok) * length if exact is None else n_runs * length - exact
+        counters[0] += int(np.count_nonzero(ok) * length if exact is None else n_runs * length - exact)
 
     return advance, counters
 
@@ -1259,7 +1236,7 @@ class _Mechanism:
     balls: int  # balls per step
     kernel: Callable  # (*arrays, logw, u) -> balls added: the lockstep step of an ensemble's rows
     grew: Callable  # (balls added (runs, length, k)) -> whether each color grew (runs, length, colors)
-    screen: Callable  # (*arrays, logw, win, u) -> (ok, leader), ``win`` the window minima by stride
+    screen: Callable  # (*arrays, logw, floor, u) -> (ok, leader), ``floor`` the table's ``_floor``
     leap: Callable  # (*arrays, last_add, ok, leader, end, length): the passing rows' bulk advance
     path: Callable  # (*arrays, leader, offsets) -> one state's arrays after each of ``offsets`` steps along the path
     shares: Callable  # (*arrays, step): the recorded proportions
@@ -1370,7 +1347,7 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
     totals = mech.totals(*arrays)
     arrays = [np.tile(a, (n_runs, 1)) for a in arrays]
     logw = log_weight_table(state.seq, mech.balls * n_steps + sum(totals) + 1)
-    win = _Windows(logw)
+    floor = _floor(logw)
     resolvable = mech.decide is not None and _non_decreasing(logw)
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, len(totals)), dtype=np.int64)
@@ -1386,7 +1363,7 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
         return exact
 
     leap = functools.partial(mech.leap, *arrays, last_add)
-    advance, counters = _screened((*arrays, last_add), lambda u: mech.screen(*arrays, logw, win, u), leap, step)
+    advance, counters = _screened((*arrays, last_add), lambda u: mech.screen(*arrays, logw, floor, u), leap, step)
     steps, props = _drive(gens, mech.per_step, n_steps, record_every, advance, lambda step: mech.shares(*arrays, step))
     screened = counters[0]
     return EnsembleRaw(steps, np.stack(props, axis=1), last_add, np.concatenate(arrays, axis=1), seeds, screened,

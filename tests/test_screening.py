@@ -7,7 +7,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 from unittest import mock
 
 import numpy as np
@@ -37,11 +36,16 @@ WEIGHTS = {
 N2 = WEIGHTS["n^2"]
 
 
+def failing_screen_of(state):
+    """A ``_screen_of`` whose screens pass no row and evaluate no bound."""
+    return lambda u, leader, cuts: (np.zeros(len(u), dtype=bool), np.zeros(len(u), dtype=np.int64))
+
+
 @contextlib.contextmanager
 def failed_screens():
     """Every ensemble run fails the screen, so every sub-block steps every
-    row in place, and ``run`` and ``run_coupled`` screen no sub-block, so
-    they step every sub-block through the block stepper."""
+    row in place, and every screen of ``run`` and ``run_coupled`` fails, so
+    they step every stretch exactly, in waits that grow to ``_MAX_WAIT``."""
     screened = urns._screened
 
     def none_pass(arrays, screen, leap, step):
@@ -51,7 +55,7 @@ def failed_screens():
 
         return screened(arrays, fail_all, leap, step)
 
-    with mock.patch.object(urns, "_screened", none_pass), mock.patch.object(urns, "_MIN_SCREEN", math.inf):
+    with mock.patch.object(urns, "_screened", none_pass), mock.patch.object(urns, "_screen_of", failing_screen_of):
         yield
 
 
@@ -151,14 +155,13 @@ class TestMargin:
 
     def test_ium(self):
         logw = rf.log_weight_table(N2, 200)
-        win = {s: urns._window_min(logw, s) for s in (1, 2)}
         black, red = np.array([[6, 4]]), np.array([[1, 2]])
-        # W is non-decreasing: the window minimum is the sub-block start
+        # W is non-decreasing: its floor is W itself, read at the sub-block start
         q = min(urns._share(logw[10], logw[3]), urns._share(logw[6], logw[1]), urns._share(logw[4], logw[2]))
         for rel, passes in ((self.INSIDE, False), (self.BEYOND, True)):
             u = np.zeros((1, 3, 4))
             u[0, 1, 3] = q * (1 - rel)  # urn 2's color uniform at the second step
-            ok, to_red = urns._ium_screen(black, red, logw, win, u)
+            ok, to_red = urns._ium_screen(black, red, logw, urns._floor(logw), u)
             assert ok.tolist() == [passes] and to_red.tolist() == [False]
 
     @pytest.mark.parametrize("edge", ["lower", "upper"])
@@ -199,27 +202,25 @@ class TestMargin:
 
     def test_sequential(self):
         logw = rf.log_weight_table(N2, 200)
-        win = {s: urns._window_min(logw, s) for s in (1, 2)}
         black, red = np.array([[2, 3]]), np.array([[6, 5]])
         # red path: urn 1 first sees the pooled red count 12, which only grows
         q = max(urns._share(logw[2], logw[11]), urns._share(logw[3], logw[12]))
         for rel, passes in ((self.INSIDE, False), (self.BEYOND, True)):
             u = np.full((1, 2, 2), 0.9)
             u[0, 0, 1] = q * (1 + rel)
-            ok, to_red = urns._sequential_screen(black, red, logw, win, u)
+            ok, to_red = urns._sequential_screen(black, red, logw, urns._floor(logw), u)
             assert ok.tolist() == [passes] and to_red.tolist() == [True]
 
     @pytest.mark.parametrize("edge", ["lower", "upper"])
     def test_multicolor_middle_color(self, edge):
         logw = rf.log_weight_table(N2, 200)
-        win = {2: urns._window_min(logw, 2)}
         counts = np.array([[2, 9, 3]])
         w = np.exp(logw[counts[0]] - logw[counts[0]].max())
         cut = np.cumsum(w / w.sum())
         for rel, passes in ((self.INSIDE, False), (self.BEYOND, True)):
             u = np.full((1, 2, 2), (cut[0] + cut[1]) / 2)
             u[0, 1, 0] = cut[0] * (1 + rel) if edge == "lower" else cut[1] * (1 - rel)
-            ok, leader = urns._multicolor_screen(counts, logw, win, u)
+            ok, leader = urns._multicolor_screen(counts, logw, urns._floor(logw), u)
             assert ok.tolist() == [passes] and leader.tolist() == [1]
             # the block stepper gives every ball of the sub-block to the leader
             state = urns.init_multicolor(3, counts[0], 2, N2, seed=1)
@@ -301,15 +302,21 @@ def test_later_passes_leave_a_phase_scan_point_unchanged():
     assert passes.run_steps_screened >= one.run_steps_screened
 
 
-def test_window_min_of_a_non_monotone_table():
-    # weights drawn at random to 300: the least of a window can lie anywhere in it
+def test_floor_of_every_table():
+    # floor[n] is the least log W from count n to the table's end, so it
+    # bounds log W along any path from n, whatever its stride; a
+    # non-decreasing table is its own floor.  Weights drawn at
+    # random to 300: the least of a suffix can lie anywhere in it
     drawn = rf.make_table(np.random.default_rng(0).uniform(0.5, 2.0, 301).tolist())
-    for seq in (WEIGHTS["example I"], WEIGHTS["2^n"], WEIGHTS["table W(0)=0"], drawn):
+    monotone = []
+    for seq in (*WEIGHTS.values(), drawn):
         logw = rf.log_weight_table(seq, 300)
-        padded = np.concatenate([logw, np.full(3 * urns._SUB_BLOCK, np.inf)])  # past the table: +inf
-        for stride in (1, 2, 3):
-            brute = [padded[n: n + stride * urns._SUB_BLOCK: stride].min() for n in range(logw.size)]
-            assert np.array_equal(urns._window_min(logw, stride), brute), (seq.to_json(), stride)
+        floor = urns._floor(logw)
+        assert np.array_equal(floor, [logw[n:].min() for n in range(logw.size)]), seq.to_json()
+        monotone.append(urns._non_decreasing(logw))
+        if monotone[-1]:
+            assert floor is logw, seq.to_json()  # bit for bit, with no second array
+    assert monotone == [True, True, False, True, False, False]  # example I and both tables dip
 
 
 def reachable_shares(model, k, logw, black, red, t, urn):
@@ -375,8 +382,9 @@ def test_decide_bounds_enclose_every_reachable_share(model, k):
 
 
 def test_single_run_whose_window_passes_the_table_end():
-    # the table is sized to the run's reach, count 622; the 64-step windows
-    # of the last sub-blocks, from counts up to 600, read past its end
+    # the table is sized to the run's reach, count 622; the last
+    # sub-blocks, from counts up to 600, screen against the floor of the
+    # entries left at its end
     states = [urns.init_multicolor(2, (220, 1), 1, WEIGHTS["example I"], seed=9) for _ in range(2)]
     screened = urns.run(states[0], 400, 20)
     with exact_stepping():
@@ -411,6 +419,22 @@ class TestCounters:
                 raw = engine(*args, 3000, 40, 2025, record_every=100)
             assert raw.run_steps_exact == sum(stepped) > 0
             assert raw.run_steps_screened + raw.run_steps_exact == 40 * 3000
+
+    def test_counters_are_python_ints(self):
+        # as Trajectory, EnsembleRaw and McReport declare them: numpy's
+        # counts of decided steps are np.int64 until cast
+        ti, ts, _ = urns.run_coupled((1, 1), (1, 1), 0.2, N2, 0, 3000, 100)
+        planned = urns.run(urns.init_ium(2, (1, 1), (1, 1), 0.2, W3_EXACT, 3), 3000, 100)
+        outs = [ti, ts, planned]
+        for model in ("ium", "multicolor", "sequential", "embedding"):
+            cfg = ens.EnsembleConfig(model=model, seq=N2, n_steps=300, n_runs=20, seed=4, p=0.2, record_every=70)
+            outs.append(ens.run_ensemble(cfg))
+        outs += [urns.run_ium_ensemble(N2, 0.2, 2, (1, 1), (1, 1), 300, 20, 4),
+                 urns.run_multicolor_ensemble(N2, 3, (1, 1, 1), 2, 300, 20, 4),
+                 urns.run_sequential_ensemble(N2, (1, 1), (1, 1), 300, 20, 4)]
+        assert 0 < planned.run_steps_screened < 3000
+        for out in outs:
+            assert type(out.run_steps_screened) is int and type(out.run_steps_exact) is int, out
 
     def test_strong_multicolor_is_mostly_screened(self):
         raw = urns.run_multicolor_ensemble(WEIGHTS["(n+1)^3"], 3, (1, 1, 1), 2, 4000, 200, 4040, record_every=1000)
@@ -521,20 +545,20 @@ def test_sequential_screen_when_urn_1_draws_first():
     # red path with urn 1 ahead in black balls: drawing first, urn 1 sees the
     # pooled red count 11, where its black share is largest
     logw = rf.log_weight_table(N2, 200)
-    win = {s: urns._window_min(logw, s) for s in (1, 2)}
+    floor = urns._floor(logw)
     black, red = np.array([[2, 4]]), np.array([[6, 5]])
     q_first = urns._share(logw[4], logw[11])  # urn 1 at pooled red 11
     q_second = urns._share(logw[2], logw[12])  # urn 0 at pooled red 12
     assert q_first > max(q_second, urns._share(logw[2], logw[11]), urns._share(logw[4], logw[12]))
     u = np.full((1, 2, 2), 0.99)
     u[0, 0, 0] = q_first * (1 - 1e-9)  # urn 1's first uniform: black when urn 1 draws first
-    ok, _ = urns._sequential_screen(black, red, logw, win, u, first=1)
+    ok, _ = urns._sequential_screen(black, red, logw, floor, u, first=1)
     assert ok.tolist() == [False]
     # with urn 0 first the same uniform clears every bound on the red path
-    ok, _ = urns._sequential_screen(black, red, logw, win, u)
+    ok, _ = urns._sequential_screen(black, red, logw, floor, u)
     assert ok.tolist() == [True]
     u[0, 0, 0] = q_first * (1 + 1e-9)
-    ok, to_red = urns._sequential_screen(black, red, logw, win, u, first=1)
+    ok, to_red = urns._sequential_screen(black, red, logw, floor, u, first=1)
     assert ok.tolist() == [True] and to_red.tolist() == [True]
 
 
@@ -556,9 +580,15 @@ class TestRunCounters:
             exact_blob, exact_args = self.simulate(tmp_path, 20_000, 100, "exact.csv")
         assert exact_blob == blob and exact_args["run_steps_screened"] == 0
 
-    def test_nothing_screened_at_every_step(self, tmp_path):
-        _, args = self.simulate(tmp_path, 500, 1)
-        assert (args["run_steps_screened"], args["run_steps_exact"]) == (0, 500)
+    def test_screened_at_every_step(self, tmp_path):
+        # at --record-every 1 every sub-block is one step long, and each is
+        # screened, in stacks once the run passes
+        blob, args = self.simulate(tmp_path, 500, 1)
+        assert args["run_steps_screened"] + args["run_steps_exact"] == 500
+        assert args["run_steps_screened"] > 0.8 * 500
+        with exact_stepping():
+            exact_blob, exact_args = self.simulate(tmp_path, 500, 1, "exact.csv")
+        assert exact_blob == blob and exact_args["run_steps_screened"] == 0
 
     def test_short_runs_reuse_the_weight_table(self):
         state = urns.init_ium(2, (1, 1), (1, 1), 0.2, WEIGHTS["(n+1)^3"], seed=3)
@@ -646,8 +676,8 @@ def assert_stacked_run_equals_exact_stepping(model, seq, record_every, n_steps):
 @pytest.mark.parametrize("seq", ["(n+1)^3", "example I"])
 @pytest.mark.parametrize("model", STACK_INITS)
 def test_stacked_run_equals_exact_stepping(model, seq, record_every):
-    # rows of unequal length (64 and 36 steps at 100), rows under
-    # _MIN_SCREEN inside a stack (6 steps at 70, 12 at 140), a drawn block
+    # rows of unequal length (64 and 36 steps at 100), short rows inside a
+    # stack (6 steps at 70, 12 at 140), a drawn block
     # that ends at step 4096, and, under example I from nearly tied counts,
     # runs that change leader before they settle
     log = assert_stacked_run_equals_exact_stepping(model, seq, record_every, 4500)
@@ -790,13 +820,27 @@ def test_settled_run_screens_in_few_calls(tmp_path):
 
 @pytest.mark.parametrize("record_every", [70, 333])
 def test_short_rows_ride_in_a_settled_runs_stacks(tmp_path, record_every):
-    # each record interval ends in a row under _MIN_SCREEN, of 6 steps at 70
-    # and 13 at 333; such a row ends no stack, so the run screens in as few
-    # calls as at 100.  When it ended each stack, 285 and 65 calls were made
+    # each record interval ends in a short row, of 6 steps at 70 and 13 at
+    # 333; such a row ends no stack, so the run screens in about as few
+    # calls as at 100.  When it ended each stack, 285 and 65 calls were
+    # made.  At 70 a short row is screened before the first stack, one call
+    # more than when such a row stepped until the run passed
     with screen_log() as log:
         _, args = TestRunCounters().simulate(tmp_path, 20_000, record_every)
     assert args["run_steps_screened"] > 0.9 * 20_000
-    assert len(log) <= 9
+    assert len(log) <= {70: 10, 333: 9}[record_every]
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_fine_cadence_run_screens_in_few_calls(tmp_path, record_every):
+    # sub-blocks of one and ten steps are screened like long ones: stacks
+    # of 1, 1, 16, 32, ... sub-blocks doubling up to the first drawn
+    # block's end, then one a drawn block; 14 calls at 1 and 11 at 10,
+    # against 20 000 and 2000 sub-blocks
+    with screen_log() as log:
+        _, args = TestRunCounters().simulate(tmp_path, 20_000, record_every)
+    assert args["run_steps_screened"] > 0.9 * 20_000
+    assert len(log) <= 14
 
 
 @contextlib.contextmanager
@@ -905,7 +949,8 @@ def test_drive_rejects_an_advance_that_misreports(covered):
     lambda: urns.run_coupled((1, 1), (1, 1), 0.8, N2, 1, 3000, 100),
 ], ids=["ium", "multicolor", "sequential", "coupled"])
 def test_exact_stepping_makes_no_screen_call(call):
-    # every screen ends in _inside
+    # every screen ends in _inside; under exact stepping every screen fails
+    # without evaluating a bound, so every step is the block stepper's
     with mock.patch.object(urns, "_inside", wraps=urns._inside) as inside:
         call()
         assert inside.call_count > 0
@@ -946,14 +991,11 @@ def planned_stepping(passes=urns._PASSES, open_cost=urns._OPEN_COST):
     ``open_cost`` as the cost of an open step.  Yields the plans made."""
     plans, resolve = [], urns._resolve
 
-    def fail_all(state):
-        return lambda u, leader, cuts: (np.zeros(len(u), dtype=bool), np.zeros(len(u), dtype=np.int64))
-
     def logged(*args):
         plans.append(resolve(*args))
         return plans[-1]
 
-    with mock.patch.object(urns, "_screen_of", fail_all), mock.patch.object(urns, "_resolve", logged), \
+    with mock.patch.object(urns, "_screen_of", failing_screen_of), mock.patch.object(urns, "_resolve", logged), \
             mock.patch.object(urns, "_MIN_PLAN", 1), mock.patch.object(urns, "_PASSES", passes), \
             mock.patch.object(urns, "_OPEN_COST", open_cost):
         yield plans
@@ -1013,16 +1055,26 @@ def stretch_log():
         yield log
 
 
+def assert_backed_off(stretches, n_steps):
+    """Checks a ``stretch_log`` of a run that never passes a screen: every
+    call of ``exact`` follows a failed screen and covers its sub-block and
+    the wait after it, which doubles from _SUB_BLOCK to _MAX_WAIT, up to
+    the first cut past the wait or the drawn block's end."""
+    wait = urns._SUB_BLOCK
+    for screened, cuts, i, offset, length in stretches:
+        end = next((c for c in cuts[i + 1:] if c >= cuts[i + 1] + wait), cuts[-1])
+        wait = min(2 * wait, urns._MAX_WAIT)
+        assert screened and (offset, length) == (cuts[i], end - cuts[i])
+    assert wait == urns._MAX_WAIT and sum(length for *_, length in stretches) == n_steps
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
-@pytest.mark.parametrize("record_every", [17, 100, 1000])
+@pytest.mark.parametrize("record_every", [1, 17, 100, 1000])
 def test_mixed_limit_run_is_planned(seed, record_every):
     # at p = 0.2 these runs go to a mixed limit and never pass a screen; the
     # plans leave the block stepper and the kernel under a tenth of the
-    # steps, and the steps they decide count as screened.  Each call of
-    # ``exact`` after a failed screen covers its sub-block and the wait
-    # after it, which doubles from _SUB_BLOCK to _MAX_WAIT, up to the first
-    # cut past the wait or the drawn block's end; a short sub-block that is
-    # not screened steps on its own
+    # steps, and the steps they decide count as screened.  Sub-blocks of
+    # any length, one step at cadence 1, go unscreened only in the back-off
     stepped, ium_steps, ium_step = [], urns._ium_steps, urns._ium_step
 
     def counted(state, rows, *args):
@@ -1043,16 +1095,7 @@ def test_mixed_limit_run_is_planned(seed, record_every):
     assert_same_state(state, state_x)
     assert not any(any(ok) for _, _, ok, _ in log) and 0.05 < planned.proportions[-1].min() < 0.2
     assert planned.run_steps_exact == sum(stepped) < 0.1 * 6000
-    wait = urns._SUB_BLOCK
-    for screened, cuts, i, offset, length in stretches:
-        if screened:
-            end = next((c for c in cuts[i + 1:] if c >= cuts[i + 1] + wait), cuts[-1])
-            wait = min(2 * wait, urns._MAX_WAIT)
-        else:
-            assert cuts[i + 1] - cuts[i] < urns._MIN_SCREEN
-            end = cuts[i + 1]
-        assert (offset, length) == (cuts[i], end - cuts[i])
-    assert wait == urns._MAX_WAIT and sum(length for *_, length in stretches) == 6000
+    assert_backed_off(stretches, 6000)
 
 
 def test_plans_need_a_non_decreasing_table():
@@ -1128,8 +1171,19 @@ def test_coupled_run_equals_the_step_loop(seq, p, seed, n_steps, record_every):
         assert tr.last_change.tolist() == last
         assert (tr.run_steps_screened, tr.run_steps_exact) == (ti.run_steps_screened, ti.run_steps_exact)
         assert tr.run_steps_screened + tr.run_steps_exact == n_steps
-    if record_every < urns._MIN_SCREEN:
-        assert ti.run_steps_screened == 0
+    if record_every == 1 and n_steps:  # one-step sub-blocks are screened too
+        assert ti.run_steps_screened > 0.7 * n_steps
+
+
+@pytest.mark.parametrize("record_every", [1, 100])
+def test_mixed_coupled_pair_backs_off(record_every):
+    # the mixed pair below fails every screen; at cadence 1 as at 100 its
+    # failed sub-blocks go unscreened in back-off stretches, a handful of
+    # calls, not one call per sub-block
+    with stretch_log() as stretches:
+        ti, _, violations = urns.run_coupled((2, 1), (1, 2), 0.2, N2, 3, 3000, record_every)
+    assert_backed_off(stretches, 3000)
+    assert len(stretches) <= 8 and violations == 0 and ti.run_steps_screened > 0.8 * 3000
 
 
 def test_coupled_cases_settle_and_mix():

@@ -282,6 +282,14 @@ class TestBlockSteppers:
         "table W(0)=0": rf.make_table([0, 2, 1, 6], rf.TailRule((rf.PolyBranch((1, 2, 1)),))),
     }
 
+    @pytest.fixture(autouse=True)
+    def screening_off(self, monkeypatch):
+        """Every screen of ``run`` fails without evaluating a bound, and no
+        stretch is planned, so every step goes through the block stepper."""
+        monkeypatch.setattr(urns, "_screen_of", lambda state: lambda u, leader, cuts: (
+            np.zeros(len(u), dtype=bool), np.zeros(len(u), dtype=np.int64)))
+        monkeypatch.setattr(urns, "_resolve", lambda *args: None)
+
     @staticmethod
     def kernel_path(seed, n_steps, per_step, n_colors, step):
         """Draw each step's ``per_step`` uniforms from the stream ``seed``
@@ -315,8 +323,7 @@ class TestBlockSteppers:
     @pytest.mark.parametrize("seq", SEQS.values(), ids=SEQS.keys())
     @pytest.mark.parametrize("d, p", [(1, 0.0), (2, 0.2), (3, 0.6)])
     @pytest.mark.parametrize("seed", [1, 7])
-    def test_ium(self, seq, d, p, seed, monkeypatch):
-        monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)  # every sub-block steps
+    def test_ium(self, seq, d, p, seed):
         blocked = urns.init_ium(d, (1,) * d, (2,) * d, p, seq, seed)
         tr = urns.run(blocked, 1000, 100)
         black, red = np.ones((1, d), dtype=np.int64), np.full((1, d), 2)
@@ -334,8 +341,7 @@ class TestBlockSteppers:
     @pytest.mark.parametrize("seq", SEQS.values(), ids=SEQS.keys())
     @pytest.mark.parametrize("nc, d", [(2, 1), (3, 2), (9, 3)])
     @pytest.mark.parametrize("seed", [1, 7])
-    def test_multicolor(self, seq, nc, d, seed, monkeypatch):
-        monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)
+    def test_multicolor(self, seq, nc, d, seed):
         a = [1 + c % 2 for c in range(nc)]
         blocked = urns.init_multicolor(nc, a, d, seq, seed)
         tr = urns.run(blocked, 1000, 100)
@@ -352,8 +358,7 @@ class TestBlockSteppers:
 
     @pytest.mark.parametrize("seq", SEQS.values(), ids=SEQS.keys())
     @pytest.mark.parametrize("odd", [False, True], ids=["urn 0 first", "urn 1 first"])
-    def test_sequential(self, seq, odd, monkeypatch):
-        monkeypatch.setattr(urns, "_MIN_SCREEN", 10**9)
+    def test_sequential(self, seq, odd):
         blocked = urns.init_sequential((1, 2), (2, 1), seq, 5)
         if odd:
             urns.step_sequential(blocked)
