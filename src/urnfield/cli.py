@@ -155,6 +155,8 @@ def cmd_sm(args) -> int:
 def cmd_simulate(args) -> int:
     seq = _load_seq(args)
     if args.model == "coupled":
+        if args.counts:
+            raise ValueError("--counts is not supported with --model coupled, which writes proportions")
         ti, ts, violations = urns.run_coupled(
             args.black0, args.red0, args.p, seq, args.seed, args.steps, args.record_every
         )

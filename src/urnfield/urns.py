@@ -23,8 +23,11 @@ so run ``i`` of an ensemble reproduces a standalone simulation seeded with
 
 Each mechanism is wired up once, in a frozen ``_Mechanism`` record:
 ``_ium(d, p)``, ``_multicolor(d)`` and ``_sequential(first)``.  ``_dispatch``
-gives a state's record and count arrays, and ``run``, ``run_coupled`` and
-the one ensemble driver, ``_ensemble``, read nothing else.  A record pairs
+gives a state's record and count arrays, and the two drivers read nothing
+else: ``_run_sides``, which ``run`` calls with one state and ``run_coupled``
+with the coupled pair as two sides on one stream, and the one ensemble
+driver, ``_ensemble``.  Each record defines its leader path once, as
+``path``, which moves one state or each row of an ensemble.  A record pairs
 a lockstep kernel (``_ium_step``, ``_multicolor_step``,
 ``_sequential_step``), which steps an ensemble's rows, with a block stepper
 (``_ium_steps``, ``_multicolor_steps``, ``_sequential_steps``), which steps
@@ -37,30 +40,30 @@ it cuts each block of draws into sub-blocks that end at every record step.
 An advance may cover several sub-blocks at once and hand back the samples
 at the record steps inside them.
 
-Ensembles, ``run`` and ``run_coupled`` screen each sub-block against the
-leader path.  Under strong reinforcement almost every step adds the
-leader's balls, so each kernel has a screen beside it that bounds the
-leader's probability over the whole sub-block from the floor of the
-log-weight table, the least log W at any count from a count on
-(``_floor``), and tests every uniform of the sub-block against that
-bound, shrunk by a relative margin.  The floor bounds log W along any
-path that gains balls, monotone table or not; on a non-decreasing table
-it is the table.  Ensembles and single runs read the same floor and end
-their screens in the same interval test, ``_inside``.  Runs that pass advance
-along the leader path in bulk; the others step through the kernel, or, in
-``run`` and ``run_coupled``, through the block stepper.  A single run has
-one row to screen, and a screen of 16 rows costs about as much as one; so
-once a run passes, it screens the sub-blocks ahead of it in one call, a
-row each at the state the leader path reaches, and leaps through the rows
-that pass (``_paced``), the rows that pass with one leader in one leap.
-The first such stack holds 16 sub-blocks and each stack that passes whole
-doubles the next, up to the end of the drawn block, so a settled run
-screens and leaps a block in a call or two.  Every sub-block outside a
-wait is screened, however short.  A run that fails a screen goes
-unscreened for a wait after it, and steps that sub-block and its wait as
-one stretch, in one call.  The record samples inside a leap or a
-stretch are read off its count path in one pass (``_along``), not
-sampled a step at a time.
+Both drivers screen each sub-block against the leader path.  Under
+strong reinforcement almost every step adds the leader's balls, so each
+kernel has a screen beside it that bounds the leader's probability over
+the whole sub-block from the floor of the log-weight table, the least
+log W at any count from a count on (``_floor``), and tests every uniform
+of the sub-block against that bound, shrunk by a relative margin.  The
+floor bounds log W along any path that gains balls, monotone table or
+not; on a non-decreasing table it is the table.  Ensembles and single
+runs read the same floor and end their screens in the same interval
+test, ``_inside``.  Runs that pass advance along the leader path in bulk;
+the others step through the kernel, or, in ``_run_sides``, through the
+block stepper.  A single run has one row to screen, and a screen of 16
+rows costs about as much as one; so once a run passes, it screens the
+sub-blocks ahead of it in one call, a row each at the state the leader
+path reaches, and leaps through the rows that pass (``_paced``), the rows
+that pass with one leader in one leap.  A coupled pair is screened and
+leapt as one, each side along its own leader.  The first such stack
+holds 16 sub-blocks and each stack that passes whole doubles the next,
+up to the end of the drawn block, so a settled run screens and leaps a
+block in a call or two.  Every sub-block outside a wait is screened,
+however short.  A run that fails a screen goes unscreened for a wait
+after it, and steps that sub-block and its wait as one stretch, in one
+call.  The record samples inside a leap or a stretch are read off its
+count path in one pass (``_along``), not sampled a step at a time.
 
 One resolver, ``_resolve``, decides the draws of the black/red runs that
 a screen leaves, a mixed limit's minority draws included: each urn gains
@@ -396,46 +399,85 @@ def run(state, n_steps: int, record_every: int = 1, record_counts: bool = False)
     at the given cadence (step 0 and the final step are always recorded).
     Consecutive runs of a state continue its one stream.
 
-    The weight table is first sized to every count the run can reach, as
-    ``_ensemble`` sizes its table, so a table with no tail rule that the
-    run could pass fails before the first step.  Sub-blocks are screened
-    against the leader path at ``_paced``'s cadence, and a state that
-    passes advances in bulk, over as many sub-blocks as pass with one
-    leader; other stretches step exactly (``_stepper``).  The record steps
-    inside either are sampled off its count path (``_along``)."""
-    mech, arrays = _dispatch(state)
-    state.logw.cover(mech.balls * n_steps + sum(mech.totals(*arrays)) + 1)
-    last_change = [0] * len(mech.totals(*arrays))
-    steps_exactly = _stepper(state)
+    The state runs as the lone side of the single-run driver,
+    ``_run_sides``, and reads every draw.  Its weight table is first sized
+    to every count the run can reach, as ``_ensemble`` sizes its table, so
+    a table with no tail rule that the run could pass fails before the
+    first step."""
+    (traj,) = _run_sides([state], [slice(None)], n_steps, record_every, record_counts)
+    return traj
+
+
+def _run_sides(states, takes, n_steps: int, record_every: int, record_counts: bool = False,
+               leapt=lambda leaders, length: None, stepped=lambda *counts: None):
+    """The single-run driver of ``run`` and ``run_coupled``: advance the
+    ``states`` ("sides") ``n_steps`` steps together on the first one's
+    stream, side ``k`` reading the slice ``takes[k]`` of each step's draws,
+    each on a weight table sized to every count it can reach.
+
+    Sub-blocks are screened at ``_paced``'s cadence and pass where every
+    side passes; they leap every side along its own leader (a lone side's
+    leader is its screen's, several sides' a row of one per side).  Other
+    stretches step exactly (``_stepper``), a step counting as decided where
+    a bound decides it on every side.  The record steps inside either are
+    read off each side's count path (``_along``).  ``leapt(leaders,
+    length)`` sees each leap before the sides move, ``stepped(*counts)``
+    each stepped stretch's counts.  Returns one ``Trajectory`` per side,
+    all with the same counters."""
+    sides = [_dispatch(state) for state in states]
+    for state, (mech, arrays) in zip(states, sides):
+        state.logw.cover(mech.balls * n_steps + sum(mech.totals(*arrays)) + 1)
+    lasts = [[0] * len(mech.totals(*arrays)) for mech, arrays in sides]
+    screens, steppers = [_screen_of(state) for state in states], [_stepper(state) for state in states]
+    lone = len(states) == 1
 
     def sample(step):
-        return mech.shares(*arrays, step), mech.totals(*arrays), np.concatenate(arrays) if record_counts else None
+        return [(mech.shares(*arrays, step), mech.totals(*arrays), np.concatenate(arrays) if record_counts else None)
+                for mech, arrays in sides]
 
-    def exact(start, u):
-        counts, decided = steps_exactly(start, u, last_change)
-        inner = _along(mech, _rows_of(counts, len(arrays)), start, len(u), record_every)
-        return 0 if decided is None else np.count_nonzero(decided), inner
+    def screen(u, leader, cuts):
+        leaders = []
+        for k, (screen_k, take) in enumerate(zip(screens, takes)):
+            passed, lead = screen_k(u[..., take], leader if lone else leader and leader[k], cuts)
+            ok = passed if k == 0 else ok & passed
+            leaders.append(lead)
+            if not ok[0]:
+                break  # the stack fails at its first row, whatever the sides after it decide
+        return ok, leaders[0] if len(leaders) == 1 else np.stack(leaders, axis=1)
 
     def leap(leader, end, length):
-        path = functools.partial(mech.path, *arrays, leader)
-        inner = _along(mech, path, end - length, length, record_every)
-        _advance_state(state, arrays, path, length)
-        last_change[int(leader)] = end
-        return inner
+        leaders = [leader] if lone else leader
+        leapt(leaders, length)
+        inner = []
+        for state, (mech, arrays), last, lead in zip(states, sides, lasts, leaders):
+            inner.append(_along(mech, functools.partial(mech.path, *arrays, lead), end - length, length, record_every))
+            _advance_state(state, arrays, mech.path(*arrays, lead, length), length)
+            last[int(lead)] = end
+        return list(zip(*inner))
 
-    advance, counters = _paced(_screen_of(state), leap, exact)
-    steps, recorded = _drive([state.rng], mech.per_step, n_steps, record_every, advance, sample)
-    props, totals, counts = zip(*recorded)
-    return Trajectory(
-        steps=steps,
-        proportions=np.array(props, dtype=float),
-        color_totals=np.array(totals, dtype=np.int64),
-        counts=np.array(counts, dtype=np.int64) if record_counts else None,
-        seed=state.seed,
-        last_change=np.array(last_change, dtype=np.int64),
-        run_steps_screened=counters[0],
-        run_steps_exact=n_steps - counters[0],
-    )
+    def exact(start, u):
+        paths, decided = zip(*(steps_k(start, u[:, take], last) for steps_k, take, last in zip(steppers, takes, lasts)))
+        stepped(*paths)
+        inner = zip(*(_along(mech, _rows_of(counts, len(arrays)), start, len(u), record_every)
+                      for (mech, arrays), counts in zip(sides, paths)))
+        return np.count_nonzero(functools.reduce(operator.and_, decided)), list(inner)
+
+    advance, counters = _paced(screen, leap, exact)
+    steps, recorded = _drive([states[0].rng], sides[0][0].per_step, n_steps, record_every, advance, sample)
+    trajectories = []
+    for state, last, side in zip(states, lasts, zip(*recorded)):
+        props, totals, counts = zip(*side)
+        trajectories.append(Trajectory(
+            steps=steps.copy(),
+            proportions=np.array(props, dtype=float),
+            color_totals=np.array(totals, dtype=np.int64),
+            counts=np.array(counts, dtype=np.int64) if record_counts else None,
+            seed=state.seed,
+            last_change=np.array(last, dtype=np.int64),
+            run_steps_screened=counters[0],
+            run_steps_exact=n_steps - counters[0],
+        ))
+    return trajectories
 
 
 def _screen_of(state):
@@ -443,11 +485,10 @@ def _screen_of(state):
     screens row ``j`` of ``u`` (rows, steps, uniforms), steps ``cuts[j] + 1
     .. cuts[j + 1]`` from now, at the state the run reaches by step
     ``cuts[j]`` if every step adds the ``leader``'s balls.  It reads the
-    table as it stands: ``run`` and ``run_coupled`` cover their reach
-    first."""
+    table as it stands: ``_run_sides`` covers each side's reach first."""
     mech, arrays = _dispatch(state)
     return lambda u, leader, cuts: mech.screen(
-        *mech.path(*arrays, leader, cuts[:-1]), state.logw.table, state.logw.floor, u
+        *mech.path(*arrays, leader, cuts[:-1, None]), state.logw.table, state.logw.floor, u
     )
 
 
@@ -456,7 +497,7 @@ def _stepper(state):
     ``steps(start, u, last_change)`` steps the stretch ``u`` (steps,
     uniforms) from step ``start`` as the block stepper does.  It returns the
     counts after each step, one row per step, ``_dispatch``'s arrays
-    joined, and which steps a bound decided, or None for none.
+    joined, and which steps a bound decided, or False for none.
 
     On a non-decreasing table, a black/red state plans a stretch of at
     least ``_MIN_PLAN`` steps in one call of ``_resolve`` on one row, one
@@ -472,24 +513,23 @@ def _stepper(state):
         if not resolved:
             path = []
             mech.steps(state, u.tolist(), start, last_change, path)  # Python floats compare faster than numpy scalars
-            return path, None
+            return path, False
         cum = np.cumsum(resolved[0][0], axis=0)  # each urn's black balls by each step
         counts = np.concatenate(arrays) + np.concatenate([cum, np.arange(1, len(u) + 1)[:, None] - cum], axis=1)
         last = np.array([last_change])
         _set_last_add(last, mech.grew(resolved[0]), start)
         last_change[:] = last[0].tolist()
-        _advance_state(state, arrays, _rows_of(counts, 2), len(u))
+        _advance_state(state, arrays, np.split(counts[-1], 2), len(u))
         return counts, ~resolved[1][0]
 
     return steps
 
 
-def _advance_state(state, arrays, path, length: int) -> None:
-    """Move a single state ``length`` steps on along ``path`` (as
-    ``_along`` reads it): its ``arrays`` to the counts there, and its step
-    count."""
-    for array, now in zip(arrays, path(np.array([length]))):
-        array[:] = now[0]
+def _advance_state(state, arrays, now, length: int) -> None:
+    """Move a single state ``length`` steps on: its ``arrays`` to the
+    counts ``now``, and its step count."""
+    for array, counts in zip(arrays, now):
+        array[:] = counts
     if isinstance(state, SequentialState):
         state.substep += 2 * length
     else:
@@ -708,81 +748,35 @@ def run_coupled(
     and the number of violations of the dominance inequalities
     ``seq_red >= ium_red`` and ``seq_black <= ium_black`` (surely 0).
 
-    The pair is screened as ``run`` screens one state, at ``_paced``'s
-    cadence, on one weight table sized to the pair's reach: the sub-blocks
-    in which both sides pass their screens, each with the leader it passed
-    the last with, advance both along their leader paths in one leap, the
-    violations along those paths are counted in closed form over its whole
-    length (``_leap_violations``), and both sides' record samples inside it
-    are read off the paths (``_along``).  A stacked screen builds each
-    side's rows along its own leader.  Otherwise each side steps the
-    sub-block exactly (``_stepper``), and the violations are counted along
-    the stepped counts.  Both trajectories carry the pair's counters.
+    The pair runs as the two sides of ``_run_sides``, the single-run
+    driver, on one weight table sized to the pair's reach: the interacting
+    side reads every draw of a step and the sequential side its color
+    uniforms.
+    A stretch advances in bulk only where both sides pass their screens,
+    each along its own leader, and the violations along both leader paths
+    are counted in closed form over the leap's whole length
+    (``_leap_violations``); over a stretch stepped exactly (``_stepper``)
+    they are counted along the stepped counts.  Both trajectories carry
+    the pair's counters, in which a step is decided when it is on both
+    sides.
     """
     ium = init_ium(2, black0, red0, p, seq, seed)
     seqp = init_sequential(black0, red0, seq, seed)
-    (mech_i, arrays_i), (mech_s, arrays_s) = _dispatch(ium), _dispatch(seqp)
-    bound = 2 * n_steps + sum(mech_i.totals(*arrays_i)) + 1  # every count the pair can reach, as _ensemble sizes it
-    if not seq.non_decreasing_up_to(bound):
+    if not seq.non_decreasing_up_to(2 * n_steps + ium.total_black + ium.total_red + 1):  # the pair's reach
         raise ValueError("the coupling requires a non-decreasing weight sequence")
     seqp.logw = ium.logw  # one table, sized to the pair's reach
-    ium.logw.cover(bound)
-    last_i, last_s = [0, 0], [0, 0]
-    violations = 0
-    screen_i, screen_s = _screen_of(ium), _screen_of(seqp)
-    steps_i, steps_s = _stepper(ium), _stepper(seqp)
+    violations = [0]
 
-    def samples(path_i, path_s, begin, length):
-        inner = zip(_along(mech_i, path_i, begin, length, record_every),
-                    _along(mech_s, path_s, begin, length, record_every))
-        return [(shares_i, shares_s, totals_i, totals_s) for (shares_i, totals_i, _), (shares_s, totals_s, _) in inner]
-
-    def exact(start, u):
-        nonlocal violations
-        (counts_i, decided_i), (counts_s, decided_s) = steps_i(start, u, last_i), steps_s(start, u[:, 1::2], last_s)
-        violations += _violations(counts_i, counts_s)
-        decided = 0 if decided_i is None or decided_s is None else np.count_nonzero(decided_i & decided_s)
-        return decided, samples(_rows_of(counts_i, 2), _rows_of(counts_s, 2), start, len(u))
-
-    def screen(u, leader, cuts):
-        ok, to_red_i = screen_i(u, leader and leader[0], cuts)
-        if not ok[0]:
-            return ok, to_red_i
-        ok_s, to_red_s = screen_s(u[:, :, 1::2], leader and leader[1], cuts)
-        return ok & ok_s, np.stack([to_red_i, to_red_s], axis=1)
-
-    def leap(to_red, end, length):
-        nonlocal violations
+    def leapt(to_red, length):
         gaps = (ium.black - seqp.black).tolist() + (seqp.red - ium.red).tolist()
-        violations += _leap_violations(gaps, to_red, length)
-        path_i = functools.partial(mech_i.path, *arrays_i, to_red[0])
-        path_s = functools.partial(mech_s.path, *arrays_s, to_red[1])
-        inner = samples(path_i, path_s, end - length, length)
-        _advance_state(ium, arrays_i, path_i, length)
-        _advance_state(seqp, arrays_s, path_s, length)
-        last_i[int(to_red[0])] = last_s[int(to_red[1])] = end
-        return inner
+        violations[0] += _leap_violations(gaps, to_red, length)
 
-    def sample(step):
-        return (mech_i.shares(*arrays_i, step), mech_s.shares(*arrays_s, step), mech_i.totals(*arrays_i),
-                mech_s.totals(*arrays_s))
+    def stepped(counts_i, counts_s):
+        violations[0] += _violations(counts_i, counts_s)
 
-    advance, counters = _paced(screen, leap, exact)
-    steps, samples = _drive([stream(seed)], mech_i.per_step, n_steps, record_every, advance, sample)
-    props_i, props_s, totals_i, totals_s = zip(*samples)
-
-    def mk(props, totals, last_change):
-        return Trajectory(
-            steps=steps.copy(),
-            proportions=np.array(props, dtype=float),
-            color_totals=np.array(totals, dtype=np.int64),
-            seed=seed,
-            last_change=np.array(last_change, dtype=np.int64),
-            run_steps_screened=counters[0],
-            run_steps_exact=n_steps - counters[0],
-        )
-
-    return mk(props_i, totals_i, last_i), mk(props_s, totals_s, last_s), violations
+    takes = [slice(None), slice(1, None, 2)]  # every draw, and the color uniforms
+    ti, ts = _run_sides([ium, seqp], takes, n_steps, record_every, leapt=leapt, stepped=stepped)
+    return ti, ts, violations[0]
 
 
 def _along(mech, path, begin: int, length: int, record_every: int):
@@ -790,19 +784,19 @@ def _along(mech, path, begin: int, length: int, record_every: int):
     step ``begin``, at the record steps strictly inside it: per record
     step, the shares, each color's total and the counts (the arrays
     joined), which sampling the state there gives, read in one pass off
-    ``path(offsets)``, the state's arrays after each of ``offsets`` steps,
-    one row per offset."""
+    ``path(offsets)``, the state's arrays after each of ``offsets`` (a
+    column) steps, one row per offset."""
     offsets = range(record_every - begin % record_every, length, record_every)
     if not offsets:
         return []
-    arrays = path(np.array(offsets))
+    arrays = path(np.array(offsets)[:, None])
     return list(zip(mech.shares(*arrays, begin + 1), mech.totals(*arrays), np.concatenate(arrays, axis=1)))
 
 
 def _rows_of(counts: np.ndarray, n: int):
     """``path(offsets)``, as ``_along`` reads it, of a stretch whose counts
     after each step are the rows of ``counts``, ``n`` arrays joined."""
-    return lambda offsets: np.split(np.asarray(counts)[offsets - 1], n, axis=1)
+    return lambda offsets: np.split(np.asarray(counts)[offsets[:, 0] - 1], n, axis=1)
 
 
 def _leap_violations(gaps: list, to_red, length: int) -> int:
@@ -1227,18 +1221,19 @@ def _set_last_add(last_add: np.ndarray, grew: np.ndarray, start: int) -> None:
 
 @dataclass(frozen=True)
 class _Mechanism:
-    """One urn mechanism, as ``run``, ``run_coupled`` and ``_ensemble``
-    read it.  ``arrays`` are the counts ``_dispatch`` gives: rows are runs
-    in an ensemble, and a single state's arrays are 1-D; one leaps along
-    ``path`` (``_advance_state``)."""
+    """One urn mechanism, as ``_run_sides`` (the driver of ``run`` and
+    ``run_coupled``) and ``_ensemble`` read it.  ``arrays`` are the counts
+    ``_dispatch`` gives: rows are runs in an ensemble, and a single state's
+    arrays are 1-D.  Both leap along ``path``, whose leader and step count
+    ``t`` broadcast against the counts: a column ``t`` gives one state's
+    arrays after each count, and a leader and count per row move each row."""
 
     per_step: int  # uniforms per step
     balls: int  # balls per step
     kernel: Callable  # (*arrays, logw, u) -> balls added: the lockstep step of an ensemble's rows
     grew: Callable  # (balls added (runs, length, k)) -> whether each color grew (runs, length, colors)
     screen: Callable  # (*arrays, logw, floor, u) -> (ok, leader), ``floor`` the table's ``_floor``
-    leap: Callable  # (*arrays, last_add, ok, leader, end, length): the passing rows' bulk advance
-    path: Callable  # (*arrays, leader, offsets) -> one state's arrays after each of ``offsets`` steps along the path
+    path: Callable  # (*arrays, leader, t) -> the arrays after ``t`` steps along the leader's path
     shares: Callable  # (*arrays, step): the recorded proportions
     steps: Callable  # (state, rows, start, last_change, path): a single state's block stepper
     totals: Callable  # (*arrays) -> each color's total, of one state or of each row of a path
@@ -1256,17 +1251,9 @@ def _black_red_grew(n_black: np.ndarray) -> np.ndarray:
     return np.stack([n > 0, n < n_black.shape[2]], axis=2)
 
 
-def _black_red_leap(black, red, last_add, ok, to_red, end, length) -> None:
-    for grows, color, path in ((black, 0, ok & ~to_red), (red, 1, ok & to_red)):
-        grows[path] += length
-        last_add[path, color] = end
-
-
-def _black_red_path(black, red, to_red, offsets):
-    """The counts after each of ``offsets`` steps along the all-black or
-    all-red path, one row per offset."""
-    t = offsets[:, None]
-    return black + t * (not to_red), red + t * bool(to_red)
+def _black_red_path(black, red, to_red, t):
+    """The counts after ``t`` steps along the all-black or all-red path."""
+    return black + t * (to_red == 0), red + t * (to_red != 0)
 
 
 def _black_red_totals(black, red):
@@ -1285,7 +1272,7 @@ def _ium(d: int, p: float) -> _Mechanism:
         return _ium_step(black, red, logw, p, u)
 
     return _Mechanism(
-        per_step=2 * d, balls=d, kernel=kernel, grew=_black_red_grew, screen=_ium_screen, leap=_black_red_leap,
+        per_step=2 * d, balls=d, kernel=kernel, grew=_black_red_grew, screen=_ium_screen,
         path=_black_red_path, shares=_black_shares, steps=_ium_steps, totals=_black_red_totals,
         decide=functools.partial(_ium_decide, p=p),
     )
@@ -1294,17 +1281,12 @@ def _ium(d: int, p: float) -> _Mechanism:
 def _multicolor(d: int) -> _Mechanism:
     """The single urn of ``d`` balls a step."""
 
-    def leap(counts, last_add, ok, leader, end, length):
-        rows = np.flatnonzero(ok)
-        counts[rows, leader[rows]] += d * length
-        last_add[rows, leader[rows]] = end
-
-    def path(counts, leader, offsets):
-        return (counts + np.outer(d * offsets, np.arange(counts.size) == leader),)
+    def path(counts, leader, t):
+        return (counts + d * t * (np.arange(counts.shape[-1]) == leader),)
 
     return _Mechanism(
         per_step=d, balls=d, kernel=lambda counts, logw, u: _multicolor_step(counts, logw, u),
-        grew=lambda added: added > 0, screen=_multicolor_screen, leap=leap, path=path, shares=_color_shares,
+        grew=lambda added: added > 0, screen=_multicolor_screen, path=path, shares=_color_shares,
         steps=_multicolor_steps, totals=lambda counts: counts.tolist(), decide=None,
     )
 
@@ -1318,7 +1300,7 @@ def _sequential(first: int) -> _Mechanism:
 
     return _Mechanism(
         per_step=2, balls=2, kernel=kernel, grew=_black_red_grew,
-        screen=functools.partial(_sequential_screen, first=first), leap=_black_red_leap, path=_black_red_path,
+        screen=functools.partial(_sequential_screen, first=first), path=_black_red_path,
         shares=_black_shares, steps=_sequential_steps, totals=_black_red_totals,
         decide=functools.partial(_sequential_decide, first=first),
     )
@@ -1362,7 +1344,12 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
         _set_last_add(last, mech.grew(added), start)
         return exact
 
-    leap = functools.partial(mech.leap, *arrays, last_add)
+    def leap(ok, leader, end, length):
+        # every row along its leader's path, a row that fails the screen by no step
+        for a, now in zip(arrays, mech.path(*arrays, leader[:, None], length * ok[:, None])):
+            a[:] = now
+        last_add[ok, leader[ok].astype(np.intp)] = end
+
     advance, counters = _screened((*arrays, last_add), lambda u: mech.screen(*arrays, logw, floor, u), leap, step)
     steps, props = _drive(gens, mech.per_step, n_steps, record_every, advance, lambda step: mech.shares(*arrays, step))
     screened = counters[0]

@@ -174,6 +174,14 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "c.csv").exists()
 
+    def test_coupled_rejects_counts(self, tmp_path, capsys):
+        # the coupled CSV holds proportions only; --counts must not pass silently
+        argv = ["simulate", "--model", "coupled", "--m", "2", "--steps", "10", "--seed", "1", "--counts",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert "--counts" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_coupled_violations_column(self, tmp_path):
         out = tmp_path / "c.csv"
         rc = main(["simulate", "--model", "coupled", "--m", "2", "--p", "0.4",

@@ -319,6 +319,80 @@ def test_floor_of_every_table():
     assert monotone == [True, True, False, True, False, False]  # example I and both tables dip
 
 
+PATH_MECHS = {
+    **{f"ium d={d}": (urns._ium(d, 0.5), (d, d)) for d in (1, 2, 3)},
+    **{f"sequential first={first}": (urns._sequential(first), (2, 2)) for first in (0, 1)},
+    **{f"multicolor nc={nc} d={d}": (urns._multicolor(d), (nc,)) for nc in (2, 3) for d in (1, 2)},
+}
+
+
+def random_leaders(rng, widths, rows):
+    """Leaders as the screens give them: whether each row goes red for a
+    black/red mechanism, a color for the multicolor urn."""
+    if len(widths) == 2:
+        return rng.random(rows) < 0.5
+    return rng.integers(0, widths[0], rows)
+
+
+@pytest.mark.parametrize("name", PATH_MECHS)
+def test_row_wise_leader_path_equals_each_rows_own(name):
+    # rows, each with its own leader and its own step count, move as each
+    # row's single state does along its leader's path
+    mech, widths = PATH_MECHS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    rows = 8
+    arrays = [rng.integers(0, 50, (rows, w)) for w in widths]
+    leaders = random_leaders(rng, widths, rows)
+    for t in (np.full((rows, 1), 64), rng.integers(0, 5000, (rows, 1))):
+        moved = mech.path(*arrays, leaders[:, None], t)
+        for r in range(rows):
+            length = int(t[r, 0])
+            alone = mech.path(*(a[r] for a in arrays), leaders.tolist()[r], np.array([[length]]))
+            assert [m[r].tolist() for m in moved] == [a[0].tolist() for a in alone], (r, length)
+            alone = mech.path(*(a[r] for a in arrays), leaders.tolist()[r], length)  # a lone step count
+            assert [m[r].tolist() for m in moved] == [a.tolist() for a in alone], (r, length)
+    assert sum(m.sum() for m in moved) > sum(a.sum() for a in arrays)
+
+
+@pytest.mark.parametrize("engine, args, widths", [
+    (urns.run_ium_ensemble, (N2, 0.5, 3, (1, 2, 3), (3, 2, 1)), (3, 3)),
+    (urns.run_sequential_ensemble, (N2, (1, 2), (2, 1)), (2, 2)),
+    (urns.run_multicolor_ensemble, (N2, 3, (1, 2, 3), 2), (3,)),
+], ids=["ium", "sequential", "multicolor"])
+def test_ensemble_leap_moves_only_passing_rows_along_their_leaders(engine, args, widths):
+    # the leap ``_ensemble`` hands ``_screened``, called on chosen rows: the
+    # passing rows move along their leader's path, and ``last_add`` changes
+    # only in each passing row's leader column
+    captured, screened = {}, urns._screened
+
+    def capture(arrays, screen, leap, step):
+        captured.update(arrays=arrays, leap=leap)
+        return screened(arrays, screen, leap, step)
+
+    rows = 8
+    with mock.patch.object(urns, "_screened", capture):
+        engine(*args, 0, rows, 1)
+    *counts, last_add = captured["arrays"]
+    last_add[:] = 7
+    before = [c.copy() for c in counts]
+    rng = np.random.default_rng(len(widths))
+    ok, leaders = rng.random(rows) < 0.6, random_leaders(rng, widths, rows)
+    ok[:2] = True, False
+    captured["leap"](ok, leaders, 90, 10)
+    d = args[-1] if len(widths) == 1 else 1  # balls a step each color on the path gains
+    for r in range(rows):
+        column = int(leaders[r])
+        if len(widths) == 2:  # every urn's black or red count grows
+            grown = [before[c][r] + 10 * ok[r] * (column == c) for c in (0, 1)]
+        else:
+            grown = [before[0][r] + d * 10 * ok[r] * (np.arange(widths[0]) == column)]
+        assert [c[r].tolist() for c in counts] == [g.tolist() for g in grown], r
+        want = [7] * last_add.shape[1]
+        if ok[r]:
+            want[column] = 90
+        assert last_add[r].tolist() == want, r
+
+
 def reachable_shares(model, k, logw, black, red, t, urn):
     """The black shares urn ``urn`` of a run from ``black`` and ``red`` can
     draw with at step ``t``, over every state the run can reach by then:

@@ -576,12 +576,15 @@ class TestCoupled:
         with pytest.raises(ValueError):
             urns.run_coupled((1, 1), (1, 1), 0.3, dec, seed=1, n_steps=2)
 
-    def test_ium_side_matches_standalone(self):
-        ti, _, _ = urns.run_coupled((1, 1), (1, 1), 0.4, N2, seed=33, n_steps=500, record_every=50)
-        st = urns.init_ium(2, (1, 1), (1, 1), 0.4, N2, seed=33)
-        tr = urns.run(st, 500, 50)
-        assert np.array_equal(ti.proportions, tr.proportions)
-        assert ti.last_change.tolist() == tr.last_change.tolist()
+    @pytest.mark.parametrize("record_every", [1, 7, 100])
+    @pytest.mark.parametrize("p, seed", [(0.8, 1), (0.2, 3)], ids=["settles", "mixed"])
+    def test_ium_side_matches_standalone(self, p, seed, record_every):
+        # the pair leaps, plans and steps where both sides allow it, the
+        # standalone run where its one side does; the ium side is the same
+        ti, _, _ = urns.run_coupled((1, 1), (1, 1), p, N2, seed=seed, n_steps=3000, record_every=record_every)
+        tr = urns.run(urns.init_ium(2, (1, 1), (1, 1), p, N2, seed=seed), 3000, record_every)
+        for name in ("steps", "proportions", "color_totals", "last_change"):
+            assert np.array_equal(getattr(ti, name), getattr(tr, name)), name
 
     def test_last_change_is_the_last_growth_of_each_total(self):
         for tr in urns.run_coupled((1, 1), (1, 1), 0.4, N2, seed=5, n_steps=300)[:2]:
