@@ -153,6 +153,8 @@ def cmd_sm(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.model in ("coupled", "sequential") and args.d != 2:
+        raise ValueError(f"--d must be 2 with --model {args.model}, which runs two urns; got {args.d}")
     seq = _load_seq(args)
     if args.model == "coupled":
         if args.counts:

@@ -374,13 +374,14 @@ def _row_categories(samples_a: np.ndarray, samples_b: np.ndarray) -> tuple[np.nd
     ``max - min + 1`` per column, first column most significant; key order
     is lexicographic row order.  One ``bincount`` of the keys per array then
     counts the categories.  When the key space is more than ``_KEY_ROOM``
-    times the row count, ``_folded_categories`` finds them instead."""
+    times the row count, ``np.unique`` over the rows finds them instead."""
     lo = [min(int(a.min()), int(b.min())) for a, b in zip(samples_a.T, samples_b.T)]
     hi = [max(int(a.max()), int(b.max())) for a, b in zip(samples_a.T, samples_b.T)]
     radix = [h - l + 1 for l, h in zip(lo, hi)]
     size, n_a = math.prod(radix), len(samples_a)
     if size > _KEY_ROOM * (n_a + len(samples_b)):
-        cats, key = _folded_categories(np.concatenate([samples_a, samples_b]))
+        cats, key = np.unique(np.concatenate([samples_a, samples_b]), axis=0, return_inverse=True)
+        key = key.ravel()  # some numpy versions return it 2-D
         return cats, np.bincount(key[:n_a], minlength=len(cats)), np.bincount(key[n_a:], minlength=len(cats))
 
     def keys(samples):
@@ -396,21 +397,6 @@ def _row_categories(samples_a: np.ndarray, samples_b: np.ndarray) -> tuple[np.nd
     seen = np.flatnonzero(counts_a + counts_b)
     cats = np.stack(np.unravel_index(seen, radix), axis=1) + lo
     return cats, counts_a[seen], counts_b[seen]
-
-
-def _folded_categories(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an integer array in lexicographic order, and each
-    row's index among them, for any span of values.  Each column's 1-D codes
-    (two sorts) are folded into one integer key, first column most
-    significant; the key is re-compressed to dense codes after every fold,
-    so it stays below ``len(rows)**2``."""
-    key = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        values, codes = np.unique(col, return_inverse=True)
-        _, key = np.unique(key * len(values) + codes, return_inverse=True)
-    first = np.empty(int(key.max()) + 1, dtype=np.intp)
-    first[key] = np.arange(len(key))  # any occurrence: equal keys are equal rows
-    return rows[first], key
 
 
 def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:

@@ -72,6 +72,8 @@ class EnsembleConfig:
         if self.model not in ("ium", "multicolor", "sequential", "embedding"):
             raise ValueError(f"unknown model: {self.model}")
         check_seed(self.seed)
+        if self.model == "sequential" and self.d != 2:
+            raise ValueError(f"d must be 2 for the sequential model, which runs two urns; got {self.d}")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.n_steps < 0:

@@ -499,17 +499,18 @@ def _stepper(state):
     counts after each step, one row per step, ``_dispatch``'s arrays
     joined, and which steps a bound decided, or False for none.
 
-    On a non-decreasing table, a black/red state plans a stretch of at
-    least ``_MIN_PLAN`` steps in one call of ``_resolve`` on one row, one
-    open step costing about ``_OPEN_COST`` steps of the block stepper; a
-    stretch it does not plan goes through the block stepper.  It reads its
-    covered table as it stands."""
+    On a non-decreasing table, one that is its own ``logw.floor``, a
+    black/red state plans a stretch of at least ``_MIN_PLAN`` steps in one
+    call of ``_resolve`` on one row, one open step costing about
+    ``_OPEN_COST`` steps of the block stepper; a stretch it does not plan
+    goes through the block stepper.  It reads its covered table as it
+    stands."""
     mech, arrays = _dispatch(state)
-    resolvable = mech.decide is not None and _non_decreasing(state.logw.table)
+    resolvable = mech.decide is not None and state.logw.floor is state.logw.table
 
     def steps(start, u, last_change):
         resolved = resolvable and len(u) >= _MIN_PLAN and _resolve(
-            mech, state.black[None].copy(), state.red[None].copy(), state.logw.table, u[None], _PASSES, _OPEN_COST)
+            mech, state.black[None].copy(), state.red[None].copy(), state.logw.table, u[None], _OPEN_COST)
         if not resolved:
             path = []
             mech.steps(state, u.tolist(), start, last_change, path)  # Python floats compare faster than numpy scalars
@@ -981,8 +982,8 @@ def _floor(logw: np.ndarray) -> np.ndarray:
     ``run`` and ``run_coupled`` size their tables to every count their
     horizon can reach.  A non-decreasing table is its own floor and is
     returned as it is, with no second array to build (about 5 ns an
-    entry) or hold."""
-    return logw if _non_decreasing(logw) else np.minimum.accumulate(logw[::-1])[::-1]
+    entry) or hold, so a caller tells such a table by ``floor is logw``."""
+    return logw if (logw[1:] >= logw[:-1]).all() else np.minimum.accumulate(logw[::-1])[::-1]
 
 
 def _inside(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -1108,25 +1109,25 @@ def _sequential_decide(black, red, u, first=0):
     return u[:, :, k].transpose(0, 2, 1).ravel(), bounds
 
 
-def _resolve(mech, black, red, logw, u, passes: int, cost: int):
+def _resolve(mech, black, red, logw, u, cost: int):
     """The steps of a black/red mechanism over ``u`` (rows, steps,
     uniforms) from ``black`` and ``red`` (rows, urns), with only the steps
     whose draws bounds leave open stepped through the kernel.
 
     Each urn gains one ball a step, so the draws of each urn decided before
     a step bound its counts and the pooled counts there; the first pass
-    knows none.  On a non-decreasing table, which the callers check, the
-    black share of a draw lies between the shares at the counts
-    ``mech.decide`` bounds it by, so a color uniform below the lower one,
-    shrunk by ``_MARGIN``, is black and one above the upper one red.  Each
-    further pass bounds the draws still open with the draws decided so
-    far.  A pass follows only one that decided at least half of the draws
-    it bounded, up to ``passes`` passes: at counts of a few balls the
-    bounds span most shares, a pass decides under half, and more passes
-    would cost more than the kernel rounds they save.  A step with a draw
-    left open goes through ``mech.kernel`` on its exact state: the start
-    counts, plus the decided balls before it, plus the kernel's balls at
-    the row's earlier open steps.  Round ``k`` steps the ``k``-th open
+    knows none.  On a non-decreasing table, which the callers tell by its
+    being its own ``_floor``, the black share of a draw lies between the
+    shares at the counts ``mech.decide`` bounds it by, so a color uniform
+    below the lower one, shrunk by ``_MARGIN``, is black and one above the
+    upper one red.  Each further pass bounds the draws still open with the
+    draws decided so far.  A pass follows only one that decided at least half
+    of the draws it bounded, up to ``_PASSES`` passes: at counts of a few
+    balls the bounds span most shares, a pass decides under half, and more
+    passes would cost more than the kernel rounds they save.  A step with a
+    draw left open goes through ``mech.kernel`` on its exact state: the
+    start counts, plus the decided balls before it, plus the kernel's balls
+    at the row's earlier open steps.  Round ``k`` steps the ``k``-th open
     step of every row that has one; rows sorted by their open steps make
     each round's rows a prefix.
 
@@ -1140,14 +1141,14 @@ def _resolve(mech, black, red, logw, u, passes: int, cost: int):
     color, bounds = mech.decide(black, red, u)  # draw (r * d + i) * n + t is urn i's at step t of row r
     is_black, open_, c = np.empty(color.size, dtype=bool), slice(None), None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(passes):
+        for k in range(_PASSES):
             x, y = bounds(c, open_)  # (bound, draws): from below, then from above
             share = _SHARE_MARGIN / (1.0 + np.exp(logw[y] - logw[x]))  # as _share, shrunk by _MARGIN
             u_open = color[open_]
             is_black[open_] = black_now = u_open < share[0]
             keep = ~(black_now | (u_open > share[1]))  # a NaN bound decides nothing
             left = np.flatnonzero(keep) if c is None else open_[keep]
-            if k + 1 == passes or not left.size or 2 * left.size > keep.size:
+            if k + 1 == _PASSES or not left.size or 2 * left.size > keep.size:
                 open_ = left
                 break
             won = np.stack([is_black, ~is_black])
@@ -1240,10 +1241,6 @@ class _Mechanism:
     decide: Callable | None  # (black, red, u) -> (color uniforms, bounds): ``_resolve``'s bounds
 
 
-def _non_decreasing(logw: np.ndarray) -> bool:
-    return bool((logw[1:] >= logw[:-1]).all())
-
-
 def _black_red_grew(n_black: np.ndarray) -> np.ndarray:
     """Whether black and red grew at each step of a black/red mechanism
     (runs, length, 2), from each urn's black balls (runs, length, urns)."""
@@ -1321,22 +1318,22 @@ def _ensemble(state, n_steps: int, n_runs: int, master_seed: int, run_offset: in
     """Screened lockstep ensemble of ``n_runs`` runs from ``state``'s
     counts: run ``i`` consumes the stream ``derive_seed(master, offset +
     i)``, as a standalone run of the state at that seed would.  On a
-    non-decreasing table, a black/red ensemble resolves the runs that fail
-    a screen in ``_resolve``, in up to ``_PASSES`` passes, falling back to
-    the kernel where the rounds would outnumber half the sub-block's steps;
-    other runs step through the kernel."""
+    non-decreasing table, its own ``_floor``, a black/red ensemble resolves
+    the runs that fail a screen in ``_resolve``, in up to ``_PASSES``
+    passes, falling back to the kernel where the rounds would outnumber
+    half the sub-block's steps; other runs step through the kernel."""
     mech, arrays = _dispatch(state)
     totals = mech.totals(*arrays)
     arrays = [np.tile(a, (n_runs, 1)) for a in arrays]
     logw = log_weight_table(state.seq, mech.balls * n_steps + sum(totals) + 1)
     floor = _floor(logw)
-    resolvable = mech.decide is not None and _non_decreasing(logw)
+    resolvable = mech.decide is not None and floor is logw
     seeds, gens = _streams(master_seed, run_offset, n_runs)
     last_add = np.zeros((n_runs, len(totals)), dtype=np.int64)
 
     def step(*rows):
         *counts, last, start, u = rows
-        resolved = _resolve(mech, *counts, logw, u, _PASSES, 2) if resolvable else None
+        resolved = _resolve(mech, *counts, logw, u, 2) if resolvable else None
         if resolved is None:
             added, exact = np.stack([mech.kernel(*counts, logw, us) for us in u.swapaxes(0, 1)], axis=1), None
         else:

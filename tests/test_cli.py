@@ -182,6 +182,18 @@ class TestSimulate:
         assert "--counts" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("model", ["coupled", "sequential"])
+    def test_two_urn_models_reject_d(self, tmp_path, capsys, model):
+        # both models run two urns; a --d other than 2 must not run them and echo the wrong d
+        argv = ["simulate", "--model", model, "--m", "2", "--steps", "10", "--seed", "1", "--d", "3",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert "--d" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        argv[argv.index("3")] = "2"
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "c.csv.manifest.json").read_text())["arguments"]["d"] == 2
+
     def test_coupled_violations_column(self, tmp_path):
         out = tmp_path / "c.csv"
         rc = main(["simulate", "--model", "coupled", "--m", "2", "--p", "0.4",

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -296,6 +297,22 @@ class TestMulticolorReference:
         assert abs(ahead - 0.5) <= 4 * math.sqrt(0.25 / n)
 
 
+def reference_categories(za, zb):
+    """The distinct rows of both samples as sorted tuples, and how often
+    each occurs in either sample."""
+    a, b = (Counter(map(tuple, z.tolist())) for z in (za, zb))
+    cats = sorted(a.keys() | b.keys())
+    return cats, [a[c] for c in cats], [b[c] for c in cats]
+
+
+def laws_and_path(za, zb, laws=emb.compare_laws):
+    """What ``laws`` gives on both samples, and whether it took the wide
+    path, which finds the categories by ``np.unique`` over the rows."""
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        rep = laws(za, zb)
+    return rep, any(call.kwargs.get("axis") == 0 for call in unique.call_args_list)
+
+
 class TestCompareLaws:
     def test_same_generator_two_seeds_not_rejected(self):
         rejections = 0
@@ -358,14 +375,12 @@ class TestCompareLaws:
         rows[1::3, 0] = rows[0, 0]  # shared leading entries exercise later columns
         za = rows[rng.integers(0, 12, size=2400)]
         zb = rows[rng.integers(0, 12, size=1800)]
-        rep = emb.compare_laws(za, zb)
-        cats, inverse = np.unique(np.concatenate([za, zb]), axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        ca = np.bincount(inverse[:len(za)], minlength=len(cats)).astype(float)
-        cb = np.bincount(inverse[len(za):], minlength=len(cats)).astype(float)
-        assert rep.categories == tuple(tuple(int(v) for v in c) for c in cats)
-        assert rep.counts_a == tuple(int(v) for v in ca)
-        assert rep.counts_b == tuple(int(v) for v in cb)
+        rep, wide = laws_and_path(za, zb)
+        assert wide
+        cats, ca, cb = reference_categories(za, zb)
+        assert rep.categories == tuple(cats)
+        assert (rep.counts_a, rep.counts_b) == (tuple(ca), tuple(cb))
+        ca, cb = np.array(ca, dtype=float), np.array(cb, dtype=float)
         ea = (ca + cb) * (len(za) / (len(za) + len(zb)))
         eb = (ca + cb) * (len(zb) / (len(za) + len(zb)))
         assert rep.statistic == pytest.approx(np.sum((ca - ea) ** 2 / ea) + np.sum((cb - eb) ** 2 / eb), rel=1e-12)
@@ -381,30 +396,39 @@ class TestCompareLaws:
         # up to 150 template rows drawn with skewed frequencies, so that rare
         # categories get pooled and more than 64 send the test to KS; the
         # columns span a key space of at most 4 (n_a + n_b) keys, which are
-        # counted, or of 2^22 per column, which take the fallback
+        # counted, or of 2^22 per column, which take the wide path; either
+        # matches the sorted row tuples counted in Python
         rng = np.random.default_rng(seed)
         width = 2**22 if fallback else max(1, int((4 * (n_a + n_b)) ** (1 / ncol)))
         rows = rng.integers(low, low + width, size=(n_rows, ncol))
         freq = np.arange(1, n_rows + 1) ** -skew
         za = rows[rng.choice(n_rows, size=n_a, p=freq / freq.sum())].astype(dtype)
         zb = rows[rng.choice(n_rows, size=n_b, p=freq / freq.sum())].astype(dtype)
-        with mock.patch.object(emb, "_folded_categories", wraps=emb._folded_categories) as fold:
-            rep = emb.compare_laws(za, zb)
+        rep, wide = laws_and_path(za, zb)
         both = np.concatenate([za, zb])
         key_space = math.prod(int(hi) - int(lo) + 1 for lo, hi in zip(both.min(axis=0), both.max(axis=0)))
-        assert fold.called == (key_space > 4 * (n_a + n_b))
-        cats, inverse = np.unique(both, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+        assert wide == (key_space > 4 * (n_a + n_b))
+        if not wide:  # the wide path must agree on the counted path's samples too
+            with mock.patch.object(emb, "_KEY_ROOM", 0):
+                assert laws_and_path(za, zb) == (rep, True)
+        cats, ca, cb = reference_categories(za, zb)
         if len(cats) > 64:
             ks = stats.ks_2samp(za[:, 0], zb[:, 0])
             assert (rep.method, rep.statistic, rep.p_value) == ("ks", float(ks.statistic), float(ks.pvalue))
             return
-        ca = np.bincount(inverse[:n_a], minlength=len(cats)).astype(float)
-        cb = np.bincount(inverse[n_a:], minlength=len(cats)).astype(float)
-        ca, cb, pooled = emb._pool_rare(ca, cb, [tuple(int(v) for v in c) for c in cats], n_a, n_b)
+        ca, cb, pooled = emb._pool_rare(np.array(ca, dtype=float), np.array(cb, dtype=float), cats, n_a, n_b)
         assert rep.categories == tuple(pooled)
         assert (rep.counts_a, rep.counts_b) == (tuple(int(v) for v in ca), tuple(int(v) for v in cb))
         assert rep.dof == len(ca) - 1
+
+    @pytest.mark.parametrize("span, wide", [(4 * 400, False), (4 * 400 + 1, True)])
+    def test_wide_path_starts_past_the_key_room(self, span, wide):
+        # 400 rows are counted over up to _KEY_ROOM times as many keys
+        z = np.random.default_rng(span).integers(-5, span - 5, size=(400, 1))
+        z[:2, 0] = -5, span - 6
+        (cats, ca, cb), took = laws_and_path(z[:150], z[150:], emb._row_categories)
+        assert took == wide
+        assert ([tuple(c) for c in cats.tolist()], ca.tolist(), cb.tolist()) == reference_categories(z[:150], z[150:])
 
     def test_ks_beyond_64_categories(self):
         rng = np.random.default_rng(7)

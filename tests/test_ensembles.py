@@ -86,6 +86,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(model="polya")
 
+    def test_sequential_model_runs_two_urns(self):
+        with pytest.raises(ValueError, match=r"\bd\b"):
+            small_config(model="sequential", d=3)
+        assert small_config(model="sequential", d=2).d == 2
+
     def test_default_window_is_a_fifth(self):
         assert ens.run_ensemble(small_config(n_runs=1)).window == 400
         assert ens.run_ensemble(small_config(n_runs=1, window=123)).window == 123

@@ -175,7 +175,8 @@ class TestMargin:
             u = np.tile([0.9, 0.0], (1, 3, 2))  # urns draw from themselves, and draw black
             u[0, 1, 3] = q * (1 - rel) if edge == "lower" else q * (1 + rel)
             b, r = black.copy(), red.copy()
-            added, open_ = urns._resolve(urns._ium(2, 0.5), b, r, logw, u, 1, 2)
+            with mock.patch.object(urns, "_PASSES", 1):
+                added, open_ = urns._resolve(urns._ium(2, 0.5), b, r, logw, u, 2)
             assert open_.tolist() == [[False, not decided, False]]
             kernel_b, kernel_r = black.copy(), red.copy()
             by_kernel = [urns._ium_step(kernel_b, kernel_r, logw, 0.5, u[:, t])[0].tolist() for t in range(3)]
@@ -193,7 +194,8 @@ class TestMargin:
             u = np.zeros((1, 3, 2))  # every other draw is black
             u[0, 1, 1] = q * (1 - rel) if edge == "lower" else q * (1 + rel)
             b, r = black.copy(), red.copy()
-            added, open_ = urns._resolve(urns._sequential(0), b, r, logw, u, 1, 2)
+            with mock.patch.object(urns, "_PASSES", 1):
+                added, open_ = urns._resolve(urns._sequential(0), b, r, logw, u, 2)
             assert open_.tolist() == [[False, not decided, False]]
             kernel_b, kernel_r = black.copy(), red.copy()
             by_kernel = [urns._sequential_step(kernel_b, kernel_r, logw, u[:, t])[0].tolist() for t in range(3)]
@@ -264,8 +266,9 @@ def test_resolve_stops_after_a_pass_that_decides_under_half(mech, d):
     u = rng.random((20, urns._SUB_BLOCK, mech.per_step))
     counted, passes = counted_passes(mech)
     b, r, b1, r1 = black.copy(), red.copy(), black.copy(), red.copy()
-    added, open_ = urns._resolve(counted, b, r, logw, u, urns._PASSES, 0)
-    added_1, open_1 = urns._resolve(mech, b1, r1, logw, u, 1, 0)
+    added, open_ = urns._resolve(counted, b, r, logw, u, 0)
+    with mock.patch.object(urns, "_PASSES", 1):
+        added_1, open_1 = urns._resolve(mech, b1, r1, logw, u, 0)
     assert len(passes) == 1
     assert np.array_equal(added, added_1) and np.array_equal(open_, open_1)
     assert np.array_equal(b, b1) and np.array_equal(r, r1)
@@ -284,8 +287,9 @@ def test_later_passes_decide_mixed_limit_draws():
     u = np.random.default_rng(3).random((len(black), urns._SUB_BLOCK, 4))
     mech = urns._ium(2, 0.2)
     counted, passes = counted_passes(mech)
-    added, open_ = urns._resolve(counted, black.copy(), red.copy(), logw, u, urns._PASSES, 0)
-    _, open_1 = urns._resolve(mech, black.copy(), red.copy(), logw, u, 1, 0)
+    added, open_ = urns._resolve(counted, black.copy(), red.copy(), logw, u, 0)
+    with mock.patch.object(urns, "_PASSES", 1):
+        _, open_1 = urns._resolve(mech, black.copy(), red.copy(), logw, u, 0)
     assert 2 <= len(passes) <= urns._PASSES and all(2 * b <= a for a, b in zip(passes, passes[1:]))
     assert np.count_nonzero(open_) < np.count_nonzero(open_1)
     assert np.array_equal(added, kernel_increments(mech, black, red, logw, u))
@@ -313,7 +317,7 @@ def test_floor_of_every_table():
         logw = rf.log_weight_table(seq, 300)
         floor = urns._floor(logw)
         assert np.array_equal(floor, [logw[n:].min() for n in range(logw.size)]), seq.to_json()
-        monotone.append(urns._non_decreasing(logw))
+        monotone.append(all(a <= b for a, b in zip(logw.tolist(), logw[1:].tolist())))
         if monotone[-1]:
             assert floor is logw, seq.to_json()  # bit for bit, with no second array
     assert monotone == [True, True, False, True, False, False]  # example I and both tables dip
@@ -1173,10 +1177,17 @@ def test_mixed_limit_run_is_planned(seed, record_every):
 
 
 def test_plans_need_a_non_decreasing_table():
-    for seq, planned in ((WEIGHTS["example I"], False), (W3, True)):
-        with planned_stepping() as plans:
-            urns.run(urns.init_ium(2, (1, 2), (2, 1), 0.2, seq, 1), 500, 100)
-        assert bool(plans) == planned
+    # run and ensembles take a table to be non-decreasing where _floor
+    # returns it as it is: example I dips and plans nothing, n^2 and n^3
+    # plan, and given an equal floor that is not the table they plan nothing
+    own = urns._floor
+    for seq, planned in ((WEIGHTS["example I"], False), (N2, True), (W3, True)):
+        for floor, want in ((own, planned), (lambda logw: own(logw).copy(), False)):
+            with planned_stepping() as plans, mock.patch.object(urns, "_floor", floor):
+                urns.run(urns.init_ium(2, (1, 2), (2, 1), 0.2, seq, 1), 500, 100)
+                assert bool(plans) == want
+                urns.run_ium_ensemble(seq, 0.2, 2, (1, 2), (2, 1), 500, 20, 1, record_every=100)
+                assert bool(plans) == want
 
 
 @pytest.mark.parametrize("walk", [False, True])
