@@ -155,6 +155,8 @@ def cmd_sm(args) -> int:
 def cmd_simulate(args) -> int:
     if args.model in ("coupled", "sequential") and args.d != 2:
         raise ValueError(f"--d must be 2 with --model {args.model}, which runs two urns; got {args.d}")
+    if args.model in ("multicolor", "sequential") and args.p != 0.0:
+        raise ValueError(f"--p applies to --model ium and coupled only; got {args.p} with --model {args.model}")
     seq = _load_seq(args)
     if args.model == "coupled":
         if args.counts:

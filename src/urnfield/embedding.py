@@ -25,6 +25,12 @@ array step, ``_jump``.  Every rate comes from ``_rate_table``, ``np.exp``
 of the checked log-weight table the urn simulators read: the timers hold
 linear-scale rates, so a weight beyond float range (or one that underflows
 to 0) at a reachable count is a ConditionViolation.
+
+The two law samplers draw each step's variates for all their rows in one
+call, then run the step's kernel (``_jump``, ``_multicolor_step``) over
+tiles of ``_TILE`` rows, so that a kernel's arrays and temporaries stay in
+cache instead of sweeping whole-sample arrays through memory a dozen times
+a step.  Rows never interact, so the tiling changes no output.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .urns import (
 )
 
 _MASS_TOL = 1e-12
+_TILE = 8192  # rows per kernel call in the law samplers; 4096 and 16384 timed no faster
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,8 @@ def _jump(z, mass, rate, rates, fresh, base, refresh: bool) -> np.ndarray:
     The winner is taken column by column with a strict ``<``, so a tie goes
     to the first timer, as with ``argmin``; a remaining time is never NaN,
     as masses are finite and ``_rate_table`` gives only positive finite
-    rates.  ``base`` is ``arange(n) * nc``: ``base + winner`` indexes each
+    rates.  ``base`` is ``arange(n) * nc`` for the n rows passed, which
+    the law samplers pass a tile at a time: ``base + winner`` indexes each
     copy's winner in the flattened arrays, which is returned."""
     remaining = (mass / rate).T
     dt = remaining[0]
@@ -261,6 +269,11 @@ def _jump(z, mass, rate, rates, fresh, base, refresh: bool) -> np.ndarray:
     if refresh:
         np.take(rates, z, out=rate)
     return win
+
+
+def _tiles(n: int) -> list[slice]:
+    """Row slices of at most ``_TILE`` rows that cover ``range(n)``."""
+    return [slice(t, min(t + _TILE, n)) for t in range(0, n, _TILE)]
 
 
 def sample_embedding_counts(
@@ -288,10 +301,13 @@ def sample_embedding_counts(
     z = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
     mass = rng.exponential(size=(n_samples, nc))
     rate = rates[z]
-    base = np.arange(0, n_samples * nc, nc)
+    tiles = _tiles(n_samples)
+    base = np.arange(0, tiles[0].stop * nc, nc)
     for j in range(1, k * d + 1):
         fresh = rng.exponential(size=n_samples)
-        _jump(z, mass, rate, rates, fresh, base, refresh_every_jump or j % d == 0)
+        refresh = refresh_every_jump or j % d == 0
+        for rows in tiles:
+            _jump(z[rows], mass[rows], rate[rows], rates, fresh[rows], base[: rows.stop - rows.start], refresh)
     return z
 
 
@@ -337,8 +353,11 @@ def sample_multicolor_counts(
     rng = stream(seed)
     logw = log_weight_table(seq, max(a) + k * d + 1)
     counts = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
+    tiles = _tiles(n_samples)
     for _ in range(k):
-        _multicolor_step(counts, logw, rng.random(size=(n_samples, d)))
+        u = rng.random(size=(n_samples, d))
+        for rows in tiles:
+            _multicolor_step(counts[rows], logw, u[rows])
     return counts
 
 

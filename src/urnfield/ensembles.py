@@ -74,6 +74,8 @@ class EnsembleConfig:
         check_seed(self.seed)
         if self.model == "sequential" and self.d != 2:
             raise ValueError(f"d must be 2 for the sequential model, which runs two urns; got {self.d}")
+        if self.model != "ium" and self.p != 0.0:
+            raise ValueError(f"p applies to the ium model only; got p = {self.p} with model {self.model}")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.n_steps < 0:

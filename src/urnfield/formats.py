@@ -22,11 +22,33 @@ import numpy as np
 SCHEMA = 1
 
 
+_CELL = {int: "%d", float: "%.17g"}  # the cells a template writes as csv.writer would
+
+
+def _row_template(shape: tuple) -> str | None:
+    """One %-template for rows whose cells have exactly these types, or
+    None when a cell is not an int or a float (a bool, a string, a numpy
+    scalar): csv.writer writes those."""
+    if not all(t in _CELL for t in shape):
+        return None
+    return ",".join(_CELL[t] for t in shape) + "\n"
+
+
 def csv_bytes(header, rows) -> bytes:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+    templates = {}
+    for row in rows:
+        row = tuple(row)
+        shape = tuple(map(type, row))
+        if shape not in templates:
+            templates[shape] = _row_template(shape)
+        template = templates[shape]
+        if template is None:
+            w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+        else:
+            buf.write(template % row)
     return buf.getvalue().encode()
 
 

@@ -194,6 +194,18 @@ class TestSimulate:
         assert main(argv) == 0
         assert json.loads((tmp_path / "c.csv.manifest.json").read_text())["arguments"]["d"] == 2
 
+    @pytest.mark.parametrize("model", ["multicolor", "sequential"])
+    def test_models_that_ignore_p_reject_it(self, tmp_path, capsys, model):
+        # neither model reads p; a --p other than 0 must not run and echo a p it ignored
+        argv = ["simulate", "--model", model, "--m", "2", "--steps", "10", "--seed", "1", "--p", "0.7",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert "--p" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        argv[argv.index("0.7")] = "0"
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "c.csv.manifest.json").read_text())["arguments"]["p"] == 0.0
+
     def test_coupled_violations_column(self, tmp_path):
         out = tmp_path / "c.csv"
         rc = main(["simulate", "--model", "coupled", "--m", "2", "--p", "0.4",
@@ -218,8 +230,9 @@ class TestSimulate:
     )
     def test_out_is_the_trajectory_csv(self, tmp_path, model, init, counts):
         out = tmp_path / "t.csv"
-        argv = ["simulate", "--model", model, "--m", "3", "--p", "0.2", "--steps", "300",
+        argv = ["simulate", "--model", model, "--m", "3", "--steps", "300",
                 "--record-every", "25", "--seed", "7", "--out", str(out)]
+        argv += ["--p", "0.2"] if model == "ium" else []
         assert main(argv + (["--counts"] if counts else [])) == 0
         traj = urns.run(init(make_polynomial([0, 0, 0, 1])), 300, 25, record_counts=counts)
         ref = tmp_path / "ref.csv"
@@ -429,7 +442,7 @@ class TestNoTraceback:
     def test_mc(self, tmp_path, seq, model):
         for init in ({"black0": [1, 1030], "red0": [1025, 1], "a": [1030, 1]}, {}):
             cfg = {"schema": 1, "model": model, "seq": self.EDGE_SEQS[seq], "n_steps": 50, "n_runs": 4,
-                   "seed": 3, "record_every": 10, "p": 0.5, **init}
+                   "seed": 3, "record_every": 10, "p": 0.5 if model == "ium" else 0.0, **init}
             path = self.write(tmp_path, "mc.json", cfg)
             assert main(["mc", "--config", path, "--out", str(tmp_path / "r.json"), "--runs-csv"]) in (0, 2, 3)
 

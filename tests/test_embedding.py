@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from unittest import mock
@@ -216,19 +217,56 @@ SAMPLER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("nc, d, k", SAMPLER_DIGESTS, ids=[f"nc{nc}-d{d}-k{k}" for nc, d, k in SAMPLER_DIGESTS])
-def test_sampler_outputs_are_pinned(nc, d, k):
+def _sampler_digests(nc, d, k):
     a = (1,) * nc
 
     def digest(counts):
         return hashlib.sha256(np.ascontiguousarray(counts, dtype=np.int64).tobytes()).hexdigest()
 
-    got = (
+    return (
         digest(emb.sample_embedding_counts(N2, nc, a, d, k, 3000, seed=17 + nc)),
         digest(emb.sample_embedding_counts(N2, nc, a, d, k, 3000, seed=17 + nc, refresh_every_jump=True)),
         digest(emb.sample_multicolor_counts(N2, nc, a, d, k, 3000, seed=19 + nc)),
     )
-    assert got == SAMPLER_DIGESTS[nc, d, k]
+
+
+@pytest.mark.parametrize("nc, d, k", SAMPLER_DIGESTS, ids=[f"nc{nc}-d{d}-k{k}" for nc, d, k in SAMPLER_DIGESTS])
+def test_sampler_outputs_are_pinned(nc, d, k):
+    assert _sampler_digests(nc, d, k) == SAMPLER_DIGESTS[nc, d, k]
+
+
+@pytest.mark.parametrize("tile", [7, 2999, 3000, 3001])
+def test_sampler_outputs_do_not_depend_on_the_tile(monkeypatch, tile):
+    # the 3000 copies in many ragged tiles, one tile short of or at the
+    # copies, and one tile past them
+    monkeypatch.setattr(emb, "_TILE", tile)
+    assert {key: _sampler_digests(*key) for key in SAMPLER_DIGESTS} == SAMPLER_DIGESTS
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_samplers_at_the_tile_edge_equal_one_tile(monkeypatch, extra):
+    n = emb._TILE + extra
+    tiled = (emb.sample_embedding_counts(N3, 3, (1, 2, 1), 2, 3, n, seed=41),
+             emb.sample_multicolor_counts(N3, 3, (1, 2, 1), 2, 3, n, seed=43))
+    monkeypatch.setattr(emb, "_TILE", n)
+    whole = (emb.sample_embedding_counts(N3, 3, (1, 2, 1), 2, 3, n, seed=41),
+             emb.sample_multicolor_counts(N3, 3, (1, 2, 1), 2, 3, n, seed=43))
+    assert all(np.array_equal(t, w) for t, w in zip(tiled, whole))
+
+
+@pytest.mark.parametrize("sampler", [emb.sample_embedding_counts, emb.sample_multicolor_counts],
+                         ids=["embedding", "multicolor"])
+def test_sampler_memory_stays_near_its_output(sampler):
+    # the kernels' temporaries cover one tile, not every row: untiled, each
+    # sampler peaked at 7x its output here
+    sampler(N2, 2, (1, 1), 2, 3, 1000, seed=3)  # warm up lazy imports and tables
+    tracemalloc.start()
+    try:
+        counts = sampler(N2, 2, (1, 1), 2, 3, 100_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * counts.nbytes
 
 
 class TestEnsembleEngine:

@@ -12,7 +12,7 @@ N3 = rf.make_polynomial([0, 0, 0, 1])
 
 def small_config(**over):
     base = dict(
-        model="ium", seq=N2, p=0.2, d=2, black0=(1, 1), red0=(1, 1),
+        model="ium", seq=N2, p=0.2 if over.get("model", "ium") == "ium" else 0.0, d=2, black0=(1, 1), red0=(1, 1),
         n_steps=2_000, n_runs=40, record_every=100, seed=7,
     )
     base.update(over)
@@ -90,6 +90,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"\bd\b"):
             small_config(model="sequential", d=3)
         assert small_config(model="sequential", d=2).d == 2
+
+    @pytest.mark.parametrize("model", ["multicolor", "sequential", "embedding"])
+    def test_models_that_ignore_p_reject_it(self, model):
+        with pytest.raises(ValueError, match=r"\bp\b"):
+            small_config(model=model, p=0.7)
+        assert small_config(model=model, p=0.0).p == 0.0
 
     def test_default_window_is_a_fifth(self):
         assert ens.run_ensemble(small_config(n_runs=1)).window == 400
@@ -219,7 +225,8 @@ class TestMonopolyEstimate:
         ("multicolor", N2, lambda seq, seed: urns.init_multicolor(3, (1, 1, 1), 2, seq, seed)),
     ])
     def test_verdicts_match_single_runs(self, model, seq, init):
-        cfg = small_config(model=model, seq=seq, p=0.5, nc=3, a=(1, 1, 1), n_steps=1_000, n_runs=30, seed=5)
+        cfg = small_config(model=model, seq=seq, p=0.5 if model == "ium" else 0.0, nc=3, a=(1, 1, 1),
+                           n_steps=1_000, n_runs=30, seed=5)
         rep = ens.run_ensemble(cfg)
         labels = [urns.detect_monopoly(urns.run(init(seq, derive_seed(5, i)), 1_000, 100), rep.window)
                   for i in range(cfg.n_runs)]

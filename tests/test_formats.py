@@ -1,6 +1,13 @@
 """The exact JSON and CSV that records and configs are written as."""
 
+import csv
+import io
+
+import numpy as np
+from hypothesis import given, strategies as st
+
 from urnfield import embedding, ensembles, meanfield
+from urnfield.formats import csv_bytes
 from urnfield.reinforcement import ConditionVerdict, make_polynomial
 
 N2 = make_polynomial([0, 0, 1])
@@ -75,3 +82,37 @@ class TestJumpLog:
         embedding.save_jump_log(state, path)
         assert path.read_bytes() == (b"jump_index,tau,edge,Z_1,Z_2,refresh_flag\n"
                                      b"1,0.5,1,2,2,0\n2,0.33333333333333331,2,2,3,1\n3,2,2,2,4,0\n")
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    """The reference for ``csv_bytes``: every row through csv.writer, floats
+    pre-formatted to 17 significant digits."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+class TestCsvBytes:
+    ROWS = [
+        (0, 0.1, 1e-320, -0.0),
+        (-7, float("nan"), float("inf"), float("-inf")),
+        (2**70, 1e300, -2.5e-8, 1.0),
+        (True, False, 3, 0.5),  # a bool is an int that csv writes as True
+        (1, "a,b", 'say "hi"', None),
+        (np.int64(4), np.float64(0.1), np.float32(0.1), 5),
+        (),
+        [3, 0.25],
+        (1, 2, 3, 4),
+    ]
+
+    def test_matches_the_csv_module(self):
+        header = ["a", "b", "c", "d"]
+        assert csv_bytes(header, self.ROWS) == csv_module_bytes(header, self.ROWS)
+        assert csv_bytes(header, iter(self.ROWS)) == csv_module_bytes(header, self.ROWS)
+
+    @given(st.lists(st.lists(st.one_of(st.integers(), st.floats(), st.booleans(), st.text()), max_size=5),
+                    max_size=20))
+    def test_matches_the_csv_module_on_any_cells(self, rows):
+        assert csv_bytes(["x"], rows) == csv_module_bytes(["x"], rows)

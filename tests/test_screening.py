@@ -476,7 +476,8 @@ def test_single_run_whose_window_passes_the_table_end():
 class TestCounters:
     @pytest.mark.parametrize("model", ["ium", "multicolor", "sequential", "embedding"])
     def test_run_steps_add_up(self, model):
-        cfg = ens.EnsembleConfig(model=model, seq=N2, n_steps=300, n_runs=20, seed=4, p=0.6, record_every=70)
+        cfg = ens.EnsembleConfig(model=model, seq=N2, n_steps=300, n_runs=20, seed=4,
+                                 p=0.6 if model == "ium" else 0.0, record_every=70)
         rep = ens.run_ensemble(cfg)
         assert rep.run_steps_screened + rep.run_steps_exact == 20 * 300
         assert (rep.run_steps_screened > 0) == (model != "embedding")
@@ -505,7 +506,8 @@ class TestCounters:
         planned = urns.run(urns.init_ium(2, (1, 1), (1, 1), 0.2, W3_EXACT, 3), 3000, 100)
         outs = [ti, ts, planned]
         for model in ("ium", "multicolor", "sequential", "embedding"):
-            cfg = ens.EnsembleConfig(model=model, seq=N2, n_steps=300, n_runs=20, seed=4, p=0.2, record_every=70)
+            cfg = ens.EnsembleConfig(model=model, seq=N2, n_steps=300, n_runs=20, seed=4,
+                                     p=0.2 if model == "ium" else 0.0, record_every=70)
             outs.append(ens.run_ensemble(cfg))
         outs += [urns.run_ium_ensemble(N2, 0.2, 2, (1, 1), (1, 1), 300, 20, 4),
                  urns.run_multicolor_ensemble(N2, 3, (1, 1, 1), 2, 300, 20, 4),
