@@ -26,11 +26,14 @@ of the checked log-weight table the urn simulators read: the timers hold
 linear-scale rates, so a weight beyond float range (or one that underflows
 to 0) at a reachable count is a ConditionViolation.
 
-The two law samplers draw each step's variates for all their rows in one
-call, then run the step's kernel (``_jump``, ``_multicolor_step``) over
-tiles of ``_TILE`` rows, so that a kernel's arrays and temporaries stay in
-cache instead of sweeping whole-sample arrays through memory a dozen times
-a step.  Rows never interact, so the tiling changes no output.
+The two law samplers run each step's kernel (``_jump``,
+``_multicolor_step``) over tiles of ``_TILE`` rows, so that a kernel's
+arrays and temporaries stay in cache instead of sweeping whole-sample
+arrays through memory a dozen times a step.  Each tile's variates are drawn
+just before its kernel call, into one tile-sized buffer reused for every
+tile and step.  Tiles go in row order, so every row reads the same stream
+positions as a draw for all rows at once would give it.  Rows never
+interact, so the tiling changes no output.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import special
 
 from .errors import ConditionViolation, InternalConsistencyError
 from .formats import csv_bytes, json_fields
@@ -303,11 +305,13 @@ def sample_embedding_counts(
     rate = rates[z]
     tiles = _tiles(n_samples)
     base = np.arange(0, tiles[0].stop * nc, nc)
+    fresh = np.empty(tiles[0].stop)
     for j in range(1, k * d + 1):
-        fresh = rng.exponential(size=n_samples)
         refresh = refresh_every_jump or j % d == 0
         for rows in tiles:
-            _jump(z[rows], mass[rows], rate[rows], rates, fresh[rows], base[: rows.stop - rows.start], refresh)
+            m = rows.stop - rows.start
+            rng.standard_exponential(out=fresh[:m])
+            _jump(z[rows], mass[rows], rate[rows], rates, fresh[:m], base[:m], refresh)
     return z
 
 
@@ -354,10 +358,12 @@ def sample_multicolor_counts(
     logw = log_weight_table(seq, max(a) + k * d + 1)
     counts = np.tile(np.array(a, dtype=np.int64), (n_samples, 1))
     tiles = _tiles(n_samples)
+    u = np.empty((tiles[0].stop, d))
     for _ in range(k):
-        u = rng.random(size=(n_samples, d))
         for rows in tiles:
-            _multicolor_step(counts[rows], logw, u[rows])
+            m = rows.stop - rows.start
+            rng.random(out=u[:m])
+            _multicolor_step(counts[rows], logw, u[:m])
     return counts
 
 
@@ -418,6 +424,16 @@ def _row_categories(samples_a: np.ndarray, samples_b: np.ndarray) -> tuple[np.nd
     return cats, counts_a[seen], counts_b[seen]
 
 
+def _signed(samples: np.ndarray) -> np.ndarray:
+    """Integer samples as a signed array: ``_row_categories`` adds them to
+    signed keys, which numpy will not do in place with uint64."""
+    if samples.dtype.kind != "u":
+        return samples
+    if samples.size and int(samples.max()) >= 2**63:
+        raise ValueError(f"sample value {int(samples.max())} does not fit in int64")
+    return samples.astype(np.int64)
+
+
 def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     """Two-sample test that both count samples follow one law: chi-square
     over the observed outcome categories (rare bins pooled), falling back to
@@ -432,6 +448,7 @@ def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     n_a, n_b = len(samples_a), len(samples_b)
     if n_a < 100 or n_b < 100:
         raise ValueError("need at least 100 samples on each side")
+    samples_a, samples_b = _signed(samples_a), _signed(samples_b)
     cats, ca, cb = _row_categories(samples_a, samples_b)
     if len(cats) > 64:
         from scipy.stats import ks_2samp  # importing scipy.stats takes about a second
@@ -451,6 +468,8 @@ def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     eb = tot * (n_b / (n_a + n_b))
     stat = float(np.sum((ca - ea) ** 2 / ea) + np.sum((cb - eb) ** 2 / eb))
     dof = len(ca) - 1
+    from scipy import special  # importing it takes about 0.3 s, and of the commands only embed-test needs it
+
     p = float(special.chdtrc(dof, stat))
     return LawTestReport("chi_square", stat, dof, p, n_a, n_b, *counts)
 

@@ -25,7 +25,6 @@ import time
 from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 
 import numpy as np
-from scipy import special
 
 from . import embedding, formats, meanfield, urns
 from .reinforcement import ReinforcementSeq
@@ -38,6 +37,8 @@ def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[f
         raise ValueError(f"bad counts: {successes}/{trials}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    from scipy import special  # importing it takes about 0.3 s, and only ensemble reports need it
+
     z = float(special.ndtri(0.5 * (1.0 + level)))
     phat = successes / trials
     denom = 1.0 + z * z / trials

@@ -485,12 +485,22 @@ class TestSeedRange:
         assert main(self.SIMULATE + ["--model", "ium", "--seed", str(2**64 - 1)]) == 0
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import; no command needs it up front
-    code = "import sys, urnfield.cli; sys.exit('scipy.stats' in sys.modules)"
+def _import_leaves_unloaded(module):
+    code = f"import sys, urnfield.cli; sys.exit({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(urnfield.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; no command needs it up front
+    _import_leaves_unloaded("scipy.stats")
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special takes about 0.3 s to import, more than most commands' work;
+    # only compare_laws and wilson_interval need it
+    _import_leaves_unloaded("scipy.special")
 
 
 # sha256 of the README commands' output, pinned with numpy 2.4.6 and scipy
