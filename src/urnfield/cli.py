@@ -246,6 +246,9 @@ def cmd_check_w(args) -> int:
 
 
 def cmd_embed_test(args) -> int:
+    if not 0 <= args.seed < 2**64 - 1:
+        raise ValueError(f"--seed must lie in [0, 2**64 - 1), got {args.seed}: embed-test seeds its discrete side "
+                         "with seed + 1, and a seed must lie in [0, 2**64)")
     seq = _load_seq(args)
     za = embedding.sample_embedding_counts(
         seq, args.nc, args.a, args.d, args.k, args.samples, args.seed

@@ -117,7 +117,7 @@ def init_embedding(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Embe
         raise ValueError("initial counts must be nonnegative")
     rates = _rate_table(seq, max(min(256, seq.last_index), max(a)), max(a))
     for i, ai in enumerate(a):
-        if rates[ai] <= 0.0:
+        if ai < seq.domain_start:
             raise ValueError(f"edge {i + 1}: W({ai}) must be positive")
     rng = stream(seed)
     xi = rng.exponential(size=nc)
@@ -338,6 +338,7 @@ def run_embedding_ensemble(
             for j in range(d):
                 win = _jump(z, mass, rate, rates, draws[:, j], base, j == d - 1)
                 last_add.ravel()[win] = step
+        return 1, []
 
     steps, props = _drive(
         gens, d, n_steps, record_every, advance, lambda step: _color_shares(z, step), "standard_exponential"
@@ -474,12 +475,12 @@ def compare_laws(samples_a: np.ndarray, samples_b: np.ndarray) -> LawTestReport:
     return LawTestReport("chi_square", stat, dof, p, n_a, n_b, *counts)
 
 
-def _pool_rare(ca, cb, cats, n_a, n_b, min_expected: float = 5.0):
-    """Merge the smallest categories until every expected count is adequate."""
+def _pool_rare(ca, cb, cats, n_a, n_b):
+    """Merge the smallest categories until every expected count is at least 5."""
     share = min(n_a, n_b) / (n_a + n_b)
     while len(ca) > 2:
         expected = (ca + cb) * share
-        if expected.min() >= min_expected:
+        if expected.min() >= 5.0:
             break
         order = np.argsort(expected)
         i, j = int(order[0]), int(order[1])

@@ -31,19 +31,17 @@ from .reinforcement import ReinforcementSeq
 from .seeds import check_seed, derive_seed
 
 
-def wilson_interval(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+_Z95 = 1.959963984540054  # scipy.special.ndtri(0.975) to the bit; NormalDist().inv_cdf(0.975) is another double
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"bad counts: {successes}/{trials}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    from scipy import special  # importing it takes about 0.3 s, and only ensemble reports need it
-
-    z = float(special.ndtri(0.5 * (1.0 + level)))
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2.0 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom
+    denom = 1.0 + _Z95 * _Z95 / trials
+    center = (phat + _Z95 * _Z95 / (2.0 * trials)) / denom
+    half = _Z95 * math.sqrt(phat * (1.0 - phat) / trials + _Z95 * _Z95 / (4.0 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi

@@ -354,7 +354,7 @@ def _bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_um(params: ModelParams, tol: float = 1e-12) -> float:
+def solve_um(params: ModelParams) -> float:
     """The unique root in [0, 1/2) of ``-u + (1-p) R(u) + p/2``; the x
     coordinate of the candidate non-dominated limit (u, 1-u).  Requires
     p < 1/2; equals 0 exactly when p = 0."""
@@ -373,7 +373,7 @@ def solve_um(params: ModelParams, tol: float = 1e-12) -> float:
         if 0.5 - hi < 1e-15:
             raise InternalConsistencyError("no sign change located left of 1/2")
     u = _bisect(g, 0.0, hi)
-    if abs(g(u)) > max(tol, 1e-12):
+    if abs(g(u)) > 1e-12:
         raise InternalConsistencyError(f"root residual {g(u)} exceeds tolerance")
     return u
 
@@ -438,7 +438,7 @@ def pair_mismatch_prime(params: ModelParams, z: float) -> float:
     return (1.0 - m * (1.0 - p) * f_weight(m, 2.0 * z - hz)) * (2.0 - hp) - m * p * f_weight(m, z)
 
 
-def solve_sm(params: ModelParams, delta: float | None = None, tol: float = 1e-12) -> Equilibrium:
+def solve_sm(params: ModelParams, delta: float | None = None) -> Equilibrium:
     """The off-diagonal equilibrium ``(2z - h(z), h(z))`` with mean
     coordinate ``z`` root of :func:`pair_mismatch` in
     ``(1/2 + delta, 3/4 - delta)``.  Exists (and is strictly stable,
@@ -458,7 +458,7 @@ def solve_sm(params: ModelParams, delta: float | None = None, tol: float = 1e-12
     z = _bisect(lambda t: pair_mismatch(params, t), lo, hi)
     hz = h_of_z(params, z)
     eq = _make_equilibrium(params, 2.0 * z - hz, hz, "newton_refined")
-    if eq.residual > max(100.0 * tol, 1e-9):
+    if eq.residual > 1e-9:
         raise InternalConsistencyError(f"field residual {eq.residual} at the located point")
     return eq
 

@@ -25,14 +25,14 @@ def adaptive_simpson(
     tol: float = 1e-10,
     panels: int = 1,
 ) -> float:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``,
-    starting from ``panels`` equal panels.  A non-finite value of ``f``
-    raises :class:`ConditionViolation`: refining its panel could never
-    settle."""
+    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``, starting
+    from ``panels`` equal panels; over a reversed interval, exactly minus
+    that.  A non-finite value of ``f`` raises :class:`ConditionViolation`:
+    refining its panel could never settle."""
     if b == a:
         return 0.0
     if b < a:
-        return -adaptive_simpson(f, b, a, tol)
+        return -adaptive_simpson(f, b, a, tol, panels)
 
     def finite_f(x):
         y = f(x)

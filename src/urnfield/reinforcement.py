@@ -688,15 +688,8 @@ class ConditionVerdict:
 
 def remainder(seq: ReinforcementSeq, n: int, horizon: int = DEFAULT_HORIZON) -> float:
     """``Rem(n) = sum_{i >= n} 1/W(i)``: truncated sum to ``horizon`` plus the
-    analytic tail when the kind provides one.  Raises
+    analytic tail where ``seq.reciprocal_summable() is True``.  Raises
     :class:`ConditionViolation` when the tail is certainly divergent."""
-    value, _ = remainder_detail(seq, n, horizon)
-    return value
-
-
-def remainder_detail(seq: ReinforcementSeq, n: int, horizon: int = DEFAULT_HORIZON) -> tuple[float, bool]:
-    """Like :func:`remainder` but also reports whether the value includes a
-    guaranteed analytic bound for the part beyond the horizon."""
     if n < seq.domain_start:
         raise ValueError(f"remainder start {n} below domain_start={seq.domain_start}")
     if horizon < n:
@@ -705,7 +698,7 @@ def remainder_detail(seq: ReinforcementSeq, n: int, horizon: int = DEFAULT_HORIZ
     if summable is False:
         raise ConditionViolation("reciprocal sum diverges for this sequence")
     partials = (_recip_sum(logw) for _, logw in _log_w_chunks(seq, n, horizon + 1))
-    return _linear_rem(seq, partials, horizon, summable is True), summable is True
+    return _linear_rem(seq, partials, horizon, summable is True)
 
 
 def _exp(x: float) -> float:
@@ -783,12 +776,12 @@ def _sup_verdict(condition: str, horizon: int, running: _RunningSup, tail_known:
     return ConditionVerdict(condition, horizon, estimate, verdict)
 
 
-def check_strong(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON, tol: float = 1e-9) -> ConditionVerdict:
+def check_strong(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
     """Reciprocal summability check (sum over n >= 1 of 1/W(n)).
 
     Kinds with a tail rule are decided analytically.  A finite table can
     still be certified divergent when ``W(n) <= c n`` along the horizon
-    (the running sup of ``W(n)/n`` plateaus within ``tol`` relative change
+    (the running sup of ``W(n)/n`` plateaus within 1e-9 relative change
     over the final decade); otherwise the truncated sum is reported as
     inconclusive rather than guessed.  The estimate adds up ``1/W`` a chunk
     of ``_CHUNK`` entries at a time from the horizon down, and the
@@ -803,7 +796,7 @@ def check_strong(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON, tol: flo
         partials.append(_recip_sum(logw))
         if w_over_n is not None:
             w_over_n.add(lo, logw - np.log(np.arange(lo, lo + logw.size)))
-    certified = w_over_n is not None and w_over_n.growth()[1] < max(tol, 1e-12)
+    certified = w_over_n is not None and w_over_n.growth()[1] < 1e-9
     verdict = _verdict(summable is True, summable is False or certified)
     return ConditionVerdict("summable", horizon, _linear_rem(seq, partials, horizon, summable is True), verdict)
 
@@ -859,49 +852,55 @@ def _log_variation_tail(seq: ReinforcementSeq, from_n: int) -> float:
     return float(np.logaddexp.reduce(parts))
 
 
-def check_variation_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
-    """sup_n W(n) * sum_{k>=n} |1/W(k) - 1/W(k+1)| over the scanned range.
+def _log_variations(logw: np.ndarray) -> np.ndarray:
+    """``log |1/W(k) - 1/W(k+1)|`` at each k but the last of a chunk of ``log W``:
+    ``hi + log1p(-exp(lo - hi))``, ``hi >= lo`` the two logs of ``1/W``, built in place."""
+    logdiff = np.minimum(logw[:-1], logw[1:])
+    gap = np.maximum(logw[:-1], logw[1:])
+    np.subtract(logdiff, gap, out=gap)  # lo - hi
+    np.negative(logdiff, out=logdiff)  # hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.exp(gap, out=gap)
+        np.negative(gap, out=gap)
+        np.log1p(gap, out=gap)
+        logdiff += gap
+    logdiff[np.isnan(logdiff)] = -np.inf
+    return logdiff
 
-    A table's tail settles first, in a walk over the final tenth.  The main
-    walk then goes down from the horizon a chunk at a time, each chunk one
-    entry longer than it steps, and carries the suffix sum across chunks."""
+
+def _sup_walk(seq: ReinforcementSeq, condition: str, horizon: int, overlap: int, terms, log_tail) -> ConditionVerdict:
+    """sup_n W(n) * S(n) from n = ``start``, ``max(1, domain_start)``, to the
+    horizon, where S(n) sums ``exp(terms(log W))`` from n on, plus
+    ``exp(log_tail(start))`` past the horizon, asked for once the horizon is
+    checked (None: unknown, and the verdict cannot hold).  The walk goes
+    down from the horizon a chunk at a time, each chunk ``overlap`` entries
+    longer than it steps."""
     start = max(1, seq.domain_start)
     running = _RunningSup(start, horizon)
-    log_tail = None
-    if seq.reciprocal_summable() is True and (seq.kind != "table" or _tail_settled(seq, start, horizon + 2)):
-        log_tail = _log_variation_tail(seq, horizon + 2)
-    carry = -math.inf if log_tail is None else log_tail
-    for lo, logw in _log_w_chunks(seq, start, horizon + 1, overlap=1):
-        # log |1/W(k) - 1/W(k+1)| = hi + log1p(-exp(lo - hi)) with hi >= lo the two logs of 1/W, built in place
-        logdiff = np.minimum(logw[:-1], logw[1:])
-        gap = np.maximum(logw[:-1], logw[1:])
-        np.subtract(logdiff, gap, out=gap)  # lo - hi
-        np.negative(logdiff, out=logdiff)  # hi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.exp(gap, out=gap)
-            np.negative(gap, out=gap)
-            np.log1p(gap, out=gap)
-            logdiff += gap
-        logdiff[np.isnan(logdiff)] = -np.inf
-        logv, carry = _log_suffix_sums(logdiff, carry)
-        logv += logw[:-1]  # times W(n)
+    tail = log_tail(start)
+    carry = -math.inf if tail is None else tail
+    for lo, logw in _log_w_chunks(seq, start, horizon + 1, overlap):
+        logv, carry = _log_suffix_sums(terms(logw), carry)
+        logv += logw[: logv.size]  # times W(n)
         running.add(lo, logv)
-    return _sup_verdict("variation_bound", horizon, running, log_tail is not None)
+    return _sup_verdict(condition, horizon, running, tail is not None)
+
+
+def check_variation_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
+    """sup_n W(n) * sum_{k>=n} |1/W(k) - 1/W(k+1)| over the scanned range.
+    A table's tail settles first, in a walk over the final tenth."""
+
+    def log_tail(start):
+        settled = seq.reciprocal_summable() is True and (seq.kind != "table" or _tail_settled(seq, start, horizon + 2))
+        return _log_variation_tail(seq, horizon + 2) if settled else None
+
+    return _sup_walk(seq, "variation_bound", horizon, 1, _log_variations, log_tail)
 
 
 def check_remainder_bound(seq: ReinforcementSeq, horizon: int = DEFAULT_HORIZON) -> ConditionVerdict:
-    """sup_n W(n) * Rem(n) over the scanned range, a chunk at a time from the
-    horizon down, the suffix sum carried across chunks."""
-    start = max(1, seq.domain_start)
-    running = _RunningSup(start, horizon)
-    tail_known = seq.reciprocal_summable() is True
-    carry = seq.log_recip_tail(horizon + 1) if tail_known else -math.inf
-    for lo, logw in _log_w_chunks(seq, start, horizon + 1):
-        recip = np.negative(logw, out=logw)  # log 1/W
-        log_rem, carry = _log_suffix_sums(recip, carry)
-        log_rem -= recip  # times W(n)
-        running.add(lo, log_rem)
-    return _sup_verdict("remainder_bound", horizon, running, tail_known)
+    """sup_n W(n) * Rem(n) over the scanned range."""
+    return _sup_walk(seq, "remainder_bound", horizon, 0, np.negative,
+                     lambda _: seq.log_recip_tail(horizon + 1) if seq.reciprocal_summable() is True else None)
 
 
 def _log_rems_at(seq: ReinforcementSeq, start: int, horizon: int, points) -> dict[int, np.ndarray]:

@@ -110,20 +110,15 @@ _LOG_EXP_CLIP = float(np.log(np.finfo(float).max))  # math.exp overflows above t
 
 
 class _LogW:
-    """Growable lookup of log W(n) for one state; ``-inf`` marks zero
-    weight.  ``run`` covers every count it can reach before its first step.
-    It also holds the table's ``floor`` (``_floor``), which ``run`` screens
-    that state with, made anew when the table grows."""
+    """Growable table of log W(n) for one state, empty until ``run``,
+    ``run_coupled`` or a block stepper covers every count it can reach;
+    ``-inf`` marks zero weight.  It also holds the table's ``floor``
+    (``_floor``), which ``run`` screens that state with, made anew."""
 
     def __init__(self, seq: ReinforcementSeq):
         self.seq = seq
-        self.table = log_weight_table(seq, min(256, seq.last_index))
-        self.floor = _floor(self.table)
-
-    def __call__(self, n: int) -> float:
-        if n >= self.table.size:
-            self.cover(n)
-        return float(self.table[n])
+        self.table = np.empty(0)
+        self.floor = self.table
 
     def cover(self, n: int) -> None:
         """Grow the table, at least doubling it (up to a finite table's last
@@ -310,7 +305,7 @@ def _whole_counts(values) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _check_composition(seq: ReinforcementSeq, black, red, logw: _LogW) -> None:
+def _check_composition(seq: ReinforcementSeq, black, red) -> None:
     black = np.asarray(black)
     red = np.asarray(red)
     if (black < 0).any() or (red < 0).any():
@@ -321,7 +316,7 @@ def _check_composition(seq: ReinforcementSeq, black, red, logw: _LogW) -> None:
                 "W(0) = 0 requires at least one ball of each color in the system"
             )
     for i in range(black.size):
-        if logw(int(black[i])) == -math.inf and logw(int(red[i])) == -math.inf:
+        if black[i] < seq.domain_start and red[i] < seq.domain_start:
             raise ValueError(f"urn {i + 1} has zero weight in both pools")
 
 
@@ -334,12 +329,11 @@ def init_ium(d: int, black0, red0, p: float, seq: ReinforcementSeq, seed: int) -
     black, red = _whole_counts(black0), _whole_counts(red0)
     if black.shape != (d,) or red.shape != (d,):
         raise ValueError(f"initial compositions must have length d={d}")
-    logw = _LogW(seq)
-    _check_composition(seq, black, red, logw)
-    if logw(int(black.sum())) == -math.inf and logw(int(red.sum())) == -math.inf:
+    _check_composition(seq, black, red)
+    if black.sum() < seq.domain_start and red.sum() < seq.domain_start:
         raise ValueError("system-wide pools both have zero weight")
     return UrnState(
-        d=d, black=black, red=red, n=0, p=p, seq=seq, rng=stream(seed), seed=seed, logw=logw
+        d=d, black=black, red=red, n=0, p=p, seq=seq, rng=stream(seed), seed=seed, logw=_LogW(seq)
     )
 
 
@@ -587,7 +581,7 @@ def _paced(screen, leap, exact):
         b = cuts[i + k]
         decided, inner = exact(start + a, block[0, a:b])
         counters[0] += int(decided)
-        return (k, inner) if k > 1 else None  # one sub-block holds no inner sample; None costs _drive less
+        return k, inner
 
     return advance, counters
 
@@ -619,14 +613,13 @@ def init_multicolor(nc: int, a, d: int, seq: ReinforcementSeq, seed: int) -> Mul
         raise ValueError(f"initial counts must have length nc={nc}")
     if any(v < 0 for v in a):
         raise ValueError("initial counts must be nonnegative")
-    logw = _LogW(seq)
     if any(v == 0 and seq.domain_start > 0 for v in a):
         raise ValueError("a_i = 0 is not allowed when W(0) = 0")
-    if all(logw(v) == -math.inf for v in a):
+    if all(v < seq.domain_start for v in a):
         raise ValueError("every color has zero weight")
     return MultiColorState(
         nc=nc, counts=np.array(a, dtype=np.int64), a=a, d=d, n=0,
-        seq=seq, rng=stream(seed), seed=seed, logw=logw,
+        seq=seq, rng=stream(seed), seed=seed, logw=_LogW(seq),
     )
 
 
@@ -681,10 +674,9 @@ def init_sequential(black0, red0, seq: ReinforcementSeq, seed: int) -> Sequentia
     black, red = _whole_counts(black0), _whole_counts(red0)
     if black.shape != (2,) or red.shape != (2,):
         raise ValueError("the sequential process runs on exactly two urns")
-    logw = _LogW(seq)
-    _check_composition(seq, black, red, logw)
+    _check_composition(seq, black, red)
     return SequentialState(
-        black=black, red=red, substep=0, seq=seq, rng=stream(seed), seed=seed, logw=logw
+        black=black, red=red, substep=0, seq=seq, rng=stream(seed), seed=seed, logw=_LogW(seq)
     )
 
 
@@ -877,10 +869,10 @@ def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample
     ``_SUB_BLOCK`` steps.  ``advance(start, block, cuts, i)`` advances
     sub-block ``i``, ``block[:, cuts[i]:cuts[i + 1]]`` of the (n_runs,
     length, per_step) block of steps ``start + 1 ..``; it may read the
-    sub-blocks after it.  It returns None, or ``(k, inner)`` when it covers
-    ``k >= 1`` sub-blocks from ``i`` on, with ``inner`` the samples at the
-    record steps strictly inside them, in order.  The step that ends the
-    covered sub-blocks is sampled from the state.  Returns the recorded
+    sub-blocks after it.  It returns ``(k, inner)``: it covered ``k >= 1``
+    sub-blocks from ``i`` on, and ``inner`` holds the samples at the record
+    steps strictly inside them, in order.  The step that ends the covered
+    sub-blocks is sampled from the state.  Returns the recorded
     steps (0, every ``record_every`` and ``n_steps``) and their
     ``sample(step)`` values."""
     _check_steps(n_steps, record_every)
@@ -897,18 +889,14 @@ def _drive(gens, per_step: int, n_steps: int, record_every: int, advance, sample
             cuts.append(mark)
         i = 0
         while i < len(cuts) - 1:
-            covered = advance(start, block, cuts, i)
-            if covered is None:
-                i += 1
-            else:
-                k, inner = covered
-                marks = [start + e for e in cuts[i + 1:i + k] if (start + e) % record_every == 0]
-                if not 1 <= k < len(cuts) - i or len(inner) != len(marks):
-                    raise InternalConsistencyError(
-                        f"an advance from sub-block {i} of {len(cuts) - 1} covered {k} with {len(inner)} inner "
-                        f"samples, for {len(marks)} record steps")
-                record.update(zip(marks, inner))
-                i += k
+            k, inner = advance(start, block, cuts, i)
+            marks = [start + e for e in cuts[i + 1:i + k] if (start + e) % record_every == 0]
+            if not 1 <= k < len(cuts) - i or len(inner) != len(marks):
+                raise InternalConsistencyError(
+                    f"an advance from sub-block {i} of {len(cuts) - 1} covered {k} with {len(inner)} inner "
+                    f"samples, for {len(marks)} record steps")
+            record.update(zip(marks, inner))
+            i += k
             end = start + cuts[i]
             if end % record_every == 0 or end == n_steps:
                 record[end] = sample(end)
@@ -1210,6 +1198,7 @@ def _screened(arrays, screen, leap, step):
                 for a, rows in zip(arrays, part):
                     a[flagged] = rows
         counters[0] += int(np.count_nonzero(ok) * length if exact is None else n_runs * length - exact)
+        return 1, []
 
     return advance, counters
 

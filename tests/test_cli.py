@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -485,8 +486,8 @@ class TestSeedRange:
         assert main(self.SIMULATE + ["--model", "ium", "--seed", str(2**64 - 1)]) == 0
 
 
-def _import_leaves_unloaded(module):
-    code = f"import sys, urnfield.cli; sys.exit({module!r} in sys.modules)"
+def _import_leaves_unloaded(module, then="pass"):
+    code = f"import sys, urnfield.cli; {then}; sys.exit({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(urnfield.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
@@ -499,8 +500,14 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_import_leaves_scipy_special_unloaded():
     # scipy.special takes about 0.3 s to import, more than most commands' work;
-    # only compare_laws and wilson_interval need it
+    # only compare_laws needs it
     _import_leaves_unloaded("scipy.special")
+
+
+def test_mc_leaves_scipy_special_unloaded(tmp_path):
+    # the Wilson intervals of an ensemble report use a fixed z
+    argv = ["mc", "--config", str(mc_config(tmp_path)), "--out", str(tmp_path / "r.json")]
+    _import_leaves_unloaded("scipy.special", f"assert urnfield.cli.main({argv!r}) == 0")
 
 
 # sha256 of the README commands' output, pinned with numpy 2.4.6 and scipy
@@ -552,6 +559,18 @@ class TestEmbedTest:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and error in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+    def test_seed_is_checked_before_sampling(self, capsys, seed):
+        # the discrete side draws from seed + 1, so the largest 64-bit seed has no room
+        with mock.patch.object(cli.embedding, "sample_embedding_counts") as za, \
+                mock.patch.object(cli.embedding, "sample_multicolor_counts") as zb:
+            rc = main(["embed-test", "--nc", "2", "--a", "1,1", "--d", "2", "--m", "2",
+                       "--k", "40", "--samples", "100000", "--seed", str(seed)])
+        assert rc == 2
+        assert not za.called and not zb.called
+        err = capsys.readouterr().err
+        assert f"--seed must lie in [0, 2**64 - 1), got {seed}" in err
 
 
 DROP = object()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,16 +22,16 @@ def small_config(**over):
 
 class TestWilson:
     def test_zero_successes(self):
-        lo, hi = ens.wilson_interval(0, 100, 0.95)
+        lo, hi = ens.wilson_interval(0, 100)
         assert lo == 0.0
         assert hi == pytest.approx(0.036994, abs=1e-5)
 
     def test_symmetric_at_half(self):
-        lo, hi = ens.wilson_interval(50, 100, 0.95)
+        lo, hi = ens.wilson_interval(50, 100)
         assert lo + hi == pytest.approx(1.0, abs=1e-12)
 
     def test_full_successes(self):
-        lo, hi = ens.wilson_interval(100, 100, 0.95)
+        lo, hi = ens.wilson_interval(100, 100)
         assert hi == 1.0
         assert lo > 0.9
 
@@ -38,6 +39,18 @@ class TestWilson:
         for s, n in [(1, 3), (2, 7), (5, 5), (0, 1)]:
             lo, hi = ens.wilson_interval(s, n)
             assert 0.0 <= lo <= hi <= 1.0
+
+    def test_z_is_the_normal_quantile_to_the_bit(self):
+        from scipy import special
+
+        assert ens._Z95 == float(special.ndtri(0.975))
+
+    def test_bits_on_a_grid(self):
+        # sha256 of the intervals as computed with z = scipy.special.ndtri(0.975)
+        grid = [(s, n) for n in (1, 2, 3, 7, 12, 40, 100, 999, 10_000)
+                for s in sorted({0, 1, n // 3, n // 2, n - 1, n})]
+        got = np.array([ens.wilson_interval(s, n) for s, n in grid]).tobytes()
+        assert hashlib.sha256(got).hexdigest() == "691e3b5573a13de97eddc3d755de0439e8b9c3d3b112a78b049b56ec995107b8"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.special import zeta
 
 from urnfield import reinforcement as rf
@@ -249,7 +249,7 @@ class TestRemainder:
 
     def test_truncated_only_for_table_without_tail(self):
         seq = rf.make_table([1, 2, 4, 8, 16, 32])
-        value, guaranteed = rf.remainder_detail(seq, 1, horizon=5)
+        value, guaranteed = rf.remainder(seq, 1, horizon=5), seq.reciprocal_summable() is True
         assert not guaranteed
         assert value == pytest.approx(sum(1 / 2**k for k in range(1, 6)))
 
@@ -665,9 +665,16 @@ _WEIGHT_SEQS = st.one_of(
 
 
 @given(seq=_WEIGHT_SEQS, nmax=st.integers(0, 3000))
+@example(seq=rf.make_polynomial([0, 0, 1]), nmax=3000)
+@example(seq=rf.make_polynomial([1, 3, 3, 1]), nmax=3000)
+@example(seq=example_i(), nmax=3000)
+@example(seq=rf.make_exponential(2.0), nmax=3000)
+@example(seq=rf.make_table([0, 0, 0, 2, 5], example_i().tail), nmax=3000)
+@example(seq=rf.make_polynomial([1e300, 0, 1]), nmax=3000)
 def test_log_weight_table_is_finite_from_domain_start(seq, nmax):
     # every constructor guarantees what the urn kernels rely on without
-    # checking: no weight is zero or non-finite from domain_start on
+    # checking: no weight is zero or non-finite from domain_start on; and
+    # the simulators' init_* tell a zero weight by n < domain_start alone
     table = rf.log_weight_table(seq, nmax)
     ds = seq.domain_start
     assert (table[:ds] == -math.inf).all()
@@ -696,7 +703,7 @@ class TestFloatRangeEdges:
         seq = rf.make_table([], rf.TailRule((rf.ExpBranch(1.00001, 1e-308),)))
         v = rf.check_strong(seq, horizon=1_000_000)
         assert (v.verdict, v.estimate) == ("holds", math.inf)
-        value, guaranteed = rf.remainder_detail(seq, 0, horizon=1_000)
+        value, guaranteed = rf.remainder(seq, 0, horizon=1_000), seq.reciprocal_summable() is True
         assert (value, guaranteed) == (math.inf, True)
 
     @pytest.mark.parametrize("coeffs", [[1e-300, 0, 1e-300], [0, 0, 1e200]], ids=["1e-300 (n^2+1)", "1e200 n^2"])

@@ -142,7 +142,7 @@ class TestStepProbabilities:
     def test_full_interaction_uses_totals(self):
         # p = 1: urn-local counts are irrelevant, only totals matter
         st = urns.init_ium(2, (3, 0), (0, 1), 1.0, N2, seed=1)
-        q = urns._prob_first(st.logw(st.total_black), st.logw(st.total_red))
+        q = urns._prob_first(N2.log_value(st.total_black), N2.log_value(st.total_red))
         assert q == pytest.approx(9 / 10)
         add = ium_step(st, [0.0, 0.8999, 0.0, 0.8999])
         assert add.tolist() == [1, 1]
@@ -514,7 +514,7 @@ class TestMulticolor:
 class TestSequential:
     def test_first_substep_probability(self):
         st = urns.init_sequential((1, 1), (1, 1), N2, seed=2)
-        q = urns._prob_first(st.logw(1), st.logw(2))
+        q = urns._prob_first(N2.log_value(1), N2.log_value(2))
         assert q == pytest.approx(0.2)
 
     def test_forced_all_black_keeps_red_frozen(self):
@@ -534,7 +534,7 @@ class TestSequential:
     def test_second_substep_sees_updated_red_total(self):
         st = urns.init_sequential((1, 1), (1, 1), N2, seed=2)
         urns._sequential_steps(st, [[0.999]], 0, [0, 0])  # red to urn 1: red total 3
-        q = urns._prob_first(st.logw(int(st.black[1])), st.logw(int(st.red.sum())))
+        q = urns._prob_first(N2.log_value(int(st.black[1])), N2.log_value(int(st.red.sum())))
         assert q == pytest.approx(1 / (1 + 9))  # W(1)=1 vs W(3)=9
 
     def test_proportions_at_an_odd_substep(self):
